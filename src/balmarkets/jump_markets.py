@@ -39,9 +39,11 @@ from .sde_engine import (
     EngineDiagnostics,
     PathSet,
     _BLOCK_STEPS,
+    _draw_block,
     _renormalize_log,
     _run_chunked,
     _stored_steps,
+    _write_paths_csv,
     path_generator,
 )
 
@@ -383,15 +385,14 @@ def simulate_jump_balanced(
             mode[lo:hi, i0] = CONTINUOUS_VANISH
         kappa = np.tile(kappa0, (m, 1))
         kappa_out[lo:hi, 0] = kappa0
+        buf = np.empty(m * min(_BLOCK_STEPS, grid.n_steps) * d)
         step = 0
         while step < grid.n_steps:
             blk = min(_BLOCK_STEPS, grid.n_steps - step)
             if zero_c and inc_out is None:
                 dw = None
             else:
-                dw = np.stack(
-                    [g.standard_normal((blk, d)) for g in gens]
-                ) * sqrt_dt
+                dw = _draw_block(gens, buf, blk, d, sqrt_dt)
                 if inc_out is not None:
                     inc_out[lo:hi, step : step + blk] = dw
             for j in range(blk):
@@ -1067,26 +1068,17 @@ def example_death_of_company(
 
 def jump_pathset_to_csv(ps: PathSet, rec: LifetimeRecord, path) -> str:
     """CSV rows ``path,step,t,kappa_*,zeta_*,death_mode_*``; sha256 digest."""
-    import hashlib
-
-    n, ns, d = ps.kappa.shape
-    times = ps.times()
-    digest = hashlib.sha256()
-    with open(path, "w") as fh:
-        kap_cols = ",".join(f"kappa_{i + 1}" for i in range(d))
-        z_cols = ",".join(f"zeta_{i + 1}" for i in range(d))
-        m_cols = ",".join(f"death_mode_{i + 1}" for i in range(d))
-        fh.write(f"path,step,t,{kap_cols},{z_cols},{m_cols}\n")
-        for p in range(n):
-            z_txt = ",".join(f"{z:.17g}" for z in rec.zeta[p])
-            m_txt = ",".join(rec.death_mode[p])
-            for k in range(ns):
-                kap_txt = ",".join(f"{x:.17g}" for x in ps.kappa[p, k])
-                fh.write(
-                    f"{p},{ps.stored_steps[k]},{times[k]:.17g},"
-                    f"{kap_txt},{z_txt},{m_txt}\n"
-                )
-    with open(path, "rb") as fh:
-        for buf in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(buf)
-    return digest.hexdigest()
+    d = ps.d
+    cols = [f"{name}_{i + 1}" for name in ("kappa", "zeta", "death_mode")
+            for i in range(d)]
+    # zeta and death mode are fixed per path: format them once per path
+    suffix = np.array(
+        [
+            ",".join([f"{z:.17g}" for z in zeta] + list(modes))
+            for zeta, modes in zip(rec.zeta, rec.death_mode)
+        ],
+        dtype=object,
+    )
+    return _write_paths_csv(
+        ps, path, [ps.kappa], "path,step,t," + ",".join(cols), suffix
+    )

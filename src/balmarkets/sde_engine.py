@@ -13,9 +13,12 @@ top of such a weight path for any prescribed interest rate.
 
 Both engines walk log-coordinates with an Euler step, so states stay
 positive by construction, and both draw their noise from per-path
-counter-based streams keyed by ``(seed, stream, path_index)``.  Results are
-therefore bit-identical no matter how paths are partitioned across worker
-threads.
+counter-based streams keyed by ``(seed, stream, path_index)``.  With
+constant coefficients ``log S`` is a running sum, so the capitalization
+engine evaluates whole blocks of steps at once, with the same arithmetic
+as one step at a time.  Paths are split into chunks, one or more per
+worker thread; every row is computed independently of the others, so the
+chunk layout, and with it the thread count, never changes values.
 """
 
 from __future__ import annotations
@@ -129,21 +132,6 @@ class PathSet:
     def times(self) -> np.ndarray:
         return self.grid.t0 + self.grid.dt * self.stored_steps
 
-    @property
-    def stored_dt(self) -> float:
-        """Grid spacing of the storage axis (uniform only when thinned evenly)."""
-        return float(self.grid.dt * (self.stored_steps[1] - self.stored_steps[0]))
-
-    def validate(self, tol: float = 1e-9) -> None:
-        defect = np.abs(self.kappa.sum(axis=-1) - 1.0).max()
-        if defect > tol or self.kappa.min() < -tol:
-            raise ValueError(f"stored weights leave the simplex by {defect:.3e}")
-        if self.caps is not None:
-            total = self.caps.sum(axis=-1, keepdims=True)
-            recon = np.abs(self.caps / total - self.kappa).max()
-            if recon > tol:
-                raise ValueError(f"caps and weights disagree by {recon:.3e}")
-
 
 def _stored_steps(n_steps: int, store_every: int) -> np.ndarray:
     steps = list(range(0, n_steps + 1, store_every))
@@ -152,22 +140,23 @@ def _stored_steps(n_steps: int, store_every: int) -> np.ndarray:
     return np.asarray(steps, dtype=np.int64)
 
 
-def _chunks(n_paths: int):
-    return [
-        (lo, min(lo + _CHUNK_PATHS, n_paths))
-        for lo in range(0, n_paths, _CHUNK_PATHS)
-    ]
+def _chunks(n_paths: int, n_threads: int):
+    """Near-equal path spans, at least one per ``_CHUNK_PATHS`` paths and
+    one per thread, but never a one-path span when ``n_paths >= 2``: BLAS
+    rounds a one-row product (gemv) differently from a larger one (gemm)."""
+    k = max(-(-n_paths // _CHUNK_PATHS), min(n_threads, n_paths // 2))
+    return [(i * n_paths // k, (i + 1) * n_paths // k) for i in range(k)]
 
 
 def _run_chunked(worker, n_paths: int, n_threads: int) -> EngineDiagnostics:
-    """Run ``worker(lo, hi) -> EngineDiagnostics`` over fixed path chunks.
+    """Run ``worker(lo, hi) -> EngineDiagnostics`` over path chunks.
 
-    Chunk boundaries never depend on the thread count, and each worker
-    writes only to its own slice of the output arrays, so results are
-    identical for any ``n_threads``.
+    Rows are computed independently and each worker writes only to its own
+    slice of the output arrays, so the chunk layout, and with it the thread
+    count, never changes values.
     """
     diag = EngineDiagnostics()
-    spans = _chunks(n_paths)
+    spans = _chunks(n_paths, n_threads)
     if n_threads <= 1 or len(spans) == 1:
         for lo, hi in spans:
             diag.merge(worker(lo, hi))
@@ -233,6 +222,25 @@ def _renormalize_log(logk: np.ndarray, diag: EngineDiagnostics) -> np.ndarray:
     return kappa
 
 
+def _draw_block(gens, buf: np.ndarray, blk: int, d: int,
+                sqrt_dt: float) -> np.ndarray:
+    """Every path's next ``blk`` steps of ``N(0, dt I)`` draws, written into
+    a prefix of the worker's reused flat buffer ``buf`` (fresh per-path
+    arrays would stay resident in the worker thread's heap)."""
+    dw = buf[: len(gens) * blk * d].reshape(len(gens), blk, d)
+    for i, g in enumerate(gens):
+        g.standard_normal((blk, d), out=dw[i])
+    dw *= sqrt_dt
+    return dw
+
+
+def _weights(logs: np.ndarray) -> np.ndarray:
+    """Row-wise ``exp(logs) / sum(exp(logs))``, shifted by the row maximum."""
+    mx = logs.max(axis=1, keepdims=True)
+    w = np.exp(logs - mx)
+    return w / w.sum(axis=1, keepdims=True)
+
+
 def simulate_relative_caps_balanced(
     c_spec: ProcessSpec,
     kappa0,
@@ -285,10 +293,11 @@ def simulate_relative_caps_balanced(
         logk = np.tile(np.log(kappa0), (m, 1))
         kappa = np.tile(kappa0, (m, 1))
         kappa_out[lo:hi, 0] = kappa0
+        buf = np.empty(m * min(_BLOCK_STEPS, grid.n_steps) * d)
         step = 0
         while step < grid.n_steps:
             blk = min(_BLOCK_STEPS, grid.n_steps - step)
-            dw = np.stack([g.standard_normal((blk, d)) for g in gens]) * sqrt_dt
+            dw = _draw_block(gens, buf, blk, d, sqrt_dt)
             if inc_out is not None:
                 inc_out[lo:hi, step : step + blk] = dw
             for j in range(blk):
@@ -370,6 +379,14 @@ def simulate_capitalizations(
     log_s0 = np.log(params.s0)
     sqrt_dt = np.sqrt(grid.dt)
     dt = grid.dt
+    if cache.constant:
+        drift = (cache.a - 0.5 * np.diag(cache.c)) * dt
+
+    def overflow(worst: float, step: int) -> NumericalOverflow:
+        return NumericalOverflow(
+            f"|log S| reached {worst:.1f} at step {step}; "
+            "shorten the horizon or rescale the coefficients"
+        )
 
     def worker(lo: int, hi: int) -> EngineDiagnostics:
         m = hi - lo
@@ -380,18 +397,40 @@ def simulate_capitalizations(
         kappa = caps / caps.sum(axis=1, keepdims=True)
         caps_out[lo:hi, 0] = caps
         kappa_out[lo:hi, 0] = kappa
+        buf = np.empty(m * min(_BLOCK_STEPS, grid.n_steps) * d)
+        x_buf = np.empty_like(buf) if cache.constant else None
         step = 0
         while step < grid.n_steps:
             blk = min(_BLOCK_STEPS, grid.n_steps - step)
-            dw = np.stack([g.standard_normal((blk, d)) for g in gens]) * sqrt_dt
+            dw = _draw_block(gens, buf, blk, d, sqrt_dt)
             if inc_out is not None:
                 inc_out[lo:hi, step : step + blk] = dw
+            if cache.constant:
+                # log S is a running sum of i.i.d. increments: one gemm over
+                # every row of the block (row for row the per-step product),
+                # then a sequential sum along time, so each x[:, j] is
+                # exactly log S after step + j + 1
+                x = x_buf[: m * blk * d].reshape(m, blk, d)
+                np.matmul(dw.reshape(-1, d), cache.sigma.T,
+                          out=x.reshape(-1, d))
+                x += drift
+                x[:, 0] += logs
+                np.add.accumulate(x, axis=1, out=x)
+                if x.max() > _LOG_CAP or -x.min() > _LOG_CAP:
+                    worst = np.abs(x).max(axis=(0, 2))
+                    j = int(np.argmax(worst > _LOG_CAP))
+                    raise overflow(worst[j], step + j + 1)
+                for j in range(blk):
+                    idx = stored_pos.get(step + j + 1)
+                    if idx is not None:
+                        caps_out[lo:hi, idx] = np.exp(x[:, j])
+                        kappa_out[lo:hi, idx] = _weights(x[:, j])
+                logs = x[:, -1].copy()
+                step += blk
+                continue
             for j in range(blk):
                 t = grid.t0 + (step + j) * dt
-                if cache.constant:
-                    drift = (cache.a - 0.5 * np.diag(cache.c)) * dt
-                    logs += drift + dw[:, j] @ cache.sigma.T
-                elif not cache.state_dependent:
+                if not cache.state_dependent:
                     a = np.asarray(params.a_spec(t), dtype=float)
                     c = np.asarray(params.c_spec(t), dtype=float)
                     sigma = psd_factor(c)
@@ -403,13 +442,8 @@ def simulate_capitalizations(
                         logs[i] += (a - 0.5 * np.diag(c)) * dt + sigma @ dw[i, j]
                 worst = float(np.abs(logs).max())
                 if worst > _LOG_CAP:
-                    raise NumericalOverflow(
-                        f"|log S| reached {worst:.1f} at step {step + j + 1}; "
-                        "shorten the horizon or rescale the coefficients"
-                    )
-                mx = logs.max(axis=1, keepdims=True)
-                w = np.exp(logs - mx)
-                kappa = w / w.sum(axis=1, keepdims=True)
+                    raise overflow(worst, step + j + 1)
+                kappa = _weights(logs)
                 idx = stored_pos.get(step + j + 1)
                 if idx is not None:
                     caps_out[lo:hi, idx] = np.exp(logs)
@@ -543,6 +577,46 @@ def relative_caps_from_caps(caps: np.ndarray) -> np.ndarray:
 # serialization
 
 
+def _write_paths_csv(ps: PathSet, path, columns, header: str,
+                     suffix=None) -> str:
+    """Write rows ``path,step,t,<columns>[,suffix]``; returns their sha256.
+
+    ``columns`` are (n_paths, n_stored, k) arrays printed with ``%.17g``;
+    ``suffix``, when given, holds one preformatted string per path that ends
+    each of its rows.  Rows are formatted ``_BLOCK_STEPS`` at a time with a
+    single ``%`` and hashed as they are written.
+    """
+    n, ns = ps.kappa.shape[:2]
+    width = 3 + sum(col.shape[-1] for col in columns)
+    row = "%d,%d" + ",%.17g" * (width - 2)
+    if suffix is not None:
+        row += ",%s"
+    flat = [col.reshape(n * ns, -1) for col in columns]
+    steps = ps.stored_steps.astype(float)
+    times = ps.times()
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        head = (header + "\n").encode()
+        fh.write(head)
+        digest.update(head)
+        for lo in range(0, n * ns, _BLOCK_STEPS):
+            hi = min(lo + _BLOCK_STEPS, n * ns)
+            p, k = np.divmod(np.arange(lo, hi), ns)
+            block = np.column_stack(
+                [p, steps[k], times[k]] + [f[lo:hi] for f in flat]
+            )
+            if suffix is not None:
+                cells = np.empty((hi - lo, width + 1), dtype=object)
+                cells[:, :width] = block
+                cells[:, width] = suffix[p]
+                block = cells
+            fmt = (row + "\n") * (hi - lo)
+            text = (fmt % tuple(block.ravel().tolist())).encode()
+            fh.write(text)
+            digest.update(text)
+    return digest.hexdigest()
+
+
 def pathset_to_csv(ps: PathSet, path) -> str:
     """Write stored states as CSV; returns the file's sha256 hex digest.
 
@@ -550,26 +624,12 @@ def pathset_to_csv(ps: PathSet, path) -> str:
     present.  Floats are printed with 17 significant digits so a replayed
     run reproduces the file byte-for-byte.
     """
-    n, ns, d = ps.kappa.shape
-    cols = [f"kappa_{i + 1}" for i in range(d)]
-    blocks = [
-        np.repeat(np.arange(n, dtype=float), ns),
-        np.tile(ps.stored_steps.astype(float), n),
-        np.tile(ps.times(), n),
-        ps.kappa.reshape(n * ns, d),
-    ]
+    cols = [f"kappa_{i + 1}" for i in range(ps.d)]
+    columns = [ps.kappa]
     if ps.caps is not None:
-        cols += [f"S_{i + 1}" for i in range(d)]
-        blocks.append(ps.caps.reshape(n * ns, d))
-    data = np.column_stack([np.asarray(b).reshape(n * ns, -1) for b in blocks])
-    header = "path,step,t," + ",".join(cols)
-    fmt = "%d,%d," + ",".join(["%.17g"] * (data.shape[1] - 2))
-    np.savetxt(path, data, fmt=fmt, header=header, comments="")
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for buf in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(buf)
-    return digest.hexdigest()
+        cols += [f"S_{i + 1}" for i in range(ps.d)]
+        columns.append(ps.caps)
+    return _write_paths_csv(ps, path, columns, "path,step,t," + ",".join(cols))
 
 
 def pathset_summary(ps: PathSet, checkpoint_times=None) -> dict:

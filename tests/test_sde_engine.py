@@ -1,13 +1,24 @@
 """Path simulation engines: invariants, reproducibility, serialization."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from balmarkets.errors import NumericalOverflow
-from balmarkets.market_model import MarketParams, PathGrid, ProcessSpec
+from balmarkets.jump_markets import (
+    JumpSpec,
+    LifetimeRecord,
+    jump_pathset_to_csv,
+    simulate_jump_balanced,
+)
+from balmarkets.market_model import MarketParams, PathGrid, ProcessSpec, psd_factor
 from balmarkets.sde_engine import (
+    STREAM_BROWNIAN,
+    PathSet,
     lift_to_capitalizations,
     pathset_summary,
+    path_generator,
     pathset_to_csv,
     relative_caps_from_caps,
     simulate_capitalizations,
@@ -48,10 +59,41 @@ def test_different_seeds_differ():
     assert not np.array_equal(a.kappa, b.kappa)
 
 
-def test_thread_count_does_not_change_paths():
-    a = _weights_run(n_paths=300, n_threads=1)
-    b = _weights_run(n_paths=300, n_threads=4)
-    assert np.array_equal(a.kappa, b.kappa)
+def _short_run(engine, n_paths, n_threads):
+    """One short run of ``engine``; returns every array the run produces.
+
+    A one-ulp difference in a noise increment reaches the stored state only
+    about once in a hundred steps, so the run is a few hundred steps long.
+    """
+    grid = PathGrid(dt=1e-3, n_steps=400)
+    if engine == "balanced":
+        ps = simulate_relative_caps_balanced(
+            ProcessSpec.constant(C3), K3, grid, n_paths, 17, n_threads=n_threads)
+        return {"kappa": ps.kappa}
+    if engine == "caps":
+        params = MarketParams.from_constants([0.05, 0.0, 0.1], C3, 0.0, 3.0 * K3)
+        ps = simulate_capitalizations(params, grid, n_paths, 17, n_threads=n_threads)
+        return {"kappa": ps.kappa, "caps": ps.caps}
+    atoms = np.array([[0.4, -0.2, 0.1], [-0.5, 0.3, 0.0], [0.5, -0.8, -1.0]])
+    spec = JumpSpec.finite_atoms(ProcessSpec.constant(5.0), lam_max=5.0,
+                                 atoms=atoms, probs=[0.5, 0.3, 0.2])
+    ps, rec = simulate_jump_balanced(ProcessSpec.constant(C3), spec, K3, grid,
+                                     n_paths, 17, n_threads=n_threads)
+    return {"kappa": ps.kappa, "zeta": rec.zeta, "death_mode": rec.death_mode,
+            "jump_count": rec.jump_count, "first_jump": rec.first_jump_time}
+
+
+@pytest.mark.parametrize("engine", ["balanced", "caps", "jump"])
+def test_thread_count_does_not_change_paths(engine):
+    # uneven path counts split into uneven chunks; 1025 also exceeds one
+    # chunk at a single thread
+    for n_paths in (3, 301, 1025):
+        ref = _short_run(engine, n_paths, 1)
+        for n_threads in (2, 3):
+            got = _short_run(engine, n_paths, n_threads)
+            for key, val in ref.items():
+                assert np.array_equal(got[key], val, equal_nan=key == "first_jump"), (
+                    f"{key} differs at {n_paths} paths, {n_threads} threads")
 
 
 def test_store_every_subsamples_the_full_run():
@@ -120,12 +162,66 @@ def test_lift_reproduces_total_capital_growth():
     assert np.abs(k_back - ps.kappa).max() < 1e-9
 
 
+def _caps_per_step(params, grid, n_paths, seed, store_every):
+    """Constant-coefficient log-Euler loop one step at a time: the reference
+    for the block-evaluated engine.  Returns (kappa, caps, increments)."""
+    a = np.asarray(params.a_spec(0.0), dtype=float)
+    c = np.asarray(params.c_spec(0.0), dtype=float)
+    sigma = psd_factor(c)
+    drift = (a - 0.5 * np.diag(c)) * grid.dt
+    dw = np.stack([
+        path_generator(seed, STREAM_BROWNIAN, p).standard_normal((grid.n_steps, params.d))
+        for p in range(n_paths)
+    ]) * np.sqrt(grid.dt)
+    logs = np.tile(np.log(params.s0), (n_paths, 1))
+    caps = [np.exp(logs)]
+    kappa = [caps[0] / caps[0].sum(axis=1, keepdims=True)]
+    for k in range(grid.n_steps):
+        logs += drift + dw[:, k] @ sigma.T
+        if (k + 1) % store_every == 0 or k + 1 == grid.n_steps:
+            mx = logs.max(axis=1, keepdims=True)
+            w = np.exp(logs - mx)
+            kappa.append(w / w.sum(axis=1, keepdims=True))
+            caps.append(np.exp(logs))
+    return np.stack(kappa, axis=1), np.stack(caps, axis=1), dw
+
+
+@pytest.mark.parametrize("a,c", [
+    ([0.0, 0.5], [[0.0, 0.0], [0.0, 1.0]]),
+    ([0.05, -0.02, 0.1], C3),
+    ([0.1, 0.0, -0.1, 0.05, 0.02],
+     np.diag([0.04, 0.09, 0.01, 0.16, 0.25]) + 0.01),
+])
+@pytest.mark.parametrize("store_every", [100, 1])
+def test_block_step_matches_per_step_reference(a, c, store_every):
+    d = len(a)
+    params = MarketParams.from_constants(a, c, 0.0, np.arange(1.0, d + 1.0))
+    # stored steps straddle the edge of the first 4096-step block
+    grid = PathGrid(dt=0.01, n_steps=4096 + 37)
+    kappa, caps, dw = _caps_per_step(params, grid, 5, 23, store_every)
+    for n_threads in (1, 2):
+        ps = simulate_capitalizations(
+            params, grid, 5, 23, store_every=store_every,
+            store_increments=store_every == 1, n_threads=n_threads)
+        assert np.array_equal(ps.kappa, kappa)
+        assert np.array_equal(ps.caps, caps)
+        if store_every == 1:
+            assert np.array_equal(ps.brownian_increments, dw)
+
+
 def test_overflow_is_a_clean_error():
     params = MarketParams.from_constants(
         [800.0, 0.0], np.diag([0.01, 0.01]), 0.0, [1.0, 1.0])
     grid = PathGrid(dt=1.0, n_steps=2)
     with pytest.raises(NumericalOverflow):
         simulate_capitalizations(params, grid, 4, 3)
+    # log S_1 = 0.15 k up to noise of ~1e-2: it passes 700 at step 4667,
+    # in the middle of the second block of 4096 steps
+    params = MarketParams.from_constants(
+        [0.15, 0.0], np.diag([1e-8, 1e-8]), 0.0, [1.0, 1.0])
+    grid = PathGrid(dt=1.0, n_steps=6000)
+    with pytest.raises(NumericalOverflow, match=r"reached 700\.\d at step 4667;"):
+        simulate_capitalizations(params, grid, 4, 3, store_every=100)
 
 
 # ---------------------------------------------------------------------------
@@ -167,3 +263,81 @@ def test_summary_reports_checkpoints_and_health():
     assert last["t"] == pytest.approx(0.5)
     np.testing.assert_allclose(last["kappa_mean"], K3, atol=0.05)
     assert s["diagnostics"]["max_simplex_defect"] < 1e-12
+
+
+def _savetxt_reference(ps, path):
+    """The row layout of ``pathset_to_csv`` written with ``np.savetxt``."""
+    n, ns, d = ps.kappa.shape
+    cols = [f"kappa_{i + 1}" for i in range(d)]
+    blocks = [
+        np.repeat(np.arange(n, dtype=float), ns),
+        np.tile(ps.stored_steps.astype(float), n),
+        np.tile(ps.times(), n),
+        ps.kappa.reshape(n * ns, d),
+    ]
+    if ps.caps is not None:
+        cols += [f"S_{i + 1}" for i in range(d)]
+        blocks.append(ps.caps.reshape(n * ns, d))
+    data = np.column_stack([np.asarray(b).reshape(n * ns, -1) for b in blocks])
+    fmt = "%d,%d," + ",".join(["%.17g"] * (data.shape[1] - 2))
+    np.savetxt(path, data, fmt=fmt, header="path,step,t," + ",".join(cols),
+               comments="")
+
+
+def _awkward_pathset(n_paths, n_stored, d, with_caps):
+    """Values that stress float formatting, over more rows than one block."""
+    rng = np.random.default_rng(3)
+    special = np.array([np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, 1e300,
+                        -1e-300, 0.1, 1.0 / 3.0, 2.0**53, 123456789.0])
+    shape = (n_paths, n_stored, d)
+    kappa = rng.uniform(size=shape)
+    kappa.flat[: special.size] = special
+    caps = np.exp(rng.normal(scale=50.0, size=shape)) if with_caps else None
+    if with_caps:
+        caps.flat[-special.size:] = special
+    grid = PathGrid(dt=0.1, n_steps=10 * (n_stored - 1))
+    return PathSet(grid=grid, n_paths=n_paths, seed=0, kappa=kappa,
+                   stored_steps=np.arange(0, grid.n_steps + 1, 10), caps=caps)
+
+
+@pytest.mark.parametrize("with_caps", [True, False])
+def test_csv_bytes_match_savetxt(tmp_path, with_caps):
+    ps = _awkward_pathset(37, 123, 3, with_caps)
+    digest = pathset_to_csv(ps, tmp_path / "block.csv")
+    _savetxt_reference(ps, tmp_path / "ref.csv")
+    ref = (tmp_path / "ref.csv").read_bytes()
+    assert (tmp_path / "block.csv").read_bytes() == ref
+    assert digest == hashlib.sha256(ref).hexdigest()
+
+
+def _jump_rows_reference(ps, rec, path):
+    """Row-by-row f-string layout of ``jump_pathset_to_csv``."""
+    n, ns, d = ps.kappa.shape
+    times = ps.times()
+    with open(path, "w") as fh:
+        kap_cols = ",".join(f"kappa_{i + 1}" for i in range(d))
+        z_cols = ",".join(f"zeta_{i + 1}" for i in range(d))
+        m_cols = ",".join(f"death_mode_{i + 1}" for i in range(d))
+        fh.write(f"path,step,t,{kap_cols},{z_cols},{m_cols}\n")
+        for p in range(n):
+            z_txt = ",".join(f"{z:.17g}" for z in rec.zeta[p])
+            m_txt = ",".join(rec.death_mode[p])
+            for k in range(ns):
+                kap_txt = ",".join(f"{x:.17g}" for x in ps.kappa[p, k])
+                fh.write(f"{p},{ps.stored_steps[k]},{times[k]:.17g},"
+                         f"{kap_txt},{z_txt},{m_txt}\n")
+
+
+def test_jump_csv_bytes_match_row_writer(tmp_path):
+    ps = _awkward_pathset(41, 113, 2, False)
+    zeta = np.full((41, 2), np.inf)
+    zeta[::3, 1] = np.linspace(0.1, 1.3862943611198906, 14)
+    mode = np.full((41, 2), "Alive", dtype="<U16")
+    mode[::3, 1] = "ContinuousVanish"
+    mode[1::5, 0] = "JumpToZero"
+    rec = LifetimeRecord(zeta=zeta, death_mode=mode)
+    digest = jump_pathset_to_csv(ps, rec, tmp_path / "block.csv")
+    _jump_rows_reference(ps, rec, tmp_path / "ref.csv")
+    ref = (tmp_path / "ref.csv").read_bytes()
+    assert (tmp_path / "block.csv").read_bytes() == ref
+    assert digest == hashlib.sha256(ref).hexdigest()

@@ -22,9 +22,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import HorizonTooShort, ShapeMismatch, SingularCovariance
-from .growth_opt import growth_optimal_constrained, growth_rate
-from .market_model import ConstraintSet, ProcessSpec, psd_factor
+from .errors import (
+    HorizonTooShort,
+    ShapeMismatch,
+    SingularCovariance,
+    SolverFailure,
+)
+from .growth_opt import (
+    _GAP_TOL,
+    growth_optimal_constrained,
+    growth_rate,
+    simplex_gap,
+)
+from .market_model import ConstraintKind, ConstraintSet, ProcessSpec, psd_factor
 from .sde_engine import PathSet
 
 __all__ = [
@@ -36,7 +46,6 @@ __all__ = [
     "loss_of_balance",
     "classify_outcome",
     "wealth_path",
-    "log_relative_wealth_decomposition",
     "pairwise_distance",
     "distance_matrix",
     "equivalence_classes",
@@ -51,7 +60,6 @@ DEFAULT_EPS_SLOPE = 1e-3
 DEFAULT_L_CAP = 50.0
 DEFAULT_DISTANCE_THRESHOLD = 25.0
 DEFAULT_ATOM_EPS = 0.01
-_GAP_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +112,38 @@ class BalanceReport:
     eps_slope: float = DEFAULT_EPS_SLOPE
     L_cap: float = DEFAULT_L_CAP
 
+    @classmethod
+    def from_loss(
+        cls,
+        times: np.ndarray,
+        L: np.ndarray,
+        eps_slope: float = DEFAULT_EPS_SLOPE,
+        L_cap: float = DEFAULT_L_CAP,
+    ) -> "BalanceReport":
+        """Classify every row of an (n_paths, n_stored) loss array at once.
+
+        Balanced when L has flattened out (tail slope below ``eps_slope``
+        per unit time) and stayed below ``L_cap``; Unbalanced when the tail
+        still rises at more than ten times that rate; Indeterminate
+        otherwise.
+        """
+        slope = _tail_slope(L, times)
+        L_terminal = L[:, -1].copy()
+        labels = np.where(
+            (slope < eps_slope) & (L_terminal < L_cap),
+            "Balanced",
+            np.where(slope > 10.0 * eps_slope, "Unbalanced", "Indeterminate"),
+        )
+        return cls(
+            times=times,
+            L_path=L,
+            classification=labels.tolist(),
+            L_terminal=L_terminal,
+            slope_tail=slope,
+            eps_slope=eps_slope,
+            L_cap=L_cap,
+        )
+
     @property
     def n_paths(self) -> int:
         return self.L_path.shape[0]
@@ -129,25 +169,34 @@ class BalanceReport:
             fh.write("\n")
 
 
+def _spec_rows(spec: ProcessSpec, t: float, slab: np.ndarray) -> np.ndarray:
+    """``spec`` at time ``t``, one row per state only if it reads the state."""
+    if spec.depends_on_state():
+        return np.array([spec(t, row) for row in slab], dtype=float)
+    return np.asarray(spec(t), dtype=float)
+
+
 def _growth_gap_grid(
     ps: PathSet,
-    a_spec: ProcessSpec,
+    a_spec: ProcessSpec | None,
     r_spec: ProcessSpec,
     constraint: ConstraintSet,
 ) -> np.ndarray:
-    """(n_paths, n_stored) array of ``g* - g^kappa`` at the stored states."""
+    """(n_paths, n_stored) array of ``g* - g^kappa`` at the stored states.
+
+    ``a_spec=None`` means the balanced drift ``a = c kappa + r 1``.
+    """
     if ps.c_spec is None:
         raise ValueError("PathSet does not record its covariance spec")
     c_spec = ps.c_spec
     times = ps.times()
     kappa = ps.kappa
+    a_state = a_spec is None or a_spec.depends_on_state()
     deterministic = not (
-        a_spec.depends_on_state()
-        or c_spec.depends_on_state()
-        or r_spec.depends_on_state()
+        a_state or c_spec.depends_on_state() or r_spec.depends_on_state()
     )
-    all_const = (
-        a_spec.is_constant() and c_spec.is_constant() and r_spec.is_constant()
+    all_const = deterministic and all(
+        spec.is_constant() for spec in (a_spec, c_spec, r_spec)
     )
     if all_const:
         a = np.asarray(a_spec(0.0), dtype=float)
@@ -165,21 +214,45 @@ def _growth_gap_grid(
             g_star = growth_optimal_constrained(a, c, r, constraint).g_star
             gap[:, k] = g_star - growth_rate(kappa[:, k], a, c, r)
         return gap
-    # state-dependent coefficients force one solve per (path, step)
-    for p in range(kappa.shape[0]):
-        for k, t in enumerate(times):
-            state = kappa[p, k]
-            a = np.asarray(a_spec(float(t), state), dtype=float)
-            c = np.asarray(c_spec(float(t), state), dtype=float)
-            r = float(r_spec(float(t), state))
-            g_star = growth_optimal_constrained(a, c, r, constraint).g_star
-            gap[p, k] = g_star - growth_rate(state, a, c, r)
+    # State-dependent coefficients, one time slab at a time.  On the closed
+    # simplex, concavity gives g* - g^kappa <= simplex_gap: a row whose gap
+    # is at rounding level is certified at exactly zero, and only the other
+    # rows reach the solver.  Specs and the solver see the stored rows; the
+    # certificate works on a column-major copy, so that reductions over each
+    # row's d entries run as whole-column operations.
+    certify = constraint.kind is ConstraintKind.CLOSED_SIMPLEX
+    for k, t in enumerate(times):
+        t = float(t)
+        rows = kappa[:, k]
+        slab = np.asfortranarray(rows)
+        c = _spec_rows(c_spec, t, rows)
+        r = _spec_rows(r_spec, t, rows)
+        r_col = r[:, None] if r.ndim else r
+        cx = (c @ slab.T).T if c.ndim == 2 else np.einsum("pij,pj->pi", c, slab)
+        a = cx + r_col if a_spec is None else _spec_rows(a_spec, t, rows)
+        ok = np.zeros(len(slab), dtype=bool)
+        if certify:
+            grad = a - r_col - cx
+            ok = (
+                (slab >= 0.0).all(axis=1)
+                & (np.abs(slab.sum(axis=1) - 1.0) <= _GAP_TOL)
+                & (simplex_gap(grad, slab)
+                   <= _GAP_TOL * (1.0 + np.abs(grad).max(axis=1)))
+            )
+        gap[ok, k] = 0.0
+        for p in np.flatnonzero(~ok):
+            state = rows[p]
+            a_p = a[p] if a.ndim == 2 else a
+            c_p = c[p] if c.ndim == 3 else c
+            r_p = float(r[p] if r.ndim else r)
+            g_star = growth_optimal_constrained(a_p, c_p, r_p, constraint).g_star
+            gap[p, k] = g_star - growth_rate(state, a_p, c_p, r_p)
     return gap
 
 
 def loss_of_balance(
     ps: PathSet,
-    a_spec: ProcessSpec,
+    a_spec: ProcessSpec | None,
     r_spec: ProcessSpec,
     *,
     constraint: ConstraintSet | None = None,
@@ -191,14 +264,16 @@ def loss_of_balance(
     Uses a left-endpoint rule on the stored grid: the increment over
     ``[t_k, t_{k+1}]`` is ``(g*_k - g^kappa_k) * (t_{k+1} - t_k)``.  The gap
     is nonnegative by construction (the market weight vector is feasible);
-    anything below ``-1e-12`` signals a solver failure and raises.
+    anything below ``-1e-12`` signals a solver failure and raises
+    :class:`SolverFailure`.  ``a_spec=None`` means the balanced drift
+    ``a = c kappa + r 1``, under which every path accrues exactly zero.
     """
     if constraint is None:
         constraint = ConstraintSet.closed_simplex()
     gap = _growth_gap_grid(ps, a_spec, r_spec, constraint)
     worst = float(gap.min())
     if worst < -_GAP_TOL:
-        raise ValueError(
+        raise SolverFailure(
             f"growth gap fell to {worst:.3e}; optimizer failed to dominate "
             "the market portfolio"
         )
@@ -207,25 +282,16 @@ def loss_of_balance(
     dts = np.diff(times)
     L = np.zeros_like(gap)
     np.cumsum(gap[:, :-1] * dts, axis=1, out=L[:, 1:])
-    cls = [classify_outcome(L[p], times, eps_slope, L_cap) for p in range(len(L))]
-    slope = np.array([_tail_slope(L[p], times) for p in range(len(L))])
-    return BalanceReport(
-        times=times,
-        L_path=L,
-        classification=cls,
-        L_terminal=L[:, -1].copy(),
-        slope_tail=slope,
-        eps_slope=eps_slope,
-        L_cap=L_cap,
-    )
+    return BalanceReport.from_loss(times, L, eps_slope, L_cap)
 
 
-def _tail_slope(L: np.ndarray, times: np.ndarray) -> float:
+def _tail_slope(L: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Average dL/dt over the final quarter of the horizon, per row of L."""
     horizon = times[-1]
     idx = int(np.searchsorted(times, 0.75 * horizon))
     if idx >= len(times) - 1:
         idx = len(times) - 2
-    return float((L[-1] - L[idx]) / (times[-1] - times[idx]))
+    return (L[..., -1] - L[..., idx]) / (times[-1] - times[idx])
 
 
 def classify_outcome(
@@ -234,19 +300,10 @@ def classify_outcome(
     eps_slope: float = DEFAULT_EPS_SLOPE,
     L_cap: float = DEFAULT_L_CAP,
 ) -> str:
-    """Finite-horizon outcome call from the tail slope of L.
-
-    Balanced when L has flattened out (tail slope below ``eps_slope`` per
-    unit time) and stayed below ``L_cap``; Unbalanced when the tail still
-    rises at more than ten times that rate; Indeterminate otherwise.
-    """
-    L_path = np.asarray(L_path, dtype=float)
-    slope = _tail_slope(L_path, np.asarray(times, dtype=float))
-    if slope < eps_slope and L_path[-1] < L_cap:
-        return "Balanced"
-    if slope > 10.0 * eps_slope:
-        return "Unbalanced"
-    return "Indeterminate"
+    """Outcome call for one L path, by the rule of ``BalanceReport.from_loss``."""
+    L_row = np.asarray(L_path, dtype=float)[None, :]
+    times = np.asarray(times, dtype=float)
+    return BalanceReport.from_loss(times, L_row, eps_slope, L_cap).classification[0]
 
 
 # ---------------------------------------------------------------------------
@@ -381,86 +438,6 @@ def wealth_path(
     return np.exp(log_v)
 
 
-def log_relative_wealth_decomposition(
-    ps: PathSet,
-    a_spec: ProcessSpec | None = None,
-    r_spec: ProcessSpec | None = None,
-    *,
-    constraint: ConstraintSet | None = None,
-):
-    """Split ``log(V^market / V^growth-opt)`` into drift and noise parts.
-
-    Returns ``(drift_part, martingale_part)``, both (n_paths, n_steps + 1).
-    The drift part is ``-L_t``; the martingale part accumulates
-    ``<kappa - rho, sigma dW>``.  Their sum reproduces the directly
-    computed log wealth ratio because all three reuse the same increments.
-    """
-    _require_full_resolution(ps, "log_relative_wealth_decomposition")
-    if constraint is None:
-        constraint = ConstraintSet.closed_simplex()
-    coeffs = _coeff_closure(ps, a_spec, r_spec)
-    n, d = ps.n_paths, ps.d
-    n_steps = ps.grid.n_steps
-    dt = ps.grid.dt
-    times = ps.times()
-    drift_part = np.zeros((n, n_steps + 1))
-    mart_part = np.zeros((n, n_steps + 1))
-    const_all = (
-        ps.c_spec.is_constant()
-        and (a_spec or ps.a_spec) is not None
-        and (a_spec or ps.a_spec).is_constant()
-        and (r_spec or ps.r_spec or ProcessSpec.constant(0.0)).is_constant()
-    )
-    rho_cache = None
-    for k in range(n_steps):
-        t = float(times[k])
-        kap = ps.kappa[:, k]
-        a, c, r = coeffs(t, kap)
-        if c.ndim == 2:
-            sigma = psd_factor(c)
-            if const_all:
-                if rho_cache is None:
-                    sol = growth_optimal_constrained(
-                        np.asarray(a, dtype=float).reshape(d),
-                        c,
-                        float(np.atleast_1d(r)[0]),
-                        constraint,
-                    )
-                    rho_cache = (sol.rho, sol.g_star)
-                rho, g_star = rho_cache
-                rho_rows = np.broadcast_to(rho, (n, d))
-                gap = g_star - growth_rate(kap, a, c, float(np.atleast_1d(r)[0]))
-            else:
-                rho_rows = np.empty((n, d))
-                gap = np.empty(n)
-                a_b = np.broadcast_to(np.atleast_2d(a), (n, d))
-                r_b = np.broadcast_to(np.atleast_1d(r), (n,))
-                for p in range(n):
-                    sol = growth_optimal_constrained(
-                        a_b[p], c, float(r_b[p]), constraint
-                    )
-                    rho_rows[p] = sol.rho
-                    gap[p] = sol.g_star - growth_rate(kap[p], a_b[p], c, float(r_b[p]))
-            noise = np.einsum("pj,pj->p", (kap - rho_rows) @ sigma,
-                              ps.brownian_increments[:, k])
-        else:
-            rho_rows = np.empty((n, d))
-            gap = np.empty(n)
-            noise = np.empty(n)
-            a_b = np.broadcast_to(np.atleast_2d(a), (n, d))
-            r_b = np.broadcast_to(np.atleast_1d(r), (n,))
-            for p in range(n):
-                sol = growth_optimal_constrained(a_b[p], c[p], float(r_b[p]), constraint)
-                rho_rows[p] = sol.rho
-                gap[p] = sol.g_star - growth_rate(kap[p], a_b[p], c[p], float(r_b[p]))
-                noise[p] = (kap[p] - rho_rows[p]) @ psd_factor(c[p]) @ \
-                    ps.brownian_increments[p, k]
-        gap = np.maximum(gap, 0.0)
-        drift_part[:, k + 1] = drift_part[:, k] - gap * dt
-        mart_part[:, k + 1] = mart_part[:, k] + noise
-    return drift_part, mart_part
-
-
 # ---------------------------------------------------------------------------
 # segregation distances
 
@@ -503,8 +480,9 @@ def pairwise_distance(
     ps: PathSet,
     i: int,
     j: int,
-    a_spec: ProcessSpec,
+    a_spec: ProcessSpec | None,
     *,
+    r_spec: ProcessSpec | None = None,
     horizon: float | None = None,
     path_index: int = 0,
 ) -> float:
@@ -512,7 +490,9 @@ def pairwise_distance(
 
     Integrates ``|g^{i|j}| + c^{i|j} / 2`` (single-company growth spread
     plus half the variance of the log ratio) with a left-endpoint rule on
-    the stored grid up to ``horizon``.
+    the stored grid up to ``horizon``.  ``a_spec=None`` means the balanced
+    drift ``a = c kappa + r 1``, with ``r`` from ``r_spec`` (default: the
+    path set's rate, else zero).
     """
     if i == j:
         return 0.0
@@ -522,7 +502,9 @@ def pairwise_distance(
     if horizon is None:
         horizon = float(times[-1])
     c_spec = ps.c_spec
-    if a_spec.is_constant() and c_spec.is_constant():
+    if r_spec is None:
+        r_spec = ps.r_spec if ps.r_spec is not None else ProcessSpec.constant(0.0)
+    if a_spec is not None and a_spec.is_constant() and c_spec.is_constant():
         a = np.asarray(a_spec(0.0), dtype=float)
         c = np.asarray(c_spec(0.0), dtype=float)
         return float(_pair_integrand(a, c, i, j) * min(horizon, times[-1]))
@@ -532,8 +514,11 @@ def pairwise_distance(
         if t >= horizon:
             break
         state = ps.kappa[path_index, k]
-        a = np.asarray(a_spec(t, state), dtype=float)
         c = np.asarray(c_spec(t, state), dtype=float)
+        if a_spec is None:
+            a = c @ state + float(r_spec(t, state))
+        else:
+            a = np.asarray(a_spec(t, state), dtype=float)
         step = min(float(times[k + 1]), horizon) - t
         total += float(_pair_integrand(a, c, i, j)) * step
     return total
@@ -541,8 +526,9 @@ def pairwise_distance(
 
 def distance_matrix(
     ps: PathSet,
-    a_spec: ProcessSpec,
+    a_spec: ProcessSpec | None,
     *,
+    r_spec: ProcessSpec | None = None,
     horizon: float | None = None,
     path_index: int = 0,
 ) -> DistanceMatrix:
@@ -555,7 +541,8 @@ def distance_matrix(
     for i in range(d):
         for j in range(i + 1, d):
             vals[i, j] = vals[j, i] = pairwise_distance(
-                ps, i, j, a_spec, horizon=horizon, path_index=path_index
+                ps, i, j, a_spec, r_spec=r_spec, horizon=horizon,
+                path_index=path_index,
             )
     return DistanceMatrix(values=vals, horizon=horizon)
 

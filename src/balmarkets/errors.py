@@ -71,6 +71,10 @@ class InfeasibleConstraint(BalmarketsError):
     """Constraint set is empty or malformed."""
 
 
+class SolverFailure(BalmarketsError):
+    """An optimizer returned a portfolio that the market portfolio beats."""
+
+
 # ---------------------------------------------------------------------------
 # jumps
 

@@ -33,12 +33,16 @@ __all__ = [
     "growth_optimal_constrained",
     "numeraire_condition",
     "perfect_balance_residual",
+    "simplex_gap",
 ]
 
 COND_CAP = 1e12
 _CONSISTENCY_TOL = 1e-9
 _BOUND_TOL = 1e-12
 _MULT_TOL = 1e-10
+# A growth gap ``g* - g^kappa`` below zero by no more than this is rounding;
+# the losses clamp it to zero and raise SolverFailure beyond it.
+_GAP_TOL = 1e-12
 # Relative singular-value cutoff for least-squares face solves; directions
 # this flat are treated as exact degeneracies rather than inverted.
 _RCOND = 1e-12
@@ -325,6 +329,19 @@ def _kkt_residual(p, c, q, lo, hi):
             if at_hi.any():
                 viol.append(float(np.clip(grad_dual[at_hi] - lam, 0.0, None).max()))
     return max(viol)
+
+
+def simplex_gap(grad, x, support=None) -> np.ndarray:
+    """Frank-Wolfe gap ``max_i grad_i - <grad, x>`` of each row.
+
+    ``grad`` is the growth-rate gradient ``q - c x`` at ``x``.  Because the
+    growth rate is concave, the gap bounds ``g* - g(x)`` from above, where
+    ``g*`` is the maximum over the closed simplex (over its face spanned by
+    the ``support`` mask, when given).  Rows run along the last axis.
+    """
+    grad = np.asarray(grad, dtype=float)
+    top = grad if support is None else np.where(support, grad, -np.inf)
+    return top.max(axis=-1) - (grad * x).sum(axis=-1)
 
 
 def numeraire_condition(pi, rho, a, c, r) -> float:

@@ -30,8 +30,14 @@ from .errors import (
     DimensionMismatch,
     InconsistentInitialState,
     NoSolution,
+    SolverFailure,
 )
-from .growth_opt import growth_optimal_constrained, growth_rate
+from .growth_opt import (
+    _GAP_TOL,
+    growth_optimal_constrained,
+    growth_rate,
+    simplex_gap,
+)
 from .market_model import ConstraintSet, PathGrid, ProcessSpec, psd_factor
 from .sde_engine import (
     STREAM_BROWNIAN,
@@ -781,9 +787,19 @@ def _batch_balanced_stationary(
     grad = -i1 + i2 + gj
     grad[past] = 0.0
     alive = slab > DEATH_THRESHOLD
-    gain = np.where(alive, grad, -np.inf).max(axis=1) - (grad * slab).sum(axis=1)
+    gain = simplex_gap(grad, slab, alive)
     scale = np.where(alive, np.abs(grad), 0.0).max(axis=1)
     return (gain <= tol * (1.0 + scale)) & ~bad
+
+
+def _checked_increment(inc: float, t: float) -> float:
+    """Loss rate clamped at zero; a solver that lost to kappa raises."""
+    if inc < -_GAP_TOL:
+        raise SolverFailure(
+            f"loss increment fell to {inc:.3e} at t={t:.6g}; the optimizer "
+            "failed to dominate the market portfolio"
+        )
+    return max(inc, 0.0)
 
 
 def loss_of_balance_jump(
@@ -857,7 +873,7 @@ def loss_of_balance_jump(
                 inc = -rel_k + 0.5 * quad
                 if nu is not None:
                     inc += nu.loss_jump_integrand(t, kap, rho)
-                acc[p] += max(inc, 0.0) * dt_k
+                acc[p] += _checked_increment(inc, t) * dt_k
             L[:, k + 1] = acc
         return L
 
@@ -893,7 +909,7 @@ def loss_of_balance_jump(
             if nu is not None:
                 inc += nu.loss_jump_integrand(t, kap, rho)
             dt_k = float(times[k + 1] - times[k])
-            acc += max(inc, 0.0) * dt_k
+            acc += _checked_increment(inc, t) * dt_k
             L[p, k + 1] = acc
     return L
 

@@ -34,9 +34,7 @@ from .balance_diag import (
     DEFAULT_L_CAP,
     BalanceReport,
     DistanceMatrix,
-    _tail_slope,
     bank_rate_statistic,
-    classify_outcome,
     distance_matrix,
     equivalence_classes,
     limiting_distribution,
@@ -76,7 +74,6 @@ _DEFAULT_THRESHOLDS = {
     "d_threshold": DEFAULT_DISTANCE_THRESHOLD,
     "atom_eps": 0.01,
     "indeterminate_cap": 0.5,
-    "balance_max_paths": None,
 }
 
 _TOP_KEYS = {
@@ -153,7 +150,6 @@ BUILTINS: dict[str, dict] = {
         "seed": 64,
         "store_every": 10,
         "diagnostics": {"limiting_distribution": False, "lln": True},
-        "thresholds": {"balance_max_paths": 100},
         "description": "three companies whose drift tracks the balance "
                        "condition; weights are martingales and no loss "
                        "accrues",
@@ -287,12 +283,6 @@ def parse_config(doc: dict) -> ScenarioConfig:
     for key in ("eps_slope", "L_cap", "d_threshold", "atom_eps",
                 "indeterminate_cap"):
         thresholds[key] = _as_number(thresholds[key], f"thresholds.{key}")
-    if thresholds["balance_max_paths"] is not None:
-        m = _as_int(thresholds["balance_max_paths"],
-                    "thresholds.balance_max_paths")
-        if m < 1:
-            _fail("thresholds.balance_max_paths", "must be at least 1")
-        thresholds["balance_max_paths"] = m
 
     if "name" not in merged:
         _fail("name", "required (a builtin reference supplies one)")
@@ -509,34 +499,6 @@ def _jump_spec_from_config(jcfg: dict) -> JumpSpec:
     )
 
 
-def _subset_paths(ps: PathSet, m: int) -> PathSet:
-    return dataclasses.replace(
-        ps,
-        n_paths=m,
-        kappa=ps.kappa[:m],
-        caps=None if ps.caps is None else ps.caps[:m],
-        brownian_increments=None,
-    )
-
-
-def _report_from_grid(times: np.ndarray, L: np.ndarray, eps_slope: float,
-                      L_cap: float) -> BalanceReport:
-    classification = [
-        classify_outcome(L[p], times, eps_slope, L_cap)
-        for p in range(L.shape[0])
-    ]
-    slope_tail = np.array([_tail_slope(L[p], times) for p in range(L.shape[0])])
-    return BalanceReport(
-        times=times,
-        L_path=L,
-        classification=classification,
-        L_terminal=L[:, -1].copy(),
-        slope_tail=slope_tail,
-        eps_slope=eps_slope,
-        L_cap=L_cap,
-    )
-
-
 def _whole_market_path(ps: PathSet) -> int | None:
     alive = (ps.kappa[:, -1] > 0.0).all(axis=1)
     hits = np.flatnonzero(alive)
@@ -646,7 +608,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str,
             grid, cfg.n_paths, cfg.seed,
             store_every=cfg.store_every, n_threads=n_threads,
         )
-        a_spec = ProcessSpec.state_function(lambda t, k: c0 @ k + rate)
+        # a_spec stays None: the balanced drift a = c kappa + r 1
         r_spec = ProcessSpec.constant(rate)
 
     times = ps.times()
@@ -663,19 +625,12 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str,
         L_cap = thresholds["L_cap"]
         if jump_spec is not None:
             L_full = loss_of_balance_jump(ps, jump_spec, lifetimes=rec)
-            report = _report_from_grid(times, L_full, eps_slope, L_cap)
+            report = BalanceReport.from_loss(times, L_full, eps_slope, L_cap)
         else:
-            cap_paths = thresholds["balance_max_paths"]
-            if cap_paths is not None and cap_paths < ps.n_paths:
-                report = loss_of_balance(
-                    _subset_paths(ps, cap_paths), a_spec, r_spec,
-                    eps_slope=eps_slope, L_cap=L_cap,
-                )
-            else:
-                report = loss_of_balance(
-                    ps, a_spec, r_spec, eps_slope=eps_slope, L_cap=L_cap,
-                )
-                L_full = report.L_path
+            report = loss_of_balance(
+                ps, a_spec, r_spec, eps_slope=eps_slope, L_cap=L_cap,
+            )
+            L_full = report.L_path
         report.write_json(os.path.join(out_dir, "balance.json"))
         digests["balance.json"] = _file_digest(
             os.path.join(out_dir, "balance.json"))
@@ -704,7 +659,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str,
                 payload = D.to_json_dict()
                 payload["path_index"] = pidx
         else:
-            D = distance_matrix(ps, a_spec)
+            D = distance_matrix(ps, a_spec, r_spec=r_spec)
             payload = D.to_json_dict()
             payload["path_index"] = 0
         if "values" in payload:

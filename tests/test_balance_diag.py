@@ -1,8 +1,13 @@
 """Balance loss, segregation, limiting-distribution, and tail diagnostics."""
 
+import dataclasses
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from balmarkets import balance_diag
 from balmarkets.balance_diag import (
     bank_rate_statistic,
     classify_outcome,
@@ -17,8 +22,14 @@ from balmarkets.balance_diag import (
     relcap_drift,
     wealth_path,
 )
-from balmarkets.errors import HorizonTooShort, ShapeMismatch
-from balmarkets.market_model import MarketParams, PathGrid, ProcessSpec
+from balmarkets.errors import HorizonTooShort, ShapeMismatch, SolverFailure
+from balmarkets.growth_opt import growth_optimal_constrained, growth_rate
+from balmarkets.market_model import (
+    ConstraintSet,
+    MarketParams,
+    PathGrid,
+    ProcessSpec,
+)
 from balmarkets.sde_engine import (
     EngineDiagnostics,
     PathSet,
@@ -123,6 +134,136 @@ def test_report_serialization_shape():
         "slope_tail_mean",
     }
     assert d["n_paths"] == 7
+
+
+def test_balanced_weights_accrue_exactly_zero():
+    grid = PathGrid(dt=1e-3, n_steps=200)
+    ps = simulate_relative_caps_balanced(
+        ProcessSpec.constant(C3), K3, grid, 30, 29, store_every=10)
+    with mock.patch.object(balance_diag, "growth_optimal_constrained",
+                           side_effect=AssertionError("solver reached")):
+        for a_spec in (None, _balanced_specs(C3, 0.02)[0]):
+            rep = loss_of_balance(ps, a_spec, ProcessSpec.constant(0.02))
+            assert not rep.L_path.any()
+            assert rep.to_json_dict()["slope_tail_mean"] == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31 - 1))
+def test_balanced_drift_is_always_certified(seed):
+    """a = c x + r 1 certifies at any simplex point, for singular c too."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 6))
+    b = rng.standard_normal((d, int(rng.integers(1, d + 1))))
+    c = b @ b.T
+    r = float(rng.uniform(-0.5, 0.5))
+    x = rng.dirichlet(np.ones(d), size=6)
+    x[:3, 0] = 0.0
+    x /= x.sum(axis=1, keepdims=True)
+    ps = dataclasses.replace(
+        _synthetic_ps(np.stack([x, x], axis=1)),
+        c_spec=ProcessSpec.constant(c))
+    r_spec = ProcessSpec.constant(r)
+    with mock.patch.object(balance_diag, "growth_optimal_constrained",
+                           side_effect=AssertionError("solver reached")):
+        for a_spec in (None, _balanced_specs(c, r)[0]):
+            assert not loss_of_balance(ps, a_spec, r_spec).L_path.any()
+
+
+def _mixed_market(state_c: bool):
+    """Balanced drift plus a tilt on some states, so only some rows certify.
+
+    Rows with ``kappa_3 == 0`` get a tilt against the empty coordinate: the
+    simplex optimum stays at kappa (they certify), but a box that allows
+    short sales does better.  Rows with ``kappa_1 > 0.5`` get a tilt toward
+    company 1 and never certify; it is negative throughout, so its largest
+    coordinate alone would pass for zero.
+    """
+    rng = np.random.default_rng(31)
+    kappa = rng.dirichlet(np.ones(3), size=(6, 5))
+    kappa[:2, :, 2] = 0.0
+    kappa[2:4, :, 0] += 1.0
+    kappa /= kappa.sum(axis=2, keepdims=True)
+    if state_c:
+        c_spec = ProcessSpec.state_function(lambda t, k: C3 * (1.0 + k[0]))
+        r_spec = ProcessSpec.state_function(lambda t, k: 0.02 + 0.01 * k[1])
+    else:
+        c_spec = ProcessSpec.constant(C3)
+        r_spec = ProcessSpec.constant(0.02)
+
+    def tilt(k):
+        if k[2] == 0.0:
+            return np.array([0.0, 0.0, -0.4])
+        if k[0] > 0.5:
+            return np.array([-0.2, -0.6, -0.45])
+        return np.zeros(3)
+
+    a_spec = ProcessSpec.state_function(
+        lambda t, k: np.asarray(c_spec(t, k)) @ k + r_spec(t, k) + tilt(k))
+    ps = dataclasses.replace(
+        _synthetic_ps(kappa, dt=0.1), c_spec=c_spec)
+    return ps, a_spec, r_spec, tilt
+
+
+def _loss_by_row_solves(ps, a_spec, r_spec, constraint):
+    times = ps.times()
+    L = np.zeros(ps.kappa.shape[:2])
+    for p in range(ps.n_paths):
+        for k in range(len(times) - 1):
+            t = float(times[k])
+            state = ps.kappa[p, k]
+            a = np.asarray(a_spec(t, state), dtype=float)
+            c = np.asarray(ps.c_spec(t, state), dtype=float)
+            r = float(r_spec(t, state))
+            g_star = growth_optimal_constrained(a, c, r, constraint).g_star
+            gap = g_star - growth_rate(state, a, c, r)
+            L[p, k + 1] = L[p, k] + max(gap, 0.0) * (times[k + 1] - times[k])
+    return L
+
+
+@pytest.mark.parametrize("state_c", [False, True], ids=["const_c", "state_c"])
+@pytest.mark.parametrize("box", [False, True], ids=["simplex", "box"])
+def test_certified_loss_matches_row_by_row_solves(monkeypatch, state_c, box):
+    ps, a_spec, r_spec, tilt = _mixed_market(state_c)
+    constraint = (
+        ConstraintSet.box_hyperplane([-0.5] * 3, [1.5] * 3)
+        if box else ConstraintSet.closed_simplex()
+    )
+    want = _loss_by_row_solves(ps, a_spec, r_spec, constraint)
+    solved = []
+
+    def spy(a, c, r, cons):
+        solved.append(a)
+        return growth_optimal_constrained(a, c, r, cons)
+
+    monkeypatch.setattr(balance_diag, "growth_optimal_constrained", spy)
+    rep = loss_of_balance(ps, a_spec, r_spec, constraint=constraint)
+    np.testing.assert_allclose(rep.L_path, want, rtol=0.0, atol=1e-12)
+    rows = ps.kappa.reshape(-1, 3)
+    if box:
+        # the face rows gain from short sales, so nothing may be certified
+        assert want[:2, -1].min() > 1e-3
+        assert len(solved) == len(rows)
+    else:
+        tilted = sum(
+            1 for k in rows if k[2] != 0.0 and tilt(k).any()
+        )
+        assert 0 < len(solved) == tilted < len(rows)
+
+
+def test_negative_growth_gap_raises_solver_failure(monkeypatch):
+    params = MarketParams.from_constants(
+        [0.3, 0.0], np.diag([0.04, 0.09]), 0.0, [1.0, 1.0])
+    ps = simulate_capitalizations(params, PathGrid(dt=0.01, n_steps=20), 3, 5)
+
+    def short_solver(a, c, r, cons):
+        sol = growth_optimal_constrained(a, c, r, cons)
+        return dataclasses.replace(sol, g_star=sol.g_star - 1.0)
+
+    monkeypatch.setattr(balance_diag, "growth_optimal_constrained",
+                        short_solver)
+    with pytest.raises(SolverFailure, match="growth gap fell"):
+        loss_of_balance(ps, ps.a_spec, ps.r_spec)
 
 
 # ---------------------------------------------------------------------------

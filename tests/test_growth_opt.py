@@ -12,6 +12,7 @@ from balmarkets.growth_opt import (
     implied_interest_rate,
     numeraire_condition,
     perfect_balance_residual,
+    simplex_gap,
 )
 from balmarkets.market_model import ConstraintSet
 
@@ -154,3 +155,47 @@ def test_numeraire_condition_zero_against_self_and_optimum():
         # any budget-feasible portfolio is dominated by the optimum
         assert numeraire_condition(pi, rho, a, c, r) <= 1e-10
     assert numeraire_condition(rho, rho, a, c, r) == pytest.approx(0.0, abs=1e-12)
+
+
+def _simplex_rows(rng, m, d):
+    """Random simplex points, about half of them on a proper face."""
+    x = rng.dirichlet(np.ones(d), size=m)
+    for row in x[: m // 2]:
+        keep = rng.random(d) < 0.5
+        keep[rng.integers(d)] = True
+        row[~keep] = 0.0
+        row /= row.sum()
+    return x
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31 - 1))
+def test_simplex_gap_bounds_growth_shortfall(seed):
+    """max_i grad_i - <grad, x> >= g* - g(x) for PSD c, even singular c."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 6))
+    rank = int(rng.integers(1, d + 1))
+    b = rng.standard_normal((d, rank))
+    c = b @ b.T
+    q = rng.standard_normal(d) + rng.uniform(-3.0, 3.0)
+    r = float(rng.uniform(-0.5, 0.5))
+    a = q + r
+    g_star = growth_optimal_constrained(
+        a, c, r, ConstraintSet.closed_simplex()).g_star
+    x = _simplex_rows(rng, 8, d)
+    grad = q - x @ c
+    gap = simplex_gap(grad, x)
+    assert gap.shape == (8,)
+    shortfall = g_star - growth_rate(x, a, c, r)
+    assert np.all(gap >= shortfall - 1e-12)
+    assert np.all(gap >= -1e-12)
+    # the bound is tight at the optimizer: its gap is rounding level
+    sol = growth_optimal_constrained(a, c, r, ConstraintSet.closed_simplex())
+    assert simplex_gap(q - c @ sol.rho, sol.rho) <= 1e-9 * (1.0 + np.abs(q).max())
+
+
+def test_simplex_gap_support_restricts_the_maximum():
+    grad = np.array([[0.5, 0.1, 0.2], [0.5, 0.1, 0.2]])
+    x = np.array([[0.0, 0.5, 0.5], [0.0, 0.5, 0.5]])
+    support = np.array([[True, True, True], [False, True, True]])
+    np.testing.assert_allclose(simplex_gap(grad, x, support), [0.35, 0.05])

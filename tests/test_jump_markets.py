@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from balmarkets.errors import CompensatorUnavailable
+from balmarkets import jump_markets
+from balmarkets.errors import CompensatorUnavailable, SolverFailure
 from balmarkets.jump_markets import (
     ALIVE,
     CONTINUOUS_VANISH,
@@ -283,6 +284,25 @@ def test_loss_positive_under_wrong_drift():
                             r_spec=ProcessSpec.constant(0.0), lifetimes=rec)
     assert L[:, -1].min() > 0.0
     assert np.all(np.diff(L, axis=1) >= -1e-12)
+
+
+@pytest.mark.parametrize("batched", [True, False], ids=["batch", "per_path"])
+def test_negative_loss_increment_raises_solver_failure(monkeypatch, batched):
+    """An optimizer answer worse than kappa is an error, not a zero."""
+    ps, rec = _run(n_paths=4, seed=127, store_every=50)
+    worst = np.array([0.0, 1.0, 0.0])
+    monkeypatch.setattr(jump_markets, "growth_optimal_jump",
+                        lambda *args, **kw: (worst, 0.0))
+    if batched:
+        monkeypatch.setattr(
+            jump_markets, "_batch_balanced_stationary",
+            lambda slab, *args, **kw: np.zeros(len(slab), dtype=bool))
+        kw = {}
+    else:
+        kw = {"b_spec": ProcessSpec.constant(np.array([0.8, -0.2, 0.0])),
+              "r_spec": ProcessSpec.constant(0.0)}
+    with pytest.raises(SolverFailure, match="loss increment fell"):
+        loss_of_balance_jump(ps, _spec(), lifetimes=rec, **kw)
 
 
 def test_pairwise_distance_symmetric_and_positive():

@@ -115,6 +115,17 @@ def test_bad_documents_are_rejected(mutate, phrase):
         parse_config(doc)
 
 
+@pytest.mark.parametrize(
+    "base", [TINY_WEIGHTS, {"builtin": "perfect_balance_demo"}],
+    ids=["document", "builtin"])
+def test_balance_max_paths_is_rejected(base):
+    # the balance diagnostic always covers every path
+    doc = copy.deepcopy(base)
+    doc["thresholds"] = {"balance_max_paths": 100}
+    with pytest.raises(ConfigParseError, match="thresholds.balance_max_paths"):
+        parse_config(doc)
+
+
 def test_kappa0_must_lie_on_the_simplex():
     doc = copy.deepcopy(TINY_WEIGHTS)
     doc["market"]["kappa0"] = [0.7, 0.4]

@@ -34,8 +34,13 @@ from .growth_opt import (
     growth_rate,
     simplex_gap,
 )
-from .market_model import ConstraintKind, ConstraintSet, ProcessSpec, psd_factor
-from .sde_engine import PathSet
+from .market_model import (
+    ConstraintKind,
+    ConstraintSet,
+    ProcessSpec,
+    covariance_rows,
+)
+from .sde_engine import PathSet, _write_hashed
 
 __all__ = [
     "BalanceReport",
@@ -60,6 +65,7 @@ DEFAULT_EPS_SLOPE = 1e-3
 DEFAULT_L_CAP = 50.0
 DEFAULT_DISTANCE_THRESHOLD = 25.0
 DEFAULT_ATOM_EPS = 0.01
+DEFAULT_INDETERMINATE_CAP = 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -163,17 +169,19 @@ class BalanceReport:
             "slope_tail_mean": float(self.slope_tail.mean()),
         }
 
-    def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    def write_json(self, path) -> str:
+        """Write the summary as JSON; returns the file's sha256."""
+        text = json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
+        return _write_hashed(path, text + "\n")
 
 
-def _spec_rows(spec: ProcessSpec, t: float, slab: np.ndarray) -> np.ndarray:
-    """``spec`` at time ``t``, one row per state only if it reads the state."""
-    if spec.depends_on_state():
-        return np.array([spec(t, row) for row in slab], dtype=float)
-    return np.asarray(spec(t), dtype=float)
+def _coeffs_at(t: float, a_spec, c_spec, r_spec, d: int):
+    """``(a, c, r)`` of specs that do not read the state, at time ``t``."""
+    return (
+        a_spec.rows(t, None, (d,), "drift rate a"),
+        c_spec.rows(t, None, (d, d), "covariance rate c"),
+        float(r_spec.rows(t, None, (), "interest rate r")),
+    )
 
 
 def _growth_gap_grid(
@@ -191,6 +199,7 @@ def _growth_gap_grid(
     c_spec = ps.c_spec
     times = ps.times()
     kappa = ps.kappa
+    d = ps.d
     a_state = a_spec is None or a_spec.depends_on_state()
     deterministic = not (
         a_state or c_spec.depends_on_state() or r_spec.depends_on_state()
@@ -199,18 +208,14 @@ def _growth_gap_grid(
         spec.is_constant() for spec in (a_spec, c_spec, r_spec)
     )
     if all_const:
-        a = np.asarray(a_spec(0.0), dtype=float)
-        c = np.asarray(c_spec(0.0), dtype=float)
-        r = float(r_spec(0.0))
+        a, c, r = _coeffs_at(0.0, a_spec, c_spec, r_spec, d)
         g_star = growth_optimal_constrained(a, c, r, constraint).g_star
         gk = growth_rate(kappa, a, c, r)
         return g_star - gk
     gap = np.empty(kappa.shape[:2])
     if deterministic:
         for k, t in enumerate(times):
-            a = np.asarray(a_spec(float(t)), dtype=float)
-            c = np.asarray(c_spec(float(t)), dtype=float)
-            r = float(r_spec(float(t)))
+            a, c, r = _coeffs_at(float(t), a_spec, c_spec, r_spec, d)
             g_star = growth_optimal_constrained(a, c, r, constraint).g_star
             gap[:, k] = g_star - growth_rate(kappa[:, k], a, c, r)
         return gap
@@ -225,11 +230,11 @@ def _growth_gap_grid(
         t = float(t)
         rows = kappa[:, k]
         slab = np.asfortranarray(rows)
-        c = _spec_rows(c_spec, t, rows)
-        r = _spec_rows(r_spec, t, rows)
+        c = c_spec.rows(t, rows, (d, d), "covariance rate c")
+        r = r_spec.rows(t, rows, (), "interest rate r")
         r_col = r[:, None] if r.ndim else r
         cx = (c @ slab.T).T if c.ndim == 2 else np.einsum("pij,pj->pi", c, slab)
-        a = cx + r_col if a_spec is None else _spec_rows(a_spec, t, rows)
+        a = cx + r_col if a_spec is None else a_spec.rows(t, rows, (d,), "drift rate a")
         ok = np.zeros(len(slab), dtype=bool)
         if certify:
             grad = a - r_col - cx
@@ -317,65 +322,14 @@ def _require_full_resolution(ps: PathSet, what: str) -> None:
         raise ValueError(f"{what} needs store_every=1")
 
 
-def _coeff_closure(ps: PathSet, a_spec, r_spec):
-    """Resolve per-step (a, c, r) evaluation for a path set.
-
-    Falls back to the balanced implied drift ``a = c kappa + r 1`` when no
-    drift spec is available (the natural completion for weight-engine
-    paths).
-    """
-    c_spec = ps.c_spec
-    if c_spec is None:
-        raise ValueError("PathSet does not record its covariance spec")
-    a_spec = a_spec if a_spec is not None else ps.a_spec
-    r_spec = r_spec if r_spec is not None else ps.r_spec
-    if r_spec is None:
-        r_spec = ProcessSpec.constant(0.0)
-
-    def coeffs(t: float, kappa_batch: np.ndarray):
-        if c_spec.depends_on_state():
-            c_rows = np.stack(
-                [np.asarray(c_spec(t, row), dtype=float) for row in kappa_batch]
-            )
-        else:
-            c_rows = np.asarray(c_spec(t), dtype=float)
-        if r_spec.depends_on_state():
-            r_rows = np.array(
-                [float(r_spec(t, row)) for row in kappa_batch]
-            )
-        else:
-            r_rows = float(r_spec(t))
-        if a_spec is None:
-            if c_rows.ndim == 2:
-                a_rows = kappa_batch @ c_rows + np.atleast_1d(r_rows)[..., None]
-            else:
-                a_rows = np.einsum("pij,pj->pi", c_rows, kappa_batch)
-                a_rows += np.atleast_1d(r_rows)[..., None]
-        elif a_spec.depends_on_state():
-            a_rows = np.stack(
-                [np.asarray(a_spec(t, row), dtype=float) for row in kappa_batch]
-            )
-        else:
-            a_rows = np.asarray(a_spec(t), dtype=float)
-        return a_rows, c_rows, r_rows
-
-    return coeffs
-
-
 def _portfolio_rows(pi_spec, t: float, kappa_batch: np.ndarray, d: int) -> np.ndarray:
     if isinstance(pi_spec, str):
         if pi_spec != "market":
             raise ValueError(f"unknown portfolio shorthand {pi_spec!r}")
         return kappa_batch
     if isinstance(pi_spec, ProcessSpec):
-        if pi_spec.depends_on_state():
-            rows = np.stack(
-                [np.asarray(pi_spec(t, row), dtype=float) for row in kappa_batch]
-            )
-        else:
-            rows = np.asarray(pi_spec(t), dtype=float)
-    else:
-        rows = np.asarray(pi_spec, dtype=float)
+        return pi_spec.rows(t, kappa_batch, (d,), "portfolio")
+    rows = np.asarray(pi_spec, dtype=float)
     if rows.shape[-1] != d:
         raise ShapeMismatch(
             f"portfolio has {rows.shape[-1]} coordinates, market has {d}"
@@ -397,22 +351,36 @@ def wealth_path(
     string ``"market"`` means hold the running weight vector itself.  The
     log-wealth update uses the path's own Brownian increments, so identities
     like ``V^{e_i} = S_i / S_i(0)`` hold exactly on capitalization paths.
+    Drift and rate default to the path set's own; with no drift at all the
+    balanced drift ``a = c kappa + r 1`` is used (the natural completion
+    for weight-engine paths).
 
     Returns an (n_paths, n_steps + 1) array.
     """
     _require_full_resolution(ps, "wealth_path")
-    coeffs = _coeff_closure(ps, a_spec, r_spec)
+    if ps.c_spec is None:
+        raise ValueError("PathSet does not record its covariance spec")
+    a_spec = a_spec if a_spec is not None else ps.a_spec
+    r_spec = r_spec if r_spec is not None else ps.r_spec
+    if r_spec is None:
+        r_spec = ProcessSpec.constant(0.0)
+    cov = covariance_rows(ps.c_spec, ps.d)
     n, d = ps.n_paths, ps.d
     n_steps = ps.grid.n_steps
     dt = ps.grid.dt
     times = ps.times()
     log_v = np.zeros((n, n_steps + 1))
-    const_c = ps.c_spec.is_constant()
-    sigma_cache = psd_factor(np.asarray(ps.c_spec(0.0), dtype=float)) if const_c else None
     for k in range(n_steps):
         t = float(times[k])
         kap = ps.kappa[:, k]
-        a, c, r = coeffs(t, kap)
+        dw = ps.brownian_increments[:, k]
+        c, sigma = cov(t, kap)
+        r = r_spec.rows(t, kap, (), "interest rate r")
+        if a_spec is None:
+            cx = kap @ c if c.ndim == 2 else np.einsum("pij,pj->pi", c, kap)
+            a = cx + np.atleast_1d(r)[..., None]
+        else:
+            a = a_spec.rows(t, kap, (d,), "drift rate a")
         pi_b = np.broadcast_to(
             np.atleast_2d(_portfolio_rows(pi_spec, t, kap, d)), (n, d)
         )
@@ -420,15 +388,10 @@ def wealth_path(
         r_b = np.broadcast_to(np.atleast_1d(r), (n,))
         if c.ndim == 2:
             cpi = pi_b @ c
-            sigma = sigma_cache if const_c else psd_factor(c)
-            noise = np.einsum(
-                "pj,pj->p", pi_b @ sigma, ps.brownian_increments[:, k]
-            )
+            noise = np.einsum("pj,pj->p", pi_b @ sigma, dw)
         else:
             cpi = np.einsum("pij,pj->pi", c, pi_b)
-            noise = np.empty(n)
-            for p in range(n):
-                noise[p] = pi_b[p] @ psd_factor(c[p]) @ ps.brownian_increments[p, k]
+            noise = np.array([p @ s @ w for p, s, w in zip(pi_b, sigma, dw)])
         drift = (
             r_b
             + np.einsum("pi,pi->p", pi_b, a_b) - r_b * pi_b.sum(axis=1)
@@ -464,11 +427,6 @@ class DistanceMatrix:
     def to_json_dict(self) -> dict:
         return {"horizon": self.horizon, "values": self.values.tolist()}
 
-    def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
 
 def _pair_integrand(a, c, i: int, j: int):
     g_ij = (a[..., i] - 0.5 * c[..., i, i]) - (a[..., j] - 0.5 * c[..., j, j])
@@ -502,11 +460,12 @@ def pairwise_distance(
     if horizon is None:
         horizon = float(times[-1])
     c_spec = ps.c_spec
+    d = ps.d
     if r_spec is None:
         r_spec = ps.r_spec if ps.r_spec is not None else ProcessSpec.constant(0.0)
     if a_spec is not None and a_spec.is_constant() and c_spec.is_constant():
-        a = np.asarray(a_spec(0.0), dtype=float)
-        c = np.asarray(c_spec(0.0), dtype=float)
+        # the integrand never changes: integrate it in closed form
+        a, c, _ = _coeffs_at(0.0, a_spec, c_spec, r_spec, d)
         return float(_pair_integrand(a, c, i, j) * min(horizon, times[-1]))
     total = 0.0
     for k in range(len(times) - 1):
@@ -514,11 +473,11 @@ def pairwise_distance(
         if t >= horizon:
             break
         state = ps.kappa[path_index, k]
-        c = np.asarray(c_spec(t, state), dtype=float)
+        c = c_spec.rows(t, state, (d, d), "covariance rate c")
         if a_spec is None:
-            a = c @ state + float(r_spec(t, state))
+            a = c @ state + float(r_spec.rows(t, state, (), "interest rate r"))
         else:
-            a = np.asarray(a_spec(t, state), dtype=float)
+            a = a_spec.rows(t, state, (d,), "drift rate a")
         step = min(float(times[k + 1]), horizon) - t
         total += float(_pair_integrand(a, c, i, j)) * step
     return total
@@ -605,7 +564,7 @@ def limiting_distribution(
     ps: PathSet,
     atom_eps: float = DEFAULT_ATOM_EPS,
     *,
-    indeterminate_cap: float = 0.5,
+    indeterminate_cap: float = DEFAULT_INDETERMINATE_CAP,
 ) -> LimitingDistribution:
     """Classify where each path's weight vector is heading.
 
@@ -657,17 +616,18 @@ def limiting_to_csv(
     ld: LimitingDistribution,
     path,
     L_terminal: np.ndarray | None = None,
-) -> None:
-    """Write ``path,class,terminal_kappa_1..d,L_terminal`` rows."""
+) -> str:
+    """Write ``path,class,terminal_kappa_1..d,L_terminal`` rows; returns
+    the file's sha256."""
     n, d = ld.terminal_kappa.shape
     if L_terminal is None:
         L_terminal = np.full(n, np.nan)
-    with open(path, "w") as fh:
-        cols = ",".join(f"terminal_kappa_{i + 1}" for i in range(d))
-        fh.write(f"path,class,{cols},L_terminal\n")
-        for p in range(n):
-            row = ",".join(f"{x:.17g}" for x in ld.terminal_kappa[p])
-            fh.write(f"{p},{ld.labels[p]},{row},{L_terminal[p]:.17g}\n")
+    cols = ",".join(f"terminal_kappa_{i + 1}" for i in range(d))
+    lines = [f"path,class,{cols},L_terminal\n"]
+    for p in range(n):
+        row = ",".join(f"{x:.17g}" for x in ld.terminal_kappa[p])
+        lines.append(f"{p},{ld.labels[p]},{row},{L_terminal[p]:.17g}\n")
+    return _write_hashed(path, "".join(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -708,27 +668,23 @@ def bank_rate_statistic(
     if ps.c_spec is None:
         raise ValueError("PathSet does not record its covariance spec")
     times = ps.times()
+    d = ps.d
     total = 0.0
-    ones = np.ones(ps.d)
-    c_const = ps.c_spec.is_constant()
-    if c_const:
-        c = np.asarray(ps.c_spec(0.0), dtype=float)
-        if np.linalg.cond(c) > 1e12:
-            raise SingularCovariance("covariance is numerically singular")
-        weight_const = float(ones @ np.linalg.solve(c, ones))
+    ones = np.ones(d)
+    # a constant covariance is checked and inverted once, at the first step
+    c_fixed = ps.c_spec.is_constant()
+    weight = None
     for k in range(len(times) - 1):
         t = float(times[k])
         state = ps.kappa[path_index, k]
-        if c_const:
-            weight = weight_const
-        else:
-            c = np.asarray(ps.c_spec(t, state), dtype=float)
+        if weight is None or not c_fixed:
+            c = ps.c_spec.rows(t, state, (d, d), "covariance rate c")
             if np.linalg.cond(c) > 1e12:
                 raise SingularCovariance(
                     f"covariance is numerically singular at t={t:.6g}"
                 )
             weight = float(ones @ np.linalg.solve(c, ones))
-        rt = float(r_tilde_spec(t, state))
-        rr = float(r_spec(t, state))
+        rt = float(r_tilde_spec.rows(t, state, (), "alternative rate"))
+        rr = float(r_spec.rows(t, state, (), "interest rate r"))
         total += weight * (rt - rr) ** 2 * float(times[k + 1] - times[k])
     return total

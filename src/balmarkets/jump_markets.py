@@ -12,8 +12,10 @@ A coordinate of ``x`` equal to -1 annihilates that company; the compensator
 drift can also push a weight through zero in finite time.  Either way death
 is absorbing.
 
-Jump times are sampled by thinning against a declared intensity bound, from
-a dedicated per-path random stream, so simulations with zero intensity
+The continuous part of each step is the continuous engine's own kernel,
+``sde_engine._balanced_step``, fed by the same coefficient evaluator.  Jump
+times are sampled by thinning against a declared intensity bound, from a
+dedicated per-path random stream, so simulations with zero intensity
 consume exactly the same Brownian draws as the continuous engine and
 reproduce its paths bit for bit.
 """
@@ -35,16 +37,16 @@ from .errors import (
 from .growth_opt import (
     _GAP_TOL,
     growth_optimal_constrained,
-    growth_rate,
     simplex_gap,
 )
-from .market_model import ConstraintSet, PathGrid, ProcessSpec, psd_factor
+from .market_model import ConstraintSet, PathGrid, ProcessSpec, covariance_rows
 from .sde_engine import (
     STREAM_BROWNIAN,
     STREAM_JUMP,
     EngineDiagnostics,
     PathSet,
     _BLOCK_STEPS,
+    _balanced_step,
     _draw_block,
     _renormalize_log,
     _run_chunked,
@@ -340,14 +342,11 @@ def simulate_jump_balanced(
     if jump_spec.max_jumps == 0:
         budget_out[:] = grid.t0
 
-    const_c = c_spec.is_constant()
-    state_c = c_spec.depends_on_state()
-    zero_c = False
-    if const_c:
-        c0 = np.asarray(c_spec(0.0), dtype=float)
-        sigma0 = psd_factor(c0)
-        diag_c0 = np.diag(c0).copy()
-        zero_c = not c0.any()
+    cov = covariance_rows(c_spec, d)
+    # a covariance that is zero for good leaves no diffusion and no
+    # quadratic drift: the weights only move through the compensator factor
+    # and the jumps, and the Brownian draws are skipped
+    zero_c = c_spec.is_constant() and not cov(grid.t0, None)[0].any()
     sqrt_dt = np.sqrt(grid.dt)
     dt = grid.dt
     t_final = grid.t_final
@@ -439,38 +438,12 @@ def simulate_jump_balanced(
                         factor[jump_count[lo:hi] >= jump_spec.max_jumps] = 1.0
                 else:
                     factor = None
-                # continuous balanced step (identical arithmetic to the
-                # continuous engine, dead coordinates ride along at -inf)
-                if zero_c:
-                    # no diffusion and no quadratic drift: the weights only
-                    # move through the compensator factor and the jumps
-                    c = c0
-                elif const_c:
-                    c, sigma, diag_c = c0, sigma0, diag_c0
-                    y = dw[:, j] @ sigma.T
-                    ck = kappa @ c
-                elif not state_c:
-                    c = np.asarray(c_spec(t), dtype=float)
-                    sigma = psd_factor(c)
-                    y = dw[:, j] @ sigma.T
-                    ck = kappa @ c
-                    diag_c = np.diag(c)
-                else:
-                    y = np.empty((m, d))
-                    ck = np.empty((m, d))
-                    diag_c = np.empty((m, d))
-                    for i in range(m):
-                        c = np.asarray(c_spec(t, kappa[i]), dtype=float)
-                        sigma = psd_factor(c)
-                        y[i] = sigma @ dw[i, j]
-                        ck[i] = c @ kappa[i]
-                        diag_c[i] = np.diag(c)
+                # the continuous engine's step; dead coordinates ride
+                # along at -inf
                 if not zero_c:
-                    quad = np.einsum("ij,ij->i", kappa, ck)
-                    qform = diag_c - 2.0 * ck + quad[:, None]
-                    u = y - np.einsum("ij,ij->i", kappa, y)[:, None]
-                    logk += (-0.5 * dt) * qform + u
-                    kappa = _renormalize_log(logk, diag)
+                    c, sigma = cov(t, kappa)
+                    kappa = _balanced_step(logk, kappa, dw[:, j], c, sigma,
+                                           dt, diag)
                 if factor is not None:
                     knew = kappa * factor
                     # touch only the rows the factor actually moves, so a
@@ -855,8 +828,8 @@ def loss_of_balance_jump(
             for p in np.flatnonzero(need):
                 kap = slab[p]
                 alive = kap > DEATH_THRESHOLD
-                c = np.asarray(ps.c_spec(t, kap), dtype=float)
-                r = float(r_spec(t, kap))
+                c = ps.c_spec.rows(t, kap, (d, d), "covariance rate c")
+                r = float(r_spec.rows(t, kap, (), "interest rate r"))
                 nu = jump_spec if t < cutoff[p] else None
                 if nu is None:
                     b = c @ kap + r
@@ -884,8 +857,8 @@ def loss_of_balance_jump(
             t = float(times[k])
             kap = ps.kappa[p, k]
             alive = kap > DEATH_THRESHOLD
-            c = np.asarray(ps.c_spec(t, kap), dtype=float)
-            r = float(r_spec(t, kap))
+            c = ps.c_spec.rows(t, kap, (d, d), "covariance rate c")
+            r = float(r_spec.rows(t, kap, (), "interest rate r"))
             nu = jump_spec if t < cutoff[p] else None
             if b_spec is None:
                 if nu is None:
@@ -893,7 +866,7 @@ def loss_of_balance_jump(
                 else:
                     b = drift_from_balance_jump(kap, c, nu, r, t)
             else:
-                b = np.asarray(b_spec(t, kap), dtype=float)
+                b = b_spec.rows(t, kap, (d,), "drift rate b")
             if _stationary_at(b, c, r, nu, t, kap, alive):
                 rho = kap
             else:
@@ -941,9 +914,10 @@ def pairwise_distance_jump(
     if horizon is None:
         horizon = float(times[-1])
     r_spec = r_spec if r_spec is not None else ProcessSpec.constant(0.0)
-    e_i = np.zeros(ps.d)
+    d = ps.d
+    e_i = np.zeros(d)
     e_i[i] = 1.0
-    e_j = np.zeros(ps.d)
+    e_j = np.zeros(d)
     e_j[j] = 1.0
     cutoff = np.inf
     if lifetimes is not None and lifetimes.budget_exhausted_time is not None:
@@ -961,8 +935,8 @@ def pairwise_distance_jump(
                 f"t={t:.6g}; the distance needs both alive"
             )
         alive = kap > DEATH_THRESHOLD
-        c = np.asarray(ps.c_spec(t, kap), dtype=float)
-        r = float(r_spec(t, kap))
+        c = ps.c_spec.rows(t, kap, (d, d), "covariance rate c")
+        r = float(r_spec.rows(t, kap, (), "interest rate r"))
         nu = jump_spec if t < cutoff else None
         if b_spec is None:
             if nu is None:
@@ -970,7 +944,7 @@ def pairwise_distance_jump(
             else:
                 b = drift_from_balance_jump(kap, c, nu, r, t)
         else:
-            b = np.asarray(b_spec(t, kap), dtype=float)
+            b = b_spec.rows(t, kap, (d,), "drift rate b")
         if _stationary_at(b, c, r, nu, t, kap, alive):
             rho = kap
         else:

@@ -4,7 +4,11 @@ A market with ``d`` companies is described by a drift rate ``a`` (vector), a
 covariance rate ``c`` (PSD matrix) and an interest rate ``r`` (scalar), each of
 which may be constant, a function of time, or a function of time and the
 current relative-capitalization vector.  This module holds those descriptions
-plus the shared PSD factorization used by every simulator.
+plus the one place where they are evaluated: :meth:`ProcessSpec.rows`
+evaluates a spec over a batch of path states (one value for all rows unless
+the spec reads the state) and checks its shape, and
+:func:`covariance_rows` pairs a covariance with its PSD factor.  Every
+engine and diagnostic evaluates coefficients through these two.
 
 All containers are frozen dataclasses; evaluation never mutates state, so
 instances can be shared freely across worker threads.
@@ -13,7 +17,7 @@ instances can be shared freely across worker threads.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -31,22 +35,19 @@ from .errors import (
 __all__ = [
     "SpecKind",
     "ProcessSpec",
-    "eval_spec",
-    "Portfolio",
     "ConstraintKind",
     "ConstraintSet",
     "MarketParams",
     "PathGrid",
     "validate_params",
     "psd_factor",
+    "covariance_rows",
     "PSD_TOL",
 ]
 
 # Relative tolerance for "is this matrix PSD": eigenvalues down to
 # -PSD_TOL * (1 + max|c|) are treated as rounding noise and clipped.
 PSD_TOL = 1e-10
-
-SIMPLEX_TOL = 1e-12
 
 
 class SpecKind(enum.Enum):
@@ -117,6 +118,23 @@ class ProcessSpec:
             return (1.0 - w) * values[j - 1] + w * values[j]
         return self.fn(t, kappa)
 
+    def rows(self, t: float, kappa_rows, shape: tuple[int, ...] = (),
+             name: str = "coefficient") -> np.ndarray:
+        """The spec at time ``t`` over a batch of path states, shape-checked.
+
+        Constant and time-table specs give one value for every row, with no
+        path axis: an array of shape ``shape``.  A state function gives one
+        stacked row per state in the ``(n, d)`` batch ``kappa_rows``, shape
+        ``(n,) + shape``, or shape ``shape`` for a single ``(d,)`` state.
+        Any other output shape raises :class:`ShapeMismatch`, at whatever
+        step it first appears.
+        """
+        if self.kind is not SpecKind.STATE_FUNCTION:
+            return _shaped(self(t), shape, name)
+        if np.ndim(kappa_rows) == 1:
+            return _shaped(self(t, kappa_rows), shape, name)
+        return np.stack([_shaped(self(t, row), shape, name) for row in kappa_rows])
+
     def is_constant(self) -> bool:
         return self.kind is SpecKind.CONSTANT
 
@@ -124,56 +142,33 @@ class ProcessSpec:
         return self.kind is SpecKind.STATE_FUNCTION
 
 
-def eval_spec(spec: ProcessSpec, t: float, kappa: np.ndarray | None = None):
-    """Evaluate ``spec`` at time ``t`` and state ``kappa``.
-
-    Thin wrapper over ``spec(t, kappa)`` that exists so call sites read
-    uniformly; shape checking against the market dimension happens in the
-    consumers, which know what shape they expect.
-    """
-    return spec(t, kappa)
-
-
-def check_spec_shape(
-    spec: ProcessSpec, t: float, kappa: np.ndarray, expected: tuple[int, ...], name: str
-) -> np.ndarray:
-    """Evaluate a spec and insist on an exact output shape."""
-    out = np.asarray(spec(t, kappa), dtype=float)
-    if expected == () and out.shape != ():
-        raise ShapeMismatch(f"{name} must evaluate to a scalar, got shape {out.shape}")
-    if expected != () and out.shape != expected:
-        raise ShapeMismatch(
-            f"{name} must evaluate to shape {expected}, got {out.shape}"
-        )
+def _shaped(value, shape: tuple[int, ...], name: str) -> np.ndarray:
+    out = np.asarray(value, dtype=float)
+    if out.shape != shape:
+        what = "a scalar" if shape == () else f"shape {shape}"
+        raise ShapeMismatch(f"{name} must evaluate to {what}, got shape {out.shape}")
     return out
 
 
-@dataclass(frozen=True)
-class Portfolio:
-    """Weights over companies summing to 1 (long positions optional).
+def covariance_rows(c_spec: ProcessSpec, d: int):
+    """Per-step evaluator ``(t, kappa_rows) -> (c, sigma)`` of a covariance.
 
-    ``weights[i]`` is the fraction of wealth in company ``i``; the complement
-    of the sum would sit in the bank, so a full-investment portfolio sums to 1.
+    ``c`` comes from :meth:`ProcessSpec.rows` and ``sigma`` is its
+    :func:`psd_factor`, one per row when ``c`` has a path axis.  A constant
+    spec is evaluated and factored once, when the evaluator is built.
     """
+    if c_spec.is_constant():
+        fixed = c_spec.rows(0.0, None, (d, d), "covariance rate c")
+        fixed = (fixed, psd_factor(fixed))
+        return lambda t, kappa_rows: fixed
 
-    weights: np.ndarray
+    def at(t: float, kappa_rows):
+        c = c_spec.rows(t, kappa_rows, (d, d), "covariance rate c")
+        if c.ndim == 2:
+            return c, psd_factor(c)
+        return c, np.stack([psd_factor(row) for row in c])
 
-    def __post_init__(self):
-        w = _freeze(np.atleast_1d(self.weights))
-        if w.ndim != 1:
-            raise DimensionMismatch("portfolio weights must be one-dimensional")
-        object.__setattr__(self, "weights", w)
-
-    @property
-    def d(self) -> int:
-        return len(self.weights)
-
-    def require_simplex(self) -> None:
-        w = self.weights
-        if abs(float(w.sum()) - 1.0) > SIMPLEX_TOL or np.any(w < -SIMPLEX_TOL):
-            raise InfeasibleConstraint(
-                f"weights {w} are not on the closed simplex"
-            )
+    return at
 
 
 class ConstraintKind(enum.Enum):
@@ -280,8 +275,9 @@ def validate_params(params: MarketParams) -> MarketParams:
     """Check a parameter set and return it unchanged if acceptable.
 
     The coefficient specs are probed at ``t = 0`` with the uniform weight
-    vector; state-dependent specs are trusted to keep that shape afterwards
-    (re-checked during simulation).  Raises the most specific error available.
+    vector; every later evaluation goes through :meth:`ProcessSpec.rows`,
+    which re-checks the shape at each step.  Raises the most specific error
+    available.
     """
     d = params.d
     if d < 1:
@@ -294,9 +290,9 @@ def validate_params(params: MarketParams) -> MarketParams:
         raise NonPositiveInitialCap(f"initial capitalizations must be > 0, got {params.s0}")
 
     kappa0 = np.full(d, 1.0 / d)
-    check_spec_shape(params.a_spec, 0.0, kappa0, (d,), "drift rate a")
-    check_spec_shape(params.r_spec, 0.0, kappa0, (), "interest rate r")
-    c = check_spec_shape(params.c_spec, 0.0, kappa0, (d, d), "covariance rate c")
+    params.a_spec.rows(0.0, kappa0, (d,), "drift rate a")
+    params.r_spec.rows(0.0, kappa0, (), "interest rate r")
+    c = params.c_spec.rows(0.0, kappa0, (d, d), "covariance rate c")
 
     scale = 1.0 + float(np.max(np.abs(c))) if c.size else 1.0
     if not np.allclose(c, c.T, atol=PSD_TOL * scale, rtol=0.0):

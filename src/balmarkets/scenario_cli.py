@@ -4,8 +4,9 @@ A scenario is a single JSON document naming a market model, a time grid,
 an ensemble size, and a set of diagnostics to run on the simulated paths.
 ``run_scenario`` executes one scenario and writes its outputs (path CSV,
 diagnostic JSON, summary) into a directory; the ``balmarkets`` console
-command wraps this with ``run``, ``list``, ``validate``, and ``replay``
-verbs.  Replaying a stored summary reproduces every CSV byte for byte as
+command (or ``python -m balmarkets``) wraps this with ``run``, ``list``,
+``validate``, and ``replay`` verbs.  Every writer returns the sha256 of
+the bytes it wrote, which the summary records.  Replaying a stored summary reproduces every CSV byte for byte as
 long as the package version matches, independent of the thread count.
 
 Builtin scenarios cover the stock examples: the two-company flight-to-one
@@ -19,7 +20,6 @@ from __future__ import annotations
 import argparse
 import copy
 import dataclasses
-import hashlib
 import json
 import os
 import sys
@@ -29,8 +29,10 @@ import numpy as np
 
 from . import __version__
 from .balance_diag import (
+    DEFAULT_ATOM_EPS,
     DEFAULT_DISTANCE_THRESHOLD,
     DEFAULT_EPS_SLOPE,
+    DEFAULT_INDETERMINATE_CAP,
     DEFAULT_L_CAP,
     BalanceReport,
     DistanceMatrix,
@@ -55,6 +57,7 @@ from .jump_markets import (
 from .market_model import MarketParams, PathGrid, ProcessSpec
 from .sde_engine import (
     PathSet,
+    _write_hashed,
     pathset_summary,
     pathset_to_csv,
     simulate_capitalizations,
@@ -72,8 +75,8 @@ _DEFAULT_THRESHOLDS = {
     "eps_slope": DEFAULT_EPS_SLOPE,
     "L_cap": DEFAULT_L_CAP,
     "d_threshold": DEFAULT_DISTANCE_THRESHOLD,
-    "atom_eps": 0.01,
-    "indeterminate_cap": 0.5,
+    "atom_eps": DEFAULT_ATOM_EPS,
+    "indeterminate_cap": DEFAULT_INDETERMINATE_CAP,
 }
 
 _TOP_KEYS = {
@@ -521,18 +524,9 @@ def _sanitize(obj):
     return obj
 
 
-def _file_digest(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(block)
-    return digest.hexdigest()
-
-
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+def _write_json(path: str, payload: dict) -> str:
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    return _write_hashed(path, text + "\n")
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir: str,
@@ -631,8 +625,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str,
                 ps, a_spec, r_spec, eps_slope=eps_slope, L_cap=L_cap,
             )
             L_full = report.L_path
-        report.write_json(os.path.join(out_dir, "balance.json"))
-        digests["balance.json"] = _file_digest(
+        digests["balance.json"] = report.write_json(
             os.path.join(out_dir, "balance.json"))
         summary["balance"] = report.to_json_dict()
     else:
@@ -668,10 +661,8 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str,
             payload["d_threshold"] = thresholds["d_threshold"]
             payload["classes"] = classes
             payload["intransitive"] = intransitive
-        _write_json(os.path.join(out_dir, "distances.json"),
-                    _sanitize(payload))
-        digests["distances.json"] = _file_digest(
-            os.path.join(out_dir, "distances.json"))
+        digests["distances.json"] = _write_json(
+            os.path.join(out_dir, "distances.json"), _sanitize(payload))
         summary["segregation"] = payload
     else:
         summary["segregation"] = {"enabled": False}
@@ -682,10 +673,8 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str,
             indeterminate_cap=thresholds["indeterminate_cap"],
         )
         L_term = None if L_full is None else L_full[:, -1]
-        limiting_to_csv(ld, os.path.join(out_dir, "limiting.csv"),
-                        L_terminal=L_term)
-        digests["limiting.csv"] = _file_digest(
-            os.path.join(out_dir, "limiting.csv"))
+        digests["limiting.csv"] = limiting_to_csv(
+            ld, os.path.join(out_dir, "limiting.csv"), L_terminal=L_term)
         summary["limiting"] = {
             "histogram": dict(ld.histogram),
             "atom_eps": thresholds["atom_eps"],
@@ -906,7 +895,3 @@ def main(argv=None) -> int:
     except BalmarketsError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

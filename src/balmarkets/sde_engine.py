@@ -13,7 +13,12 @@ top of such a weight path for any prescribed interest rate.
 
 Both engines walk log-coordinates with an Euler step, so states stay
 positive by construction, and both draw their noise from per-path
-counter-based streams keyed by ``(seed, stream, path_index)``.  With
+counter-based streams keyed by ``(seed, stream, path_index)``.  One step
+kernel, ``_balanced_step``, advances the balanced weights here and in the
+jump engine, and every coefficient is evaluated through
+``ProcessSpec.rows``/``covariance_rows``: a constant or time-table
+coefficient is one matrix shared by all rows (one gemm per step), a
+state function gives one matrix per row (one product per row).  With
 constant coefficients ``log S`` is a running sum, so the capitalization
 engine evaluates whole blocks of steps at once, with the same arithmetic
 as one step at a time.  Paths are split into chunks, one or more per
@@ -40,7 +45,7 @@ from .market_model import (
     MarketParams,
     PathGrid,
     ProcessSpec,
-    psd_factor,
+    covariance_rows,
     validate_params,
 )
 
@@ -167,36 +172,6 @@ def _run_chunked(worker, n_paths: int, n_threads: int) -> EngineDiagnostics:
     return diag
 
 
-class _CoeffCache:
-    """Per-step coefficient evaluation with a constant-spec fast path."""
-
-    def __init__(self, params: MarketParams):
-        self.params = params
-        self.constant = (
-            params.a_spec.is_constant()
-            and params.c_spec.is_constant()
-            and params.r_spec.is_constant()
-        )
-        self.state_dependent = (
-            params.a_spec.depends_on_state()
-            or params.c_spec.depends_on_state()
-            or params.r_spec.depends_on_state()
-        )
-        if self.constant:
-            self.a = np.asarray(params.a_spec(0.0), dtype=float)
-            self.c = np.asarray(params.c_spec(0.0), dtype=float)
-            self.r = float(params.r_spec(0.0))
-            self.sigma = psd_factor(self.c)
-
-    def at(self, t: float, kappa_row: np.ndarray):
-        """Coefficients for one path state (used on the state-dependent path)."""
-        p = self.params
-        a = np.asarray(p.a_spec(t, kappa_row), dtype=float)
-        c = np.asarray(p.c_spec(t, kappa_row), dtype=float)
-        r = float(p.r_spec(t, kappa_row))
-        return a, c, r
-
-
 def _renormalize_log(logk: np.ndarray, diag: EngineDiagnostics) -> np.ndarray:
     """Project log-weights back onto the simplex; returns the weights.
 
@@ -220,6 +195,36 @@ def _renormalize_log(logk: np.ndarray, diag: EngineDiagnostics) -> np.ndarray:
     defect = float(np.abs(kappa.sum(axis=1) - 1.0).max())
     diag.max_simplex_defect = max(diag.max_simplex_defect, defect)
     return kappa
+
+
+def _noise_rows(sigma: np.ndarray, dw: np.ndarray) -> np.ndarray:
+    """``sigma dW`` for every row: one gemm for a shared factor, else one
+    product per row (a batched 3-D product would round differently)."""
+    if sigma.ndim == 2:
+        return dw @ sigma.T
+    return np.array([s @ w for s, w in zip(sigma, dw)])
+
+
+def _balanced_step(logk: np.ndarray, kappa: np.ndarray, dw_j: np.ndarray,
+                   c: np.ndarray, sigma: np.ndarray, dt: float,
+                   diag: EngineDiagnostics) -> np.ndarray:
+    """One log-Euler step of ``d kappa_i = kappa_i <e_i - kappa, sigma dW>``.
+
+    ``log kappa_i`` gains ``-0.5 <e_i - kappa, c (e_i - kappa)> dt`` plus
+    ``<e_i - kappa, sigma dW>``; ``logk`` is updated in place and the
+    renormalized weights are returned.  ``c`` and ``sigma`` are shared by
+    every row or carry a path axis (see :func:`covariance_rows`).
+    """
+    y = _noise_rows(sigma, dw_j)
+    if c.ndim == 2:
+        ck = kappa @ c
+    else:
+        ck = np.array([c_i @ k_i for c_i, k_i in zip(c, kappa)])
+    quad = np.einsum("ij,ij->i", kappa, ck)
+    qform = np.diagonal(c, axis1=-2, axis2=-1) - 2.0 * ck + quad[:, None]
+    u = y - np.einsum("ij,ij->i", kappa, y)[:, None]
+    logk += (-0.5 * dt) * qform + u
+    return _renormalize_log(logk, diag)
 
 
 def _draw_block(gens, buf: np.ndarray, blk: int, d: int,
@@ -276,13 +281,7 @@ def simulate_relative_caps_balanced(
         np.empty((n_paths, grid.n_steps, d)) if store_increments else None
     )
 
-    const_c = c_spec.is_constant()
-    state_c = c_spec.depends_on_state()
-    if const_c:
-        c0 = np.asarray(c_spec(0.0), dtype=float)
-        sigma0 = psd_factor(c0)
-        diag_c0 = np.diag(c0).copy()
-
+    cov = covariance_rows(c_spec, d)
     sqrt_dt = np.sqrt(grid.dt)
     dt = grid.dt
 
@@ -301,33 +300,8 @@ def simulate_relative_caps_balanced(
             if inc_out is not None:
                 inc_out[lo:hi, step : step + blk] = dw
             for j in range(blk):
-                t = grid.t0 + (step + j) * dt
-                if const_c:
-                    c, sigma, diag_c = c0, sigma0, diag_c0
-                    y = dw[:, j] @ sigma.T
-                    ck = kappa @ c
-                else:
-                    y = np.empty((m, d))
-                    ck = np.empty((m, d))
-                    diag_c = np.empty((m, d))
-                    if not state_c:
-                        c = np.asarray(c_spec(t), dtype=float)
-                        sigma = psd_factor(c)
-                        y[:] = dw[:, j] @ sigma.T
-                        ck[:] = kappa @ c
-                        diag_c[:] = np.diag(c)
-                    else:
-                        for i in range(m):
-                            c = np.asarray(c_spec(t, kappa[i]), dtype=float)
-                            sigma = psd_factor(c)
-                            y[i] = sigma @ dw[i, j]
-                            ck[i] = c @ kappa[i]
-                            diag_c[i] = np.diag(c)
-                quad = np.einsum("ij,ij->i", kappa, ck)
-                qform = diag_c - 2.0 * ck + quad[:, None]
-                u = y - np.einsum("ij,ij->i", kappa, y)[:, None]
-                logk += (-0.5 * dt) * qform + u
-                kappa = _renormalize_log(logk, diag)
+                c, sigma = cov(grid.t0 + (step + j) * dt, kappa)
+                kappa = _balanced_step(logk, kappa, dw[:, j], c, sigma, dt, diag)
                 idx = stored_pos.get(step + j + 1)
                 if idx is not None:
                     kappa_out[lo:hi, idx] = kappa
@@ -375,12 +349,16 @@ def simulate_capitalizations(
     inc_out = (
         np.empty((n_paths, grid.n_steps, d)) if store_increments else None
     )
-    cache = _CoeffCache(params)
+    cov = covariance_rows(params.c_spec, d)
     log_s0 = np.log(params.s0)
     sqrt_dt = np.sqrt(grid.dt)
     dt = grid.dt
-    if cache.constant:
-        drift = (cache.a - 0.5 * np.diag(cache.c)) * dt
+    # constant coefficients make log S a running sum of i.i.d. increments
+    constant = all(spec.is_constant()
+                   for spec in (params.a_spec, params.c_spec, params.r_spec))
+    if constant:
+        c, sigma = cov(grid.t0, None)
+        drift = (params.a_spec.rows(grid.t0, None, (d,)) - 0.5 * np.diag(c)) * dt
 
     def overflow(worst: float, step: int) -> NumericalOverflow:
         return NumericalOverflow(
@@ -398,20 +376,19 @@ def simulate_capitalizations(
         caps_out[lo:hi, 0] = caps
         kappa_out[lo:hi, 0] = kappa
         buf = np.empty(m * min(_BLOCK_STEPS, grid.n_steps) * d)
-        x_buf = np.empty_like(buf) if cache.constant else None
+        x_buf = np.empty_like(buf) if constant else None
         step = 0
         while step < grid.n_steps:
             blk = min(_BLOCK_STEPS, grid.n_steps - step)
             dw = _draw_block(gens, buf, blk, d, sqrt_dt)
             if inc_out is not None:
                 inc_out[lo:hi, step : step + blk] = dw
-            if cache.constant:
-                # log S is a running sum of i.i.d. increments: one gemm over
-                # every row of the block (row for row the per-step product),
-                # then a sequential sum along time, so each x[:, j] is
-                # exactly log S after step + j + 1
+            if constant:
+                # one gemm over every row of the block (row for row the
+                # per-step product), then a sequential sum along time, so
+                # each x[:, j] is exactly log S after step + j + 1
                 x = x_buf[: m * blk * d].reshape(m, blk, d)
-                np.matmul(dw.reshape(-1, d), cache.sigma.T,
+                np.matmul(dw.reshape(-1, d), sigma.T,
                           out=x.reshape(-1, d))
                 x += drift
                 x[:, 0] += logs
@@ -430,16 +407,10 @@ def simulate_capitalizations(
                 continue
             for j in range(blk):
                 t = grid.t0 + (step + j) * dt
-                if not cache.state_dependent:
-                    a = np.asarray(params.a_spec(t), dtype=float)
-                    c = np.asarray(params.c_spec(t), dtype=float)
-                    sigma = psd_factor(c)
-                    logs += (a - 0.5 * np.diag(c)) * dt + dw[:, j] @ sigma.T
-                else:
-                    for i in range(m):
-                        a, c, _ = cache.at(t, kappa[i])
-                        sigma = psd_factor(c)
-                        logs[i] += (a - 0.5 * np.diag(c)) * dt + sigma @ dw[i, j]
+                a = params.a_spec.rows(t, kappa, (d,), "drift rate a")
+                c_t, sigma_t = cov(t, kappa)
+                logs += ((a - 0.5 * np.diagonal(c_t, axis1=-2, axis2=-1)) * dt
+                         + _noise_rows(sigma_t, dw[:, j]))
                 worst = float(np.abs(logs).max())
                 if worst > _LOG_CAP:
                     raise overflow(worst, step + j + 1)
@@ -501,12 +472,7 @@ def lift_to_capitalizations(
 
     n, n_steps, d = ps.n_paths, ps.grid.n_steps, ps.d
     dt = ps.grid.dt
-    const_c = ps.c_spec.is_constant()
-    state_c = ps.c_spec.depends_on_state()
-    if const_c:
-        c0 = np.asarray(ps.c_spec(0.0), dtype=float)
-        sigma0 = psd_factor(c0)
-
+    cov = covariance_rows(ps.c_spec, d)
     log_total = np.full(n, np.log(total0))
     caps = np.empty_like(ps.kappa)
     caps[:, 0] = s0
@@ -514,33 +480,13 @@ def lift_to_capitalizations(
     for k in range(n_steps):
         kap = ps.kappa[:, k]
         t = float(times[k])
-        r = float(r_spec(t)) if not r_spec.depends_on_state() else None
-        if const_c:
-            c, sigma = c0, sigma0
-            y = ps.brownian_increments[:, k] @ sigma.T
-            ck = kap @ c
-            quad = np.einsum("ij,ij->i", kap, ck)
-            rr = r if r is not None else np.array(
-                [float(r_spec(t, kap[i])) for i in range(n)]
-            )
+        c, sigma = cov(t, kap)
+        rr = r_spec.rows(t, kap, (), "interest rate r")
+        y = _noise_rows(sigma, ps.brownian_increments[:, k])
+        if c.ndim == 2:
+            quad = np.einsum("ij,ij->i", kap, kap @ c)
         else:
-            y = np.empty((n, d))
-            quad = np.empty(n)
-            rr = np.empty(n)
-            if not state_c and r is not None:
-                c = np.asarray(ps.c_spec(t), dtype=float)
-                sigma = psd_factor(c)
-                y[:] = ps.brownian_increments[:, k] @ sigma.T
-                ck = kap @ c
-                quad[:] = np.einsum("ij,ij->i", kap, ck)
-                rr = r
-            else:
-                for i in range(n):
-                    c = np.asarray(ps.c_spec(t, kap[i]), dtype=float)
-                    sigma = psd_factor(c)
-                    y[i] = sigma @ ps.brownian_increments[i, k]
-                    quad[i] = kap[i] @ c @ kap[i]
-                    rr[i] = float(r_spec(t, kap[i]))
+            quad = np.array([k_i @ c_i @ k_i for c_i, k_i in zip(c, kap)])
         log_total += (rr + 0.5 * quad) * dt + np.einsum("ij,ij->i", kap, y)
         caps[:, k + 1] = ps.kappa[:, k + 1] * np.exp(log_total)[:, None]
 
@@ -575,6 +521,14 @@ def relative_caps_from_caps(caps: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # serialization
+
+
+def _write_hashed(path, text: str) -> str:
+    """Write ``text`` to ``path``; returns the sha256 of the bytes written."""
+    data = text.encode()
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return hashlib.sha256(data).hexdigest()
 
 
 def _write_paths_csv(ps: PathSet, path, columns, header: str,

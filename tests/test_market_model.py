@@ -10,6 +10,7 @@ from balmarkets.errors import (
     DimensionMismatch,
     IndefiniteMatrix,
     NonPositiveInitialCap,
+    ShapeMismatch,
 )
 from balmarkets.market_model import (
     ConstraintKind,
@@ -17,7 +18,6 @@ from balmarkets.market_model import (
     MarketParams,
     PathGrid,
     ProcessSpec,
-    eval_spec,
     psd_factor,
     validate_params,
 )
@@ -55,9 +55,26 @@ def test_state_function_sees_the_state():
     assert spec(1.0, np.array([0.25, 0.75])) == pytest.approx(2.0)
 
 
-def test_eval_spec_matches_call():
-    spec = ProcessSpec.constant(np.array([1.0, 2.0]))
-    np.testing.assert_array_equal(eval_spec(spec, 0.0), spec(0.0))
+def test_rows_adds_a_path_axis_only_for_state_functions():
+    states = np.array([[0.25, 0.75], [0.5, 0.5], [1.0, 0.0]])
+    const = ProcessSpec.constant([[1.0, 0.0], [0.0, 2.0]])
+    assert const.rows(3.0, states, (2, 2)) is const.value
+    table = ProcessSpec.time_table([0.0, 1.0], [[1.0, 2.0], [3.0, 4.0]])
+    np.testing.assert_array_equal(table.rows(0.5, states, (2,)), [2.0, 3.0])
+    scalar = ProcessSpec.constant(0.5).rows(0.0, states)
+    assert scalar.shape == () and scalar == 0.5
+    state = ProcessSpec.state_function(lambda t, k: k * t)
+    got = state.rows(2.0, states, (2,))
+    assert got.shape == (3, 2)
+    np.testing.assert_array_equal(got, 2.0 * states)
+
+
+def test_rows_rejects_a_wrong_shape():
+    states = np.full((2, 3), 1.0 / 3.0)
+    with pytest.raises(ShapeMismatch, match="drift rate a must evaluate to shape"):
+        ProcessSpec.constant([1.0, 2.0]).rows(0.0, states, (3,), "drift rate a")
+    with pytest.raises(ShapeMismatch, match="must evaluate to a scalar"):
+        ProcessSpec.state_function(lambda t, k: k).rows(0.0, states)
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,22 @@
 """Scenario runner: config validation, outputs, replay, exit codes."""
 
 import copy
+import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import balmarkets
 from balmarkets import __version__
 from balmarkets.errors import ConfigParseError, VersionMismatch
 from balmarkets.scenario_cli import (
+    _DEFAULT_DIAGNOSTICS,
+    _DEFAULT_THRESHOLDS,
+    _TOP_KEYS,
     BUILTINS,
     main,
     parse_config,
@@ -308,3 +315,48 @@ def test_cli_version_mismatch_exit_code(tmp_path):
     p.write_text(json.dumps(doc))
     assert main(["replay", "--config", str(p),
                  "--out", str(tmp_path / "redo")]) == 1
+
+
+def test_digests_are_the_sha256_of_the_files_written(tmp_path):
+    for doc in (TINY_CAP, TINY_WEIGHTS, TINY_JUMP):
+        out = tmp_path / doc["name"]
+        summary = run_scenario(parse_config(copy.deepcopy(doc)), str(out))
+        assert set(summary["digests"]) == set(os.listdir(out)) - {"summary.json"}
+        for name, digest in summary["digests"].items():
+            assert digest == hashlib.sha256((out / name).read_bytes()).hexdigest()
+
+
+def test_schema_matches_the_parser():
+    jsonschema = pytest.importorskip("jsonschema")
+    path = os.path.join(os.path.dirname(__file__), "..", "docs",
+                        "scenario_schema.json")
+    with open(path) as fh:
+        schema = json.load(fh)
+    jsonschema.Draft7Validator.check_schema(schema)
+    validator = jsonschema.Draft7Validator(schema)
+    for name in BUILTINS:
+        ref = {"builtin": name}
+        assert not list(validator.iter_errors(ref)), name
+        assert not list(validator.iter_errors(parse_config(ref).resolved)), name
+    # without a builtin the grid, ensemble size and seed are required
+    missing = {err.message for err in validator.iter_errors({"name": "x"})}
+    assert missing == {f"'{key}' is a required property"
+                       for key in ("grid", "n_paths", "seed")}
+    props = schema["properties"]
+    assert set(props) == _TOP_KEYS
+    assert set(props["diagnostics"]["properties"]) == set(_DEFAULT_DIAGNOSTICS)
+    assert set(props["thresholds"]["properties"]) == set(_DEFAULT_THRESHOLDS)
+
+
+def test_python_dash_m_runs_without_runtime_warning():
+    src = os.path.dirname(os.path.dirname(balmarkets.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "balmarkets",
+         "list"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "perfect_balance_demo" in done.stdout

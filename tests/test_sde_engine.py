@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from balmarkets.errors import NumericalOverflow
+from balmarkets.errors import NumericalOverflow, ShapeMismatch
 from balmarkets.jump_markets import (
     JumpSpec,
     LifetimeRecord,
@@ -222,6 +222,29 @@ def test_overflow_is_a_clean_error():
     grid = PathGrid(dt=1.0, n_steps=6000)
     with pytest.raises(NumericalOverflow, match=r"reached 700\.\d at step 4667;"):
         simulate_capitalizations(params, grid, 4, 3, store_every=100)
+
+
+@pytest.mark.parametrize("engine", ["balanced", "caps", "jump"])
+def test_state_spec_changing_shape_mid_run_raises(engine):
+    c2 = np.array([[0.04, 0.01], [0.01, 0.09]])
+
+    def c_fn(t, k):
+        return c2 if t <= 0.5 else np.ones((2, 3))
+
+    c_spec = ProcessSpec.state_function(c_fn)
+    k2 = np.array([0.4, 0.6])
+    grid = PathGrid(dt=0.01, n_steps=100)
+    with pytest.raises(ShapeMismatch, match=r"covariance rate c must .*\(2, 3\)"):
+        if engine == "balanced":
+            simulate_relative_caps_balanced(c_spec, k2, grid, 4, 3)
+        elif engine == "caps":
+            params = MarketParams(d=2, a_spec=ProcessSpec.constant([0.0, 0.1]),
+                                  c_spec=c_spec, r_spec=ProcessSpec.constant(0.0),
+                                  s0=k2)
+            simulate_capitalizations(params, grid, 4, 3)
+        else:
+            spec = JumpSpec.finite_atoms(1.0, 1.0, [[0.1, -0.1]], [1.0])
+            simulate_jump_balanced(c_spec, spec, k2, grid, 4, 3)
 
 
 # ---------------------------------------------------------------------------

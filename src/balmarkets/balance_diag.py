@@ -465,7 +465,8 @@ def pairwise_distance(
         r_spec = ps.r_spec if ps.r_spec is not None else ProcessSpec.constant(0.0)
     if a_spec is not None and a_spec.is_constant() and c_spec.is_constant():
         # the integrand never changes: integrate it in closed form
-        a, c, _ = _coeffs_at(0.0, a_spec, c_spec, r_spec, d)
+        a = a_spec.rows(0.0, None, (d,), "drift rate a")
+        c = c_spec.rows(0.0, None, (d, d), "covariance rate c")
         return float(_pair_integrand(a, c, i, j) * min(horizon, times[-1]))
     total = 0.0
     for k in range(len(times) - 1):

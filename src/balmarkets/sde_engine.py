@@ -358,7 +358,8 @@ def simulate_capitalizations(
                    for spec in (params.a_spec, params.c_spec, params.r_spec))
     if constant:
         c, sigma = cov(grid.t0, None)
-        drift = (params.a_spec.rows(grid.t0, None, (d,)) - 0.5 * np.diag(c)) * dt
+        a = params.a_spec.rows(grid.t0, None, (d,), "drift rate a")
+        drift = (a - 0.5 * np.diag(c)) * dt
 
     def overflow(worst: float, step: int) -> NumericalOverflow:
         return NumericalOverflow(

@@ -286,6 +286,11 @@ def test_distance_matrix_symmetry_and_diagonal():
     assert np.all(np.diag(v) == 0.0)
     assert np.all(v[np.triu_indices(3, 1)] > 0.0)
     assert dm.horizon == pytest.approx(5.0)
+    # with the drift given, the rate never enters: a state-dependent one
+    # leaves the constant market's closed form alone
+    rated = distance_matrix(ps, a_spec=ProcessSpec.constant([0.3, 0.0, 0.0]),
+                            r_spec=ProcessSpec.state_function(lambda t, k: k[0]))
+    np.testing.assert_array_equal(rated.values, v)
     j = dm.to_json_dict()
     assert j["horizon"] == pytest.approx(5.0)
     assert np.asarray(j["values"]).shape == (3, 3)

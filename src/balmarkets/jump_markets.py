@@ -18,6 +18,15 @@ times are sampled by thinning against a declared intensity bound, from a
 dedicated per-path random stream, so simulations with zero intensity
 consume exactly the same Brownian draws as the continuous engine and
 reproduce its paths bit for bit.
+
+Without diffusion (``c = 0``) a path moves only through the compensator
+factor, which depends on its state and on whether its jump budget is
+spent, and through its own accepted jumps.  The engine then keeps one
+state per cohort of paths that share it bit for bit and advances each
+distinct state once per step; a path leaves its cohort at an accepted
+jump.  Such a market makes no Brownian draws unless increments are
+stored, so it runs as one chunk on the calling thread, and the thread
+count changes neither its values nor its time.
 """
 
 from __future__ import annotations
@@ -310,7 +319,10 @@ def simulate_jump_balanced(
     Returns ``(PathSet, LifetimeRecord)``.  Dead companies are frozen at
     weight zero.  The Brownian and jump draws come from separate per-path
     streams, so a spec with zero intensity reproduces
-    ``simulate_relative_caps_balanced`` exactly.
+    ``simulate_relative_caps_balanced`` exactly.  With zero covariance the
+    paths that share a state are advanced as one cohort, all in one chunk
+    (see the module docstring); every path still thins its own candidates
+    on its own jump stream, so the values are those of stepping every path.
     """
     if not jump_spec.has_moments:
         raise CompensatorUnavailable(
@@ -346,10 +358,11 @@ def simulate_jump_balanced(
     # a covariance that is zero for good leaves no diffusion and no
     # quadratic drift: the weights only move through the compensator factor
     # and the jumps, and the Brownian draws are skipped
-    zero_c = c_spec.is_constant() and not cov(grid.t0, None)[0].any()
+    diffusion = not (c_spec.is_constant() and not cov(grid.t0, None)[0].any())
+    draws = diffusion or inc_out is not None
+    budget = jump_spec.max_jumps
     sqrt_dt = np.sqrt(grid.dt)
     dt = grid.dt
-    t_final = grid.t_final
     lam_max = jump_spec.lam_max
     state_intensity = jump_spec.intensity.depends_on_state()
 
@@ -375,102 +388,171 @@ def simulate_jump_balanced(
     def worker(lo: int, hi: int) -> EngineDiagnostics:
         m = hi - lo
         diag = EngineDiagnostics()
-        gens = [path_generator(seed, STREAM_BROWNIAN, p) for p in range(lo, hi)]
+        if draws:
+            gens = [path_generator(seed, STREAM_BROWNIAN, p) for p in range(lo, hi)]
+            buf = np.empty(m * min(_BLOCK_STEPS, grid.n_steps) * d)
         jgens = [path_generator(seed, STREAM_JUMP, p) for p in range(lo, hi)]
         # pending thinning candidates; inf when the budget is exhausted
         next_tau = np.full(m, np.inf)
-        if lam_max > 0.0 and (jump_spec.max_jumps is None or jump_spec.max_jumps > 0):
+        if lam_max > 0.0 and (budget is None or budget > 0):
             for i in range(m):
                 next_tau[i] = grid.t0 + jgens[i].exponential(1.0 / lam_max)
-        with np.errstate(divide="ignore"):
-            logk = np.tile(np.log(np.where(kappa0 > 0.0, kappa0, np.nan)), (m, 1))
-        logk[np.isnan(logk)] = -np.inf
+        tau_min = next_tau.min(initial=np.inf)
         for i0 in np.flatnonzero(kappa0 == 0.0):
             zeta[lo:hi, i0] = grid.t0
             mode[lo:hi, i0] = CONTINUOUS_VANISH
-        kappa = np.tile(kappa0, (m, 1))
         kappa_out[lo:hi, 0] = kappa0
-        buf = np.empty(m * min(_BLOCK_STEPS, grid.n_steps) * d)
+        # cohorts: rows with bitwise-equal state and budget status take
+        # bitwise-equal steps, so each cohort's state is stored and stepped
+        # once.  Without diffusion every row starts in cohort 0 and leaves
+        # it for a cohort of its own at its first accepted jump; with
+        # diffusion every row is its own cohort.  A split only ever takes
+        # one row out of a larger cohort, so there are at most m cohorts.
+        nc = m if diffusion else min(m, 1)
+        ck = np.empty((m, d))
+        cl = np.empty((m, d))
+        ck[:nc] = kappa0
+        with np.errstate(divide="ignore"):
+            cl[:nc] = np.where(kappa0 > 0.0, np.log(kappa0), -np.inf)
+        csize = np.zeros(m, dtype=np.int64)
+        csize[:nc] = 1 if diffusion else m
+        cspent = np.zeros(m, dtype=bool)
+        cspent[:nc] = budget == 0
+        rc = np.arange(m) if diffusion else np.zeros(m, dtype=np.int64)
+
+        regroup = True
         step = 0
         while step < grid.n_steps:
             blk = min(_BLOCK_STEPS, grid.n_steps - step)
-            if zero_c and inc_out is None:
-                dw = None
-            else:
+            if draws:
                 dw = _draw_block(gens, buf, blk, d, sqrt_dt)
                 if inc_out is not None:
                     inc_out[lo:hi, step : step + blk] = dw
             for j in range(blk):
+                if regroup:
+                    # the stepped (live) cohorts and the spent ones, which
+                    # never move again without diffusion.  A lone cohort is
+                    # stepped twice over: BLAS rounds a one-row product
+                    # differently from a batched one, and a chunk always
+                    # has two rows or more.  ``w`` weights each stepped row
+                    # by its member paths in the defect statistics.
+                    regroup = False
+                    if diffusion:
+                        live, ids, w, n_live = slice(0, m), rc, None, m
+                        frozen = rc[:0]
+                    else:
+                        frozen = np.flatnonzero(cspent[:nc])
+                        ids = np.flatnonzero(~cspent[:nc])
+                        w = csize[ids]
+                        n_live = ids.size
+                        if n_live == 1 and m > 1:
+                            ids, w = np.repeat(ids, 2), np.append(w, 0)
+                        live = slice(0, nc) if frozen.size == 0 and n_live > 1 else ids
+                        if frozen.size == 1 and m > 1:
+                            frozen = np.repeat(frozen, 2)
+                    kf = ck[frozen]
+                    diag.max_live_cohorts = max(diag.max_live_cohorts, n_live)
                 s = step + j
                 t = grid.t0 + s * dt
                 t_end = grid.t0 + (s + 1) * dt
-                kappa_left = kappa
-                # compensator factor from the left state
                 lam_t = None if state_intensity else lam_steps[s]
                 use_comp = (lam_t is None) or (lam_t > 0.0)
+                kl = ck[live]
                 if use_comp:
                     x_t = atoms_steps[s] if atoms_steps is not None else atoms_const
-                    denom = 1.0 + kappa_left @ x_t.T
                     if lam_t is None:
-                        lam_rows = np.array(
-                            [jump_spec.intensity_at(t, kappa_left[i]) for i in range(m)]
-                        )[:, None]
-                        bad = (denom <= 0.0).any(axis=1)
-                        if np.any(bad & (lam_rows[:, 0] > 0.0)):
-                            raise ValueError(
-                                "jump size annihilates the whole market"
-                            )
+                        try:
+                            lam_live = np.array(
+                                [jump_spec.intensity_at(t, k) for k in kl])
+                            lam_frozen = np.array(
+                                [jump_spec.intensity_at(t, k) for k in kf])
+                        except Exception:
+                            # a pure intensity raises again at the first bad
+                            # row, so the error is the per-row loop's
+                            for i in range(m):
+                                jump_spec.intensity_at(t, ck[rc[i]])
+                            raise
+                    # a spent cohort still has to pass the checks that its
+                    # unmoved rows always passed
+                    if kf.size:
+                        bad = (1.0 + kf @ x_t.T <= 0.0).any(axis=1)
+                        if lam_t is None:
+                            bad &= lam_frozen > 0.0
                         if bad.any():
-                            # rows with zero intensity never use the moment
-                            denom[bad] = 1.0
-                    else:
-                        lam_rows = lam_t
-                        if np.any(denom <= 0.0):
                             raise ValueError(
-                                "jump size annihilates the whole market"
-                            )
-                    i1 = lam_rows * ((jump_spec.probs / denom) @ x_t)
-                    comp = i1 - np.einsum("ij,ij->i", kappa_left, i1)[:, None]
-                    factor = 1.0 - comp * dt
-                    if jump_spec.max_jumps is not None:
-                        # a truncated point process carries no compensator
-                        # once its jump budget is spent
-                        factor[jump_count[lo:hi] >= jump_spec.max_jumps] = 1.0
-                else:
-                    factor = None
-                # the continuous engine's step; dead coordinates ride
-                # along at -inf
-                if not zero_c:
-                    c, sigma = cov(t, kappa)
-                    kappa = _balanced_step(logk, kappa, dw[:, j], c, sigma,
-                                           dt, diag)
-                if factor is not None:
-                    knew = kappa * factor
-                    # touch only the rows the factor actually moves, so a
-                    # path with a spent jump budget stays frozen bit for bit
-                    rows = np.flatnonzero((knew != kappa).any(axis=1))
-                    if rows.size:
-                        ksub = knew[rows]
-                        dying = (ksub < DEATH_THRESHOLD) & (kappa[rows] > 0.0)
-                        if dying.any():
-                            rsub, cols = np.nonzero(dying)
-                            for rr, cc in zip(rsub, cols):
-                                zeta[lo + rows[rr], cc] = t_end
-                                mode[lo + rows[rr], cc] = CONTINUOUS_VANISH
-                            ksub[dying] = 0.0
-                        with np.errstate(divide="ignore"):
-                            lsub = np.where(ksub > 0.0, np.log(ksub), -np.inf)
-                        ksub = _renormalize_log(lsub, diag)
-                        logk[rows] = lsub
-                        kappa[rows] = ksub
+                                "jump size annihilates the whole market")
+                if ids.size:
+                    ll = cl[live]
+                    if use_comp:
+                        # compensator factor from the left state
+                        denom = 1.0 + kl @ x_t.T
+                        if lam_t is None:
+                            lam_rows = lam_live[:, None]
+                            bad = (denom <= 0.0).any(axis=1)
+                            if np.any(bad & (lam_live > 0.0)):
+                                raise ValueError(
+                                    "jump size annihilates the whole market"
+                                )
+                            if bad.any():
+                                # rows with zero intensity never use the moment
+                                denom[bad] = 1.0
+                        else:
+                            lam_rows = lam_t
+                            if np.any(denom <= 0.0):
+                                raise ValueError(
+                                    "jump size annihilates the whole market"
+                                )
+                        i1 = lam_rows * ((jump_spec.probs / denom) @ x_t)
+                        comp = i1 - np.einsum("ij,ij->i", kl, i1)[:, None]
+                        factor = 1.0 - comp * dt
+                        if budget is not None and diffusion:
+                            # a truncated point process carries no
+                            # compensator once its jump budget is spent
+                            # (only diffusion steps spent rows at all)
+                            factor[cspent] = 1.0
+                    else:
+                        factor = None
+                    # the continuous engine's step; dead coordinates ride
+                    # along at -inf
+                    if diffusion:
+                        c, sigma = cov(t, kl)
+                        kl = _balanced_step(ll, kl, dw[:, j], c, sigma, dt, diag)
+                    if factor is not None:
+                        knew = kl * factor
+                        # touch only the rows the factor actually moves, so a
+                        # path with a spent jump budget stays frozen bit for bit
+                        rows = np.flatnonzero((knew != kl).any(axis=1))
+                        if rows.size:
+                            ksub = knew[rows]
+                            dying = (ksub < DEATH_THRESHOLD) & (kl[rows] > 0.0)
+                            if dying.any():
+                                rsub, cols = np.nonzero(dying)
+                                for rr, cc in zip(rsub, cols):
+                                    members = lo + np.flatnonzero(rc == ids[rows[rr]])
+                                    zeta[members, cc] = t_end
+                                    mode[members, cc] = CONTINUOUS_VANISH
+                                ksub[dying] = 0.0
+                            with np.errstate(divide="ignore"):
+                                lsub = np.where(ksub > 0.0, np.log(ksub), -np.inf)
+                            ksub = _renormalize_log(
+                                lsub, diag, None if w is None else w[rows])
+                            ll[rows] = lsub
+                            kl[rows] = ksub
+                    if diffusion:
+                        ck = kl
+                    elif not isinstance(live, slice):
+                        ck[live] = kl
+                        cl[live] = ll
                 # jump events inside (t, t_end]
-                while True:
+                while tau_min <= t_end:
                     due = np.flatnonzero(next_tau <= t_end)
                     if due.size == 0:
                         break
+                    diag.n_jump_candidates += due.size
                     for i in due:
                         tau = next_tau[i]
-                        kap_i = kappa[i]
+                        cid = rc[i]
+                        kap_i = ck[cid]
                         lam_tau = jump_spec.intensity_at(tau, kap_i)
                         if jgens[i].uniform() <= lam_tau / lam_max:
                             x = jump_spec.sample_jump(tau, kap_i, jgens[i])
@@ -486,29 +568,42 @@ def simulate_jump_balanced(
                                 zeta[lo + i, cc] = tau
                                 mode[lo + i, cc] = JUMP_TO_ZERO
                             knew_i = knew_i / knew_i.sum()
-                            kappa[i] = knew_i
+                            if csize[cid] > 1:
+                                # the path leaves its cohort for a new one
+                                csize[cid] -= 1
+                                cid = rc[i] = nc
+                                csize[cid] = 1
+                                nc += 1
+                                regroup = True
+                            ck[cid] = knew_i
                             with np.errstate(divide="ignore"):
-                                logk[i] = np.where(
+                                cl[cid] = np.where(
                                     knew_i > 0.0, np.log(knew_i), -np.inf
                                 )
+                            diag.n_jumps_accepted += 1
                             jump_count[lo + i] += 1
                             if np.isnan(first_jump[lo + i]):
                                 first_jump[lo + i] = tau
-                            if (
-                                jump_spec.max_jumps is not None
-                                and jump_count[lo + i] >= jump_spec.max_jumps
-                            ):
+                            if budget is not None and jump_count[lo + i] >= budget:
+                                cspent[cid] = True
+                                regroup = True
                                 next_tau[i] = np.inf
                                 budget_out[lo + i] = tau
                                 continue
                         next_tau[i] = tau + jgens[i].exponential(1.0 / lam_max)
+                    tau_min = next_tau.min()
                 idx = stored_pos.get(s + 1)
                 if idx is not None:
-                    kappa_out[lo:hi, idx] = kappa
+                    kappa_out[lo:hi, idx] = ck if diffusion else ck[rc]
             step += blk
         return diag
 
-    diag = _run_chunked(worker, n_paths, n_threads)
+    if draws:
+        diag = _run_chunked(worker, n_paths, n_threads)
+    else:
+        # no draws to buffer, and cohorts share most across the whole
+        # ensemble: one chunk on the calling thread
+        diag = worker(0, n_paths) if n_paths else EngineDiagnostics()
     ps = PathSet(
         grid=grid,
         n_paths=n_paths,
@@ -997,6 +1092,10 @@ def example_death_of_company(
     the analytic comparison runs over the whole ensemble: ``sup_error`` is
     the worst deviation of any stored pre-jump weight from the closed form,
     and ``death_time_err`` the worst |zeta - 2 log 2| over dying paths.
+    The engine advances that shared flow once per step for all paths that
+    have not jumped, and a path's single jump spends its budget and freezes
+    it, so the run costs about one step per grid point plus one per jump,
+    whatever ``n_threads``.
     """
     if grid.dt > 1e-3:
         raise ValueError("the analytic comparison needs dt <= 1e-3")

@@ -78,13 +78,22 @@ def path_generator(seed: int, stream: int, path_index: int) -> np.random.Generat
 
 @dataclass
 class EngineDiagnostics:
-    """Online health counters accumulated during a simulation."""
+    """Online health counters accumulated during a simulation.
+
+    The jump engine adds thinning candidates examined, jumps accepted and
+    the largest number of distinct states (cohorts) it stepped at once.
+    Counts add up over path chunks, and so do the cohort peaks: with
+    diffusion every path is its own cohort, and the sum is the path count.
+    """
 
     max_simplex_defect: float = 0.0
     max_prerenorm_defect: float = 0.0
     sum_prerenorm_defect: float = 0.0
     n_prerenorm_samples: int = 0
     n_clamped: int = 0
+    n_jump_candidates: int = 0
+    n_jumps_accepted: int = 0
+    max_live_cohorts: int = 0
 
     @property
     def mean_prerenorm_defect(self) -> float:
@@ -100,6 +109,9 @@ class EngineDiagnostics:
         self.sum_prerenorm_defect += other.sum_prerenorm_defect
         self.n_prerenorm_samples += other.n_prerenorm_samples
         self.n_clamped += other.n_clamped
+        self.n_jump_candidates += other.n_jump_candidates
+        self.n_jumps_accepted += other.n_jumps_accepted
+        self.max_live_cohorts += other.max_live_cohorts
 
 
 @dataclass
@@ -172,12 +184,15 @@ def _run_chunked(worker, n_paths: int, n_threads: int) -> EngineDiagnostics:
     return diag
 
 
-def _renormalize_log(logk: np.ndarray, diag: EngineDiagnostics) -> np.ndarray:
+def _renormalize_log(logk: np.ndarray, diag: EngineDiagnostics,
+                     weights: np.ndarray | None = None) -> np.ndarray:
     """Project log-weights back onto the simplex; returns the weights.
 
     Tracks the pre-renormalization defect |sum(exp(logk)) - 1|, which must
     shrink linearly in dt for the scheme to be consistent.  A -inf entry
     marks a coordinate pinned at weight zero and passes through untouched.
+    ``weights`` counts each row as that many paths in the statistics (a
+    row of the jump engine can stand for a whole cohort of paths).
     """
     clip_mask = (logk < _LOG_FLOOR) & (logk > -np.inf)
     if clip_mask.any():
@@ -188,8 +203,12 @@ def _renormalize_log(logk: np.ndarray, diag: EngineDiagnostics) -> np.ndarray:
     s = w.sum(axis=1, keepdims=True)
     pre = np.abs(np.exp(mx[:, 0]) * s[:, 0] - 1.0)
     diag.max_prerenorm_defect = max(diag.max_prerenorm_defect, float(pre.max()))
-    diag.sum_prerenorm_defect += float(pre.sum())
-    diag.n_prerenorm_samples += pre.size
+    if weights is None:
+        diag.sum_prerenorm_defect += float(pre.sum())
+        diag.n_prerenorm_samples += pre.size
+    else:
+        diag.sum_prerenorm_defect += float(pre @ weights)
+        diag.n_prerenorm_samples += int(weights.sum())
     logk -= mx + np.log(s)
     kappa = np.exp(logk)
     defect = float(np.abs(kappa.sum(axis=1) - 1.0).max())
@@ -623,5 +642,8 @@ def pathset_summary(ps: PathSet, checkpoint_times=None) -> dict:
             "max_prerenorm_defect": ps.diagnostics.max_prerenorm_defect,
             "mean_prerenorm_defect": ps.diagnostics.mean_prerenorm_defect,
             "n_clamped": ps.diagnostics.n_clamped,
+            "n_jump_candidates": ps.diagnostics.n_jump_candidates,
+            "n_jumps_accepted": ps.diagnostics.n_jumps_accepted,
+            "max_live_cohorts": ps.diagnostics.max_live_cohorts,
         },
     }

@@ -1,0 +1,242 @@
+"""Zero-diffusion jump markets: cohort stepping against a per-row loop.
+
+Without diffusion the jump engine stores and steps each distinct state
+(cohort) once.  These tests pin that to a loop that keeps one state per
+path and steps every path, the way the engine worked before paths shared
+states, and check that paths frozen by a spent jump budget still fail the
+checks their states fail.
+"""
+
+import numpy as np
+import pytest
+
+from balmarkets.jump_markets import (
+    ALIVE,
+    CONTINUOUS_VANISH,
+    DEATH_THRESHOLD,
+    JUMP_TO_ZERO,
+    JumpSpec,
+    _T_DEATH,
+    _example_size,
+    simulate_jump_balanced,
+)
+from balmarkets.market_model import PathGrid, ProcessSpec
+from balmarkets.sde_engine import (
+    STREAM_JUMP,
+    EngineDiagnostics,
+    _renormalize_log,
+    _stored_steps,
+    path_generator,
+)
+
+
+def _per_row_reference(spec, kappa0, grid, n_paths, seed, store_every):
+    """The zero-diffusion jump engine with one state row per path.
+
+    Every step evaluates the compensator on all rows at once and thins each
+    path's candidates on its own jump stream; returns the arrays of
+    ``simulate_jump_balanced`` for one chunk of ``n_paths`` rows, and the
+    diagnostics of its renormalizations.
+    """
+    kappa0 = kappa0 / kappa0.sum()
+    d = len(kappa0)
+    n = n_paths
+    lam_max = spec.lam_max
+    budget = spec.max_jumps
+    state_intensity = spec.intensity.depends_on_state()
+    stored = _stored_steps(grid.n_steps, store_every)
+    stored_pos = {int(s): i for i, s in enumerate(stored)}
+    kappa_out = np.empty((n, len(stored), d))
+    zeta = np.full((n, d), np.inf)
+    mode = np.full((n, d), ALIVE, dtype="<U16")
+    jump_count = np.zeros(n, dtype=np.int64)
+    first_jump = np.full(n, np.nan)
+    budget_out = np.full(n, np.inf)
+    if budget == 0:
+        budget_out[:] = grid.t0
+    jgens = [path_generator(seed, STREAM_JUMP, p) for p in range(n)]
+    next_tau = np.full(n, np.inf)
+    if lam_max > 0.0 and (budget is None or budget > 0):
+        for i in range(n):
+            next_tau[i] = grid.t0 + jgens[i].exponential(1.0 / lam_max)
+    with np.errstate(divide="ignore"):
+        logk = np.tile(np.where(kappa0 > 0.0, np.log(kappa0), -np.inf), (n, 1))
+    for i0 in np.flatnonzero(kappa0 == 0.0):
+        zeta[:, i0] = grid.t0
+        mode[:, i0] = CONTINUOUS_VANISH
+    kappa = np.tile(kappa0, (n, 1))
+    kappa_out[:, 0] = kappa0
+    diag = EngineDiagnostics()
+    for s in range(grid.n_steps):
+        t = grid.t0 + s * grid.dt
+        t_end = grid.t0 + (s + 1) * grid.dt
+        lam_t = None if state_intensity else spec.intensity_at(t)
+        if lam_t is None or lam_t > 0.0:
+            x_t = spec.atoms_at(t)
+            denom = 1.0 + kappa @ x_t.T
+            if lam_t is None:
+                lam_rows = np.array(
+                    [spec.intensity_at(t, kappa[i]) for i in range(n)])[:, None]
+                bad = (denom <= 0.0).any(axis=1)
+                if np.any(bad & (lam_rows[:, 0] > 0.0)):
+                    raise ValueError("jump size annihilates the whole market")
+                denom[bad] = 1.0
+            else:
+                lam_rows = lam_t
+                if np.any(denom <= 0.0):
+                    raise ValueError("jump size annihilates the whole market")
+            i1 = lam_rows * ((spec.probs / denom) @ x_t)
+            comp = i1 - np.einsum("ij,ij->i", kappa, i1)[:, None]
+            factor = 1.0 - comp * grid.dt
+            if budget is not None:
+                factor[jump_count >= budget] = 1.0
+            knew = kappa * factor
+            rows = np.flatnonzero((knew != kappa).any(axis=1))
+            if rows.size:
+                ksub = knew[rows]
+                dying = (ksub < DEATH_THRESHOLD) & (kappa[rows] > 0.0)
+                for rr, cc in zip(*np.nonzero(dying)):
+                    zeta[rows[rr], cc] = t_end
+                    mode[rows[rr], cc] = CONTINUOUS_VANISH
+                ksub[dying] = 0.0
+                with np.errstate(divide="ignore"):
+                    lsub = np.where(ksub > 0.0, np.log(ksub), -np.inf)
+                ksub = _renormalize_log(lsub, diag)
+                logk[rows] = lsub
+                kappa[rows] = ksub
+        for i in np.flatnonzero(next_tau <= t_end):
+            while next_tau[i] <= t_end:
+                tau = next_tau[i]
+                if jgens[i].uniform() <= spec.intensity_at(tau, kappa[i]) / lam_max:
+                    x = spec.sample_jump(tau, kappa[i], jgens[i])
+                    base = 1.0 + kappa[i] @ x
+                    if base <= 0.0:
+                        raise ValueError("jump size annihilates the whole market")
+                    knew_i = kappa[i] * (1.0 + x) / base
+                    newly_dead = (knew_i < DEATH_THRESHOLD) & (kappa[i] > 0.0)
+                    knew_i[newly_dead] = 0.0
+                    zeta[i, newly_dead] = tau
+                    mode[i, newly_dead] = JUMP_TO_ZERO
+                    kappa[i] = knew_i / knew_i.sum()
+                    with np.errstate(divide="ignore"):
+                        logk[i] = np.where(kappa[i] > 0.0, np.log(kappa[i]), -np.inf)
+                    jump_count[i] += 1
+                    if np.isnan(first_jump[i]):
+                        first_jump[i] = tau
+                    if budget is not None and jump_count[i] >= budget:
+                        next_tau[i] = np.inf
+                        budget_out[i] = tau
+                        continue
+                next_tau[i] = tau + jgens[i].exponential(1.0 / lam_max)
+        idx = stored_pos.get(s + 1)
+        if idx is not None:
+            kappa_out[:, idx] = kappa
+    return {"kappa": kappa_out, "zeta": zeta, "death_mode": mode,
+            "jump_count": jump_count, "first_jump_time": first_jump,
+            "budget_exhausted_time": budget_out}, diag
+
+
+def _engine(spec, kappa0, grid, n_paths, seed, store_every):
+    d = len(kappa0)
+    ps, rec = simulate_jump_balanced(
+        ProcessSpec.constant(np.zeros((d, d))), spec, kappa0, grid, n_paths,
+        seed, store_every=store_every)
+    return {"kappa": ps.kappa, "zeta": rec.zeta, "death_mode": rec.death_mode,
+            "jump_count": rec.jump_count, "first_jump_time": rec.first_jump_time,
+            "budget_exhausted_time": rec.budget_exhausted_time}, ps.diagnostics
+
+
+def _random_market(d, state_intensity, max_jumps, seed):
+    """1-3 finite atoms with one coordinate at -1, and a random start."""
+    rng = np.random.default_rng(seed)
+    n_atoms = int(rng.integers(1, 4))
+    atoms = rng.uniform(-0.9, 1.5, size=(n_atoms, d))
+    atoms[rng.integers(n_atoms), rng.integers(d)] = -1.0
+    probs = rng.dirichlet(np.ones(n_atoms))
+    lam_max = float(rng.uniform(1.0, 3.0))
+    if state_intensity:
+        w = rng.uniform(0.0, 1.0, size=d)
+        w /= w.max()
+        intensity = ProcessSpec.state_function(
+            lambda t, k: lam_max * (0.2 + 0.8 * float(w @ k)))
+    else:
+        intensity = ProcessSpec.constant(lam_max)
+    spec = JumpSpec.finite_atoms(intensity, lam_max, atoms, probs,
+                                 max_jumps=max_jumps)
+    return spec, rng.dirichlet(np.full(d, 2.0))
+
+
+def _assert_identical(got, ref, label):
+    for key, val in ref.items():
+        assert np.array_equal(got[key], val, equal_nan=val.dtype.kind == "f"), (
+            f"{key} differs from the per-row loop: {label}")
+
+
+@pytest.mark.parametrize("max_jumps", [None, 1, 2])
+@pytest.mark.parametrize("state_intensity", [False, True])
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_cohort_stepping_matches_per_row_loop(d, state_intensity, max_jumps):
+    grid = PathGrid(dt=1e-3, n_steps=200)
+    for trial in range(2):
+        seed = 1000 * d + 10 * trial + 2 * state_intensity + (max_jumps or 0)
+        spec, kappa0 = _random_market(d, state_intensity, max_jumps, seed)
+        label = f"d={d}, trial {trial}"
+        try:
+            ref, ref_diag = _per_row_reference(spec, kappa0, grid, 24, seed, 7)
+        except ValueError as err:
+            # the compensator can drive a market out of the jump domain;
+            # the engine must then fail the same way
+            with pytest.raises(ValueError, match=str(err)):
+                _engine(spec, kappa0, grid, 24, seed, 7)
+            continue
+        got, diag = _engine(spec, kappa0, grid, 24, seed, 7)
+        _assert_identical(got, ref, label)
+        assert 0 < diag.n_jumps_accepted == int(ref["jump_count"].sum())
+        assert diag.n_jump_candidates >= diag.n_jumps_accepted
+        # jumped paths with budget left step on as cohorts of their own
+        assert (max_jumps == 1) == (diag.max_live_cohorts == 1), label
+        # a cohort counts once per member in the defect statistics
+        assert diag.n_prerenorm_samples == ref_diag.n_prerenorm_samples
+        assert diag.max_prerenorm_defect == ref_diag.max_prerenorm_defect
+        assert diag.mean_prerenorm_defect == pytest.approx(
+            ref_diag.mean_prerenorm_defect, rel=1e-9)
+
+
+@pytest.mark.parametrize("max_jumps", [None, 2])
+@pytest.mark.parametrize("n_paths", [1, 2, 40])
+def test_cohort_deaths_reach_every_member(n_paths, max_jumps):
+    # the death example's law: paths that have not jumped by 2 log 2 lose
+    # company 2 to the compensator flow together, as one cohort
+    intensity = ProcessSpec.time_table(
+        [0.0, _T_DEATH - 1e-9, _T_DEATH, _T_DEATH + 1.0], [1.0, 1.0, 0.0, 0.0])
+    spec = JumpSpec.finite_atoms(intensity, 1.0, _example_size, [1.0],
+                                 max_jumps=max_jumps)
+    kappa0 = np.array([0.5, 0.5])
+    grid = PathGrid(dt=2e-3, n_steps=750)
+    got, _ = _engine(spec, kappa0, grid, n_paths, 23, 5)
+    ref, _ = _per_row_reference(spec, kappa0, grid, n_paths, 23, 5)
+    _assert_identical(got, ref, f"{n_paths} paths")
+    if n_paths == 40:
+        vanished = ref["death_mode"][:, 1] == CONTINUOUS_VANISH
+        assert 1 < vanished.sum() < n_paths
+
+
+@pytest.mark.parametrize("state_intensity", [False, True])
+def test_spent_path_still_fails_the_annihilation_check(state_intensity):
+    # early jumps kill company 2 and spend the one-jump budget, freezing
+    # those paths at (1, 0); from t = 0.1 on the atom (-1, 0) would wipe
+    # out that frozen market, while paths that never jumped keep a
+    # positive company 2 and stay inside the jump domain
+    def atoms(t):
+        return np.array([[0.0, -1.0]]) if t < 0.1 else np.array([[-1.0, 0.0]])
+
+    intensity = (ProcessSpec.state_function(lambda t, k: 5.0)
+                 if state_intensity else ProcessSpec.constant(5.0))
+    spec = JumpSpec.finite_atoms(intensity, 5.0, atoms, [1.0], max_jumps=1)
+    grid = PathGrid(dt=1e-3, n_steps=300)
+    c0 = ProcessSpec.constant(np.zeros((2, 2)))
+    early = simulate_jump_balanced(
+        c0, spec, [0.5, 0.5], PathGrid(dt=1e-3, n_steps=99), 64, 31)[1]
+    assert early.died(1).any() and not early.died(1).all()
+    with pytest.raises(ValueError, match="annihilates"):
+        simulate_jump_balanced(c0, spec, [0.5, 0.5], grid, 64, 31)

@@ -75,15 +75,20 @@ def _short_run(engine, n_paths, n_threads):
         ps = simulate_capitalizations(params, grid, n_paths, 17, n_threads=n_threads)
         return {"kappa": ps.kappa, "caps": ps.caps}
     atoms = np.array([[0.4, -0.2, 0.1], [-0.5, 0.3, 0.0], [0.5, -0.8, -1.0]])
+    # without diffusion, paths share states until their one jump, and
+    # the atom at -1 kills companies
+    zero_c = engine == "jump_zero_c"
     spec = JumpSpec.finite_atoms(ProcessSpec.constant(5.0), lam_max=5.0,
-                                 atoms=atoms, probs=[0.5, 0.3, 0.2])
-    ps, rec = simulate_jump_balanced(ProcessSpec.constant(C3), spec, K3, grid,
+                                 atoms=atoms, probs=[0.5, 0.3, 0.2],
+                                 max_jumps=1 if zero_c else None)
+    c = np.zeros((3, 3)) if zero_c else C3
+    ps, rec = simulate_jump_balanced(ProcessSpec.constant(c), spec, K3, grid,
                                      n_paths, 17, n_threads=n_threads)
     return {"kappa": ps.kappa, "zeta": rec.zeta, "death_mode": rec.death_mode,
             "jump_count": rec.jump_count, "first_jump": rec.first_jump_time}
 
 
-@pytest.mark.parametrize("engine", ["balanced", "caps", "jump"])
+@pytest.mark.parametrize("engine", ["balanced", "caps", "jump", "jump_zero_c"])
 def test_thread_count_does_not_change_paths(engine):
     # uneven path counts split into uneven chunks; 1025 also exceeds one
     # chunk at a single thread

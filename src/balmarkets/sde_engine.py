@@ -557,17 +557,24 @@ def _write_paths_csv(ps: PathSet, path, columns, header: str,
 
     ``columns`` are (n_paths, n_stored, k) arrays printed with ``%.17g``;
     ``suffix``, when given, holds one preformatted string per path that ends
-    each of its rows.  Rows are formatted ``_BLOCK_STEPS`` at a time with a
-    single ``%`` and hashed as they are written.
+    each of its rows.  Each stored step's ``step,t`` is formatted once, and
+    so is each distinct data row: a row whose bits equal those of the row
+    one stored step back (a frozen path) or one path back (a shared cohort)
+    reuses that row's text, so the bytes are those of formatting every row.
+    Rows go out ``_BLOCK_STEPS`` at a time and are hashed as they are
+    written; a block looks back at most ``ns`` rows, the previous path.
     """
     n, ns = ps.kappa.shape[:2]
-    width = 3 + sum(col.shape[-1] for col in columns)
-    row = "%d,%d" + ",%.17g" * (width - 2)
-    if suffix is not None:
-        row += ",%s"
+    width = sum(col.shape[-1] for col in columns)
+    data_fmt = ",".join(["%.17g"] * width) + "\n"
     flat = [col.reshape(n * ns, -1) for col in columns]
-    steps = ps.stored_steps.astype(float)
-    times = ps.times()
+    prefix = np.array(
+        ["%d,%.17g," % kt for kt in zip(ps.stored_steps.tolist(),
+                                        ps.times().tolist())],
+        dtype=object,
+    )
+    ends = np.full(n, "\n", dtype=object) if suffix is None else "," + suffix + "\n"
+    tail = np.empty(0, dtype=object)  # text of the previous min(lo, ns) rows
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
         head = (header + "\n").encode()
@@ -575,19 +582,42 @@ def _write_paths_csv(ps: PathSet, path, columns, header: str,
         digest.update(head)
         for lo in range(0, n * ns, _BLOCK_STEPS):
             hi = min(lo + _BLOCK_STEPS, n * ns)
+            # window: the previous path's rows (already text), then the block
+            wlo = max(0, lo - ns)
+            # one row per column: comparisons reduce over the short axis
+            data = np.concatenate([f[wlo:hi].T for f in flat])
+            bits = data.view(np.uint64)
+            idx = np.arange(hi - wlo)
+            body = idx >= lo - wlo
+            # each block row's source: the row one step back if equal, else
+            # the row one path back if equal, else itself
+            src = idx.copy()
+            back = np.zeros(idx.size, dtype=bool)
+            back[ns:] = (bits[:, ns:] == bits[:, :-ns]).all(axis=0)
+            src[back & body] -= ns
+            back[1:] = (bits[:, 1:] == bits[:, :-1]).all(axis=0)
+            back &= body & ((idx + wlo) % ns > 0)
+            src[back] = idx[back] - 1
+            while True:  # pointer jumping to the head of each chain
+                nxt = src[src]
+                if np.array_equal(nxt, src):
+                    break
+                src = nxt
+            own = np.flatnonzero(body & (src == idx))
+            text = np.empty(idx.size, dtype=object)
+            text[: lo - wlo] = tail
+            text[own] = ((data_fmt * own.size) % tuple(
+                data.T[own].ravel().tolist())).split("\n")[:-1]
+            text = text[src]
             p, k = np.divmod(np.arange(lo, hi), ns)
-            block = np.column_stack(
-                [p, steps[k], times[k]] + [f[lo:hi] for f in flat]
-            )
-            if suffix is not None:
-                cells = np.empty((hi - lo, width + 1), dtype=object)
-                cells[:, :width] = block
-                cells[:, width] = suffix[p]
-                block = cells
-            fmt = (row + "\n") * (hi - lo)
-            text = (fmt % tuple(block.ravel().tolist())).encode()
-            fh.write(text)
-            digest.update(text)
+            lead = np.array(["%d," % q for q in range(p[0], p[-1] + 1)],
+                            dtype=object)
+            cells = np.stack([lead[p - p[0]], prefix[k], text[body], ends[p]],
+                             axis=1)
+            chunk = "".join(cells.ravel().tolist()).encode()
+            fh.write(chunk)
+            digest.update(chunk)
+            tail = text[max(0, hi - ns) - wlo:]
     return digest.hexdigest()
 
 

@@ -327,3 +327,39 @@ def test_indistinguishable_companies_have_zero_distance():
     ps.kappa[:] = 0.5
     d01 = pairwise_distance_jump(ps, 0, 1, spec, lifetimes=rec)
     assert d01 == pytest.approx(0.0, abs=1e-12)
+
+
+def test_accepted_jump_takes_the_atoms_of_its_own_time():
+    # every candidate is accepted and spends the one-jump budget; without
+    # diffusion the path then stays at its post-jump state.  The atoms grow
+    # across a step, so the atoms the engine evaluates at the step's grid
+    # times would give a different state from atoms(tau).
+    def atoms(t):
+        return np.array([[0.0, 1.0 + 4.0 * t]])
+
+    spec = JumpSpec.finite_atoms(2.0, lam_max=2.0, atoms=atoms, probs=[1.0],
+                                 max_jumps=1)
+    grid = PathGrid(dt=0.1, n_steps=5)
+    ps, rec = simulate_jump_balanced(ProcessSpec.constant(np.zeros((2, 2))),
+                                     spec, [0.5, 0.5], grid, 200, 8)
+    tau = rec.first_jump_time
+    never = np.flatnonzero(np.isnan(tau))
+    jumped = np.flatnonzero(~np.isnan(tau))
+    assert never.size and jumped.size > 100
+    # the unjumped cohort carries the state each jump starts from
+    base = ps.kappa[never[0]]
+    times = ps.times()
+    for p in jumped:
+        s = int(np.searchsorted(times, tau[p])) - 1  # tau in (t_s, t_s+1]
+        pre = base[s + 1]
+
+        def post(x):
+            k = pre * (1.0 + x) / (1.0 + pre @ x)
+            return k / k.sum()
+
+        np.testing.assert_allclose(ps.kappa[p, -1], post(atoms(tau[p])[0]),
+                                   rtol=1e-14)
+        for t_grid in (times[s], times[s + 1]):
+            if abs(t_grid - tau[p]) > 1e-3:
+                err = np.abs(ps.kappa[p, -1] - post(atoms(t_grid)[0])).max()
+                assert err > 1e-6

@@ -1,10 +1,13 @@
 """Path simulation engines: invariants, reproducibility, serialization."""
 
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from balmarkets import scenario_cli, sde_engine
 from balmarkets.errors import NumericalOverflow, ShapeMismatch
 from balmarkets.jump_markets import (
     JumpSpec,
@@ -24,6 +27,7 @@ from balmarkets.sde_engine import (
     simulate_capitalizations,
     simulate_relative_caps_balanced,
 )
+from balmarkets.scenario_cli import BUILTINS, parse_config, run_scenario
 
 C3 = np.array([
     [0.09, 0.02, 0.01],
@@ -369,3 +373,128 @@ def test_jump_csv_bytes_match_row_writer(tmp_path):
     ref = (tmp_path / "ref.csv").read_bytes()
     assert (tmp_path / "block.csv").read_bytes() == ref
     assert digest == hashlib.sha256(ref).hexdigest()
+
+
+# Bit patterns the writer must keep apart although they format alike or
+# compare equal as floats: signed zeros and NaNs with different payloads.
+_NAN_PAYLOAD = np.array([0x7FF8000000000001], dtype=np.uint64).view(float)[0]
+_POOL = np.array([0.0, -0.0, np.nan, _NAN_PAYLOAD, -np.nan, np.inf, -np.inf,
+                  5e-324, 0.1, 1.0 / 3.0, 0.25, 1e300])
+
+
+def _flip_twins(rows):
+    """Rows that differ from ``rows`` only in the bits of zeros and NaNs."""
+    out = rows.copy()
+    out[rows == 0.0] = np.where(np.signbit(rows[rows == 0.0]), 0.0, -0.0)
+    nan = np.isnan(rows)
+    out[nan] = np.where(rows[nan].view(np.uint64) == _POOL[2:3].view(np.uint64),
+                        _NAN_PAYLOAD, np.nan)
+    return out
+
+
+@st.composite
+def _repeating_pathsets(draw):
+    """Small path sets full of frozen paths, shared cohorts and near twins,
+    with a block size small enough that every chain crosses blocks."""
+    n = draw(st.integers(1, 6))
+    ns = draw(st.integers(1, 16))
+    d = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["kappa", "caps", "jump"]))
+    block = draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    width = 2 * d if kind == "caps" else d
+    rows = _POOL[rng.integers(0, _POOL.size, size=(n, ns, width))]
+    for p in range(n):
+        for k in range(ns):
+            u = rng.random()
+            if u < 0.35 and k > 0:  # frozen: one stored step back
+                rows[p, k] = rows[p, k - 1]
+            elif u < 0.65 and p > 0:  # cohort: one path back
+                rows[p, k] = rows[p - 1, k]
+            elif u < 0.75 and k > 0:
+                rows[p, k] = _flip_twins(rows[p, k - 1])
+            elif u < 0.85 and p > 0:
+                rows[p, k] = _flip_twins(rows[p - 1, k])
+    grid = PathGrid(dt=0.1, n_steps=3 * max(ns - 1, 1))
+    ps = PathSet(grid=grid, n_paths=n, seed=0, kappa=rows[..., :d],
+                 stored_steps=np.arange(ns) * 3,
+                 caps=rows[..., d:] if kind == "caps" else None)
+    rec = None
+    if kind == "jump":
+        zeta = _POOL[rng.integers(0, _POOL.size, size=(n, d))]
+        mode = rng.choice(["Alive", "ContinuousVanish", "JumpToZero"],
+                          size=(n, d))
+        rec = LifetimeRecord(zeta=zeta, death_mode=mode)
+    return ps, rec, block
+
+
+def _assert_writer_matches_reference(ps, rec, out):
+    if rec is None:
+        digest = pathset_to_csv(ps, out / "block.csv")
+        _savetxt_reference(ps, out / "ref.csv")
+    else:
+        digest = jump_pathset_to_csv(ps, rec, out / "block.csv")
+        _jump_rows_reference(ps, rec, out / "ref.csv")
+    ref = (out / "ref.csv").read_bytes()
+    assert (out / "block.csv").read_bytes() == ref
+    assert digest == hashlib.sha256(ref).hexdigest()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_repeating_pathsets())
+def test_repeated_rows_write_the_per_row_bytes(tmp_path_factory, case):
+    ps, rec, block = case
+    with mock.patch.object(sde_engine, "_BLOCK_STEPS", block):
+        _assert_writer_matches_reference(ps, rec, tmp_path_factory.mktemp("w"))
+
+
+@pytest.mark.parametrize("with_caps", [True, False])
+def test_repeat_chains_cross_full_size_blocks(tmp_path, with_caps):
+    # more stored steps than one block: path 0 is frozen for all of them,
+    # path 1 repeats it as a cohort, and path 2 differs from path 1 only
+    # in the sign of its zeros
+    ns = sde_engine._BLOCK_STEPS + 5
+    row = np.array([0.0, 0.5, np.inf])
+    kappa = np.empty((3, ns, 3))
+    kappa[0] = row
+    kappa[1] = row
+    kappa[2] = _flip_twins(row)
+    kappa[1, ns // 2] = [1.0, 0.0, 0.0]  # a break inside the cohort
+    grid = PathGrid(dt=1e-3, n_steps=ns - 1)
+    ps = PathSet(grid=grid, n_paths=3, seed=0, kappa=kappa,
+                 stored_steps=np.arange(ns),
+                 caps=2.0 * kappa if with_caps else None)
+    _assert_writer_matches_reference(ps, None, tmp_path)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_builtin_paths_csv_matches_the_per_row_writer(tmp_path, name):
+    # shrunk builtins: real cohort and frozen-row layouts, the zero-c jump
+    # example included; the horizons are too short for a limiting law
+    doc = {"builtin": name, "n_paths": 24, "store_every": 2,
+           "grid": {"T": BUILTINS[name]["grid"]["T"] / 50, "dt": 2e-3},
+           "diagnostics": {"limiting_distribution": False}}
+    if name == "example_7_2":
+        doc.update(n_paths=64, store_every=5, grid={"T": 1.5, "dt": 1e-3})
+    seen = []
+
+    def keep(writer):
+        def wrapped(*args):
+            seen.append(args[:-1])
+            return writer(*args)
+        return wrapped
+
+    with mock.patch.object(scenario_cli, "pathset_to_csv",
+                           keep(pathset_to_csv)), \
+            mock.patch.object(scenario_cli, "jump_pathset_to_csv",
+                              keep(jump_pathset_to_csv)):
+        summary = run_scenario(parse_config(doc), str(tmp_path / "run"))
+    (args,) = seen
+    ps, rec = args if len(args) == 2 else (args[0], None)
+    if rec is None:
+        _savetxt_reference(ps, tmp_path / "ref.csv")
+    else:
+        _jump_rows_reference(ps, rec, tmp_path / "ref.csv")
+    ref = (tmp_path / "ref.csv").read_bytes()
+    assert (tmp_path / "run" / "paths.csv").read_bytes() == ref
+    assert summary["digests"]["paths.csv"] == hashlib.sha256(ref).hexdigest()

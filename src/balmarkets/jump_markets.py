@@ -27,6 +27,11 @@ distinct state once per step; a path leaves its cohort at an accepted
 jump.  Such a market makes no Brownian draws unless increments are
 stored, so it runs as one chunk on the calling thread, and the thread
 count changes neither its values nor its time.
+
+The loss of balance and the pairwise distance share one kernel,
+``_growth_optimal_rows``: it certifies each row of a time slab by the
+Frank-Wolfe gap of the jump-adjusted growth rate, for any drift, and
+solves only the rows it rejects with ``growth_optimal_jump``.
 """
 
 from __future__ import annotations
@@ -87,6 +92,10 @@ JUMP_TO_ZERO = "JumpToZero"
 
 _PGD_MAX_ITER = 200
 _PGD_TOL = 1e-10
+# Relative Frank-Wolfe gap above which the jump optimizer has failed.  Its
+# objective-value backtrack cannot resolve an ascent below about sqrt(eps),
+# so converged solves can stall well above _PGD_TOL (up to about 7e-8).
+_PGD_EXIT_GAP = 1e-6
 _DOMAIN_FLOOR = 1e-12
 
 
@@ -706,7 +715,8 @@ def growth_optimal_jump(
     ascent with backtracking converges from any feasible start.  With no
     jump activity the exact quadratic solver is used instead.  ``support``
     masks out dead companies; ``kappa_state`` feeds state-dependent
-    intensities.  Returns ``(rho, g_star)``.
+    intensities.  Returns ``(rho, g_star)``; raises :class:`SolverFailure`
+    if the ascent stops at a relative Frank-Wolfe gap above _PGD_EXIT_GAP.
     """
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -772,12 +782,12 @@ def growth_optimal_jump(
         return out
 
     g_val = objective(p)
-    for _ in range(max_iter):
+    for it in range(max_iter + 1):
         grad = gradient(p)
         scale = 1.0 + float(np.abs(grad[sup]).max())
         # optimality over the sub-simplex: no vertex offers first-order gain
         gain = grad[sup].max() - float(grad @ p)
-        if gain <= tol * scale:
+        if gain <= tol * scale or it == max_iter:
             break
         lam_now = jump_spec.intensity_at(
             t, kappa_state if kappa_state is not None else p
@@ -804,6 +814,11 @@ def growth_optimal_jump(
             step *= 0.5
         if not improved:
             break
+    if gain > _PGD_EXIT_GAP * scale:
+        raise SolverFailure(
+            f"projected gradient ascent stopped at iteration {it} with a "
+            f"relative Frank-Wolfe gap of {gain / scale:.3e} at t={t:.6g}"
+        )
     return p, g_val
 
 
@@ -811,53 +826,101 @@ def growth_optimal_jump(
 # generalized diagnostics
 
 
-def _stationary_at(b, c, r, jump_spec, t, p, support, tol=_PGD_TOL) -> bool:
-    """First-order optimality of ``p`` over the living sub-simplex.
-
-    Cheap pre-check that skips the iterative solver on balanced states,
-    where the current weight vector is already growth optimal (with an
-    exactly zero gradient).
-    """
-    grad = (np.asarray(b, dtype=float) - r) - np.asarray(c, dtype=float) @ p
-    if jump_spec is not None:
-        grad = grad + jump_spec.growth_jump_gradient(t, p, p)
-    sup = np.flatnonzero(support)
-    gain = grad[sup].max() - float(grad @ p)
-    return gain <= tol * (1.0 + float(np.abs(grad[sup]).max()))
-
-
 def _batch_balanced_stationary(
-    slab: np.ndarray, jump_spec: JumpSpec, t: float, cutoff: np.ndarray,
-    tol: float = _PGD_TOL,
+    slab: np.ndarray, jump_spec: JumpSpec, t: float, active: np.ndarray,
+    excess: np.ndarray | None = None, tol: float = _PGD_TOL,
 ) -> np.ndarray:
-    """Rows of ``slab`` where the balanced drift is already growth optimal.
+    """Rows of ``slab`` whose own weights are growth optimal at time ``t``.
 
-    Vectorized mirror of ``_stationary_at`` specialized to ``b_spec=None``,
-    where the drift-minus-rate term collapses to the jump moments.  Rows
-    whose state leaves the jump domain report ``False`` so the scalar
-    fallback can raise the precise error.
+    The certificate is the Frank-Wolfe gap of the jump-adjusted growth rate
+    at each row's state, over its living companies.  ``excess`` holds each
+    row's ``b - r 1 - c kappa``; ``None`` stands for the balanced drift,
+    whose excess is ``-I1 + I2`` where the jump law is ``active`` and zero
+    elsewhere.  A state intensity is read at each active row.  Rows whose
+    state leaves the jump domain report ``False``, so that the solver
+    raises the precise error.
     """
-    n, d = slab.shape
-    past = ~(t < cutoff)
-    lam = jump_spec.intensity_at(t)
-    if lam == 0.0:
-        # balanced drift without jump activity has an exactly zero gradient
+    n = len(slab)
+    if jump_spec.intensity.depends_on_state():
+        lam = np.zeros(n)
+        lam[active] = [jump_spec.intensity_at(t, k) for k in slab[active]]
+    else:
+        lam = np.where(active, jump_spec.intensity_at(t), 0.0)
+    jumps = lam.any()
+    if excess is None and not jumps:
+        # the balanced drift without jump activity has an exactly zero
+        # gradient
         return np.ones(n, dtype=bool)
-    x = jump_spec.atoms_at(t)
-    denom = 1.0 + slab @ x.T
-    bad = (denom <= 0.0).any(axis=1) & ~past
-    denom[denom <= 0.0] = 1.0
-    small = np.linalg.norm(x, axis=1) <= 1.0
-    weights = jump_spec.probs / denom
-    i1 = lam * (weights @ x)
-    i2 = lam * ((jump_spec.probs * small) @ x)
-    gj = lam * ((weights - jump_spec.probs * small) @ x)
-    grad = -i1 + i2 + gj
-    grad[past] = 0.0
-    alive = slab > DEATH_THRESHOLD
-    gain = simplex_gap(grad, slab, alive)
-    scale = np.where(alive, np.abs(grad), 0.0).max(axis=1)
+    # rows run along the columns of these (d, n) and (K, n) arrays, so that
+    # every reduction or broadcast over a row's few entries is one
+    # whole-array operation
+    kt = np.ascontiguousarray(slab.T)
+    grad = None if excess is None else excess.T
+    bad = np.zeros(n, dtype=bool)
+    if jumps:
+        x = jump_spec.atoms_at(t)
+        denom = 1.0 + x @ kt
+        out = denom <= 0.0
+        bad = out.any(axis=0) & (lam > 0.0)
+        denom[out] = 1.0
+        trunc = jump_spec.probs * (np.linalg.norm(x, axis=1) <= 1.0)
+        weights = jump_spec.probs[:, None] / denom
+        if grad is None:
+            grad = -(lam * (x.T @ weights)) + lam * (trunc @ x)[:, None]
+        grad = grad + lam * (x.T @ (weights - trunc[:, None]))
+    alive = kt > DEATH_THRESHOLD
+    gain = simplex_gap(grad.T, kt.T, alive.T)
+    scale = np.where(alive, np.abs(grad), 0.0).max(axis=0)
     return (gain <= tol * (1.0 + scale)) & ~bad
+
+
+def _growth_optimal_rows(
+    slab: np.ndarray, t: float, jump_spec: JumpSpec, c_spec: ProcessSpec,
+    b_spec: ProcessSpec | None, r_spec: ProcessSpec, active: np.ndarray,
+    warm: dict,
+):
+    """Is each row of ``slab`` growth optimal at time ``t``, and if not,
+    what is?
+
+    Certifies every row at once (see :func:`_batch_balanced_stationary`)
+    and returns ``(certified, row)``.  ``row(p)`` gives the row's drift,
+    covariance, rate, active jump measure (``None`` where ``active[p]`` is
+    false) and growth-optimal ``rho``: the row itself where it is
+    certified, else the solution of :func:`growth_optimal_jump`,
+    warm-started from ``warm[p]`` (the last solution on that path) and
+    stored there.  ``b_spec=None`` means the balanced drift.
+    """
+    d = slab.shape[1]
+    c = c_spec.rows(t, slab, (d, d), "covariance rate c")
+    r = r_spec.rows(t, slab, (), "interest rate r")
+    excess = b = None
+    if b_spec is not None:
+        b = b_spec.rows(t, slab, (d,), "drift rate b")
+        cx = slab @ c.T if c.ndim == 2 else np.einsum("pij,pj->pi", c, slab)
+        excess = b - (r[:, None] if r.ndim else r) - cx
+    ok = _batch_balanced_stationary(slab, jump_spec, t, active, excess)
+
+    def row(p: int):
+        kap = slab[p]
+        c_p = c if c.ndim == 2 else c[p]
+        r_p = float(r[p] if r.ndim else r)
+        nu = jump_spec if active[p] else None
+        if b is not None:
+            b_p = b if b.ndim == 1 else b[p]
+        elif nu is None:
+            b_p = c_p @ kap + r_p
+        else:
+            b_p = drift_from_balance_jump(kap, c_p, nu, r_p, t)
+        if ok[p]:
+            return b_p, c_p, r_p, nu, kap
+        rho, _ = growth_optimal_jump(
+            b_p, c_p, r_p, nu, t, support=kap > DEATH_THRESHOLD,
+            warm_start=warm.get(p, kap), kappa_state=kap,
+        )
+        warm[p] = rho
+        return b_p, c_p, r_p, nu, rho
+
+    return ok, row
 
 
 def _checked_increment(inc: float, t: float) -> float:
@@ -880,105 +943,47 @@ def loss_of_balance_jump(
 ) -> np.ndarray:
     """Generalized loss-of-balance along jump-market paths.
 
-    Per stored step the growth-optimal ``rho`` over the living companies is
-    found by maximizing the jump-adjusted growth rate; the increment is
+    Per stored step the growth-optimal ``rho`` over the living companies
+    maximizes the jump-adjusted growth rate; the increment is
 
         (-rel(kappa | rho) + 0.5 <kappa-rho, c (kappa-rho)>) dt
         + integral of 1 ∧ log^2((1+<kappa,x>)/(1+<rho,x>)) dnu dt.
 
-    Without ``b_spec`` the drift is the balanced one (so a path from
-    ``simulate_jump_balanced`` accrues exactly zero).  Passing the run's
-    ``lifetimes`` switches the jump measure off per path once its jump
-    budget ran out, matching the engine.  Returns an (n_paths, n_stored)
-    array.
+    Whatever the drift, every row of a time slab is first certified by the
+    Frank-Wolfe gap at kappa: a certified row is its own ``rho`` and adds
+    exactly zero, and only the other rows are solved.  Without ``b_spec``
+    the drift is the balanced one (so a path from ``simulate_jump_balanced``
+    accrues exactly zero).  Passing the run's ``lifetimes`` switches the
+    jump measure off per path once its jump budget ran out, matching the
+    engine.  Returns an (n_paths, n_stored) array.
     """
     if ps.c_spec is None:
         raise ValueError("PathSet does not record its covariance spec")
     times = ps.times()
-    n, ns, d = ps.kappa.shape
+    n, ns, _ = ps.kappa.shape
     r_spec = r_spec if r_spec is not None else ProcessSpec.constant(0.0)
     cutoff = np.full(n, np.inf)
     if lifetimes is not None and lifetimes.budget_exhausted_time is not None:
         cutoff = np.asarray(lifetimes.budget_exhausted_time, dtype=float)
     L = np.zeros((n, ns))
-
-    # Under the balanced drift almost every (path, step) pair is already
-    # growth optimal, so check stationarity for a whole time slice at once
-    # and fall back to the per-path solver only where the check fails.
-    batch_ok = (
-        b_spec is None
-        and not ps.c_spec.depends_on_state()
-        and not r_spec.depends_on_state()
-        and not jump_spec.intensity.depends_on_state()
-        and jump_spec.has_moments
-    )
-    if batch_ok:
-        acc = np.zeros(n)
-        rho_prev: dict[int, np.ndarray] = {}
-        for k in range(ns - 1):
-            t = float(times[k])
-            dt_k = float(times[k + 1] - times[k])
-            slab = ps.kappa[:, k]
-            need = ~_batch_balanced_stationary(slab, jump_spec, t, cutoff)
-            for p in np.flatnonzero(need):
-                kap = slab[p]
-                alive = kap > DEATH_THRESHOLD
-                c = ps.c_spec.rows(t, kap, (d, d), "covariance rate c")
-                r = float(r_spec.rows(t, kap, (), "interest rate r"))
-                nu = jump_spec if t < cutoff[p] else None
-                if nu is None:
-                    b = c @ kap + r
-                else:
-                    b = drift_from_balance_jump(kap, c, nu, r, t)
-                warm = rho_prev.get(p, kap)
-                rho, _ = growth_optimal_jump(
-                    b, c, r, nu, t,
-                    support=alive, warm_start=warm, kappa_state=kap,
-                )
-                rho_prev[p] = rho
-                rel_k = rel_rate_of_return(kap, rho, b, c, nu, r, t, kappa_state=kap)
-                quad = float((kap - rho) @ c @ (kap - rho))
-                inc = -rel_k + 0.5 * quad
-                if nu is not None:
-                    inc += nu.loss_jump_integrand(t, kap, rho)
-                acc[p] += _checked_increment(inc, t) * dt_k
-            L[:, k + 1] = acc
-        return L
-
-    for p in range(n):
-        acc = 0.0
-        rho_prev = None
-        for k in range(ns - 1):
-            t = float(times[k])
-            kap = ps.kappa[p, k]
-            alive = kap > DEATH_THRESHOLD
-            c = ps.c_spec.rows(t, kap, (d, d), "covariance rate c")
-            r = float(r_spec.rows(t, kap, (), "interest rate r"))
-            nu = jump_spec if t < cutoff[p] else None
-            if b_spec is None:
-                if nu is None:
-                    b = c @ kap + r
-                else:
-                    b = drift_from_balance_jump(kap, c, nu, r, t)
-            else:
-                b = b_spec.rows(t, kap, (d,), "drift rate b")
-            if _stationary_at(b, c, r, nu, t, kap, alive):
-                rho = kap
-            else:
-                warm = rho_prev if rho_prev is not None else kap
-                rho, _ = growth_optimal_jump(
-                    b, c, r, nu, t,
-                    support=alive, warm_start=warm, kappa_state=kap,
-                )
-                rho_prev = rho
+    acc = np.zeros(n)
+    warm: dict[int, np.ndarray] = {}
+    for k in range(ns - 1):
+        t = float(times[k])
+        dt_k = float(times[k + 1] - times[k])
+        slab = ps.kappa[:, k]
+        ok, row = _growth_optimal_rows(
+            slab, t, jump_spec, ps.c_spec, b_spec, r_spec, t < cutoff, warm)
+        for p in np.flatnonzero(~ok):
+            b, c, r, nu, rho = row(p)
+            kap = slab[p]
             rel_k = rel_rate_of_return(kap, rho, b, c, nu, r, t, kappa_state=kap)
             quad = float((kap - rho) @ c @ (kap - rho))
             inc = -rel_k + 0.5 * quad
             if nu is not None:
                 inc += nu.loss_jump_integrand(t, kap, rho)
-            dt_k = float(times[k + 1] - times[k])
-            acc += _checked_increment(inc, t) * dt_k
-            L[p, k + 1] = acc
+            acc[p] += _checked_increment(inc, t) * dt_k
+        L[:, k + 1] = acc
     return L
 
 
@@ -1018,7 +1023,7 @@ def pairwise_distance_jump(
     if lifetimes is not None and lifetimes.budget_exhausted_time is not None:
         cutoff = float(lifetimes.budget_exhausted_time[path_index])
     total = 0.0
-    rho_prev = None
+    warm: dict[int, np.ndarray] = {}
     for k in range(len(times) - 1):
         t = float(times[k])
         if t >= horizon:
@@ -1029,26 +1034,10 @@ def pairwise_distance_jump(
                 f"company {i if kap[i] <= DEATH_THRESHOLD else j} is dead at "
                 f"t={t:.6g}; the distance needs both alive"
             )
-        alive = kap > DEATH_THRESHOLD
-        c = ps.c_spec.rows(t, kap, (d, d), "covariance rate c")
-        r = float(r_spec.rows(t, kap, (), "interest rate r"))
-        nu = jump_spec if t < cutoff else None
-        if b_spec is None:
-            if nu is None:
-                b = c @ kap + r
-            else:
-                b = drift_from_balance_jump(kap, c, nu, r, t)
-        else:
-            b = b_spec.rows(t, kap, (d,), "drift rate b")
-        if _stationary_at(b, c, r, nu, t, kap, alive):
-            rho = kap
-        else:
-            warm = rho_prev if rho_prev is not None else kap
-            rho, _ = growth_optimal_jump(
-                b, c, r, nu, t,
-                support=alive, warm_start=warm, kappa_state=kap,
-            )
-            rho_prev = rho
+        _, row = _growth_optimal_rows(
+            kap[None], t, jump_spec, ps.c_spec, b_spec, r_spec,
+            np.array([t < cutoff]), warm)
+        b, c, r, nu, rho = row(0)
         rel_i = rel_rate_of_return(e_i, rho, b, c, nu, r, t, kappa_state=kap)
         rel_j = rel_rate_of_return(e_j, rho, b, c, nu, r, t, kappa_state=kap)
         c_pair = c[i, i] + c[j, j] - 2.0 * c[i, j]

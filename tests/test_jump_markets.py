@@ -363,3 +363,13 @@ def test_accepted_jump_takes_the_atoms_of_its_own_time():
             if abs(t_grid - tau[p]) > 1e-3:
                 err = np.abs(ps.kappa[p, -1] - post(atoms(t_grid)[0])).max()
                 assert err > 1e-6
+
+
+def test_unconverged_jump_optimizer_raises():
+    # one ascent step leaves a relative Frank-Wolfe gap of about 0.15
+    spec = _spec(lam=2.0)
+    b = np.array([0.1, -0.05, 0.2])
+    with pytest.raises(SolverFailure, match="Frank-Wolfe gap of 1.4"):
+        growth_optimal_jump(b, C3, 0.0, spec, max_iter=1)
+    rho, _ = growth_optimal_jump(b, C3, 0.0, spec)
+    assert abs(rho.sum() - 1.0) < 1e-9

@@ -51,6 +51,21 @@ def test_weights_stay_on_the_simplex():
     assert ps.diagnostics.max_simplex_defect < 1e-12
 
 
+def test_prerenormalization_defect_shrinks_linearly_in_dt():
+    # the centered noise keeps sum(kappa) = 1 to first order, so what the
+    # renormalization removes is O(dt); without the centering it is
+    # O(sqrt(dt)) and each halving of dt only takes off a factor sqrt(2)
+    defects = []
+    for dt in (4e-3, 2e-3, 1e-3, 5e-4):
+        n_steps = round(1.0 / dt)
+        ps = simulate_relative_caps_balanced(
+            ProcessSpec.constant(C3), K3, PathGrid(dt=dt, n_steps=n_steps),
+            200, 5, store_every=n_steps)
+        defects.append(ps.diagnostics.mean_prerenorm_defect)
+    ratios = np.array(defects[:-1]) / np.array(defects[1:])
+    assert np.all((ratios >= 1.8) & (ratios <= 2.2)), (defects, ratios)
+
+
 def test_same_seed_reproduces_bit_for_bit():
     a = _weights_run(seed=42)
     b = _weights_run(seed=42)

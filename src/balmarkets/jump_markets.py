@@ -418,11 +418,12 @@ def simulate_jump_balanced(
         # diffusion every row is its own cohort.  A split only ever takes
         # one row out of a larger cohort, so there are at most m cohorts.
         nc = m if diffusion else min(m, 1)
+        # weights row-major, log-weights company-major (see _balanced_step)
         ck = np.empty((m, d))
-        cl = np.empty((m, d))
+        clt = np.empty((d, m))
         ck[:nc] = kappa0
         with np.errstate(divide="ignore"):
-            cl[:nc] = np.where(kappa0 > 0.0, np.log(kappa0), -np.inf)
+            clt[:, :nc] = np.where(kappa0 > 0.0, np.log(kappa0), -np.inf)[:, None]
         csize = np.zeros(m, dtype=np.int64)
         csize[:nc] = 1 if diffusion else m
         cspent = np.zeros(m, dtype=bool)
@@ -491,7 +492,7 @@ def simulate_jump_balanced(
                             raise ValueError(
                                 "jump size annihilates the whole market")
                 if ids.size:
-                    ll = cl[live]
+                    lt = clt[:, live]
                     if use_comp:
                         # compensator factor from the left state
                         denom = 1.0 + kl @ x_t.T
@@ -525,7 +526,7 @@ def simulate_jump_balanced(
                     # along at -inf
                     if diffusion:
                         c, sigma = cov(t, kl)
-                        kl = _balanced_step(ll, kl, dw[:, j], c, sigma, dt, diag)
+                        kl = _balanced_step(lt, kl, dw[:, j], c, sigma, dt, diag)
                     if factor is not None:
                         knew = kl * factor
                         # touch only the rows the factor actually moves, so a
@@ -542,16 +543,17 @@ def simulate_jump_balanced(
                                     mode[members, cc] = CONTINUOUS_VANISH
                                 ksub[dying] = 0.0
                             with np.errstate(divide="ignore"):
-                                lsub = np.where(ksub > 0.0, np.log(ksub), -np.inf)
+                                lsub = np.where(ksub > 0.0, np.log(ksub),
+                                                -np.inf).T.copy()
                             ksub = _renormalize_log(
                                 lsub, diag, None if w is None else w[rows])
-                            ll[rows] = lsub
-                            kl[rows] = ksub
+                            lt[:, rows] = lsub
+                            kl[rows] = ksub.T
                     if diffusion:
                         ck = kl
                     elif not isinstance(live, slice):
                         ck[live] = kl
-                        cl[live] = ll
+                        clt[:, live] = lt
                 # jump events inside (t, t_end]
                 while tau_min <= t_end:
                     due = np.flatnonzero(next_tau <= t_end)
@@ -586,7 +588,7 @@ def simulate_jump_balanced(
                                 regroup = True
                             ck[cid] = knew_i
                             with np.errstate(divide="ignore"):
-                                cl[cid] = np.where(
+                                clt[:, cid] = np.where(
                                     knew_i > 0.0, np.log(knew_i), -np.inf
                                 )
                             diag.n_jumps_accepted += 1

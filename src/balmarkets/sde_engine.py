@@ -184,9 +184,35 @@ def _run_chunked(worker, n_paths: int, n_threads: int) -> EngineDiagnostics:
     return diag
 
 
-def _renormalize_log(logk: np.ndarray, diag: EngineDiagnostics,
+def _company_sum(xt: np.ndarray) -> np.ndarray:
+    """``xt.T.sum(axis=1)`` for a company-major ``(d, rows)`` array, bit for bit.
+
+    Adds whole rows along the path axis in the order numpy sums a row of
+    ``d`` terms: sequential below 8, eight accumulators up to 128, halves
+    (at multiples of 8) above that, all after numpy's ``+0.0`` start.
+    """
+    n = len(xt)
+    if n > 128:
+        h = n // 2 - n // 2 % 8
+        return _company_sum(xt[:h]) + _company_sum(xt[h:])
+    if n < 8:
+        s = xt[0] + 0.0
+        for row in xt[1:]:
+            s += row
+        return s
+    r = xt[:8].copy()
+    for i in range(8, n - n % 8, 8):
+        r += xt[i : i + 8]
+    s = 0.0 + (((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
+    for row in xt[n - n % 8 :]:
+        s += row
+    return s
+
+
+def _renormalize_log(lt: np.ndarray, diag: EngineDiagnostics,
                      weights: np.ndarray | None = None) -> np.ndarray:
-    """Project log-weights back onto the simplex; returns the weights.
+    """Project company-major log-weights ``(d, rows)`` back onto the simplex
+    in place; returns the weights, company-major too.
 
     Tracks the pre-renormalization defect |sum(exp(logk)) - 1|, which must
     shrink linearly in dt for the scheme to be consistent.  A -inf entry
@@ -194,14 +220,13 @@ def _renormalize_log(logk: np.ndarray, diag: EngineDiagnostics,
     ``weights`` counts each row as that many paths in the statistics (a
     row of the jump engine can stand for a whole cohort of paths).
     """
-    clip_mask = (logk < _LOG_FLOOR) & (logk > -np.inf)
+    clip_mask = (lt < _LOG_FLOOR) & (lt > -np.inf)
     if clip_mask.any():
         diag.n_clamped += int(clip_mask.sum())
-        np.copyto(logk, _LOG_FLOOR, where=clip_mask)
-    mx = logk.max(axis=1, keepdims=True)
-    w = np.exp(logk - mx)
-    s = w.sum(axis=1, keepdims=True)
-    pre = np.abs(np.exp(mx[:, 0]) * s[:, 0] - 1.0)
+        np.copyto(lt, _LOG_FLOOR, where=clip_mask)
+    mx = lt.max(axis=0)
+    s = _company_sum(np.exp(lt - mx))
+    pre = np.abs(np.exp(mx) * s - 1.0)
     diag.max_prerenorm_defect = max(diag.max_prerenorm_defect, float(pre.max()))
     if weights is None:
         diag.sum_prerenorm_defect += float(pre.sum())
@@ -209,11 +234,11 @@ def _renormalize_log(logk: np.ndarray, diag: EngineDiagnostics,
     else:
         diag.sum_prerenorm_defect += float(pre @ weights)
         diag.n_prerenorm_samples += int(weights.sum())
-    logk -= mx + np.log(s)
-    kappa = np.exp(logk)
-    defect = float(np.abs(kappa.sum(axis=1) - 1.0).max())
+    lt -= mx + np.log(s)
+    kt = np.exp(lt)
+    defect = float(np.abs(_company_sum(kt) - 1.0).max())
     diag.max_simplex_defect = max(diag.max_simplex_defect, defect)
-    return kappa
+    return kt
 
 
 def _noise_rows(sigma: np.ndarray, dw: np.ndarray) -> np.ndarray:
@@ -224,15 +249,18 @@ def _noise_rows(sigma: np.ndarray, dw: np.ndarray) -> np.ndarray:
     return np.array([s @ w for s, w in zip(sigma, dw)])
 
 
-def _balanced_step(logk: np.ndarray, kappa: np.ndarray, dw_j: np.ndarray,
+def _balanced_step(lt: np.ndarray, kappa: np.ndarray, dw_j: np.ndarray,
                    c: np.ndarray, sigma: np.ndarray, dt: float,
                    diag: EngineDiagnostics) -> np.ndarray:
     """One log-Euler step of ``d kappa_i = kappa_i <e_i - kappa, sigma dW>``.
 
     ``log kappa_i`` gains ``-0.5 <e_i - kappa, c (e_i - kappa)> dt`` plus
-    ``<e_i - kappa, sigma dW>``; ``logk`` is updated in place and the
-    renormalized weights are returned.  ``c`` and ``sigma`` are shared by
-    every row or carry a path axis (see :func:`covariance_rows`).
+    ``<e_i - kappa, sigma dW>``.  The log-weights ``lt`` are company-major,
+    ``(d, rows)``, and updated in place, so every reduction and broadcast
+    runs along the path axis; the products keep the row-major ``kappa``
+    and the renormalized weights are returned row-major.  ``c`` and
+    ``sigma`` are shared by every row or carry a path axis (see
+    :func:`covariance_rows`).
     """
     y = _noise_rows(sigma, dw_j)
     if c.ndim == 2:
@@ -240,10 +268,14 @@ def _balanced_step(logk: np.ndarray, kappa: np.ndarray, dw_j: np.ndarray,
     else:
         ck = np.array([c_i @ k_i for c_i, k_i in zip(c, kappa)])
     quad = np.einsum("ij,ij->i", kappa, ck)
-    qform = np.diagonal(c, axis1=-2, axis2=-1) - 2.0 * ck + quad[:, None]
-    u = y - np.einsum("ij,ij->i", kappa, y)[:, None]
-    logk += (-0.5 * dt) * qform + u
-    return _renormalize_log(logk, diag)
+    ky = np.einsum("ij,ij->i", kappa, y)
+    # (d, 1) for a shared c, (d, rows) for one c per row
+    cdiag = np.diagonal(c, axis1=-2, axis2=-1).T.reshape(len(lt), -1)
+    # company-major copies: an elementwise op that mixes layouts runs a
+    # d-long inner loop per row
+    qform = cdiag - 2.0 * ck.T.copy() + quad
+    lt += (-0.5 * dt) * qform + (y.T.copy() - ky)
+    return _renormalize_log(lt, diag).T.copy()
 
 
 def _draw_block(gens, buf: np.ndarray, blk: int, d: int,
@@ -259,10 +291,11 @@ def _draw_block(gens, buf: np.ndarray, blk: int, d: int,
 
 
 def _weights(logs: np.ndarray) -> np.ndarray:
-    """Row-wise ``exp(logs) / sum(exp(logs))``, shifted by the row maximum."""
-    mx = logs.max(axis=1, keepdims=True)
-    w = np.exp(logs - mx)
-    return w / w.sum(axis=1, keepdims=True)
+    """Row-wise ``exp(logs) / sum(exp(logs))``, shifted by the row maximum
+    and reduced company-major, like :func:`_renormalize_log`."""
+    xt = logs.T.copy()
+    w = np.exp(xt - xt.max(axis=0))
+    return (w / _company_sum(w)).T.copy()
 
 
 def simulate_relative_caps_balanced(
@@ -308,7 +341,7 @@ def simulate_relative_caps_balanced(
         m = hi - lo
         diag = EngineDiagnostics()
         gens = [path_generator(seed, STREAM_BROWNIAN, p) for p in range(lo, hi)]
-        logk = np.tile(np.log(kappa0), (m, 1))
+        lt = np.tile(np.log(kappa0)[:, None], (1, m))  # company-major
         kappa = np.tile(kappa0, (m, 1))
         kappa_out[lo:hi, 0] = kappa0
         buf = np.empty(m * min(_BLOCK_STEPS, grid.n_steps) * d)
@@ -320,7 +353,7 @@ def simulate_relative_caps_balanced(
                 inc_out[lo:hi, step : step + blk] = dw
             for j in range(blk):
                 c, sigma = cov(grid.t0 + (step + j) * dt, kappa)
-                kappa = _balanced_step(logk, kappa, dw[:, j], c, sigma, dt, diag)
+                kappa = _balanced_step(lt, kappa, dw[:, j], c, sigma, dt, diag)
                 idx = stored_pos.get(step + j + 1)
                 if idx is not None:
                     kappa_out[lo:hi, idx] = kappa

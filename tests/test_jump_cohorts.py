@@ -24,10 +24,10 @@ from balmarkets.market_model import PathGrid, ProcessSpec
 from balmarkets.sde_engine import (
     STREAM_JUMP,
     EngineDiagnostics,
-    _renormalize_log,
     _stored_steps,
     path_generator,
 )
+from test_balanced_kernel import frozen_renormalize_log
 
 
 def _per_row_reference(spec, kappa0, grid, n_paths, seed, store_every):
@@ -36,7 +36,8 @@ def _per_row_reference(spec, kappa0, grid, n_paths, seed, store_every):
     Every step evaluates the compensator on all rows at once and thins each
     path's candidates on its own jump stream; returns the arrays of
     ``simulate_jump_balanced`` for one chunk of ``n_paths`` rows, and the
-    diagnostics of its renormalizations.
+    diagnostics of its renormalizations.  It renormalizes with the frozen
+    row-major kernel, so it does not share the engine's arithmetic.
     """
     kappa0 = kappa0 / kappa0.sum()
     d = len(kappa0)
@@ -101,7 +102,7 @@ def _per_row_reference(spec, kappa0, grid, n_paths, seed, store_every):
                 ksub[dying] = 0.0
                 with np.errstate(divide="ignore"):
                     lsub = np.where(ksub > 0.0, np.log(ksub), -np.inf)
-                ksub = _renormalize_log(lsub, diag)
+                ksub = frozen_renormalize_log(lsub, diag)
                 logk[rows] = lsub
                 kappa[rows] = ksub
         for i in np.flatnonzero(next_tau <= t_end):

@@ -40,7 +40,7 @@ from .market_model import (
     ProcessSpec,
     covariance_rows,
 )
-from .sde_engine import PathSet, _write_hashed
+from .sde_engine import PathSet, _format_g17, _write_hashed
 
 __all__ = [
     "BalanceReport",
@@ -624,10 +624,10 @@ def limiting_to_csv(
     if L_terminal is None:
         L_terminal = np.full(n, np.nan)
     cols = ",".join(f"terminal_kappa_{i + 1}" for i in range(d))
+    values = _format_g17(np.column_stack([ld.terminal_kappa, L_terminal]))
     lines = [f"path,class,{cols},L_terminal\n"]
-    for p in range(n):
-        row = ",".join(f"{x:.17g}" for x in ld.terminal_kappa[p])
-        lines.append(f"{p},{ld.labels[p]},{row},{L_terminal[p]:.17g}\n")
+    lines += [f"{p},{label},{row}\n" for p, (label, row) in
+              enumerate(zip(ld.labels, values.split("\n")))]
     return _write_hashed(path, "".join(lines))
 
 

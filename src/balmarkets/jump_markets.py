@@ -62,6 +62,7 @@ from .sde_engine import (
     _BLOCK_STEPS,
     _balanced_step,
     _draw_block,
+    _format_g17,
     _renormalize_log,
     _run_chunked,
     _stored_steps,
@@ -1152,13 +1153,9 @@ def jump_pathset_to_csv(ps: PathSet, rec: LifetimeRecord, path) -> str:
     cols = [f"{name}_{i + 1}" for name in ("kappa", "zeta", "death_mode")
             for i in range(d)]
     # zeta and death mode are fixed per path: format them once per path
-    suffix = np.array(
-        [
-            ",".join([f"{z:.17g}" for z in zeta] + list(modes))
-            for zeta, modes in zip(rec.zeta, rec.death_mode)
-        ],
-        dtype=object,
-    )
+    zeta = _format_g17(rec.zeta).split("\n")
+    suffix = np.array([",".join([z, *modes]) for z, modes in
+                       zip(zeta, rec.death_mode)], dtype=object)
     return _write_paths_csv(
         ps, path, [ps.kappa], "path,step,t," + ",".join(cols), suffix
     )

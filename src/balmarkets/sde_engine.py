@@ -574,6 +574,212 @@ def relative_caps_from_caps(caps: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # serialization
+#
+# Floats are printed as ``'%.17g' % x`` prints them, so that a replay
+# reproduces every file byte for byte; ``_format_g17`` does so for whole
+# blocks.  A finite x with 10**E <= |x| < 10**(E + 1) and -6 <= E <= 16 has
+# the 17 digits D = round-half-even(|x| 10**k), k = 16 - E.  As 5**k is an
+# exact double for k <= 22, one error-free product (Dekker's TwoProduct)
+# splits |x| 10**k = |x| 5**k 2**k into p + e exactly, where the double
+# p >= 1e16 > 2**53 is an even integer and |e| is at most half its ulp: so
+# D = p + rint(e).  Every other value (zeros, subnormals, inf, nan, and
+# |x| outside [1e-6, 1e17)) is printed by ``%``.
+
+_POW2 = 2.0 ** np.arange(23)
+_POW5 = 5.0 ** np.arange(23)  # exact: 5**22 < 2**53
+_SPLITTER = 2.0**27 + 1  # splits a double into two 26-bit halves
+_POW5_HI = _SPLITTER * _POW5 - (_SPLITTER * _POW5 - _POW5)
+_POW5_LO = _POW5 - _POW5_HI
+
+# Each value is laid out in 13 uint32 words, 52 bytes, of which zero bytes
+# are blanks that the end removes:
+#   0 sign, 1-5 the "0.000" of 0.000ddd, 6 the lead digit,
+#   8-23 digits 1-16 before the point, 24 the point,
+#   28-43 digits 1-16 after the point, 44-47 "e-0X", 48 the separator.
+# Digits go in as ASCII words of four: group i holds digits 4i+1..4i+4.
+# Where no value of a pass has digits before the point past the lead, the
+# point goes to byte 7 and the words from 7 on move up by five.
+
+
+def _digit_words() -> np.ndarray:
+    """ASCII words of 0..9999, then of the same less trailing zeros."""
+    d = np.indices((10,) * 4, dtype=np.uint8).reshape(4, 10000)
+    zero_tail = d == 0
+    for j in (2, 1, 0):
+        zero_tail[j] &= zero_tail[j + 1]
+    digits = np.stack(d + 48, axis=-1).view(np.uint32).reshape(-1)
+    blank = np.stack(zero_tail * np.uint8(255), axis=-1).view(np.uint32)
+    return np.concatenate([digits, digits & ~blank.reshape(-1)])
+
+
+def _affix_words():
+    """Words 0-1 by ``(E + 6, sign, lead digit)``; the "e-0X" word by ``E + 6``."""
+    head = np.zeros((23, 2, 10, 8), dtype=np.uint8)
+    head[:, 1, :, 0] = ord("-")
+    for E in range(-4, 0):
+        head[E + 6, ..., 1:2 - E] = np.frombuffer(b"0.000"[:1 - E], np.uint8)
+    head[..., 6] = np.arange(48, 58)
+    tail = np.zeros((23, 4), dtype=np.uint8)
+    tail[:2] = np.frombuffer(b"e-06e-05", np.uint8).reshape(2, 4)
+    head = head.reshape(-1, 8).view(np.uint32)
+    return head[:, 0].copy(), head[:, 1].copy(), tail.view(np.uint32).ravel()
+
+
+_G17_VALUES = 4096  # values per pass: the work arrays stay in cache
+_WORDS = _digit_words()
+_HEAD0, _HEAD1, _TAIL = _affix_words()
+# digits before the point by E + 6: one in d.ddde-0X, none in 0.000ddd
+_SPLIT_AT = np.array([1, 1, 0, 0, 0, 0, *range(1, 18)])
+# byte masks of a word's first k digits, k = 0..4
+_FIRST = np.tril(np.full((5, 4), 255, np.uint8), -1).view(np.uint32).ravel()
+# by group and split: the group's digits before the point
+_BEFORE = np.clip(np.arange(18) - np.arange(1, 17, 4)[:, None], 0, 4)
+
+
+class _G17Scratch:
+    """Work arrays of ``_format_g17`` for ``size`` values at a time.
+
+    They are views of one allocation, so that a writer that reuses them
+    across blocks maps and frees them once instead of dirtying the heap
+    block after block.
+    """
+
+    def __init__(self, size: int):
+        self.size = size
+        buf = np.empty(size * (7 * 8 + 3 * 8 + 52), dtype=np.uint8)
+        self.floats = buf[:56 * size].view(np.float64).reshape(7, size)
+        self.ints = buf[56 * size:80 * size].view(np.int64).reshape(3, size)
+        self.mat = buf[80 * size:].view(np.uint32).reshape(size, 13)
+
+
+def _two_product(a, k, p, e, hi, lo, bh, bl) -> None:
+    """Set ``p + e = a * 10**k`` exactly, for ``0 <= k <= 22``.
+
+    Dekker's TwoProduct of ``a`` and ``5**k = bh + bl``; the factor
+    ``2**k`` is exact.  ``hi``, ``lo``, ``bh`` and ``bl`` are scratch.
+    """
+    _POW5_HI.take(k, out=bh)
+    _POW5_LO.take(k, out=bl)
+    np.add(bh, bl, out=p)
+    p *= a
+    np.multiply(a, _SPLITTER, out=hi)
+    np.subtract(hi, a, out=lo)
+    hi -= lo
+    np.subtract(a, hi, out=lo)
+    np.multiply(hi, bh, out=e)
+    e -= p
+    hi *= bl
+    e += hi
+    bh *= lo
+    e += bh
+    bl *= lo
+    e += bl
+    _POW2.take(k, out=hi)
+    p *= hi
+    e *= hi
+
+
+def _format_g17(block: np.ndarray, scratch: _G17Scratch | None = None) -> str:
+    """Text of ``'%.17g'`` for a (rows, k) float64 block.
+
+    Returns one ``v,...,v\\n`` line per row, the same characters as
+    ``%`` gives.  Rows go through ``scratch`` (by default a new one) as
+    many at a time as it holds.
+    """
+    rows, width = block.shape
+    if scratch is None:
+        scratch = _G17Scratch(max(width, min(block.size, _G17_VALUES)))
+    step = scratch.size // width
+    return "".join([_g17_pass(block[i:i + step], scratch)
+                    for i in range(0, rows, step)])
+
+
+def _g17_pass(block: np.ndarray, scratch: _G17Scratch) -> str:
+    """``_format_g17`` of at most ``scratch.size`` values."""
+    rows, width = block.shape
+    n = rows * width
+    x = block.reshape(n)
+    ax, p, e, hi, lo, bh, bl = (a[:n] for a in scratch.floats)
+    E, k, D = (a[:n] for a in scratch.ints)
+    np.abs(x, out=ax)
+    dom = (ax >= 1e-7) & (ax < 1e18)  # nan and inf fail both
+    ax[~dom] = 1.0
+    np.log10(ax, out=hi)
+    np.floor(hi, out=hi)
+    np.clip(hi, -6, 16, out=hi)
+    E[...] = hi
+    np.subtract(16, E, out=k)
+    _two_product(ax, k, p, e, hi, lo, bh, bl)
+    # log10 may round across a power of ten: where p + e leaves
+    # [1e16, 1e17), E is one off; scale those values again
+    low = (p < 1e16) | ((p == 1e16) & (e < 0))
+    high = (p > 1e17) | ((p == 1e17) & (e >= 0))
+    E += high
+    E -= low
+    dom &= (E >= -6) & (E <= 16)
+    fix = np.flatnonzero((low | high) & dom)
+    if fix.size:
+        redo = np.empty((6, fix.size))
+        _two_product(ax[fix], 16 - E[fix], *redo)
+        p[fix] = redo[0]
+        e[fix] = redo[1]
+    # D cannot round up to 10**17: no double lies within 5e-18 relative
+    # below a power of ten 10**j, -5 <= j <= 17
+    np.rint(e, out=e)
+    D[...] = p
+    k[...] = e
+    D += k
+    # the float arrays are free from here on: integers reuse them
+    lead, aux, *group = (a.view(np.int64) for a in (p, e, hi, lo, bh, bl))
+    other = np.flatnonzero(~dom)
+    D[other] = 10**16
+    E[other] = 0
+    np.floor_divide(D, 10**16, out=lead)
+    np.multiply(lead, 10**16, out=aux)
+    D -= aux
+    np.floor_divide(D, 10**8, out=group[1])
+    np.multiply(group[1], 10**8, out=aux)
+    np.subtract(D, aux, out=group[3])
+    for i in (0, 2):
+        np.floor_divide(group[i + 1], 10**4, out=group[i])
+        np.multiply(group[i], 10**4, out=aux)
+        group[i + 1] -= aux
+
+    E += 6
+    split = _SPLIT_AT.take(E, out=k)
+    wide = split.max(initial=0) > 1
+    f = 7 if wide else 2  # the first word of digits after the point
+    mat = scratch.mat[:n, :f + 6]
+    mat[...] = 0
+    np.multiply(E, 20, out=aux)
+    aux += lead
+    aux[x < 0] += 10
+    mat[:, 0] = _HEAD0.take(aux)
+    mat[:, 1] = _HEAD1.take(aux)
+    D[...] = 10000  # blank trailing zeros up to the last nonzero group
+    for i in (3, 2, 1, 0):
+        np.add(group[i], D, out=aux)
+        mat[:, f + i] = _WORDS.take(aux)
+        if wide:
+            first = _FIRST.take(_BEFORE[i].take(split))
+            mat[:, 2 + i] = _WORDS.take(group[i]) & first
+            mat[:, f + i] &= ~first
+        D[group[i] != 0] = 0
+    m8 = mat.view(np.uint8)
+    frac = mat[:, f:f + 4].view(np.uint64)
+    point = m8[:, 24 if wide else 7]
+    point[...] = ((frac[:, 0] | frac[:, 1]) != 0) & (split > 0)
+    point *= ord(".")
+    mat[:, f + 4] = _TAIL.take(E)
+    end = 4 * f + 20  # the separator's byte
+    sep = m8[:, end].reshape(rows, width)
+    sep[:, :-1] = ord(",")
+    sep[:, -1] = ord("\n")
+    if other.size:
+        text = ("%.17g\0" * other.size) % tuple(x[other].tolist())
+        m8[other, :end] = np.array(text.split("\0")[:-1], dtype=f"S{end}").view(
+            np.uint8).reshape(-1, end)
+    return m8.tobytes().translate(None, b"\0").decode()
 
 
 def _write_hashed(path, text: str) -> str:
@@ -596,18 +802,29 @@ def _write_paths_csv(ps: PathSet, path, columns, header: str,
     reuses that row's text, so the bytes are those of formatting every row.
     Rows go out ``_BLOCK_STEPS`` at a time and are hashed as they are
     written; a block looks back at most ``ns`` rows, the previous path.
+    The work arrays are allocated once and reused by every block.
     """
     n, ns = ps.kappa.shape[:2]
     width = sum(col.shape[-1] for col in columns)
-    data_fmt = ",".join(["%.17g"] * width) + "\n"
     flat = [col.reshape(n * ns, -1) for col in columns]
-    prefix = np.array(
-        ["%d,%.17g," % kt for kt in zip(ps.stored_steps.tolist(),
-                                        ps.times().tolist())],
-        dtype=object,
-    )
+    times = _format_g17(ps.times()[:, None]).split("\n")
+    prefix = np.array([f"{k},{t}," for k, t in
+                       zip(ps.stored_steps.tolist(), times)], dtype=object)
     ends = np.full(n, "\n", dtype=object) if suffix is None else "," + suffix + "\n"
-    tail = np.empty(0, dtype=object)  # text of the previous min(lo, ns) rows
+    # work arrays of one window: the previous path's rows, then the block
+    block = min(_BLOCK_STEPS, n * ns)
+    span = block + ns
+    window = np.empty((width, span))  # one row per column: comparisons
+    same = np.empty((width, span), dtype=bool)  # reduce over the short axis
+    idx = np.arange(span)
+    src, nxt = np.empty((2, span), dtype=np.intp)
+    own, path_of, step_of = np.empty((3, block), dtype=np.intp)
+    back = np.empty(span, dtype=bool)
+    text, resolved = np.empty((2, span), dtype=object)
+    vals = np.empty(block * width)
+    cells = np.empty((block, 4), dtype=object)
+    scratch = _G17Scratch(max(width, _G17_VALUES))
+    kept = 0  # window rows of the previous block; its last ones carry over
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
         head = (header + "\n").encode()
@@ -615,43 +832,72 @@ def _write_paths_csv(ps: PathSet, path, columns, header: str,
         digest.update(head)
         for lo in range(0, n * ns, _BLOCK_STEPS):
             hi = min(lo + _BLOCK_STEPS, n * ns)
-            # window: the previous path's rows (already text), then the block
             wlo = max(0, lo - ns)
-            # one row per column: comparisons reduce over the short axis
-            data = np.concatenate([f[wlo:hi].T for f in flat])
+            m, a = hi - wlo, lo - wlo  # window rows, rows before the block
+            data = window[:, :m]
+            col = 0
+            for f in flat:
+                data[col:col + f.shape[1]] = f[wlo:hi].T
+                col += f.shape[1]
             bits = data.view(np.uint64)
-            idx = np.arange(hi - wlo)
-            body = idx >= lo - wlo
             # each block row's source: the row one step back if equal, else
             # the row one path back if equal, else itself
-            src = idx.copy()
-            back = np.zeros(idx.size, dtype=bool)
-            back[ns:] = (bits[:, ns:] == bits[:, :-ns]).all(axis=0)
-            src[back & body] -= ns
-            back[1:] = (bits[:, 1:] == bits[:, :-1]).all(axis=0)
-            back &= body & ((idx + wlo) % ns > 0)
-            src[back] = idx[back] - 1
+            s, bk = src[:m], back[:m]
+            s[...] = idx[:m]
+            _equal_back(bits, ns, bk, same)
+            bk[:a] = False
+            np.subtract(s, ns, out=s, where=bk)
+            _equal_back(bits, 1, bk, same)
+            bk[:a] = False
+            bk[-wlo % ns::ns] = False  # a path's first row
+            np.subtract(idx[:m], 1, out=s, where=bk)
             while True:  # pointer jumping to the head of each chain
-                nxt = src[src]
-                if np.array_equal(nxt, src):
+                nx = nxt[:m]
+                s.take(s, out=nx)
+                if np.array_equal(nx, s):
                     break
-                src = nxt
-            own = np.flatnonzero(body & (src == idx))
-            text = np.empty(idx.size, dtype=object)
-            text[: lo - wlo] = tail
-            text[own] = ((data_fmt * own.size) % tuple(
-                data.T[own].ravel().tolist())).split("\n")[:-1]
-            text = text[src]
-            p, k = np.divmod(np.arange(lo, hi), ns)
+                s[...] = nx
+            # format the rows that are their own source, then copy
+            np.equal(s[a:], idx[a:m], out=bk[a:])
+            o = own[:np.count_nonzero(bk[a:])]
+            np.compress(bk[a:], idx[a:m], out=o)
+            t = text[:m]
+            t[:a] = resolved[kept - a:kept]
+            v = vals[:o.size * width].reshape(o.size, width)
+            data.T.take(o, axis=0, out=v, mode="clip")
+            t[o] = _format_g17(v, scratch).split("\n")[:-1]
+            t.take(s, out=resolved[:m], mode="clip")
+            kept = m
+            # rows: path label, the step's "step,t,", data, row end
+            p, k = path_of[:hi - lo], step_of[:hi - lo]
+            np.add(idx[:hi - lo], lo, out=p)
+            np.divmod(p, ns, out=(p, k))
+            c = cells[:hi - lo]
+            ends.take(p, out=c[:, 3], mode="clip")
+            prefix.take(k, out=c[:, 1], mode="clip")
+            c[:, 2] = resolved[a:m]
             lead = np.array(["%d," % q for q in range(p[0], p[-1] + 1)],
                             dtype=object)
-            cells = np.stack([lead[p - p[0]], prefix[k], text[body], ends[p]],
-                             axis=1)
-            chunk = "".join(cells.ravel().tolist()).encode()
+            p -= p[0]
+            lead.take(p, out=c[:, 0], mode="clip")
+            chunk = "".join(c.ravel().tolist()).encode()
             fh.write(chunk)
             digest.update(chunk)
-            tail = text[max(0, hi - ns) - wlo:]
     return digest.hexdigest()
+
+
+def _equal_back(bits: np.ndarray, lag: int, out: np.ndarray,
+                same: np.ndarray) -> None:
+    """``out[j]``: column ``j`` of ``bits`` equals column ``j - lag``.
+
+    False for the first ``lag`` columns; ``same`` is scratch.
+    """
+    m = bits.shape[1]
+    k = max(0, m - lag)  # columns with a column lag back
+    eq = same[:, :k]
+    np.equal(bits[:, m - k:], bits[:, :k], out=eq)
+    np.logical_and.reduce(eq, axis=0, out=out[lag:])
+    out[:lag] = False
 
 
 def pathset_to_csv(ps: PathSet, path) -> str:
@@ -683,15 +929,19 @@ def pathset_summary(ps: PathSet, checkpoint_times=None) -> dict:
     for tc in checkpoint_times:
         idx = int(np.argmin(np.abs(times - tc)))
         snap = ps.kappa[:, idx]
+        if ps.n_paths > 1:
+            se = (snap.std(axis=0, ddof=1) / np.sqrt(ps.n_paths)).tolist()
+            cov = np.atleast_2d(np.cov(snap.T)).tolist()
+        else:  # one path has no sample covariance
+            se = [0.0] * ps.d
+            cov = [[float("nan")] * ps.d for _ in range(ps.d)]
         out.append(
             {
                 "t": float(times[idx]),
                 "step": int(ps.stored_steps[idx]),
                 "kappa_mean": snap.mean(axis=0).tolist(),
-                "kappa_se": (snap.std(axis=0, ddof=1) / np.sqrt(ps.n_paths)).tolist()
-                if ps.n_paths > 1
-                else [0.0] * ps.d,
-                "kappa_cov": np.atleast_2d(np.cov(snap.T)).tolist(),
+                "kappa_se": se,
+                "kappa_cov": cov,
             }
         )
     return {

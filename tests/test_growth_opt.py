@@ -199,3 +199,68 @@ def test_simplex_gap_support_restricts_the_maximum():
     x = np.array([[0.0, 0.5, 0.5], [0.0, 0.5, 0.5]])
     support = np.array([[True, True, True], [False, True, True]])
     np.testing.assert_allclose(simplex_gap(grad, x, support), [0.35, 0.05])
+
+
+def _psd(rng, d, kind):
+    """Random PSD covariance: full rank, rank-deficient, zero or near-singular."""
+    if kind == "zero":
+        return np.zeros((d, d))
+    b = rng.standard_normal((d, d if kind != "deficient" else int(rng.integers(1, d))))
+    if kind == "near_singular":
+        b[:, -1] = b[:, :-1] @ rng.standard_normal(d - 1) + 1e-7 * b[:, -1]
+    return b @ b.T
+
+
+def _linear_max(grad, lo, hi):
+    """max <grad, v> over lo <= v <= hi, sum(v) = 1 (fill by decreasing grad)."""
+    v = lo.copy()
+    room = 1.0 - v.sum()
+    for i in np.argsort(-grad, kind="stable"):
+        v[i] += min(room, hi[i] - lo[i])
+        room -= v[i] - lo[i]
+    return float(grad @ v)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31 - 1),
+       st.sampled_from(["full", "deficient", "zero", "near_singular"]),
+       st.booleans())
+def test_constrained_optimum_is_certified_for_every_rank(seed, kind, box):
+    """The active-set optimum is feasible and has a rounding-level KKT residual.
+
+    Checked on its own terms (``kkt_residual``) and independently: the
+    Frank-Wolfe gap ``max_v <grad, v - rho>`` over the feasible polytope,
+    an upper bound on ``g* - g(rho)`` for concave ``g``, is rounding level.
+    A bounded constraint set never raises.
+    """
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 7))
+    c = _psd(rng, d, kind)
+    q = 2.0 * rng.standard_normal(d)
+    r = float(rng.uniform(-0.5, 0.5))
+    if box:
+        lo = -rng.uniform(0.0, 2.0, d) * rng.integers(0, 2, d)
+        hi = 1.0 + rng.uniform(0.0, 2.0, d) * rng.integers(0, 2, d)
+        constraint = ConstraintSet.box_hyperplane(lo, hi)
+    else:
+        lo, hi = np.zeros(d), np.ones(d)
+        constraint = ConstraintSet.closed_simplex()
+    sol = growth_optimal_constrained(q + r, c, r, constraint)
+    scale = 1.0 + np.abs(q).max() + np.abs(c).max() * (1.0 + np.abs(hi).max())
+    tol = 1e-11 * scale
+    assert sol.kkt_residual <= tol
+    assert abs(sol.rho.sum() - 1.0) <= 1e-12 * d
+    assert np.all(sol.rho >= lo - 1e-12) and np.all(sol.rho <= hi + 1e-12)
+    grad = q - c @ sol.rho
+    assert _linear_max(grad, lo, hi) - grad @ sol.rho <= tol
+    assert sol.g_star == pytest.approx(growth_rate(sol.rho, q + r, c, r))
+
+
+@pytest.mark.parametrize("lo, hi", [
+    ([0.1, -0.5], [1.0, 1.0]),   # a positive lower bound
+    ([0.0, 0.0], [0.9, 2.0]),    # an upper bound below one
+    ([-1.0, -1.0], [np.inf, 1.0]),  # an unbounded box
+])
+def test_only_boxes_without_the_simplex_raise(lo, hi):
+    with pytest.raises(InfeasibleConstraint):
+        ConstraintSet.box_hyperplane(lo, hi)

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -209,6 +210,20 @@ def test_run_jump_scenario(tmp_path):
     header = (tmp_path / "paths.csv").read_text().splitlines()[0]
     assert header == ("path,step,t,kappa_1,kappa_2,"
                       "zeta_1,zeta_2,death_mode_1,death_mode_2")
+
+
+@pytest.mark.parametrize("doc", [TINY_WEIGHTS, TINY_JUMP],
+                         ids=["weights", "jump"])
+def test_one_path_run_warns_nothing(tmp_path, doc):
+    # one path has no sample covariance: it is reported as null, without
+    # the warnings of a covariance with zero degrees of freedom
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run_scenario(_cfg(dict(doc, n_paths=1)), str(tmp_path))
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    for point in summary["paths"]["checkpoints"]:
+        assert point["kappa_cov"] == [[None, None], [None, None]]
+        assert point["kappa_se"] == [0.0, 0.0]
 
 
 def test_run_is_seed_deterministic(tmp_path):

@@ -147,21 +147,28 @@ def _engine(spec, kappa0, grid, n_paths, seed, store_every):
             "budget_exhausted_time": rec.budget_exhausted_time}, ps.diagnostics
 
 
-def _random_market(d, state_intensity, max_jumps, seed):
-    """1-3 finite atoms with one coordinate at -1, and a random start."""
+def _random_market(d, state_intensity, max_jumps, seed, rate_scale=1.0):
+    """1-3 finite atoms with one coordinate at -1, and a random start.
+
+    The intensity peaks at a rate drawn from [1, 3]; the thinning bound
+    ``lam_max`` is ``rate_scale`` times that peak.  A larger scale leaves
+    the law as it is but draws more candidates, of which at most one in
+    ``rate_scale`` is accepted.
+    """
     rng = np.random.default_rng(seed)
     n_atoms = int(rng.integers(1, 4))
     atoms = rng.uniform(-0.9, 1.5, size=(n_atoms, d))
     atoms[rng.integers(n_atoms), rng.integers(d)] = -1.0
     probs = rng.dirichlet(np.ones(n_atoms))
-    lam_max = float(rng.uniform(1.0, 3.0))
+    lam = float(rng.uniform(1.0, 3.0))
     if state_intensity:
         w = rng.uniform(0.0, 1.0, size=d)
         w /= w.max()
         intensity = ProcessSpec.state_function(
-            lambda t, k: lam_max * (0.2 + 0.8 * float(w @ k)))
+            lambda t, k: lam * (0.2 + 0.8 * float(w @ k)))
     else:
-        intensity = ProcessSpec.constant(lam_max)
+        intensity = ProcessSpec.constant(lam)
+    lam_max = rate_scale * lam
     spec = JumpSpec.finite_atoms(intensity, lam_max, atoms, probs,
                                  max_jumps=max_jumps)
     return spec, rng.dirichlet(np.full(d, 2.0))
@@ -175,12 +182,19 @@ def _assert_identical(got, ref, label):
 
 @pytest.mark.parametrize("max_jumps", [None, 1, 2])
 @pytest.mark.parametrize("state_intensity", [False, True])
-@pytest.mark.parametrize("d", [2, 3, 5])
-def test_cohort_stepping_matches_per_row_loop(d, state_intensity, max_jumps):
+# "dense" thins against a bound 250 times the peak rate, so that lam_max dt
+# is about 0.5: a path meets several candidates inside one step, and most
+# of them are rejected
+@pytest.mark.parametrize("d, rate_scale", [(2, 1.0), (3, 1.0), (5, 1.0),
+                                           (3, 250.0)],
+                         ids=["2", "3", "5", "dense"])
+def test_cohort_stepping_matches_per_row_loop(d, rate_scale, state_intensity,
+                                              max_jumps):
     grid = PathGrid(dt=1e-3, n_steps=200)
     for trial in range(2):
         seed = 1000 * d + 10 * trial + 2 * state_intensity + (max_jumps or 0)
-        spec, kappa0 = _random_market(d, state_intensity, max_jumps, seed)
+        spec, kappa0 = _random_market(d, state_intensity, max_jumps, seed,
+                                      rate_scale)
         label = f"d={d}, trial {trial}"
         try:
             ref, ref_diag = _per_row_reference(spec, kappa0, grid, 24, seed, 7)
@@ -194,6 +208,8 @@ def test_cohort_stepping_matches_per_row_loop(d, state_intensity, max_jumps):
         _assert_identical(got, ref, label)
         assert 0 < diag.n_jumps_accepted == int(ref["jump_count"].sum())
         assert diag.n_jump_candidates >= diag.n_jumps_accepted
+        if rate_scale > 1.0:
+            assert diag.n_jump_candidates > 24 * grid.n_steps / 5, label
         # jumped paths with budget left step on as cohorts of their own
         assert (max_jumps == 1) == (diag.max_live_cohorts == 1), label
         # a cohort counts once per member in the defect statistics

@@ -17,16 +17,20 @@ The continuous part of each step is the continuous engine's own kernel,
 times are sampled by thinning against a declared intensity bound, from a
 dedicated per-path random stream, so simulations with zero intensity
 consume exactly the same Brownian draws as the continuous engine and
-reproduce its paths bit for bit.
+reproduce its paths bit for bit.  The candidates due inside a step are
+handled together, a round at a time; each path still draws on its own
+stream in its own order, and products a batch could round differently
+stay per row.
 
 Without diffusion (``c = 0``) a path moves only through the compensator
 factor, which depends on its state and on whether its jump budget is
 spent, and through its own accepted jumps.  The engine then keeps one
 state per cohort of paths that share it bit for bit and advances each
 distinct state once per step; a path leaves its cohort at an accepted
-jump.  Such a market makes no Brownian draws unless increments are
-stored, so it runs as one chunk on the calling thread, and the thread
-count changes neither its values nor its time.
+jump, and a spent cohort's state is set aside once.  Such a market makes
+no Brownian draws unless increments are stored, so it runs as one chunk
+on the calling thread, and the thread count changes neither its values
+nor its time.
 
 The loss of balance and the pairwise distance share one kernel,
 ``_growth_optimal_rows``: it certifies each row of a time slab by the
@@ -37,6 +41,7 @@ solves only the rows it rejects with ``growth_optimal_jump``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -67,7 +72,7 @@ from .sde_engine import (
     _run_chunked,
     _stored_steps,
     _write_paths_csv,
-    path_generator,
+    path_generators,
 )
 
 __all__ = [
@@ -107,9 +112,9 @@ class JumpSpec:
     The supported law places probability ``probs[k]`` on finitely many size
     vectors ``atoms[k]`` (each coordinate in [-1, inf)), arriving at rate
     ``intensity(t, kappa) <= lam_max``; atoms may vary deterministically in
-    time via a callable ``t -> (K, d) array``.  ``sampler_only`` specs can
-    be simulated through their sampler but cannot answer compensator
-    queries, which raise :class:`CompensatorUnavailable`.
+    time via a callable ``t -> (K, d) array``.  ``sampler_only`` specs only
+    draw jump sizes: compensator queries and :func:`simulate_jump_balanced`
+    raise :class:`CompensatorUnavailable` on them.
     """
 
     intensity: ProcessSpec
@@ -267,16 +272,26 @@ class JumpSpec:
             _check_atoms(x[None, :])
             return x
         x = self.atoms_at(t)
-        k = int(np.searchsorted(np.cumsum(self.probs), rng.uniform(), side="right"))
-        k = min(k, len(self.probs) - 1)
-        return x[k]
+        k = int(self._cum_probs.searchsorted(rng.uniform(), side="right"))
+        return x[min(k, len(self.probs) - 1)]
+
+    @cached_property
+    def _cum_probs(self) -> np.ndarray:
+        return np.cumsum(self.probs)
 
 
 def _check_atoms(x: np.ndarray) -> None:
-    if np.any(x < -1.0):
-        raise ValueError("jump sizes must be >= -1 in every coordinate")
-    if np.any(np.all(x <= -1.0 + 1e-15, axis=1)):
-        raise ValueError("a jump of -1 in every coordinate annihilates the market")
+    low = x <= -1.0 + 1e-15
+    if low.any():
+        if (x < -1.0).any():
+            raise ValueError("jump sizes must be >= -1 in every coordinate")
+        if low.all(axis=1).any():
+            raise ValueError("a jump of -1 in every coordinate annihilates the market")
+
+
+def _log_weights(k: np.ndarray) -> np.ndarray:
+    """``log k``, -inf at the zero weights of dead companies."""
+    return np.log(k, out=np.full(k.shape, -np.inf), where=k > 0.0)
 
 
 @dataclass
@@ -379,39 +394,29 @@ def simulate_jump_balanced(
     # hoist the per-step time dependence out of the hot loop: the intensity
     # and the atoms are functions of time alone unless state-dependent
     step_times = grid.t0 + dt * np.arange(grid.n_steps)
-    lam_steps = None
-    if not state_intensity:
-        lam_steps = np.array(
-            [jump_spec.intensity_at(tk) for tk in step_times]
-        )
-    if callable(jump_spec.atoms):
-        atoms_steps = [
-            jump_spec.atoms_at(tk)
-            if (lam_steps is None or lam_steps[k] > 0.0)
-            else None
-            for k, tk in enumerate(step_times)
-        ]
-    else:
-        atoms_steps = None
-        atoms_const = jump_spec.atoms
+    lam_steps = None if state_intensity else np.array(
+        [jump_spec.intensity_at(tk) for tk in step_times])
+    atoms_steps = [
+        jump_spec.atoms_at(tk) if lam_steps is None or lam_steps[k] > 0.0 else None
+        for k, tk in enumerate(step_times)]
 
     def worker(lo: int, hi: int) -> EngineDiagnostics:
         m = hi - lo
         diag = EngineDiagnostics()
         if draws:
-            gens = [path_generator(seed, STREAM_BROWNIAN, p) for p in range(lo, hi)]
+            gens = path_generators(seed, STREAM_BROWNIAN, lo, hi)
             buf = np.empty(m * min(_BLOCK_STEPS, grid.n_steps) * d)
-        jgens = [path_generator(seed, STREAM_JUMP, p) for p in range(lo, hi)]
+        jgens = path_generators(seed, STREAM_JUMP, lo, hi)
+        zt, md, jc = zeta[lo:hi], mode[lo:hi], jump_count[lo:hi]
+        fj, bo = first_jump[lo:hi], budget_out[lo:hi]
+        zt[:, kappa0 == 0.0] = grid.t0
+        md[:, kappa0 == 0.0] = CONTINUOUS_VANISH
+        kappa_out[lo:hi, 0] = kappa0
         # pending thinning candidates; inf when the budget is exhausted
         next_tau = np.full(m, np.inf)
         if lam_max > 0.0 and (budget is None or budget > 0):
-            for i in range(m):
-                next_tau[i] = grid.t0 + jgens[i].exponential(1.0 / lam_max)
+            next_tau[:] = [grid.t0 + g.exponential(1.0 / lam_max) for g in jgens]
         tau_min = next_tau.min(initial=np.inf)
-        for i0 in np.flatnonzero(kappa0 == 0.0):
-            zeta[lo:hi, i0] = grid.t0
-            mode[lo:hi, i0] = CONTINUOUS_VANISH
-        kappa_out[lo:hi, 0] = kappa0
         # cohorts: rows with bitwise-equal state and budget status take
         # bitwise-equal steps, so each cohort's state is stored and stepped
         # once.  Without diffusion every row starts in cohort 0 and leaves
@@ -419,19 +424,25 @@ def simulate_jump_balanced(
         # diffusion every row is its own cohort.  A split only ever takes
         # one row out of a larger cohort, so there are at most m cohorts.
         nc = m if diffusion else min(m, 1)
-        # weights row-major, log-weights company-major (see _balanced_step)
         ck = np.empty((m, d))
-        clt = np.empty((d, m))
         ck[:nc] = kappa0
-        with np.errstate(divide="ignore"):
-            clt[:, :nc] = np.where(kappa0 > 0.0, np.log(kappa0), -np.inf)[:, None]
         csize = np.zeros(m, dtype=np.int64)
         csize[:nc] = 1 if diffusion else m
         cspent = np.zeros(m, dtype=bool)
         cspent[:nc] = budget == 0
         rc = np.arange(m) if diffusion else np.zeros(m, dtype=np.int64)
-
-        regroup = True
+        # without diffusion a spent cohort never moves again: its state joins
+        # ``kf[:nf]`` once.  BLAS rounds a one-row product differently, so a
+        # lone row is stepped or checked twice over (``kf[nf]`` is ``kf[0]``)
+        kf = np.empty((m + 1, d))
+        nf = int(budget == 0 and not diffusion)
+        kf[: 2 * nf] = kappa0
+        if diffusion:
+            # every row is live; log-weights company-major (_balanced_step)
+            ids, w, kfb = rc, None, kf[:0]
+            diag.max_live_cohorts = m
+            clt = np.tile(_log_weights(kappa0)[:, None], (1, m))
+        regroup = not diffusion
         step = 0
         while step < grid.n_steps:
             blk = min(_BLOCK_STEPS, grid.n_steps - step)
@@ -441,168 +452,155 @@ def simulate_jump_balanced(
                     inc_out[lo:hi, step : step + blk] = dw
             for j in range(blk):
                 if regroup:
-                    # the stepped (live) cohorts and the spent ones, which
-                    # never move again without diffusion.  A lone cohort is
-                    # stepped twice over: BLAS rounds a one-row product
-                    # differently from a batched one, and a chunk always
-                    # has two rows or more.  ``w`` weights each stepped row
-                    # by its member paths in the defect statistics.
+                    # the live cohorts in id order; ``w`` weights each row
+                    # by its member paths in the defect statistics
                     regroup = False
-                    if diffusion:
-                        live, ids, w, n_live = slice(0, m), rc, None, m
-                        frozen = rc[:0]
-                    else:
-                        frozen = np.flatnonzero(cspent[:nc])
-                        ids = np.flatnonzero(~cspent[:nc])
-                        w = csize[ids]
-                        n_live = ids.size
-                        if n_live == 1 and m > 1:
-                            ids, w = np.repeat(ids, 2), np.append(w, 0)
-                        live = slice(0, nc) if frozen.size == 0 and n_live > 1 else ids
-                        if frozen.size == 1 and m > 1:
-                            frozen = np.repeat(frozen, 2)
-                    kf = ck[frozen]
-                    diag.max_live_cohorts = max(diag.max_live_cohorts, n_live)
+                    ids = np.flatnonzero(~cspent[:nc])
+                    w = csize[ids]
+                    diag.max_live_cohorts = max(diag.max_live_cohorts, ids.size)
+                    if ids.size == 1 and m > 1:
+                        ids, w = ids.repeat(2), np.array([w[0], 0])
+                    kfb = kf[: nf + (nf == 1 and m > 1)]
                 s = step + j
                 t = grid.t0 + s * dt
                 t_end = grid.t0 + (s + 1) * dt
                 lam_t = None if state_intensity else lam_steps[s]
-                use_comp = (lam_t is None) or (lam_t > 0.0)
-                kl = ck[live]
-                if use_comp:
-                    x_t = atoms_steps[s] if atoms_steps is not None else atoms_const
+                kl = ck if diffusion else ck[ids]
+                factor = None
+                if lam_t is None or lam_t > 0.0:
+                    x_t = atoms_steps[s]
+                    lam_rows = lam_t
                     if lam_t is None:
                         try:
                             lam_live = np.array(
                                 [jump_spec.intensity_at(t, k) for k in kl])
                             lam_frozen = np.array(
-                                [jump_spec.intensity_at(t, k) for k in kf])
+                                [jump_spec.intensity_at(t, k) for k in kfb])
                         except Exception:
                             # a pure intensity raises again at the first bad
                             # row, so the error is the per-row loop's
                             for i in range(m):
                                 jump_spec.intensity_at(t, ck[rc[i]])
                             raise
-                    # a spent cohort still has to pass the checks that its
-                    # unmoved rows always passed
-                    if kf.size:
-                        bad = (1.0 + kf @ x_t.T <= 0.0).any(axis=1)
+                        lam_rows = lam_live[:, None]
+                    # weights are nonnegative, so 1 + <kappa, x> >= 1 unless
+                    # some jump size is negative; a spent cohort still has
+                    # to pass the checks that its unmoved rows always passed
+                    neg = (x_t < 0.0).any()
+                    if nf and neg:
+                        bad = (1.0 + kfb @ x_t.T <= 0.0).any(axis=1)
                         if lam_t is None:
                             bad &= lam_frozen > 0.0
                         if bad.any():
                             raise ValueError(
                                 "jump size annihilates the whole market")
-                if ids.size:
-                    lt = clt[:, live]
-                    if use_comp:
+                    if ids.size:
                         # compensator factor from the left state
                         denom = 1.0 + kl @ x_t.T
-                        if lam_t is None:
-                            lam_rows = lam_live[:, None]
-                            bad = (denom <= 0.0).any(axis=1)
-                            if np.any(bad & (lam_live > 0.0)):
+                        bad = (denom <= 0.0).any(axis=1) if neg else None
+                        if bad is not None and bad.any():
+                            if lam_t is not None or (bad & (lam_live > 0.0)).any():
                                 raise ValueError(
-                                    "jump size annihilates the whole market"
-                                )
-                            if bad.any():
-                                # rows with zero intensity never use the moment
-                                denom[bad] = 1.0
-                        else:
-                            lam_rows = lam_t
-                            if np.any(denom <= 0.0):
-                                raise ValueError(
-                                    "jump size annihilates the whole market"
-                                )
+                                    "jump size annihilates the whole market")
+                            # rows with zero intensity never use the moment
+                            denom[bad] = 1.0
                         i1 = lam_rows * ((jump_spec.probs / denom) @ x_t)
                         comp = i1 - np.einsum("ij,ij->i", kl, i1)[:, None]
                         factor = 1.0 - comp * dt
                         if budget is not None and diffusion:
                             # a truncated point process carries no
                             # compensator once its jump budget is spent
-                            # (only diffusion steps spent rows at all)
                             factor[cspent] = 1.0
-                    else:
-                        factor = None
+                if diffusion:
                     # the continuous engine's step; dead coordinates ride
                     # along at -inf
-                    if diffusion:
-                        c, sigma = cov(t, kl)
-                        kl = _balanced_step(lt, kl, dw[:, j], c, sigma, dt, diag)
-                    if factor is not None:
-                        knew = kl * factor
-                        # touch only the rows the factor actually moves, so a
-                        # path with a spent jump budget stays frozen bit for bit
-                        rows = np.flatnonzero((knew != kl).any(axis=1))
-                        if rows.size:
-                            ksub = knew[rows]
-                            dying = (ksub < DEATH_THRESHOLD) & (kl[rows] > 0.0)
-                            if dying.any():
-                                rsub, cols = np.nonzero(dying)
-                                for rr, cc in zip(rsub, cols):
-                                    members = lo + np.flatnonzero(rc == ids[rows[rr]])
-                                    zeta[members, cc] = t_end
-                                    mode[members, cc] = CONTINUOUS_VANISH
-                                ksub[dying] = 0.0
-                            with np.errstate(divide="ignore"):
-                                lsub = np.where(ksub > 0.0, np.log(ksub),
-                                                -np.inf).T.copy()
-                            ksub = _renormalize_log(
-                                lsub, diag, None if w is None else w[rows])
-                            lt[:, rows] = lsub
-                            kl[rows] = ksub.T
-                    if diffusion:
-                        ck = kl
-                    elif not isinstance(live, slice):
-                        ck[live] = kl
-                        clt[:, live] = lt
-                # jump events inside (t, t_end]
+                    c, sigma = cov(t, kl)
+                    kl = ck = _balanced_step(clt, kl, dw[:, j], c, sigma, dt, diag)
+                if factor is not None:
+                    knew = kl * factor
+                    # touch only the rows the factor actually moves, so a
+                    # path with a spent jump budget stays frozen bit for bit
+                    moved = (knew != kl).any(axis=1)
+                    rows = slice(None) if moved.all() else np.flatnonzero(moved)
+                    if moved.any():
+                        ksub = knew[rows]
+                        dying = ksub < DEATH_THRESHOLD
+                        if dying.any():
+                            dying &= kl[rows] > 0.0
+                            for rr, cc in zip(*np.nonzero(dying)):
+                                members = rc == ids[rows][rr]
+                                zt[members, cc] = t_end
+                                md[members, cc] = CONTINUOUS_VANISH
+                            ksub[dying] = 0.0
+                        lsub = _log_weights(ksub).T.copy()
+                        ksub = _renormalize_log(
+                            lsub, diag, None if w is None else w[rows])
+                        ck[ids[rows]] = ksub.T
+                        if diffusion:
+                            clt[:, rows] = lsub
+                # jump events inside (t, t_end], a round at a time: each
+                # due path draws on its own stream in its own order
+                # (acceptance, size, next candidate), and products stay
+                # per row
                 while tau_min <= t_end:
                     due = np.flatnonzero(next_tau <= t_end)
-                    if due.size == 0:
-                        break
                     diag.n_jump_candidates += due.size
-                    for i in due:
-                        tau = next_tau[i]
-                        cid = rc[i]
-                        kap_i = ck[cid]
-                        lam_tau = jump_spec.intensity_at(tau, kap_i)
+                    taus = next_tau[due]
+                    kaps = ck[rc[due]]
+                    acc, knew = [], []
+                    for r, (i, tau, kap) in enumerate(zip(due, taus, kaps)):
+                        lam_tau = jump_spec.intensity_at(tau, kap)
                         if jgens[i].uniform() <= lam_tau / lam_max:
-                            x = jump_spec.sample_jump(tau, kap_i, jgens[i])
-                            base = 1.0 + kap_i @ x
+                            x = jump_spec.sample_jump(tau, kap, jgens[i])
+                            base = 1.0 + kap @ x
                             if base <= 0.0:
                                 raise ValueError(
-                                    "jump size annihilates the whole market"
-                                )
-                            knew_i = kap_i * (1.0 + x) / base
-                            newly_dead = (knew_i < DEATH_THRESHOLD) & (kap_i > 0.0)
-                            knew_i[newly_dead] = 0.0
-                            for cc in np.flatnonzero(newly_dead):
-                                zeta[lo + i, cc] = tau
-                                mode[lo + i, cc] = JUMP_TO_ZERO
-                            knew_i = knew_i / knew_i.sum()
-                            if csize[cid] > 1:
+                                    "jump size annihilates the whole market")
+                            acc.append(r)
+                            knew.append(kap * (1.0 + x) / base)
+                    if acc:
+                        ai, tau_a, kap_a = ((due, taus, kaps) if len(acc) == len(due)
+                                            else (due[acc], taus[acc], kaps[acc]))
+                        knew = np.array(knew)
+                        dead = knew < DEATH_THRESHOLD
+                        if dead.any():
+                            dead &= kap_a > 0.0
+                            rr, cc = np.nonzero(dead)
+                            zt[ai[rr], cc] = tau_a[rr]
+                            md[ai[rr], cc] = JUMP_TO_ZERO
+                            knew[dead] = 0.0
+                        knew /= knew.sum(axis=1, keepdims=True)
+                        for i in ai:
+                            if csize[rc[i]] > 1:
                                 # the path leaves its cohort for a new one
-                                csize[cid] -= 1
-                                cid = rc[i] = nc
-                                csize[cid] = 1
+                                csize[rc[i]] -= 1
+                                rc[i] = nc
+                                csize[nc] = 1
                                 nc += 1
                                 regroup = True
-                            ck[cid] = knew_i
-                            with np.errstate(divide="ignore"):
-                                clt[:, cid] = np.where(
-                                    knew_i > 0.0, np.log(knew_i), -np.inf
-                                )
-                            diag.n_jumps_accepted += 1
-                            jump_count[lo + i] += 1
-                            if np.isnan(first_jump[lo + i]):
-                                first_jump[lo + i] = tau
-                            if budget is not None and jump_count[lo + i] >= budget:
-                                cspent[cid] = True
-                                regroup = True
-                                next_tau[i] = np.inf
-                                budget_out[lo + i] = tau
-                                continue
-                        next_tau[i] = tau + jgens[i].exponential(1.0 / lam_max)
+                        cids = rc[ai]
+                        ck[cids] = knew
+                        if diffusion:
+                            clt[:, cids] = _log_weights(knew).T
+                        diag.n_jumps_accepted += len(ai)
+                        jc[ai] = count = jc[ai] + 1
+                        fj[ai] = np.fmin(fj[ai], tau_a)  # nan before the first
+                        if budget is not None:
+                            spent = count >= budget
+                            if spent.any():
+                                cspent[cids[spent]] = True
+                                next_tau[ai[spent]] = np.inf
+                                bo[ai[spent]] = tau_a[spent]
+                                if not diffusion:
+                                    frozen = knew[spent]
+                                    kf[nf : nf + len(frozen)] = frozen
+                                    nf += len(frozen)
+                                    kf[nf] = kf[0]
+                                    regroup = True
+                    nxt = due[next_tau[due] <= t_end]
+                    if nxt.size:
+                        next_tau[nxt] += [jgens[i].exponential(1.0 / lam_max)
+                                          for i in nxt]
                     tau_min = next_tau.min()
                 idx = stored_pos.get(s + 1)
                 if idx is not None:

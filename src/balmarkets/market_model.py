@@ -113,7 +113,7 @@ class ProcessSpec:
                 return values[0]
             if t >= times[-1]:
                 return values[-1]
-            j = int(np.searchsorted(times, t, side="right"))
+            j = int(times.searchsorted(t, side="right"))
             w = (t - times[j - 1]) / (times[j] - times[j - 1])
             return (1.0 - w) * values[j - 1] + w * values[j]
         return self.fn(t, kappa)

@@ -28,6 +28,7 @@ chunk layout, and with it the thread count, never changes values.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from concurrent.futures import ThreadPoolExecutor
@@ -74,6 +75,95 @@ def path_generator(seed: int, stream: int, path_index: int) -> np.random.Generat
     """Counter-based generator for one path's draws in one stream."""
     ss = np.random.SeedSequence(entropy=(int(seed), int(stream), int(path_index)))
     return np.random.Generator(np.random.Philox(ss))
+
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
+_SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
+_SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
+_SS_POOL = 4
+_U32 = 0xFFFFFFFF
+
+
+def _uint32_words(n: int) -> list[int]:
+    """A nonnegative int as SeedSequence reads it: little-endian 32-bit words."""
+    if n < 0:
+        raise ValueError(f"seed entropy must be nonnegative, got {n}")
+    return [n >> k & _U32 for k in range(0, max(n.bit_length(), 1), 32)]
+
+
+def _philox_keys(seed: int, stream: int, lo: int, hi: int) -> np.ndarray:
+    """``SeedSequence(entropy=(seed, stream, p)).generate_state(2, np.uint64)``
+    for every p in ``[lo, hi)``, as an ``(hi - lo, 2)`` array.
+
+    The entropy words differ between paths only in the path index, so the
+    hash runs over whole columns of paths at once.  A path index of 2**32
+    or more is two words long, and its rows are mixed separately.
+    """
+    if hi > 2**32 and lo < 2**32:
+        return np.concatenate([_philox_keys(seed, stream, lo, 2**32),
+                               _philox_keys(seed, stream, 2**32, hi)])
+    p = np.arange(lo, hi, dtype=np.uint64)
+    words = [np.full(len(p), w, np.uint32)
+             for w in _uint32_words(int(seed)) + _uint32_words(int(stream))]
+    words.append((p & _U32).astype(np.uint32))
+    if lo >= 2**32:
+        words.append((p >> np.uint64(32)).astype(np.uint32))
+    hash_a = _SS_INIT_A
+
+    def hashmix(v):
+        nonlocal hash_a
+        v = v ^ np.uint32(hash_a)
+        hash_a = hash_a * _SS_MULT_A & _U32
+        v *= np.uint32(hash_a)
+        return v ^ (v >> 16)
+
+    def mix(x, y):
+        v = np.uint32(_SS_MIX_L) * x - np.uint32(_SS_MIX_R) * y
+        return v ^ (v >> 16)
+
+    zero = np.zeros(len(p), np.uint32)
+    pool = [hashmix(words[i] if i < len(words) else zero) for i in range(_SS_POOL)]
+    for src in range(_SS_POOL):
+        for dst in range(_SS_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[_SS_POOL:]:
+        for dst in range(_SS_POOL):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    state = np.empty((len(p), 4), np.uint32)
+    hash_b = _SS_INIT_B
+    for i in range(4):
+        v = pool[i] ^ np.uint32(hash_b)
+        hash_b = hash_b * _SS_MULT_B & _U32
+        v *= np.uint32(hash_b)
+        state[:, i] = v ^ (v >> 16)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+@functools.cache
+def _key_sequence() -> type:
+    """A seed sequence that hands ``np.random.Philox`` a precomputed key, as
+    Philox asks its seed sequence for ``generate_state(2, np.uint64)``.
+    Built on first use: ``numpy.random`` is not imported with numpy."""
+
+    class KeySequence(np.random.bit_generator.ISeedSequence):
+        def __init__(self, key: np.ndarray):
+            self.key = key
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.key
+
+    return KeySequence
+
+
+def path_generators(seed: int, stream: int, lo: int,
+                    hi: int) -> list[np.random.Generator]:
+    """``path_generator(seed, stream, p)`` for every p in ``[lo, hi)``, with
+    the keys derived in one pass (about 3x faster per path)."""
+    keyed = _key_sequence()
+    return [np.random.Generator(np.random.Philox(keyed(key)))
+            for key in _philox_keys(seed, stream, lo, hi)]
 
 
 @dataclass
@@ -220,8 +310,9 @@ def _renormalize_log(lt: np.ndarray, diag: EngineDiagnostics,
     ``weights`` counts each row as that many paths in the statistics (a
     row of the jump engine can stand for a whole cohort of paths).
     """
-    clip_mask = (lt < _LOG_FLOOR) & (lt > -np.inf)
+    clip_mask = lt < _LOG_FLOOR
     if clip_mask.any():
+        clip_mask &= lt > -np.inf
         diag.n_clamped += int(clip_mask.sum())
         np.copyto(lt, _LOG_FLOOR, where=clip_mask)
     mx = lt.max(axis=0)
@@ -340,7 +431,7 @@ def simulate_relative_caps_balanced(
     def worker(lo: int, hi: int) -> EngineDiagnostics:
         m = hi - lo
         diag = EngineDiagnostics()
-        gens = [path_generator(seed, STREAM_BROWNIAN, p) for p in range(lo, hi)]
+        gens = path_generators(seed, STREAM_BROWNIAN, lo, hi)
         lt = np.tile(np.log(kappa0)[:, None], (1, m))  # company-major
         kappa = np.tile(kappa0, (m, 1))
         kappa_out[lo:hi, 0] = kappa0
@@ -422,7 +513,7 @@ def simulate_capitalizations(
     def worker(lo: int, hi: int) -> EngineDiagnostics:
         m = hi - lo
         diag = EngineDiagnostics()
-        gens = [path_generator(seed, STREAM_BROWNIAN, p) for p in range(lo, hi)]
+        gens = path_generators(seed, STREAM_BROWNIAN, lo, hi)
         logs = np.tile(log_s0, (m, 1))
         caps = np.exp(logs)
         kappa = caps / caps.sum(axis=1, keepdims=True)

@@ -93,15 +93,19 @@ def test_growth_jump_gradient_matches_finite_differences():
 
 
 def test_sampler_only_spec_refuses_moment_queries():
-    spec = JumpSpec(
-        intensity=ProcessSpec.constant(1.0), lam_max=1.0, d=2,
+    spec = JumpSpec.sampler_only(
+        1.0, lam_max=1.0, d=2,
         sampler=lambda t, kappa, rng: np.array([0.1, -0.1]))
-    assert spec.sampler_only
+    assert spec.atoms is None
     assert not spec.has_moments
     with pytest.raises(CompensatorUnavailable):
         spec.i1(0.0, np.array([0.5, 0.5]))
     with pytest.raises(CompensatorUnavailable):
         spec.growth_jump_term(0.0, np.array([0.5, 0.5]))
+    # the engine needs the compensator drift, so it refuses the spec too
+    with pytest.raises(CompensatorUnavailable):
+        simulate_jump_balanced(ProcessSpec.constant(np.zeros((2, 2))), spec,
+                               [0.5, 0.5], PathGrid(dt=1e-2, n_steps=10), 4, 1)
 
 
 def test_atoms_below_minus_one_are_rejected():

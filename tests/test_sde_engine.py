@@ -18,6 +18,7 @@ from balmarkets.jump_markets import (
 from balmarkets.market_model import MarketParams, PathGrid, ProcessSpec, psd_factor
 from balmarkets.sde_engine import (
     STREAM_BROWNIAN,
+    STREAM_JUMP,
     PathSet,
     lift_to_capitalizations,
     pathset_summary,
@@ -76,6 +77,31 @@ def test_different_seeds_differ():
     a = _weights_run(seed=1)
     b = _weights_run(seed=2)
     assert not np.array_equal(a.kappa, b.kappa)
+
+
+@pytest.mark.parametrize("stream", [STREAM_BROWNIAN, STREAM_JUMP])
+def test_chunk_keys_are_the_seed_sequence_keys(stream):
+    # seeds of one, two and three entropy words; path indices of one word,
+    # and ranges that reach or cross 2**32, where a path index takes two
+    rng = np.random.default_rng(2024)
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**64 + 5,
+             *(int(s) for s in rng.integers(0, 2**62, 3))]
+    spans = [(0, 2048), (2**32 - 1, 2**32), (2**32 - 2, 2**32 + 2),
+             (2**40, 2**40 + 3)]
+    for seed in seeds:
+        for lo, hi in spans:
+            ref = [np.random.SeedSequence(entropy=(seed, stream, p))
+                   .generate_state(2, np.uint64) for p in range(lo, hi)]
+            keys = sde_engine._philox_keys(seed, stream, lo, hi)
+            assert keys.dtype == np.uint64 and keys.shape == (hi - lo, 2)
+            assert np.array_equal(keys, ref), (seed, lo, hi)
+    for seed in seeds[:5]:
+        gens = sde_engine.path_generators(seed, stream, 2**32 - 3, 2**32 + 3)
+        for p, g in zip(range(2**32 - 3, 2**32 + 3), gens):
+            assert np.array_equal(g.random(4),
+                                  path_generator(seed, stream, p).random(4))
+    with pytest.raises(ValueError):
+        sde_engine.path_generators(-1, stream, 0, 2)
 
 
 def _short_run(engine, n_paths, n_threads):

@@ -40,6 +40,7 @@ __all__ = [
     "MarketParams",
     "PathGrid",
     "validate_params",
+    "check_covariance",
     "psd_factor",
     "covariance_rows",
     "PSD_TOL",
@@ -292,8 +293,16 @@ def validate_params(params: MarketParams) -> MarketParams:
     kappa0 = np.full(d, 1.0 / d)
     params.a_spec.rows(0.0, kappa0, (d,), "drift rate a")
     params.r_spec.rows(0.0, kappa0, (), "interest rate r")
-    c = params.c_spec.rows(0.0, kappa0, (d, d), "covariance rate c")
+    check_covariance(params.c_spec.rows(0.0, kappa0, (d, d), "covariance rate c"))
+    return params
 
+
+def check_covariance(c: np.ndarray) -> None:
+    """Raise unless the square matrix ``c`` is symmetric PSD up to ``PSD_TOL``.
+
+    Asymmetry raises :class:`AsymmetricCovariance`; an eigenvalue below
+    ``-PSD_TOL * (1 + max|c|)`` raises :class:`NegativeEigenvalue`.
+    """
     scale = 1.0 + float(np.max(np.abs(c))) if c.size else 1.0
     if not np.allclose(c, c.T, atol=PSD_TOL * scale, rtol=0.0):
         raise AsymmetricCovariance("covariance rate matrix is not symmetric")
@@ -302,7 +311,6 @@ def validate_params(params: MarketParams) -> MarketParams:
         raise NegativeEigenvalue(
             f"covariance has eigenvalue {eigs.min():.3e} below -{PSD_TOL * scale:.3e}"
         )
-    return params
 
 
 def psd_factor(c: np.ndarray) -> np.ndarray:

@@ -18,9 +18,10 @@ martingales.  A builtin name can be used anywhere a config path can.
 from __future__ import annotations
 
 import argparse
-import copy
+import collections
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -54,7 +55,7 @@ from .jump_markets import (
     pairwise_distance_jump,
     simulate_jump_balanced,
 )
-from .market_model import MarketParams, PathGrid, ProcessSpec
+from .market_model import MarketParams, PathGrid, ProcessSpec, check_covariance
 from .sde_engine import (
     PathSet,
     _write_hashed,
@@ -63,27 +64,6 @@ from .sde_engine import (
     simulate_capitalizations,
     simulate_relative_caps_balanced,
 )
-
-_DEFAULT_DIAGNOSTICS = {
-    "balance": True,
-    "segregation": True,
-    "limiting_distribution": True,
-    "lln": False,
-}
-
-_DEFAULT_THRESHOLDS = {
-    "eps_slope": DEFAULT_EPS_SLOPE,
-    "L_cap": DEFAULT_L_CAP,
-    "d_threshold": DEFAULT_DISTANCE_THRESHOLD,
-    "atom_eps": DEFAULT_ATOM_EPS,
-    "indeterminate_cap": DEFAULT_INDETERMINATE_CAP,
-}
-
-_TOP_KEYS = {
-    "name", "description", "builtin", "model", "example", "market", "jump",
-    "grid", "n_paths", "seed", "store_every", "output_dir", "diagnostics",
-    "thresholds",
-}
 
 BUILTINS: dict[str, dict] = {
     "sec6_case_a0": {
@@ -166,6 +146,96 @@ del _key, _val
 
 # ---------------------------------------------------------------------------
 # config parsing
+#
+# _FIELDS describes each scenario field once: key path, JSON kind, description,
+# default (_REQUIRED, _OPTIONAL, or a value checked like a given one), lower bound
+# on its numbers, allowed values, whether it must be nonempty, and messages where
+# the stock ones do not fit.  parse_config walks it; scenario_schema reads it.
+
+_REQUIRED, _OPTIONAL = object(), object()
+_Field = collections.namedtuple(
+    "_Field", "path kind doc default minimum exclusive enum nonempty expect below",
+    defaults=(_OPTIONAL, None, False, (), False, None, None))
+_SIMPLEX = "must be nonnegative and sum to one"
+_ROOT = _Field("", "section", "One simulation scenario. Keys override a 'builtin' "
+               "wholesale, except 'diagnostics' and 'thresholds', which merge per "
+               "entry. Numbers must be finite; a null optional key is absent.")
+_FIELDS = (
+    _Field("name", "string", "Scenario name, default output directory; a builtin "
+           "supplies one.", nonempty=True, expect="expected a nonempty string"),
+    _Field("description", "string", "Free-form note; ignored by the runner."),
+    _Field("builtin", "string", "Builtin scenario that the other keys override.",
+           enum=tuple(BUILTINS)),
+    _Field("model", "string", "Diffusion only, or jumps too; a builtin supplies "
+           "one.", enum=("continuous", "jump"),
+           expect="expected 'continuous' or 'jump', got {!r}"),
+    _Field("example", "string", "Analytic jump example with its own market; "
+           "excludes 'market' and 'jump'.", enum=("death_of_company",)),
+    _Field("market", "section", "Market coefficients, required without 'example'. "
+           "'a' with 's0' runs the capitalization engine; 'kappa0' without 'a' "
+           "the balanced-weights engine.", expect="required object"),
+    _Field("market.a", "vector", "Constant drift rate (capitalization engine)."),
+    _Field("market.c", "matrix", "Constant d-by-d covariance rate, d >= 2; "
+           "symmetric positive semidefinite, eigenvalues down to "
+           "-1e-10 (1 + max|c|) counting as zero.", _REQUIRED),
+    _Field("market.r", "number", "Constant interest rate.", 0.0),
+    _Field("market.s0", "vector", "Initial capitalizations (capitalization engine).",
+           minimum=0, exclusive=True, below="initial capitalizations must be positive"),
+    _Field("market.kappa0", "vector", "Initial weights, summing to one "
+           "(balanced-weights and jump engines).", minimum=0, below=_SIMPLEX),
+    _Field("market.d", "integer", "Number of companies; must match 'c'."),
+    _Field("jump", "section", "Finite-atom jump law, compensated; model 'jump' only.",
+           expect="required object for a jump model"),
+    _Field("jump.intensity", "number|section", "Arrival rate: a constant, or a "
+           "piecewise-linear table of time points and values.", _REQUIRED, 0),
+    _Field("jump.intensity.times", "vector", "Strictly increasing time knots.",
+           _REQUIRED, nonempty=True),
+    _Field("jump.intensity.values", "vector", "Rate at each knot.", _REQUIRED, 0),
+    _Field("jump.lam_max", "number", "Upper bound on the intensity for the "
+           "thinning sampler; at least the intensity's peak, its default."),
+    _Field("jump.atoms", "matrix", "Relative jump sizes, one row per atom; -1 kills "
+           "a company.", _REQUIRED, -1, below="relative jump sizes must be >= -1"),
+    _Field("jump.probs", "vector", "Probability of each row of 'atoms', summing "
+           "to one.", _REQUIRED, 0, below=_SIMPLEX),
+    _Field("jump.max_jumps", "integer", "Accepted jumps per path before the jump "
+           "measure and its compensator switch off; no budget when absent.", minimum=0),
+    _Field("grid", "section", "Time horizon and step; T must be a whole number "
+           "of steps.", _REQUIRED, expect="required object with keys T and dt"),
+    _Field("grid.T", "number", "Time horizon.", _REQUIRED, 0, True),
+    _Field("grid.dt", "number", "Time step.", _REQUIRED, 0, True),
+    _Field("n_paths", "integer", "Number of simulated paths.", _REQUIRED, 1),
+    _Field("seed", "integer", "Root seed; with the config it fixes every output "
+           "byte.", _REQUIRED, 0),
+    _Field("store_every", "integer", "Keep every k-th step in the output.", 1, 1),
+    _Field("output_dir", "string", "Where to write outputs; --out overrides it."),
+    _Field("diagnostics", "section", "Which diagnostics run.", {}),
+    _Field("diagnostics.balance", "boolean", "Loss of balance per path.", True),
+    _Field("diagnostics.limiting_distribution", "boolean", "Terminal histogram.", True),
+    _Field("diagnostics.lln", "boolean", "Bank-rate ratio; invertible c only.", False),
+    _Field("diagnostics.segregation", "boolean", "Divergences on one path.", True),
+    _Field("thresholds", "section", "Decision thresholds of the diagnostics.", {}),
+    _Field("thresholds.L_cap", "number", "L forcing Unbalanced.", DEFAULT_L_CAP),
+    _Field("thresholds.atom_eps", "number", "Weight tolerance of an atom.",
+           DEFAULT_ATOM_EPS),
+    _Field("thresholds.d_threshold", "number", "Divergence that segregates.",
+           DEFAULT_DISTANCE_THRESHOLD),
+    _Field("thresholds.eps_slope", "number", "Tail slope of a settled L path.",
+           DEFAULT_EPS_SLOPE),
+    _Field("thresholds.indeterminate_cap", "number", "Largest indeterminate fraction "
+           "before the horizon counts as too short.", DEFAULT_INDETERMINATE_CAP),
+)
+_SECTIONS: dict[str, dict[str, _Field]] = {}  # section path -> key -> field
+for _f in _FIELDS:
+    _SECTIONS.setdefault(_f.path.rpartition(".")[0], {})[_f.path.split(".")[-1]] = _f
+del _f
+_TOP_KEYS = set(_SECTIONS[""])
+_DEFAULT_DIAGNOSTICS = {k: f.default for k, f in _SECTIONS["diagnostics"].items()}
+_DEFAULT_THRESHOLDS = {k: f.default for k, f in _SECTIONS["thresholds"].items()}
+_SCALARS = {  # kind -> accepted Python types, message for anything else
+    "number": ((int, float), "expected a number, got {!r}"),
+    "integer": (int, "expected an integer, got {!r}"),
+    "boolean": (bool, "expected true or false, got {!r}"),
+    "string": (str, "expected a string"), "section": (dict, "expected an object")}
 
 
 @dataclasses.dataclass
@@ -195,292 +265,192 @@ def _fail(path: str, msg: str):
     raise ConfigParseError(f"{path}: {msg}")
 
 
-def _as_number(val, path: str) -> float:
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        _fail(path, f"expected a number, got {val!r}")
-    return float(val)
+def _check(f: _Field, val):
+    """``val`` checked as field ``f``: numbers as floats, lists of floats, and
+    sections as dicts of their checked or defaulted fields."""
+    kind = f.kind if f.kind != "number|section" else (
+        "section" if isinstance(val, dict) else "number")
+    if f.enum:
+        if val not in f.enum:
+            _fail(f.path, f.expect.format(val) if f.expect else f"unknown "
+                  f"{f.path} {val!r} (known: {', '.join(sorted(f.enum))})")
+        return val
+    if kind in ("vector", "matrix"):
+        rows = kind == "matrix"
+        try:
+            out = np.asarray(val, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            _fail(f.path, f"expected a list of {'rows of ' * rows}numbers")
+        if out.ndim != 1 + rows:
+            _fail(f.path, f"expected a {'matrix' if rows else 'flat list'}, "
+                          f"got shape {out.shape}")
+        if not np.isfinite(out).all() or (f.nonempty and not out.size):
+            _fail(f.path, "expected finite numbers" if out.size else "expected a "
+                  "nonempty list")
+    else:
+        types, expect = _SCALARS[kind]
+        if (not isinstance(val, types) or (f.nonempty and not val)
+                or (isinstance(val, bool) and kind != "boolean")):
+            _fail(f.path, (f.expect or expect).format(val))
+        if kind == "number" and not abs(val) <= sys.float_info.max:
+            _fail(f.path, f"expected a finite number, got {val!r}")
+        out = float(val) if kind == "number" else val
+    if kind == "section":
+        fields = _SECTIONS[f.path]
+        for key in val:
+            if key not in fields:
+                _fail(f"{f.path}.{key}" if f.path else key, "unknown top-level key"
+                      if not f.path else f"unknown key (known: {', '.join(fields)})")
+        out = {}
+        for key, sub in fields.items():
+            given = val.get(key, sub.default)
+            if given is None and sub.default is _OPTIONAL:  # null as absent
+                continue
+            if given is not _OPTIONAL:
+                out[key] = _check(sub, None if given is _REQUIRED else given)
+    elif f.minimum is not None and np.any(
+            out <= f.minimum if f.exclusive else out < f.minimum):
+        stock = f"must be at least {f.minimum}" if f.minimum else (
+            "must be positive" if f.exclusive else "must be nonnegative")
+        _fail(f.path, f.below or stock)
+    return out.tolist() if isinstance(out, np.ndarray) else out
 
 
-def _as_int(val, path: str) -> int:
-    if isinstance(val, bool) or not isinstance(val, int):
-        _fail(path, f"expected an integer, got {val!r}")
-    return int(val)
-
-
-def _as_vector(val, path: str, length: int | None = None) -> np.ndarray:
-    try:
-        arr = np.asarray(val, dtype=float)
-    except (TypeError, ValueError):
-        _fail(path, "expected a list of numbers")
-    if arr.ndim != 1:
-        _fail(path, f"expected a flat list, got shape {arr.shape}")
-    if length is not None and arr.shape[0] != length:
-        _fail(path, f"expected length {length}, got {arr.shape[0]}")
-    return arr
-
-
-def _as_matrix(val, path: str) -> np.ndarray:
-    try:
-        arr = np.asarray(val, dtype=float)
-    except (TypeError, ValueError):
-        _fail(path, "expected a list of rows of numbers")
-    if arr.ndim != 2:
-        _fail(path, f"expected a matrix, got shape {arr.shape}")
-    return arr
-
-
-def _merged_section(base: dict, builtin: dict | None, user: dict | None,
-                    section: str) -> dict:
-    out = dict(base)
-    for layer in (builtin, user):
-        if layer is None:
-            continue
-        if not isinstance(layer, dict):
-            _fail(section, "expected an object")
-        for key, val in layer.items():
-            if key not in base:
-                known = ", ".join(sorted(base))
-                _fail(f"{section}.{key}", f"unknown key (known: {known})")
-            out[key] = val
-    return out
+def _need(vals: dict, path: str, length: int | None = None):
+    """The checked value at ``path``, required here; ``length`` entries if given."""
+    prefix, _, key = path.rpartition(".")
+    if key not in vals:
+        _check(_SECTIONS[prefix][key], None)
+    if length is not None and len(vals[key]) != length:
+        _fail(path, f"expected length {length}, got {len(vals[key])}")
+    return vals[key]
 
 
 def parse_config(doc: dict) -> ScenarioConfig:
     """Validate a scenario document and resolve any builtin reference.
 
     Raises :class:`ConfigParseError` with the offending key path on any
-    problem.  Top-level keys in the document override the builtin's
-    values wholesale, except ``diagnostics`` and ``thresholds`` where
-    individual entries merge.
+    problem.  Keys in the document replace the builtin's wholesale, except
+    ``diagnostics`` and ``thresholds``, whose entries merge.
     """
     if not isinstance(doc, dict):
         raise ConfigParseError("config root must be a JSON object")
-    unknown = set(doc) - _TOP_KEYS
-    if unknown:
-        _fail(sorted(unknown)[0], "unknown top-level key")
+    base = BUILTINS[_check(_SECTIONS[""]["builtin"], doc["builtin"])] if (
+        "builtin" in doc) else {}
+    merged = {**base, **doc}
+    for key in ("diagnostics", "thresholds"):  # merged entry by entry
+        if doc.get(key) is None or isinstance(doc[key], dict):
+            merged[key] = {**base.get(key, {}), **(doc.get(key) or {})}
+    # a section that may not be there is reported as such, not as malformed
+    if merged.get("example") in _SECTIONS[""]["example"].enum and (
+            merged.get("market") is not None or merged.get("jump") is not None):
+        _fail("example", "an example scenario defines its own market; "
+                         "drop the market/jump sections")
+    if merged.get("model") == "continuous" and merged.get("jump") is not None:
+        _fail("jump", "only meaningful when model is 'jump'")
+    vals = _check(_ROOT, merged)
 
-    base: dict = {}
-    if "builtin" in doc:
-        tag = doc["builtin"]
-        if tag not in BUILTINS:
-            _fail("builtin", f"unknown builtin {tag!r} "
-                             f"(known: {', '.join(sorted(BUILTINS))})")
-        base = copy.deepcopy(BUILTINS[tag])
-    merged = dict(base)
-    for key, val in doc.items():
-        if key in ("builtin", "diagnostics", "thresholds"):
-            continue
-        merged[key] = val
-
-    diagnostics = _merged_section(
-        _DEFAULT_DIAGNOSTICS, base.get("diagnostics"), doc.get("diagnostics"),
-        "diagnostics",
-    )
-    for key, val in diagnostics.items():
-        if not isinstance(val, bool):
-            _fail(f"diagnostics.{key}", f"expected true or false, got {val!r}")
-    thresholds = _merged_section(
-        _DEFAULT_THRESHOLDS, base.get("thresholds"), doc.get("thresholds"),
-        "thresholds",
-    )
-    for key in ("eps_slope", "L_cap", "d_threshold", "atom_eps",
-                "indeterminate_cap"):
-        thresholds[key] = _as_number(thresholds[key], f"thresholds.{key}")
-
-    if "name" not in merged:
+    if "name" not in vals:  # name and model: required, not in the schema's `then`
         _fail("name", "required (a builtin reference supplies one)")
-    name = merged["name"]
-    if not isinstance(name, str) or not name:
-        _fail("name", "expected a nonempty string")
-
-    model = merged.get("model")
-    if model not in ("continuous", "jump"):
-        _fail("model", f"expected 'continuous' or 'jump', got {model!r}")
-
-    grid = merged.get("grid")
-    if not isinstance(grid, dict):
-        _fail("grid", "required object with keys T and dt")
-    for key in grid:
-        if key not in ("T", "dt"):
-            _fail(f"grid.{key}", "unknown key (known: T, dt)")
-    horizon = _as_number(grid.get("T"), "grid.T")
-    dt = _as_number(grid.get("dt"), "grid.dt")
-    if horizon <= 0.0:
-        _fail("grid.T", "must be positive")
-    if dt <= 0.0:
-        _fail("grid.dt", "must be positive")
-    n_steps = int(round(horizon / dt))
+    model = _need(vals, "model")
+    horizon, dt = vals["grid"]["T"], vals["grid"]["dt"]
+    n_steps = int(round(horizon / dt)) if math.isfinite(horizon / dt) else 0
     if n_steps < 1 or abs(n_steps * dt - horizon) > 1e-8 * max(1.0, horizon):
-        _fail("grid.dt", f"horizon {horizon} is not a whole number of steps "
-                         f"of {dt}")
-
-    n_paths = _as_int(merged.get("n_paths"), "n_paths")
-    if n_paths < 1:
-        _fail("n_paths", "must be at least 1")
-    seed = _as_int(merged.get("seed"), "seed")
-    if seed < 0:
-        _fail("seed", "must be nonnegative")
-    store_every = _as_int(merged.get("store_every", 1), "store_every")
-    if store_every < 1:
-        _fail("store_every", "must be at least 1")
-
-    output_dir = merged.get("output_dir")
-    if output_dir is not None and not isinstance(output_dir, str):
-        _fail("output_dir", "expected a string")
-
-    example = merged.get("example")
-    market_cfg: dict | None = None
-    jump_cfg: dict | None = None
-
-    if example is not None:
-        if example != "death_of_company":
-            _fail("example", f"unknown example {example!r} "
-                             "(known: death_of_company)")
+        _fail("grid.dt", f"horizon {horizon} is not a whole number of steps of {dt}")
+    if "example" in vals:
         if model != "jump":
             _fail("model", "the death_of_company example is a jump model")
-        if merged.get("market") is not None or merged.get("jump") is not None:
-            _fail("example", "an example scenario defines its own market; "
-                             "drop the market/jump sections")
-        engine = "jump_example"
-        d = 2
+        engine, d = "jump_example", 2
     else:
-        market = merged.get("market")
-        if not isinstance(market, dict):
-            _fail("market", "required object")
-        for key in market:
-            if key not in ("a", "c", "r", "s0", "kappa0", "d"):
-                _fail(f"market.{key}",
-                      "unknown key (known: a, c, r, s0, kappa0, d)")
-        c = _as_matrix(market.get("c"), "market.c")
+        market = _need(vals, "market")
+        c = np.asarray(market["c"])
         if c.shape[0] != c.shape[1]:
             _fail("market.c", f"must be square, got shape {c.shape}")
         d = c.shape[0]
-        if "d" in market and _as_int(market["d"], "market.d") != d:
+        if market.pop("d", d) != d:
             _fail("market.d", f"does not match the {d}x{d} covariance")
         if d < 2:
             _fail("market.c", "a market needs at least two companies")
-        r = _as_number(market.get("r", 0.0), "market.r")
-        market_cfg = {"c": c.tolist(), "r": r}
-
-        if "a" in market:
-            a = _as_vector(market["a"], "market.a", d)
-            if "kappa0" in market:
-                _fail("market.kappa0", "belongs to the balanced-weights "
-                      "model; initial capitalizations go in market.s0")
-            s0 = _as_vector(market.get("s0"), "market.s0", d)
-            if np.any(s0 <= 0.0):
-                _fail("market.s0", "initial capitalizations must be positive")
-            market_cfg["a"] = a.tolist()
-            market_cfg["s0"] = s0.tolist()
-            engine = "capitalizations"
-        else:
-            if "s0" in market:
-                _fail("market.s0", "belongs to the capitalization model; "
-                      "balanced-weights scenarios start from market.kappa0")
-            k0 = _as_vector(market.get("kappa0"), "market.kappa0", d)
-            if np.any(k0 < 0.0) or abs(float(k0.sum()) - 1.0) > 1e-9:
-                _fail("market.kappa0",
-                      "must be nonnegative and sum to one")
-            market_cfg["kappa0"] = k0.tolist()
-            engine = "balanced_weights"
-
+        try:
+            check_covariance(c)
+        except BalmarketsError as err:  # asymmetric or indefinite
+            _fail("market.c", str(err))
+        engine = "capitalizations" if "a" in market else "balanced_weights"
+        if "a" in market and "kappa0" in market:
+            _fail("market.kappa0", "belongs to the balanced-weights model; "
+                  "initial capitalizations go in market.s0")
+        if "a" not in market and "s0" in market:
+            _fail("market.s0", "belongs to the capitalization model; "
+                  "balanced-weights scenarios start from market.kappa0")
+        for key in ("a", "s0") if "a" in market else ("kappa0",):
+            _need(market, f"market.{key}", d)
+        if "kappa0" in market and abs(float(np.sum(market["kappa0"])) - 1.0) > 1e-9:
+            _fail("market.kappa0", _SIMPLEX)
         if model == "jump":
             if engine != "balanced_weights":
                 _fail("market.a", "jump scenarios evolve weights directly; "
                       "drop market.a and give market.kappa0")
-            engine = "jump"
-            jump = merged.get("jump")
-            if not isinstance(jump, dict):
-                _fail("jump", "required object for a jump model")
-            for key in jump:
-                if key not in ("intensity", "lam_max", "atoms", "probs",
-                               "max_jumps"):
-                    _fail(f"jump.{key}", "unknown key (known: intensity, "
-                          "lam_max, atoms, probs, max_jumps)")
-            inten = jump.get("intensity")
+            engine, jump = "jump", _need(vals, "jump")
+            lam_peak = inten = jump["intensity"]
             if isinstance(inten, dict):
-                for key in inten:
-                    if key not in ("times", "values"):
-                        _fail(f"jump.intensity.{key}",
-                              "unknown key (known: times, values)")
-                tt = _as_vector(inten.get("times"), "jump.intensity.times")
-                tv = _as_vector(inten.get("values"), "jump.intensity.values",
-                                tt.shape[0])
-                if np.any(np.diff(tt) <= 0.0):
+                _need(inten, "jump.intensity.values", len(inten["times"]))
+                if np.any(np.diff(inten["times"]) <= 0.0):
                     _fail("jump.intensity.times", "must be increasing")
-                if np.any(tv < 0.0):
-                    _fail("jump.intensity.values", "must be nonnegative")
-                inten_cfg = {"times": tt.tolist(), "values": tv.tolist()}
-                lam_peak = float(tv.max())
-            else:
-                lam_peak = _as_number(inten, "jump.intensity")
-                if lam_peak < 0.0:
-                    _fail("jump.intensity", "must be nonnegative")
-                inten_cfg = lam_peak
-            lam_max = _as_number(jump.get("lam_max", lam_peak),
-                                 "jump.lam_max")
-            if lam_max < lam_peak:
+                lam_peak = max(inten["values"])
+            if jump.setdefault("lam_max", lam_peak) < lam_peak:
                 _fail("jump.lam_max", "below the intensity's peak")
-            atoms = _as_matrix(jump.get("atoms"), "jump.atoms")
-            if atoms.shape[1] != d:
+            if len(jump["atoms"][0]) != d:
                 _fail("jump.atoms", f"each jump size needs {d} coordinates, "
-                                    f"got {atoms.shape[1]}")
-            if np.any(atoms < -1.0):
-                _fail("jump.atoms", "relative jump sizes must be >= -1")
-            probs = _as_vector(jump.get("probs"), "jump.probs",
-                               atoms.shape[0])
-            if np.any(probs < 0.0) or abs(float(probs.sum()) - 1.0) > 1e-9:
-                _fail("jump.probs", "must be nonnegative and sum to one")
-            jump_cfg = {
-                "intensity": inten_cfg,
-                "lam_max": lam_max,
-                "atoms": atoms.tolist(),
-                "probs": probs.tolist(),
-            }
-            if jump.get("max_jumps") is not None:
-                mj = _as_int(jump["max_jumps"], "jump.max_jumps")
-                if mj < 0:
-                    _fail("jump.max_jumps", "must be nonnegative")
-                jump_cfg["max_jumps"] = mj
-        elif merged.get("jump") is not None:
-            _fail("jump", "only meaningful when model is 'jump'")
+                                    f"got {len(jump['atoms'][0])}")
+            probs = _need(jump, "jump.probs", len(jump["atoms"]))
+            if abs(float(np.sum(probs)) - 1.0) > 1e-9:
+                _fail("jump.probs", _SIMPLEX)
 
-    resolved: dict = {
-        "name": name,
-        "model": model,
-        "grid": {"T": horizon, "dt": dt},
-        "n_paths": n_paths,
-        "seed": seed,
-        "store_every": store_every,
-        "diagnostics": dict(diagnostics),
-        "thresholds": dict(thresholds),
-    }
-    if example is not None:
-        resolved["example"] = example
-    if market_cfg is not None:
-        resolved["market"] = market_cfg
-    if jump_cfg is not None:
-        resolved["jump"] = jump_cfg
-
+    resolved = {key: val for key, val in vals.items()
+                if key not in ("builtin", "description", "output_dir")}
     return ScenarioConfig(
-        name=name,
-        model=model,
-        engine=engine,
-        d=d,
-        market=market_cfg,
-        jump=jump_cfg,
-        example=example,
-        grid_T=horizon,
-        grid_dt=dt,
-        n_steps=n_steps,
-        n_paths=n_paths,
-        seed=seed,
-        store_every=store_every,
-        diagnostics=diagnostics,
-        thresholds=thresholds,
-        output_dir=output_dir,
-        resolved=resolved,
-    )
+        engine=engine, d=d, grid_T=horizon, grid_dt=dt, n_steps=n_steps,
+        output_dir=vals.get("output_dir"), resolved=resolved,
+        **{key: resolved.get(key) for key in (
+            "name", "model", "market", "jump", "example", "n_paths", "seed",
+            "store_every", "diagnostics", "thresholds")})
+
+
+def _schema(f: _Field) -> dict:
+    """The JSON Schema of field ``f``."""
+    num = {"type": "number"}
+    if f.minimum is not None:
+        num["exclusiveMinimum" if f.exclusive else "minimum"] = f.minimum
+    out = dict(num, type=f.kind) if f.kind in ("number", "integer") else (
+        {"type": f.kind})
+    if f.kind in ("vector", "matrix"):
+        out = {"type": "array", "items": num if f.kind == "vector"
+               else {"type": "array", "items": num}}
+    elif "section" in f.kind:
+        fields = _SECTIONS[f.path]
+        out = {"type": "object", "additionalProperties": False,
+               "properties": {key: _schema(sub) for key, sub in fields.items()}}
+        out["required"] = [k for k, sub in fields.items() if sub.default is _REQUIRED]
+        if f.kind == "number|section":
+            out = {"oneOf": [num, out]}
+    if f.enum:
+        out["enum"] = list(f.enum)
+    if f.nonempty:
+        out["minLength" if f.kind == "string" else "minItems"] = 1
+    if f.kind != "section" and f.default not in (_REQUIRED, _OPTIONAL):
+        out["default"] = f.default
+    return {"description": f.doc, **out}
+
+
+def scenario_schema() -> dict:
+    """The draft-07 JSON Schema of a scenario, from the table that
+    :func:`parse_config` walks; ``docs/scenario_schema.json`` holds its
+    ``json.dumps(..., indent=2) + "\\n"``.  Rules across fields are in descriptions."""
+    top = _schema(_ROOT)
+    then = {"required": top.pop("required")}
+    return {"$schema": "http://json-schema.org/draft-07/schema#",
+            "title": "balmarkets scenario configuration", **top,
+            "if": {"not": {"required": ["builtin"]}}, "then": then}
 
 
 # ---------------------------------------------------------------------------

@@ -4,25 +4,41 @@ import copy
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import balmarkets
 from balmarkets import __version__
-from balmarkets.errors import ConfigParseError, VersionMismatch
+from balmarkets.errors import (
+    AsymmetricCovariance,
+    ConfigParseError,
+    IndefiniteMatrix,
+    NegativeEigenvalue,
+    VersionMismatch,
+)
+from balmarkets.market_model import MarketParams, PathGrid, ProcessSpec
 from balmarkets.scenario_cli import (
     _DEFAULT_DIAGNOSTICS,
     _DEFAULT_THRESHOLDS,
+    _FIELDS,
+    _SECTIONS,
     _TOP_KEYS,
     BUILTINS,
     main,
     parse_config,
     replay_summary,
     run_scenario,
+    scenario_schema,
+)
+from balmarkets.sde_engine import (
+    simulate_capitalizations,
+    simulate_relative_caps_balanced,
 )
 
 TINY_CAP = {
@@ -375,3 +391,154 @@ def test_python_dash_m_runs_without_runtime_warning():
     )
     assert done.returncode == 0, done.stderr
     assert "perfect_balance_demo" in done.stdout
+
+
+# ---------------------------------------------------------------------------
+# one field table behind the parser and the schema
+
+SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "..", "docs",
+                           "scenario_schema.json")
+
+TINY_TABLE_JUMP = dict(
+    TINY_JUMP, name="tiny-table-jump",
+    jump=dict(TINY_JUMP["jump"],
+              intensity={"times": [0.0, 0.3], "values": [1.0, 0.5]}))
+
+NAN, INF = float("nan"), float("inf")
+
+
+def _put(doc, path, value):
+    """Set the dotted ``path`` of ``doc``, making missing sections."""
+    *parents, key = path.split(".")
+    node = doc
+    for part in parents:
+        if not isinstance(node.get(part), dict):
+            node[part] = {}
+        node = node[part]
+    node[key] = value
+
+
+@pytest.mark.parametrize("doc,path,value,where", [
+    pytest.param(TINY_CAP, "grid.T", NAN, "grid.T", id="T-nan"),
+    pytest.param(TINY_CAP, "grid.T", INF, "grid.T", id="T-inf"),
+    pytest.param(TINY_CAP, "grid.dt", 10**400, "grid.dt", id="dt-huge-int"),
+    pytest.param(TINY_JUMP, "jump.intensity", {"times": [], "values": []},
+                 "jump.intensity.times", id="intensity-no-knots"),
+    pytest.param(TINY_WEIGHTS, "market.kappa0", [0.6, NAN], "market.kappa0",
+                 id="kappa0-nan"),
+    pytest.param(TINY_WEIGHTS, "market.r", NAN, "market.r", id="r-nan"),
+    pytest.param(TINY_WEIGHTS, "market.c", [[0.04, NAN], [NAN, 0.09]],
+                 "market.c", id="c-nan"),
+    pytest.param(TINY_CAP, "market.a", [0.0, INF], "market.a", id="a-inf"),
+    pytest.param(TINY_JUMP, "jump.atoms", [[NAN, -0.1]], "jump.atoms",
+                 id="atoms-nan"),
+    pytest.param(TINY_JUMP, "jump.probs", [NAN], "jump.probs", id="probs-nan"),
+    pytest.param(TINY_JUMP, "jump.intensity", NAN, "jump.intensity",
+                 id="intensity-nan"),
+    pytest.param(TINY_TABLE_JUMP, "jump.intensity.values", [1.0, NAN],
+                 "jump.intensity.values", id="intensity-values-nan"),
+    pytest.param(TINY_CAP, "thresholds.eps_slope", NAN, "thresholds.eps_slope",
+                 id="threshold-nan"),
+])
+def test_non_finite_and_empty_input_is_a_config_error(tmp_path, doc, path,
+                                                      value, where):
+    # Python's json reads NaN and Infinity; the parser must not pass them on
+    doc = copy.deepcopy(doc)
+    _put(doc, path, value)
+    with pytest.raises(ConfigParseError, match=f"^{re.escape(where)}: "):
+        parse_config(copy.deepcopy(doc))
+    assert main(["validate", "--config", _write_cfg(tmp_path, doc)]) == 2
+
+
+@pytest.mark.parametrize("c", [[[1.0, 0.5], [0.0, 1.0]], [[1.0, 2.0], [2.0, 1.0]]],
+                         ids=["asymmetric", "indefinite"])
+def test_validate_rejects_a_covariance_that_run_rejects(tmp_path, c):
+    for base in (TINY_CAP, TINY_WEIGHTS):
+        doc = copy.deepcopy(base)
+        doc["market"]["c"] = c
+        with pytest.raises(ConfigParseError, match="^market.c: "):
+            parse_config(copy.deepcopy(doc))
+        assert main(["validate", "--config", _write_cfg(tmp_path, doc)]) == 2
+    # the engines keep their own checks for library callers
+    grid = PathGrid(dt=0.01, n_steps=2)
+    with pytest.raises((AsymmetricCovariance, NegativeEigenvalue)):
+        simulate_capitalizations(
+            MarketParams.from_constants([0.0, 0.0], c, 0.0, [1.0, 1.0]),
+            grid, 2, 0)
+    with pytest.raises((AsymmetricCovariance, IndefiniteMatrix)):
+        simulate_relative_caps_balanced(
+            ProcessSpec.constant(np.array(c)), np.array([0.6, 0.4]), grid, 2, 0)
+
+
+_ROUND_TRIP_DOCS = [BUILTINS[name] for name in BUILTINS] + [
+    TINY_CAP, TINY_WEIGHTS, TINY_JUMP]
+
+
+@pytest.mark.parametrize("doc", _ROUND_TRIP_DOCS, ids=lambda d: d["name"])
+def test_resolved_config_parses_to_itself(doc):
+    # replay parses the summary's config block
+    resolved = _cfg(doc).resolved
+    assert parse_config(copy.deepcopy(resolved)).resolved == resolved
+
+
+_BAD_NUMBERS = st.sampled_from([NAN, INF, -INF, 10**400])
+_ANY_VALUE = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=2), st.integers(-3, 3),
+    st.floats(), _BAD_NUMBERS, st.lists(st.floats(), max_size=2),
+    st.dictionaries(st.sampled_from(["times", "values", "bogus"]),
+                    st.lists(st.floats(), max_size=2), max_size=3))
+
+
+def _bad_values(field):
+    """Values of the wrong type, out of range, non-finite, empty, ragged or
+    with an extra key, for one field of the table."""
+    low = 0 if field.minimum is None else field.minimum
+    number = st.one_of(st.sampled_from([low - 1, low - 0.5, low, 0.5]),
+                       _BAD_NUMBERS)
+    if field.kind == "vector":
+        special = st.one_of(st.lists(number, max_size=3), st.just([0.5, [0.5]]))
+    elif field.kind == "matrix":
+        special = st.one_of(st.lists(st.lists(number, max_size=3), max_size=2),
+                            st.just([[0.5], [0.5, 0.5]]))
+    elif "section" in field.kind:
+        special = st.sampled_from([{}, {"bogus": 1}, {"times": [], "values": []}])
+    else:
+        special = number
+    return st.one_of(_ANY_VALUE, special)
+
+
+@pytest.mark.parametrize("field", _FIELDS, ids=lambda f: f.path)
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_parse_config_raises_only_config_errors(field, data):
+    docs = ([TINY_JUMP, TINY_TABLE_JUMP] if field.path.startswith("jump")
+            else _ROUND_TRIP_DOCS + [TINY_TABLE_JUMP])
+    doc = copy.deepcopy(data.draw(st.sampled_from(docs)))
+    _put(doc, field.path, data.draw(_bad_values(field)))
+    try:
+        cfg = parse_config(doc)
+    except ConfigParseError:
+        return
+    # what is accepted is finite and replays to itself
+    resolved = json.loads(json.dumps(cfg.resolved, allow_nan=False))
+    assert parse_config(resolved).resolved == cfg.resolved
+
+
+def test_one_table_drives_parser_and_schema(monkeypatch):
+    field = _SECTIONS[""]["n_paths"]
+    monkeypatch.setitem(_SECTIONS[""], "n_paths", field._replace(minimum=5))
+    with pytest.raises(ConfigParseError, match="^n_paths: must be at least 5$"):
+        parse_config(dict(copy.deepcopy(TINY_CAP), n_paths=3))
+    assert _cfg(dict(TINY_CAP, n_paths=5)).n_paths == 5
+    assert scenario_schema()["properties"]["n_paths"]["minimum"] == 5
+
+
+def test_schema_file_is_generated_from_the_table():
+    with open(SCHEMA_PATH) as fh:
+        on_disk = fh.read()
+    assert on_disk == json.dumps(scenario_schema(), indent=2) + "\n", (
+        "docs/scenario_schema.json differs from scenario_schema(); regenerate "
+        "it with: PYTHONPATH=src python -c 'import json; from "
+        "balmarkets.scenario_cli import scenario_schema; "
+        "print(json.dumps(scenario_schema(), indent=2))' "
+        "> docs/scenario_schema.json")

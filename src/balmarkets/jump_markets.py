@@ -28,9 +28,9 @@ spent, and through its own accepted jumps.  The engine then keeps one
 state per cohort of paths that share it bit for bit and advances each
 distinct state once per step; a path leaves its cohort at an accepted
 jump, and a spent cohort's state is set aside once.  Such a market makes
-no Brownian draws unless increments are stored, so it runs as one chunk
-on the calling thread, and the thread count changes neither its values
-nor its time.
+no Brownian draws unless increments are stored, and it runs as one
+chunk on the calling thread, so the thread count changes neither its
+values, its diagnostics nor its time.
 
 The loss of balance and the pairwise distance share one kernel,
 ``_growth_optimal_rows``: it certifies each row of a time slab by the
@@ -64,8 +64,8 @@ from .sde_engine import (
     STREAM_JUMP,
     EngineDiagnostics,
     PathSet,
-    _BLOCK_STEPS,
     _balanced_step,
+    _block_steps,
     _draw_block,
     _format_g17,
     _renormalize_log,
@@ -402,10 +402,11 @@ def simulate_jump_balanced(
 
     def worker(lo: int, hi: int) -> EngineDiagnostics:
         m = hi - lo
-        diag = EngineDiagnostics()
+        diag = EngineDiagnostics(prerenorm_row_sums=np.zeros(m))
+        span = _block_steps(m, d, grid.n_steps) if draws else grid.n_steps
         if draws:
             gens = path_generators(seed, STREAM_BROWNIAN, lo, hi)
-            buf = np.empty(m * min(_BLOCK_STEPS, grid.n_steps) * d)
+            buf = np.empty(m * span * d)
         jgens = path_generators(seed, STREAM_JUMP, lo, hi)
         zt, md, jc = zeta[lo:hi], mode[lo:hi], jump_count[lo:hi]
         fj, bo = first_jump[lo:hi], budget_out[lo:hi]
@@ -443,9 +444,8 @@ def simulate_jump_balanced(
             diag.max_live_cohorts = m
             clt = np.tile(_log_weights(kappa0)[:, None], (1, m))
         regroup = not diffusion
-        step = 0
-        while step < grid.n_steps:
-            blk = min(_BLOCK_STEPS, grid.n_steps - step)
+        for step in range(0, grid.n_steps, span):
+            blk = min(span, grid.n_steps - step)
             if draws:
                 dw = _draw_block(gens, buf, blk, d, sqrt_dt)
                 if inc_out is not None:
@@ -534,7 +534,7 @@ def simulate_jump_balanced(
                             ksub[dying] = 0.0
                         lsub = _log_weights(ksub).T.copy()
                         ksub = _renormalize_log(
-                            lsub, diag, None if w is None else w[rows])
+                            lsub, diag, None if w is None else w[rows], ids[rows])
                         ck[ids[rows]] = ksub.T
                         if diffusion:
                             clt[:, rows] = lsub
@@ -605,14 +605,14 @@ def simulate_jump_balanced(
                 idx = stored_pos.get(s + 1)
                 if idx is not None:
                     kappa_out[lo:hi, idx] = ck if diffusion else ck[rc]
-            step += blk
         return diag
 
-    if draws:
+    if diffusion:
         diag = _run_chunked(worker, n_paths, n_threads)
     else:
-        # no draws to buffer, and cohorts share most across the whole
-        # ensemble: one chunk on the calling thread
+        # cohorts share most across the whole ensemble, and their defect
+        # sums and peaks would depend on the chunk layout: one chunk on the
+        # calling thread
         diag = worker(0, n_paths) if n_paths else EngineDiagnostics()
     ps = PathSet(
         grid=grid,

@@ -265,6 +265,16 @@ def _fail(path: str, msg: str):
     raise ConfigParseError(f"{path}: {msg}")
 
 
+def _entries(path: str, val):
+    """Fail at the first entry of a (nested) list that is not a number:
+    ``np.asarray(val, dtype=float)`` would take strings and booleans."""
+    for i, item in enumerate(val if isinstance(val, (list, tuple)) else ()):
+        if isinstance(item, (list, tuple)):
+            _entries(f"{path}[{i}]", item)
+        elif isinstance(item, bool) or not isinstance(item, (int, float)):
+            _fail(f"{path}[{i}]", f"expected a number, got {item!r}")
+
+
 def _check(f: _Field, val):
     """``val`` checked as field ``f``: numbers as floats, lists of floats, and
     sections as dicts of their checked or defaulted fields."""
@@ -277,6 +287,7 @@ def _check(f: _Field, val):
         return val
     if kind in ("vector", "matrix"):
         rows = kind == "matrix"
+        _entries(f.path, val)
         try:
             out = np.asarray(val, dtype=float)
         except (TypeError, ValueError, OverflowError):
@@ -350,7 +361,7 @@ def parse_config(doc: dict) -> ScenarioConfig:
         _fail("jump", "only meaningful when model is 'jump'")
     vals = _check(_ROOT, merged)
 
-    if "name" not in vals:  # name and model: required, not in the schema's `then`
+    if "name" not in vals:  # name and model: a builtin supplies them
         _fail("name", "required (a builtin reference supplies one)")
     model = _need(vals, "model")
     horizon, dt = vals["grid"]["T"], vals["grid"]["dt"]
@@ -447,7 +458,7 @@ def scenario_schema() -> dict:
     :func:`parse_config` walks; ``docs/scenario_schema.json`` holds its
     ``json.dumps(..., indent=2) + "\\n"``.  Rules across fields are in descriptions."""
     top = _schema(_ROOT)
-    then = {"required": top.pop("required")}
+    then = {"required": ["name", "model", *top.pop("required")]}
     return {"$schema": "http://json-schema.org/draft-07/schema#",
             "title": "balmarkets scenario configuration", **top,
             "if": {"not": {"required": ["builtin"]}}, "then": then}

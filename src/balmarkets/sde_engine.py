@@ -31,6 +31,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -66,7 +67,12 @@ STREAM_BROWNIAN = 0
 STREAM_JUMP = 1
 
 _CHUNK_PATHS = 1024
-_BLOCK_STEPS = 4096
+_BLOCK_STEPS = 4096  # rows the path writer formats at once
+# Brownian draws one engine worker holds at once (4 MiB): a block of steps
+# for every path of its chunk, or a tile of paths in the constant branch
+# of the capitalization engine
+_BLOCK_VALUES = 2**19
+_TILE_STEPS = 4096  # steps of a constant-branch tile, per draw call
 _LOG_FLOOR = np.log(1e-300)
 _LOG_CAP = 700.0
 
@@ -174,16 +180,25 @@ class EngineDiagnostics:
     the largest number of distinct states (cohorts) it stepped at once.
     Counts add up over path chunks, and so do the cohort peaks: with
     diffusion every path is its own cohort, and the sum is the path count.
+    The pre-renormalization defect is summed per row (a path, or a cohort
+    of the jump engine, which runs in one chunk) in ``prerenorm_row_sums``;
+    a row's sum does not depend on the chunk layout, and ``math.fsum`` of
+    them all is exact whatever their order, so no field depends on the
+    thread count.
     """
 
     max_simplex_defect: float = 0.0
     max_prerenorm_defect: float = 0.0
-    sum_prerenorm_defect: float = 0.0
+    prerenorm_row_sums: np.ndarray = field(default_factory=lambda: np.zeros(0))
     n_prerenorm_samples: int = 0
     n_clamped: int = 0
     n_jump_candidates: int = 0
     n_jumps_accepted: int = 0
     max_live_cohorts: int = 0
+
+    @property
+    def sum_prerenorm_defect(self) -> float:
+        return math.fsum(self.prerenorm_row_sums)
 
     @property
     def mean_prerenorm_defect(self) -> float:
@@ -196,7 +211,8 @@ class EngineDiagnostics:
         self.max_prerenorm_defect = max(
             self.max_prerenorm_defect, other.max_prerenorm_defect
         )
-        self.sum_prerenorm_defect += other.sum_prerenorm_defect
+        self.prerenorm_row_sums = np.concatenate(
+            [self.prerenorm_row_sums, other.prerenorm_row_sums])
         self.n_prerenorm_samples += other.n_prerenorm_samples
         self.n_clamped += other.n_clamped
         self.n_jump_candidates += other.n_jump_candidates
@@ -247,12 +263,17 @@ def _stored_steps(n_steps: int, store_every: int) -> np.ndarray:
     return np.asarray(steps, dtype=np.int64)
 
 
+def _spans(n: int, k: int) -> list[tuple[int, int]]:
+    """``range(n)`` cut into ``k`` near-equal spans."""
+    return [(i * n // k, (i + 1) * n // k) for i in range(k)]
+
+
 def _chunks(n_paths: int, n_threads: int):
     """Near-equal path spans, at least one per ``_CHUNK_PATHS`` paths and
     one per thread, but never a one-path span when ``n_paths >= 2``: BLAS
     rounds a one-row product (gemv) differently from a larger one (gemm)."""
-    k = max(-(-n_paths // _CHUNK_PATHS), min(n_threads, n_paths // 2))
-    return [(i * n_paths // k, (i + 1) * n_paths // k) for i in range(k)]
+    return _spans(n_paths, max(-(-n_paths // _CHUNK_PATHS),
+                               min(n_threads, n_paths // 2)))
 
 
 def _run_chunked(worker, n_paths: int, n_threads: int) -> EngineDiagnostics:
@@ -300,7 +321,8 @@ def _company_sum(xt: np.ndarray) -> np.ndarray:
 
 
 def _renormalize_log(lt: np.ndarray, diag: EngineDiagnostics,
-                     weights: np.ndarray | None = None) -> np.ndarray:
+                     weights: np.ndarray | None = None,
+                     rows: np.ndarray | None = None) -> np.ndarray:
     """Project company-major log-weights ``(d, rows)`` back onto the simplex
     in place; returns the weights, company-major too.
 
@@ -308,7 +330,9 @@ def _renormalize_log(lt: np.ndarray, diag: EngineDiagnostics,
     shrink linearly in dt for the scheme to be consistent.  A -inf entry
     marks a coordinate pinned at weight zero and passes through untouched.
     ``weights`` counts each row as that many paths in the statistics (a
-    row of the jump engine can stand for a whole cohort of paths).
+    row of the jump engine can stand for a whole cohort of paths).  The
+    columns of ``lt`` add to ``diag.prerenorm_row_sums[rows]`` (repeats
+    allowed), or to all of it, which the first call sizes.
     """
     clip_mask = lt < _LOG_FLOOR
     if clip_mask.any():
@@ -320,11 +344,16 @@ def _renormalize_log(lt: np.ndarray, diag: EngineDiagnostics,
     pre = np.abs(np.exp(mx) * s - 1.0)
     diag.max_prerenorm_defect = max(diag.max_prerenorm_defect, float(pre.max()))
     if weights is None:
-        diag.sum_prerenorm_defect += float(pre.sum())
         diag.n_prerenorm_samples += pre.size
     else:
-        diag.sum_prerenorm_defect += float(pre @ weights)
         diag.n_prerenorm_samples += int(weights.sum())
+        pre = pre * weights
+    if rows is not None:
+        np.add.at(diag.prerenorm_row_sums, rows, pre)
+    elif diag.prerenorm_row_sums.size:
+        diag.prerenorm_row_sums += pre
+    else:
+        diag.prerenorm_row_sums = pre
     lt -= mx + np.log(s)
     kt = np.exp(lt)
     defect = float(np.abs(_company_sum(kt) - 1.0).max())
@@ -369,11 +398,21 @@ def _balanced_step(lt: np.ndarray, kappa: np.ndarray, dw_j: np.ndarray,
     return _renormalize_log(lt, diag).T.copy()
 
 
+def _block_steps(rows: int, d: int, n_steps: int) -> int:
+    """Steps per draw block when ``rows`` paths share ``_BLOCK_VALUES``."""
+    return min(n_steps, max(1, _BLOCK_VALUES // (rows * d)))
+
+
 def _draw_block(gens, buf: np.ndarray, blk: int, d: int,
                 sqrt_dt: float) -> np.ndarray:
     """Every path's next ``blk`` steps of ``N(0, dt I)`` draws, written into
     a prefix of the worker's reused flat buffer ``buf`` (fresh per-path
-    arrays would stay resident in the worker thread's heap)."""
+    arrays would stay resident in the worker thread's heap).
+
+    Each path draws from its own stream in step order, so the values do not
+    depend on how its steps are cut into blocks: an engine sizes ``buf``
+    for at most ``_BLOCK_VALUES`` draws and picks ``blk`` to fit.
+    """
     dw = buf[: len(gens) * blk * d].reshape(len(gens), blk, d)
     for i, g in enumerate(gens):
         g.standard_normal((blk, d), out=dw[i])
@@ -381,12 +420,19 @@ def _draw_block(gens, buf: np.ndarray, blk: int, d: int,
     return dw
 
 
+def _simplex_defect(kappa: np.ndarray) -> float:
+    """Largest ``|sum(row) - 1|`` over the rows of ``kappa`` (0 for none)."""
+    return float(np.abs(kappa.sum(axis=-1) - 1.0).max(initial=0.0))
+
+
 def _weights(logs: np.ndarray) -> np.ndarray:
     """Row-wise ``exp(logs) / sum(exp(logs))``, shifted by the row maximum
     and reduced company-major, like :func:`_renormalize_log`."""
-    xt = logs.T.copy()
-    w = np.exp(xt - xt.max(axis=0))
-    return (w / _company_sum(w)).T.copy()
+    w = logs.T.copy()
+    w -= w.max(axis=0)
+    np.exp(w, out=w)
+    w /= _company_sum(w)
+    return w.T.copy()
 
 
 def simulate_relative_caps_balanced(
@@ -435,10 +481,10 @@ def simulate_relative_caps_balanced(
         lt = np.tile(np.log(kappa0)[:, None], (1, m))  # company-major
         kappa = np.tile(kappa0, (m, 1))
         kappa_out[lo:hi, 0] = kappa0
-        buf = np.empty(m * min(_BLOCK_STEPS, grid.n_steps) * d)
-        step = 0
-        while step < grid.n_steps:
-            blk = min(_BLOCK_STEPS, grid.n_steps - step)
+        span = _block_steps(m, d, grid.n_steps)
+        buf = np.empty(m * span * d)
+        for step in range(0, grid.n_steps, span):
+            blk = min(span, grid.n_steps - step)
             dw = _draw_block(gens, buf, blk, d, sqrt_dt)
             if inc_out is not None:
                 inc_out[lo:hi, step : step + blk] = dw
@@ -448,7 +494,6 @@ def simulate_relative_caps_balanced(
                 idx = stored_pos.get(step + j + 1)
                 if idx is not None:
                     kappa_out[lo:hi, idx] = kappa
-            step += blk
         return diag
 
     diag = _run_chunked(worker, n_paths, n_threads)
@@ -478,7 +523,15 @@ def simulate_capitalizations(
 
     Log-Euler per company: ``log S_i`` gains ``(a_i - c_ii / 2) dt`` plus the
     correlated Gaussian increment.  Raises :class:`NumericalOverflow` when a
-    log-capitalization leaves [-700, 700], which would denormalize ``exp``.
+    log-capitalization leaves [-700, 700], which would denormalize ``exp``,
+    naming the earliest such step of the chunk.
+
+    Each worker holds at most ``_BLOCK_VALUES`` draws at once.  Coefficients
+    that move with time or state take one step at a time over blocks of
+    steps.  Constant coefficients make ``log S`` a running sum, evaluated a
+    tile of paths by up to ``_TILE_STEPS`` steps at a time with one draw
+    call per path, one gemm and one cumulative sum, and a product tile the
+    size of the draws; the values are those of stepping one at a time.
     """
     validate_params(params)
     d = params.d
@@ -519,53 +572,73 @@ def simulate_capitalizations(
         kappa = caps / caps.sum(axis=1, keepdims=True)
         caps_out[lo:hi, 0] = caps
         kappa_out[lo:hi, 0] = kappa
-        buf = np.empty(m * min(_BLOCK_STEPS, grid.n_steps) * d)
-        x_buf = np.empty_like(buf) if constant else None
-        step = 0
-        while step < grid.n_steps:
-            blk = min(_BLOCK_STEPS, grid.n_steps - step)
-            dw = _draw_block(gens, buf, blk, d, sqrt_dt)
-            if inc_out is not None:
-                inc_out[lo:hi, step : step + blk] = dw
-            if constant:
-                # one gemm over every row of the block (row for row the
-                # per-step product), then a sequential sum along time, so
-                # each x[:, j] is exactly log S after step + j + 1
-                x = x_buf[: m * blk * d].reshape(m, blk, d)
-                np.matmul(dw.reshape(-1, d), sigma.T,
-                          out=x.reshape(-1, d))
-                x += drift
-                x[:, 0] += logs
-                np.add.accumulate(x, axis=1, out=x)
-                if x.max() > _LOG_CAP or -x.min() > _LOG_CAP:
-                    worst = np.abs(x).max(axis=(0, 2))
+        defect = _simplex_defect(kappa)
+        if constant:
+            # tiles of paths by steps, each at most _BLOCK_VALUES draws, and
+            # never of one path when m >= 2 (as in _chunks)
+            span = min(grid.n_steps, _TILE_STEPS,
+                       max(1, _BLOCK_VALUES // (2 * d)))
+            per = max(2, _BLOCK_VALUES // (span * d))
+            tiles = _spans(m, max(1, min(-(-m // per), m // 2)))
+            size = max(p1 - p0 for p0, p1 in tiles) * span * d
+            buf, x_buf = np.empty(size), np.empty(size)
+            for step in range(0, grid.n_steps, span):
+                blk = min(span, grid.n_steps - step)
+                # the block's stored steps, as tile columns
+                i0, i1 = np.searchsorted(stored, (step + 1, step + blk + 1))
+                cols = stored[i0:i1] - (step + 1)
+                worst = None
+                for p0, p1 in tiles:
+                    rows = slice(lo + p0, lo + p1)
+                    dw = _draw_block(gens[p0:p1], buf, blk, d, sqrt_dt)
+                    if inc_out is not None:
+                        inc_out[rows, step : step + blk] = dw
+                    # one gemm over every row of the tile (row for row the
+                    # per-step product), then a sequential sum along time,
+                    # so each x[:, j] is exactly log S after step + j + 1
+                    x = x_buf[: dw.size].reshape(dw.shape)
+                    np.matmul(dw.reshape(-1, d), sigma.T, out=x.reshape(-1, d))
+                    x += drift
+                    x[:, 0] += logs[p0:p1]
+                    np.add.accumulate(x, axis=1, out=x)
+                    if x.max() > _LOG_CAP or -x.min() > _LOG_CAP:
+                        # report the earliest step over all tiles
+                        w = np.abs(x).max(axis=(0, 2))
+                        worst = w if worst is None else np.maximum(worst, w)
+                        continue
+                    logs[p0:p1] = x[:, -1]
+                    xs = x[:, cols]
+                    np.exp(xs, out=caps_out[rows, i0:i1])
+                    kw = _weights(xs.reshape(-1, d))
+                    kappa_out[rows, i0:i1] = kw.reshape(xs.shape)
+                    defect = max(defect, _simplex_defect(kw))
+                if worst is not None:
                     j = int(np.argmax(worst > _LOG_CAP))
                     raise overflow(worst[j], step + j + 1)
+        else:
+            span = _block_steps(m, d, grid.n_steps)
+            buf = np.empty(m * span * d)
+            for step in range(0, grid.n_steps, span):
+                blk = min(span, grid.n_steps - step)
+                dw = _draw_block(gens, buf, blk, d, sqrt_dt)
+                if inc_out is not None:
+                    inc_out[lo:hi, step : step + blk] = dw
                 for j in range(blk):
+                    t = grid.t0 + (step + j) * dt
+                    a = params.a_spec.rows(t, kappa, (d,), "drift rate a")
+                    c_t, sigma_t = cov(t, kappa)
+                    logs += ((a - 0.5 * np.diagonal(c_t, axis1=-2, axis2=-1)) * dt
+                             + _noise_rows(sigma_t, dw[:, j]))
+                    worst = float(np.abs(logs).max())
+                    if worst > _LOG_CAP:
+                        raise overflow(worst, step + j + 1)
+                    kappa = _weights(logs)
                     idx = stored_pos.get(step + j + 1)
                     if idx is not None:
-                        caps_out[lo:hi, idx] = np.exp(x[:, j])
-                        kappa_out[lo:hi, idx] = _weights(x[:, j])
-                logs = x[:, -1].copy()
-                step += blk
-                continue
-            for j in range(blk):
-                t = grid.t0 + (step + j) * dt
-                a = params.a_spec.rows(t, kappa, (d,), "drift rate a")
-                c_t, sigma_t = cov(t, kappa)
-                logs += ((a - 0.5 * np.diagonal(c_t, axis1=-2, axis2=-1)) * dt
-                         + _noise_rows(sigma_t, dw[:, j]))
-                worst = float(np.abs(logs).max())
-                if worst > _LOG_CAP:
-                    raise overflow(worst, step + j + 1)
-                kappa = _weights(logs)
-                idx = stored_pos.get(step + j + 1)
-                if idx is not None:
-                    caps_out[lo:hi, idx] = np.exp(logs)
-                    kappa_out[lo:hi, idx] = kappa
-            step += blk
-        defect = float(np.abs(kappa_out[lo:hi].sum(axis=-1) - 1.0).max())
-        diag.max_simplex_defect = max(diag.max_simplex_defect, defect)
+                        caps_out[lo:hi, idx] = np.exp(logs)
+                        kappa_out[lo:hi, idx] = kappa
+                        defect = max(defect, _simplex_defect(kappa))
+        diag.max_simplex_defect = defect
         return diag
 
     diag = _run_chunked(worker, n_paths, n_threads)

@@ -4,8 +4,9 @@
 ``(d, rows)``, so its reductions and broadcasts run along the path axis.
 The row-major kernel it replaced is pasted below unchanged and serves as
 the reference: weights, log-weights and the health statistics must match
-it bit for bit.  The zero-diffusion cohort reference in
-``test_jump_cohorts.py`` renormalizes with the same frozen copy.
+it bit for bit (its defect sums follow the engine's per-row rule).  The
+zero-diffusion cohort reference in ``test_jump_cohorts.py`` renormalizes
+with the same frozen copy.
 """
 
 import numpy as np
@@ -23,7 +24,7 @@ from balmarkets.sde_engine import (
 
 # -- the row-major kernel, frozen -------------------------------------------
 
-def frozen_renormalize_log(logk, diag, weights=None):
+def frozen_renormalize_log(logk, diag, weights=None, rows=None):
     clip_mask = (logk < _LOG_FLOOR) & (logk > -np.inf)
     if clip_mask.any():
         diag.n_clamped += int(clip_mask.sum())
@@ -33,12 +34,16 @@ def frozen_renormalize_log(logk, diag, weights=None):
     s = w.sum(axis=1, keepdims=True)
     pre = np.abs(np.exp(mx[:, 0]) * s[:, 0] - 1.0)
     diag.max_prerenorm_defect = max(diag.max_prerenorm_defect, float(pre.max()))
+    # the defect sums are kept per row (they are not part of the frozen
+    # kernel, which summed them per call)
     if weights is None:
-        diag.sum_prerenorm_defect += float(pre.sum())
         diag.n_prerenorm_samples += pre.size
     else:
-        diag.sum_prerenorm_defect += float(pre @ weights)
         diag.n_prerenorm_samples += int(weights.sum())
+        pre = pre * weights
+    if not diag.prerenorm_row_sums.size:
+        diag.prerenorm_row_sums = np.zeros(len(pre))
+    np.add.at(diag.prerenorm_row_sums, slice(None) if rows is None else rows, pre)
     logk -= mx + np.log(s)
     kappa = np.exp(logk)
     defect = float(np.abs(kappa.sum(axis=1) - 1.0).max())

@@ -67,7 +67,7 @@ def _per_row_reference(spec, kappa0, grid, n_paths, seed, store_every):
         mode[:, i0] = CONTINUOUS_VANISH
     kappa = np.tile(kappa0, (n, 1))
     kappa_out[:, 0] = kappa0
-    diag = EngineDiagnostics()
+    diag = EngineDiagnostics(prerenorm_row_sums=np.zeros(n))
     for s in range(grid.n_steps):
         t = grid.t0 + s * grid.dt
         t_end = grid.t0 + (s + 1) * grid.dt
@@ -102,7 +102,7 @@ def _per_row_reference(spec, kappa0, grid, n_paths, seed, store_every):
                 ksub[dying] = 0.0
                 with np.errstate(divide="ignore"):
                     lsub = np.where(ksub > 0.0, np.log(ksub), -np.inf)
-                ksub = frozen_renormalize_log(lsub, diag)
+                ksub = frozen_renormalize_log(lsub, diag, rows=rows)
                 logk[rows] = lsub
                 kappa[rows] = ksub
         for i in np.flatnonzero(next_tau <= t_end):

@@ -369,10 +369,17 @@ def test_schema_matches_the_parser():
         ref = {"builtin": name}
         assert not list(validator.iter_errors(ref)), name
         assert not list(validator.iter_errors(parse_config(ref).resolved)), name
-    # without a builtin the grid, ensemble size and seed are required
-    missing = {err.message for err in validator.iter_errors({"name": "x"})}
+    # without a builtin the name, model, grid, ensemble size and seed are
+    # required, as the parser requires them
+    missing = {err.message for err in validator.iter_errors({})}
     assert missing == {f"'{key}' is a required property"
-                       for key in ("grid", "n_paths", "seed")}
+                       for key in ("name", "model", "grid", "n_paths", "seed")}
+    for key in ("name", "model"):
+        doc = copy.deepcopy(TINY_CAP)
+        del doc[key]
+        assert list(validator.iter_errors(doc)), key
+        with pytest.raises(ConfigParseError, match=f"^{key}: "):
+            parse_config(doc)
     props = schema["properties"]
     assert set(props) == _TOP_KEYS
     assert set(props["diagnostics"]["properties"]) == set(_DEFAULT_DIAGNOSTICS)
@@ -448,6 +455,37 @@ def test_non_finite_and_empty_input_is_a_config_error(tmp_path, doc, path,
     with pytest.raises(ConfigParseError, match=f"^{re.escape(where)}: "):
         parse_config(copy.deepcopy(doc))
     assert main(["validate", "--config", _write_cfg(tmp_path, doc)]) == 2
+
+
+@pytest.mark.parametrize("doc,path,value,where", [
+    pytest.param(TINY_WEIGHTS, "market.kappa0", ["0.5", 0.3, 0.2],
+                 "market.kappa0[0]", id="kappa0-string"),
+    pytest.param(TINY_WEIGHTS, "market.kappa0", [0.6, True, 0.4],
+                 "market.kappa0[1]", id="kappa0-bool"),
+    pytest.param(TINY_WEIGHTS, "market.c", [[0.04, 0.0], ["0.0", 0.09]],
+                 "market.c[1][0]", id="c-string"),
+    pytest.param(TINY_CAP, "market.s0", [True, False], "market.s0[0]",
+                 id="s0-bools"),
+    pytest.param(TINY_CAP, "market.a", [0.0, ["0.1"]], "market.a[1][0]",
+                 id="a-nested"),
+    pytest.param(TINY_JUMP, "jump.atoms", [[0.1, "-0.1"]], "jump.atoms[0][1]",
+                 id="atoms-string"),
+    pytest.param(TINY_TABLE_JUMP, "jump.intensity.values", [1.0, False],
+                 "jump.intensity.values[1]", id="intensity-values-bool"),
+    pytest.param(TINY_JUMP, "jump.probs", [None], "jump.probs[0]",
+                 id="probs-null"),
+])
+def test_vector_entries_must_be_numbers(tmp_path, doc, path, value, where):
+    # numpy would convert numeric strings and booleans; the schema does not
+    doc = copy.deepcopy(doc)
+    _put(doc, path, value)
+    with pytest.raises(ConfigParseError,
+                       match=f"^{re.escape(where)}: expected a number, got "):
+        parse_config(copy.deepcopy(doc))
+    assert main(["validate", "--config", _write_cfg(tmp_path, doc)]) == 2
+    jsonschema = pytest.importorskip("jsonschema")
+    with open(SCHEMA_PATH) as fh:
+        assert list(jsonschema.Draft7Validator(json.load(fh)).iter_errors(doc))
 
 
 @pytest.mark.parametrize("c", [[[1.0, 0.5], [0.0, 1.0]], [[1.0, 2.0], [2.0, 1.0]]],

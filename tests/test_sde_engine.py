@@ -1,6 +1,8 @@
 """Path simulation engines: invariants, reproducibility, serialization."""
 
 import hashlib
+import itertools
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -236,6 +238,17 @@ def _caps_per_step(params, grid, n_paths, seed, store_every):
     return np.stack(kappa, axis=1), np.stack(caps, axis=1), dw
 
 
+# Patched ``_BLOCK_VALUES`` for the constant-coefficient tiles, given as
+# (paths, steps) per tile: the default; two paths by four steps, so that
+# 4096 + 37 steps end in a one-step block and three paths make one tile,
+# five paths two, of two and three; three paths by the full 4096 steps
+_TILES = [None, (2, 4), (3, 4096)]
+
+
+def _tile_values(tile, d):
+    return sde_engine._BLOCK_VALUES if tile is None else tile[0] * tile[1] * d
+
+
 @pytest.mark.parametrize("a,c", [
     ([0.0, 0.5], [[0.0, 0.0], [0.0, 1.0]]),
     ([0.05, -0.02, 0.1], C3),
@@ -246,32 +259,151 @@ def _caps_per_step(params, grid, n_paths, seed, store_every):
 def test_block_step_matches_per_step_reference(a, c, store_every):
     d = len(a)
     params = MarketParams.from_constants(a, c, 0.0, np.arange(1.0, d + 1.0))
-    # stored steps straddle the edge of the first 4096-step block
-    grid = PathGrid(dt=0.01, n_steps=4096 + 37)
-    kappa, caps, dw = _caps_per_step(params, grid, 5, 23, store_every)
-    for n_threads in (1, 2):
-        ps = simulate_capitalizations(
-            params, grid, 5, 23, store_every=store_every,
-            store_increments=store_every == 1, n_threads=n_threads)
-        assert np.array_equal(ps.kappa, kappa)
-        assert np.array_equal(ps.caps, caps)
-        if store_every == 1:
-            assert np.array_equal(ps.brownian_increments, dw)
+    # (paths, steps, tile): stored steps straddle the edge of the first
+    # 4096-step tile; a split of 3, 5 or 7 paths into tiles of at most two
+    # by one step could leave one path alone, and its product (a gemv)
+    # would round differently from the reference's, early enough to show
+    cases = [(n, 4096 + 37, tile) for n in (2, 3, 5) for tile in _TILES]
+    cases += [(n, 50, (2, 1)) for n in (3, 5, 7)]
+    for n_paths, n_steps, tile in cases:
+        grid = PathGrid(dt=0.01, n_steps=n_steps)
+        kappa, caps, dw = _caps_per_step(params, grid, n_paths, 23, store_every)
+        with mock.patch.object(sde_engine, "_BLOCK_VALUES", _tile_values(tile, d)):
+            for n_threads in (1, 2, 3):
+                ps = simulate_capitalizations(
+                    params, grid, n_paths, 23, store_every=store_every,
+                    store_increments=store_every == 1, n_threads=n_threads)
+                label = (n_paths, n_steps, tile, n_threads)
+                assert np.array_equal(ps.kappa, kappa), label
+                assert np.array_equal(ps.caps, caps), label
+                if store_every == 1:
+                    assert np.array_equal(ps.brownian_increments, dw), label
+
+
+def _first_overflow(params, grid, paths, seed):
+    """Earliest step at which some path in ``paths`` has |log S| > 700, and
+    the largest |log S| there, one step at a time."""
+    c = np.asarray(params.c_spec(0.0), dtype=float)
+    drift = (np.asarray(params.a_spec(0.0)) - 0.5 * np.diag(c)) * grid.dt
+    sigma = psd_factor(c)
+    dw = np.stack([path_generator(seed, STREAM_BROWNIAN, p).standard_normal(
+        (grid.n_steps, params.d)) for p in paths]) * np.sqrt(grid.dt)
+    logs = np.tile(np.log(params.s0), (len(paths), 1))
+    for k in range(grid.n_steps):
+        logs += drift + dw[:, k] @ sigma.T
+        worst = float(np.abs(logs).max())
+        if worst > 700.0:
+            return k + 1, worst
+    return None
 
 
 def test_overflow_is_a_clean_error():
+    for tile, n_threads in itertools.product(_TILES, (1, 2, 3)):
+        with mock.patch.object(sde_engine, "_BLOCK_VALUES", _tile_values(tile, 2)):
+            _assert_overflow_errors(n_threads)
+
+
+def _assert_overflow_errors(n_threads):
     params = MarketParams.from_constants(
         [800.0, 0.0], np.diag([0.01, 0.01]), 0.0, [1.0, 1.0])
     grid = PathGrid(dt=1.0, n_steps=2)
     with pytest.raises(NumericalOverflow):
-        simulate_capitalizations(params, grid, 4, 3)
+        simulate_capitalizations(params, grid, 4, 3, n_threads=n_threads)
     # log S_1 = 0.15 k up to noise of ~1e-2: it passes 700 at step 4667,
-    # in the middle of the second block of 4096 steps
+    # in the middle of the second 4096-step tile
     params = MarketParams.from_constants(
         [0.15, 0.0], np.diag([1e-8, 1e-8]), 0.0, [1.0, 1.0])
     grid = PathGrid(dt=1.0, n_steps=6000)
     with pytest.raises(NumericalOverflow, match=r"reached 700\.\d at step 4667;"):
-        simulate_capitalizations(params, grid, 4, 3, store_every=100)
+        simulate_capitalizations(params, grid, 4, 3, store_every=100,
+                                 n_threads=n_threads)
+    # with noise the paths pass 700 at different steps: the error names the
+    # earliest over every tile of the first chunk
+    params = MarketParams.from_constants(
+        [0.15, 0.0], np.diag([0.04, 0.04]), 0.0, [1.0, 1.0])
+    lo, hi = sde_engine._chunks(5, n_threads)[0]
+    step, worst = _first_overflow(params, grid, range(lo, hi), 3)
+    with pytest.raises(NumericalOverflow,
+                       match=rf"reached {worst:.1f} at step {step};"):
+        simulate_capitalizations(params, grid, 5, 3, store_every=100,
+                                 n_threads=n_threads)
+
+
+def _engine_run(engine, n_threads):
+    """Every output of one engine run: paths, increments and diagnostics."""
+    if engine == "balanced":
+        # the perfect_balance_demo covariance; 2 threads once gave another
+        # last bit of mean_prerenorm_defect than 1 and 3
+        c = np.array(BUILTINS["perfect_balance_demo"]["market"]["c"])
+        ps = simulate_relative_caps_balanced(
+            ProcessSpec.constant(c), K3, PathGrid(dt=1e-3, n_steps=200), 1000, 5,
+            store_every=1, store_increments=True, n_threads=n_threads)
+        extra = ()
+    elif engine == "jump":
+        spec = JumpSpec.finite_atoms(
+            ProcessSpec.constant(5.0), 5.0,
+            [[0.4, -0.2, 0.1], [-0.5, 0.3, 0.0], [2.0, -0.8, -0.3]],
+            [0.5, 0.3, 0.2])
+        ps, rec = simulate_jump_balanced(
+            ProcessSpec.constant(C3), spec, K3, PathGrid(dt=1e-3, n_steps=200),
+            300, 5, store_increments=True, n_threads=n_threads)
+        extra = (rec.zeta, rec.jump_count, rec.first_jump_time)
+    else:
+        # a time table for the drift takes the capitalization engine's
+        # step-at-a-time branch
+        params = MarketParams(
+            d=3, a_spec=ProcessSpec.time_table(
+                [0.0, 0.1], [[0.0, 0.1, -0.05], [0.1, 0.0, 0.02]]),
+            c_spec=ProcessSpec.constant(C3), r_spec=ProcessSpec.constant(0.0),
+            s0=np.array([1.0, 2.0, 3.0]))
+        ps = simulate_capitalizations(params, PathGrid(dt=1e-3, n_steps=200),
+                                      300, 5, store_increments=True,
+                                      n_threads=n_threads)
+        extra = (ps.caps,)
+    diag = ps.diagnostics
+    fields = {name: getattr(diag, name)
+              for name in ("max_simplex_defect", "max_prerenorm_defect",
+                           "sum_prerenorm_defect", "mean_prerenorm_defect",
+                           "n_prerenorm_samples", "n_clamped", "n_jump_candidates",
+                           "n_jumps_accepted", "max_live_cohorts")}
+    arrays = (ps.kappa, ps.brownian_increments, diag.prerenorm_row_sums) + extra
+    return fields, arrays
+
+
+@pytest.mark.parametrize("engine", ["balanced", "caps", "jump"])
+def test_step_engines_ignore_block_length_and_threads(engine):
+    # draw blocks of one step each, and of 199 steps (a one-step tail) when
+    # one chunk holds all paths
+    ref_fields, ref_arrays = _engine_run(engine, 1)
+    n = 1000 if engine == "balanced" else 300
+    for values in (1, 3 * n * 199):
+        with mock.patch.object(sde_engine, "_BLOCK_VALUES", values):
+            for n_threads in (1, 2, 3):
+                fields, arrays = _engine_run(engine, n_threads)
+                assert fields == ref_fields, (values, n_threads)
+                for got, ref in zip(arrays, ref_arrays):
+                    assert np.array_equal(got, ref, equal_nan=True), (
+                        values, n_threads)
+    if engine != "caps":
+        assert ref_fields["n_prerenorm_samples"] > 0
+
+
+def test_constant_engine_memory_is_bounded_by_the_block_budget():
+    # 1000 paths in one chunk once held two 1000 x 4096 x 2 buffers (131 MB)
+    params = MarketParams.from_constants(
+        [0.0, 0.5], [[0.0, 0.0], [0.0, 1.0]], 0.0, [1.0, 1.0])
+    simulate_capitalizations(params, PathGrid(dt=0.01, n_steps=2), 2, 7)  # imports
+    grid = PathGrid(dt=0.01, n_steps=10_000)
+    tracemalloc.start()
+    try:
+        ps = simulate_capitalizations(params, grid, 1000, 7, store_every=100)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    outputs = ps.kappa.nbytes + ps.caps.nbytes
+    # the draw and product tiles, plus the path generators and small arrays
+    budget = 2 * sde_engine._BLOCK_VALUES * 8
+    assert peak < outputs + budget + 4 * 2**20, (peak - outputs) / 2**20
 
 
 @pytest.mark.parametrize("engine", ["balanced", "caps", "jump"])

@@ -155,8 +155,11 @@ def _face_solve(c, q, free, p_fixed):
     Returns ``("point", p)`` when the restricted bordered system has a
     solution (then ``p`` minimizes the face objective because ``c`` is PSD),
     or ``("ray", v)`` when it is inconsistent.  The ray is the least-squares
-    residual of the symmetric bordered system, which has zero curvature and
-    strictly improves the objective, so the caller can ride it to a bound.
+    residual of the bordered system, which for an exactly symmetric system
+    has zero curvature and strictly improves the objective.  Rounding, or a
+    ``c`` symmetric only to an ulp, can tilt it off the budget hyperplane,
+    so it is projected back and scaled to unit max-norm: summing to zero,
+    it has an entry of at most -1/(n-1), which a lower bound blocks.
     """
     d = len(q)
     p = p_fixed.copy()
@@ -175,9 +178,10 @@ def _face_solve(c, q, free, p_fixed):
         z, *_ = np.linalg.lstsq(M, rhs, rcond=_RCOND)
         resid = rhs - M @ z
         scale = 1.0 + float(np.abs(rhs).max(initial=0.0))
-        if np.linalg.norm(resid) > _CONSISTENCY_TOL * scale:
+        ray = resid[:n] - resid[:n].mean()
+        if np.linalg.norm(resid) > _CONSISTENCY_TOL * scale and ray.any():
             v = np.zeros(d)
-            v[free] = resid[:n]
+            v[free] = ray / np.abs(ray).max()
             return "ray", v
     p[free] = z[:n]
     return "point", p
@@ -233,12 +237,8 @@ def growth_optimal_constrained(a, c, r, constraint: ConstraintSet) -> GrowthSolu
 
             if kind == "ray":
                 # Zero-curvature improving ray (singular face): ride it to
-                # the blocking bound, which must exist on a budget face.
+                # the blocking bound, which every budget face has.
                 alpha_max, hit, side = _max_feasible_step(x, payload, lo, hi)
-                if not np.isfinite(alpha_max):
-                    raise NoSolution(
-                        "growth objective unbounded on the constraint set"
-                    )
                 x = x + alpha_max * payload
                 at_lo[hit] = side == "lo"
                 at_hi[hit] = side == "hi"

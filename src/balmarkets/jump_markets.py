@@ -35,7 +35,9 @@ values, its diagnostics nor its time.
 The loss of balance and the pairwise distance share one kernel,
 ``_growth_optimal_rows``: it certifies each row of a time slab by the
 Frank-Wolfe gap of the jump-adjusted growth rate, for any drift, and
-solves only the rows it rejects with ``growth_optimal_jump``.
+solves only the rows it rejects with ``growth_optimal_jump``.  That
+optimizer takes damped Newton steps whose subproblem is the growth-rate
+QP of ``growth_opt``, solved exactly by its active-set method.
 """
 
 from __future__ import annotations
@@ -96,12 +98,11 @@ ALIVE = "Alive"
 CONTINUOUS_VANISH = "ContinuousVanish"
 JUMP_TO_ZERO = "JumpToZero"
 
-_PGD_MAX_ITER = 200
-_PGD_TOL = 1e-10
-# Relative Frank-Wolfe gap above which the jump optimizer has failed.  Its
-# objective-value backtrack cannot resolve an ascent below about sqrt(eps),
-# so converged solves can stall well above _PGD_TOL (up to about 7e-8).
-_PGD_EXIT_GAP = 1e-6
+# Relative Frank-Wolfe gap at which a portfolio counts as growth optimal,
+# for the certificate and the optimizer alike.
+_GAP_RTOL = 1e-10
+# Random problems with d <= 5 take at most 8 Newton steps.
+_NEWTON_MAX_ITER = 50
 _DOMAIN_FLOOR = 1e-12
 
 
@@ -686,16 +687,6 @@ def rel_rate_of_return(
     return val
 
 
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, len(v) + 1)
-    mask = u - css / idx > 0.0
-    k = idx[mask][-1]
-    tau = css[k - 1] / k
-    return np.maximum(v - tau, 0.0)
-
-
 def growth_optimal_jump(
     b,
     c,
@@ -706,18 +697,25 @@ def growth_optimal_jump(
     support: np.ndarray | None = None,
     warm_start: np.ndarray | None = None,
     kappa_state: np.ndarray | None = None,
-    tol: float = _PGD_TOL,
-    max_iter: int = _PGD_MAX_ITER,
 ):
     """Maximize the jump-adjusted growth rate over the (sub-)simplex.
 
     The objective ``<p, b - r1> - 0.5 <p, cp> + integral of [log(1+<p,x>) -
-    <p,x>1{|x|<=1}] dnu + r`` is concave on its domain; projected gradient
-    ascent with backtracking converges from any feasible start.  With no
-    jump activity the exact quadratic solver is used instead.  ``support``
-    masks out dead companies; ``kappa_state`` feeds state-dependent
-    intensities.  Returns ``(rho, g_star)``; raises :class:`SolverFailure`
-    if the ascent stops at a relative Frank-Wolfe gap above _PGD_EXIT_GAP.
+    <p,x>1{|x|<=1}] dnu + r`` is smooth and concave on its domain
+    ``1 + <p, x> > 0``.  At ``p`` its quadratic model is a growth-rate QP
+    with gradient ``g = b - r1 - cp + integral of x (1/(1+<p,x>) -
+    1{|x|<=1}) dnu`` and curvature ``c + integral of x x^T / (1+<p,x>)^2
+    dnu``, which :func:`growth_optimal_constrained` solves exactly.  Each
+    damped Newton step heads for that QP's optimizer.  It starts from the
+    largest length in (0, 1] inside the domain and backtracks until the
+    directional derivative at its end is nonnegative, so the objective never
+    falls; objective values are never compared.  With no jump activity the
+    QP is the problem itself.  ``support`` masks out dead companies.  The
+    intensity is read once, at ``kappa_state``; a state-dependent intensity
+    without ``kappa_state`` raises ``ValueError``.  Returns
+    ``(rho, g_star)``; raises :class:`SolverFailure` if the relative
+    Frank-Wolfe gap is still above ``_GAP_RTOL`` after ``_NEWTON_MAX_ITER``
+    steps.
     """
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -727,100 +725,87 @@ def growth_optimal_jump(
     sup = np.flatnonzero(support)
     if sup.size == 0:
         raise NoSolution("no living companies to invest in")
-    if jump_spec is None:
-        lam_active = False
-    elif jump_spec.intensity.depends_on_state() and kappa_state is None:
-        lam_active = jump_spec.lam_max > 0.0
-    else:
-        lam_active = (
-            jump_spec.lam_max > 0.0
-            and jump_spec.intensity_at(t, kappa_state) > 0.0
-        )
-
-    if not lam_active:
-        bs, cs = b[sup], c[np.ix_(sup, sup)]
-        sol = growth_optimal_constrained(
-            bs, cs, r, ConstraintSet.closed_simplex()
-        )
+    lam = 0.0
+    if jump_spec is not None and jump_spec.lam_max > 0.0:
+        if kappa_state is None and jump_spec.intensity.depends_on_state():
+            raise ValueError("a state-dependent intensity needs kappa_state")
+        lam = jump_spec.intensity_at(t, kappa_state)
+    simplex = ConstraintSet.closed_simplex()
+    cs = c[np.ix_(sup, sup)]
+    if lam == 0.0:
+        sol = growth_optimal_constrained(b[sup], cs, r, simplex)
         rho = np.zeros(d)
         rho[sup] = sol.rho
         return rho, sol.g_star
 
     x_atoms = jump_spec.atoms_at(t)
+    x = x_atoms[:, sup]
 
-    def objective(p: np.ndarray) -> float:
-        base = r + p @ (b - r) - 0.5 * p @ c @ p
-        state = kappa_state if kappa_state is not None else p
-        return base + jump_spec.growth_jump_term(t, p, state)
+    def feasible(ps: np.ndarray) -> bool:
+        return bool(np.all(1.0 + x @ ps > _DOMAIN_FLOOR))
 
-    def gradient(p: np.ndarray) -> np.ndarray:
-        state = kappa_state if kappa_state is not None else p
-        return (b - r) - c @ p + jump_spec.growth_jump_gradient(t, p, state)
-
-    def feasible(p: np.ndarray) -> bool:
-        return bool(np.all(1.0 + x_atoms @ p > _DOMAIN_FLOOR))
-
+    # start from the warm start where it is feasible, else from the uniform
+    # portfolio of the living companies; that one leaves the domain only
+    # when some atom is about -1 on every living company
+    ps = np.full(sup.size, 1.0 / sup.size)
     if warm_start is not None and np.all(warm_start[~support] == 0.0):
-        p = np.asarray(warm_start, dtype=float).copy()
-        p = np.maximum(p, 0.0)
-        p = p / p.sum() if p.sum() > 0 else None
-    else:
-        p = None
-    if p is None or not feasible(p):
-        p = np.zeros(d)
-        p[sup] = 1.0 / sup.size
-        if not feasible(p):
-            # retreat toward the least exposed vertex
-            k_best = sup[int(np.argmax([np.min(1.0 + x_atoms[:, k]) for k in sup]))]
-            p = np.zeros(d)
-            p[k_best] = 1.0
-            if not feasible(p):
-                raise NoSolution("no feasible portfolio keeps 1 + <p, x> > 0")
+        warm = np.maximum(np.asarray(warm_start, dtype=float)[sup], 0.0)
+        if warm.sum() > 0.0 and feasible(warm / warm.sum()):
+            ps = warm / warm.sum()
+    if not feasible(ps):
+        raise NoSolution("no feasible portfolio keeps 1 + <p, x> > 0")
 
-    def project(v: np.ndarray) -> np.ndarray:
-        out = np.zeros(d)
-        out[sup] = _project_simplex(v[sup])
-        return out
-
-    g_val = objective(p)
-    for it in range(max_iter + 1):
-        grad = gradient(p)
-        scale = 1.0 + float(np.abs(grad[sup]).max())
-        # optimality over the sub-simplex: no vertex offers first-order gain
-        gain = grad[sup].max() - float(grad @ p)
-        if gain <= tol * scale or it == max_iter:
+    w = lam * jump_spec.probs
+    w_small = w * (np.linalg.norm(x_atoms, axis=1) <= 1.0)
+    q = b[sup] - r
+    for it in range(_NEWTON_MAX_ITER + 1):
+        den = 1.0 + x @ ps
+        grad = q - cs @ ps + (w / den - w_small) @ x
+        gap = float(simplex_gap(grad, ps)) / (1.0 + float(np.abs(grad).max()))
+        if gap <= _GAP_RTOL or it == _NEWTON_MAX_ITER:
             break
-        lam_now = jump_spec.intensity_at(
-            t, kappa_state if kappa_state is not None else p
-        )
-        slack = float(np.min(1.0 + x_atoms @ p))
-        lip = (
-            np.linalg.norm(c, 2)
-            + lam_now * float(
-                (jump_spec.probs * np.linalg.norm(x_atoms, axis=1) ** 2).sum()
-            ) / max(slack, 1e-6) ** 2
-        )
-        step = 1.0 / max(lip, 1e-12)
-        improved = False
-        for _ in range(60):
-            cand = project(p + step * grad)
-            if feasible(cand):
-                g_cand = objective(cand)
-                if g_cand > g_val + 1e-18:
-                    p, g_val = cand, g_cand
-                    improved = True
-                    break
-                if np.abs(cand - p).max() <= 1e-16:
-                    break
-            step *= 0.5
-        if not improved:
+        # square-root weights keep the jump curvature exactly symmetric
+        xw = x * (np.sqrt(w) / den)[:, None]
+        h = cs + xw.T @ xw
+        step = growth_optimal_constrained(grad + h @ ps, h, 0.0, simplex).rho - ps
+        dx = x @ step
+        # the step sums to zero only up to rounding; measured from the
+        # gradient's top the slope does not pick up that rounding times
+        # the gradient's common level
+        slope = float((grad - grad.max()) @ step)
+        if slope <= 0.0:
             break
-    if gain > _PGD_EXIT_GAP * scale:
+        curv = float(step @ cs @ step)
+        with np.errstate(divide="ignore"):
+            s = min(1.0, float(np.where(dx < 0.0, den / -dx, np.inf).min()))
+        # Along the step the derivative slope - s (curv + sum of
+        # w dx^2 / (den den_s)) only falls, so the objective rises as far as
+        # it stays nonnegative.  A first trial that overshoots is cut to the
+        # root of the derivative's chord from 0; later ones are halved.
+        for k in range(60):
+            den_s = den + s * dx
+            if den_s.min() > _DOMAIN_FLOOR:
+                dphi = slope - s * (
+                    curv + float((w * dx * dx) @ (1.0 / (den * den_s))))
+                if dphi >= 0.0:
+                    break
+                if k == 0:
+                    s *= slope / (slope - dphi)
+                    continue
+            s *= 0.5
+        else:
+            break
+        ps = ps + s * step
+    if gap > _GAP_RTOL:
         raise SolverFailure(
-            f"projected gradient ascent stopped at iteration {it} with a "
-            f"relative Frank-Wolfe gap of {gain / scale:.3e} at t={t:.6g}"
+            f"Newton ascent stopped at iteration {it} with a relative "
+            f"Frank-Wolfe gap of {gap:.3e} at t={t:.6g}"
         )
-    return p, g_val
+    rho = np.zeros(d)
+    rho[sup] = ps
+    g_star = (r + rho @ (b - r) - 0.5 * rho @ c @ rho
+              + jump_spec.growth_jump_term(t, rho, kappa_state))
+    return rho, float(g_star)
 
 
 # ---------------------------------------------------------------------------
@@ -829,7 +814,7 @@ def growth_optimal_jump(
 
 def _batch_balanced_stationary(
     slab: np.ndarray, jump_spec: JumpSpec, t: float, active: np.ndarray,
-    excess: np.ndarray | None = None, tol: float = _PGD_TOL,
+    excess: np.ndarray | None = None,
 ) -> np.ndarray:
     """Rows of ``slab`` whose own weights are growth optimal at time ``t``.
 
@@ -872,7 +857,7 @@ def _batch_balanced_stationary(
     alive = kt > DEATH_THRESHOLD
     gain = simplex_gap(grad.T, kt.T, alive.T)
     scale = np.where(alive, np.abs(grad), 0.0).max(axis=0)
-    return (gain <= tol * (1.0 + scale)) & ~bad
+    return (gain <= _GAP_RTOL * (1.0 + scale)) & ~bad
 
 
 def _growth_optimal_rows(

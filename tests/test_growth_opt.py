@@ -256,6 +256,35 @@ def test_constrained_optimum_is_certified_for_every_rank(seed, kind, box):
     assert sol.g_star == pytest.approx(growth_rate(sol.rho, q + r, c, r))
 
 
+def test_ulp_asymmetric_singular_covariance_still_finds_the_optimum():
+    """A PSD ``c`` symmetric only to an ulp: its full face's bordered
+    system is nearly singular, and the residual of its least-squares solve
+    is all positive.  Taken as it stands, that "ray" left the budget
+    hyperplane, no bound blocked it, and the bounded simplex was reported
+    unbounded."""
+    a = np.array([-0.0063332284176746, 0.5457667181669134, 0.36422542932771235,
+                  0.3413208438421892, 0.1015739967554678])
+    c = np.array([
+        [0.3715834995139263, -0.26001579971185995, 0.3293442767778736,
+         -0.2508939808255833, -0.44199830474292595],
+        [-0.26001579971185995, 1.6591344685019778, -0.8957312360384388,
+         -0.2795425524705334, -0.25495616243717106],
+        [0.32934427677787353, -0.8957312360384388, 1.2631786806752832,
+         -0.21113506941088403, 0.0919038013607743],
+        [-0.2508939808255833, -0.2795425524705334, -0.21113506941088403,
+         0.4597559045541957, 0.5035932314644852],
+        [-0.44199830474292595, -0.25495616243717106, 0.09190380136077425,
+         0.5035932314644852, 0.9206273843754972],
+    ])
+    assert 0.0 < np.abs(c - c.T).max() < 1e-16
+    sol = growth_optimal_constrained(a, c, 0.0, ConstraintSet.closed_simplex())
+    assert sol.kkt_residual <= 1e-12
+    assert np.all(sol.rho >= 0.0) and abs(sol.rho.sum() - 1.0) <= 1e-12
+    grad = a - c @ sol.rho
+    assert simplex_gap(grad, sol.rho) <= 1e-12
+    assert sol.g_star >= growth_rate(np.full(5, 0.2), a, c, 0.0)
+
+
 @pytest.mark.parametrize("lo, hi", [
     ([0.1, -0.5], [1.0, 1.0]),   # a positive lower bound
     ([0.0, 0.0], [0.9, 2.0]),    # an upper bound below one

@@ -18,7 +18,11 @@ from balmarkets.jump_markets import (
     rel_rate_of_return,
     simulate_jump_balanced,
 )
-from balmarkets.growth_opt import growth_optimal_constrained, growth_rate
+from balmarkets.growth_opt import (
+    growth_optimal_constrained,
+    growth_rate,
+    simplex_gap,
+)
 from balmarkets.market_model import ConstraintSet, PathGrid, ProcessSpec
 from balmarkets.sde_engine import simulate_relative_caps_balanced
 
@@ -369,11 +373,68 @@ def test_accepted_jump_takes_the_atoms_of_its_own_time():
                 assert err > 1e-6
 
 
-def test_unconverged_jump_optimizer_raises():
-    # one ascent step leaves a relative Frank-Wolfe gap of about 0.15
+def test_unconverged_jump_optimizer_raises(monkeypatch):
+    # this problem takes four Newton steps; after one the relative
+    # Frank-Wolfe gap is about 0.05
     spec = _spec(lam=2.0)
     b = np.array([0.1, -0.05, 0.2])
-    with pytest.raises(SolverFailure, match="Frank-Wolfe gap of 1.4"):
-        growth_optimal_jump(b, C3, 0.0, spec, max_iter=1)
+    monkeypatch.setattr(jump_markets, "_NEWTON_MAX_ITER", 1)
+    with pytest.raises(SolverFailure, match=r"iteration 1 .* gap of 4\.968e-02"):
+        growth_optimal_jump(b, C3, 0.0, spec)
+    monkeypatch.undo()
     rho, _ = growth_optimal_jump(b, C3, 0.0, spec)
     assert abs(rho.sum() - 1.0) < 1e-9
+
+
+def test_state_intensity_is_read_once_at_kappa_state():
+    b = np.array([0.1, -0.05, 0.2])
+    kap = np.array([0.37, 0.41, 0.22])
+    state = JumpSpec.finite_atoms(
+        ProcessSpec.state_function(lambda t, k: 1.0 + 2.0 * k[0]),
+        lam_max=3.0, atoms=ATOMS, probs=PROBS)
+    with pytest.raises(ValueError, match="kappa_state"):
+        growth_optimal_jump(b, C3, 0.0, state)
+    rho, g_star = growth_optimal_jump(b, C3, 0.0, state, kappa_state=kap)
+    fixed = _spec(lam=1.0 + 2.0 * kap[0], lam_max=3.0)
+    rho_fixed, g_fixed = growth_optimal_jump(b, C3, 0.0, fixed)
+    assert np.array_equal(rho, rho_fixed)
+    assert g_star == g_fixed
+
+
+def _random_jump_problem(rng):
+    """d = 2-5, PSD c of any rank, 1-3 atoms in [-0.95, 2], intensity
+    0.2-5, and one dead company in 30% of the supports when d > 2."""
+    d = int(rng.integers(2, 6))
+    f = rng.standard_normal((d, int(rng.integers(0, d + 1))))
+    f *= rng.uniform(0.1, 0.6)
+    c = f @ f.T
+    k = int(rng.integers(1, 4))
+    lam = rng.uniform(0.2, 5.0)
+    spec = _spec(lam=lam, atoms=rng.uniform(-0.95, 2.0, (k, d)),
+                 probs=rng.dirichlet(np.ones(k)))
+    b = rng.normal(0.05, 0.3, d)
+    r = rng.uniform(0.0, 0.05)
+    support = np.ones(d, dtype=bool)
+    if d > 2 and rng.uniform() < 0.3:
+        support[rng.integers(d)] = False
+    return b, c, r, spec, support
+
+
+def test_jump_optimizer_converges_on_random_problems():
+    """Every problem ends at a relative Frank-Wolfe gap of at most 1e-10
+    and beats every living vertex and the uniform portfolio."""
+    rng = np.random.default_rng(20)
+    for _ in range(300):
+        b, c, r, spec, support = _random_jump_problem(rng)
+        rho, g_star = growth_optimal_jump(b, c, r, spec, support=support)
+
+        def objective(p):
+            return growth_rate(p, b, c, r) + spec.growth_jump_term(0.0, p)
+
+        grad = (b - r) - c @ rho + spec.growth_jump_gradient(0.0, rho)
+        scale = 1.0 + np.abs(grad[support]).max()
+        assert simplex_gap(grad, rho, support) <= 1e-10 * scale
+        assert np.all(rho[~support] == 0.0)
+        slack = 1e-12 * (1.0 + abs(g_star))
+        for p in [*np.eye(len(b))[support], support / support.sum()]:
+            assert g_star >= objective(p) - slack

@@ -26,14 +26,9 @@ from .errors import (
     HorizonTooShort,
     ShapeMismatch,
     SingularCovariance,
-    SolverFailure,
 )
-from .growth_opt import (
-    _GAP_TOL,
-    growth_optimal_constrained,
-    growth_rate,
-    simplex_gap,
-)
+from .growth_opt import growth_optimal_constrained, growth_rate
+from .jump_markets import _clamped_rates, _growth_optimal_rows
 from .market_model import (
     ConstraintKind,
     ConstraintSet,
@@ -107,7 +102,7 @@ class BalanceReport:
 
     ``L_path`` has shape (n_paths, n_stored) and is nondecreasing along the
     time axis with ``L[:, 0] = 0``.  ``slope_tail`` is the average dL/dt
-    over the final quarter of the horizon.
+    over the final quarter of the run.
     """
 
     times: np.ndarray
@@ -133,7 +128,8 @@ class BalanceReport:
         still rises at more than ten times that rate; Indeterminate
         otherwise.
         """
-        slope = _tail_slope(L, times)
+        idx = _tail_start(times)
+        slope = (L[:, -1] - L[:, idx]) / (times[-1] - times[idx])
         L_terminal = L[:, -1].copy()
         labels = np.where(
             (slope < eps_slope) & (L_terminal < L_cap),
@@ -212,7 +208,7 @@ def _growth_gap_grid(
         g_star = growth_optimal_constrained(a, c, r, constraint).g_star
         gk = growth_rate(kappa, a, c, r)
         return g_star - gk
-    gap = np.empty(kappa.shape[:2])
+    gap = np.zeros(kappa.shape[:2])
     if deterministic:
         for k, t in enumerate(times):
             a, c, r = _coeffs_at(float(t), a_spec, c_spec, r_spec, d)
@@ -220,38 +216,18 @@ def _growth_gap_grid(
             gap[:, k] = g_star - growth_rate(kappa[:, k], a, c, r)
         return gap
     # State-dependent coefficients, one time slab at a time.  On the closed
-    # simplex, concavity gives g* - g^kappa <= simplex_gap: a row whose gap
-    # is at rounding level is certified at exactly zero, and only the other
-    # rows reach the solver.  Specs and the solver see the stored rows; the
-    # certificate works on a column-major copy, so that reductions over each
-    # row's d entries run as whole-column operations.
+    # simplex the market's growth rate is concave, so a row the shared
+    # certificate accepts is growth optimal and its gap is zero; only the
+    # other rows reach the solver.  Other constraints solve every row.
     certify = constraint.kind is ConstraintKind.CLOSED_SIMPLEX
     for k, t in enumerate(times):
         t = float(t)
         rows = kappa[:, k]
-        slab = np.asfortranarray(rows)
-        c = c_spec.rows(t, rows, (d, d), "covariance rate c")
-        r = r_spec.rows(t, rows, (), "interest rate r")
-        r_col = r[:, None] if r.ndim else r
-        cx = (c @ slab.T).T if c.ndim == 2 else np.einsum("pij,pj->pi", c, slab)
-        a = cx + r_col if a_spec is None else a_spec.rows(t, rows, (d,), "drift rate a")
-        ok = np.zeros(len(slab), dtype=bool)
-        if certify:
-            grad = a - r_col - cx
-            ok = (
-                (slab >= 0.0).all(axis=1)
-                & (np.abs(slab.sum(axis=1) - 1.0) <= _GAP_TOL)
-                & (simplex_gap(grad, slab)
-                   <= _GAP_TOL * (1.0 + np.abs(grad).max(axis=1)))
-            )
-        gap[ok, k] = 0.0
-        for p in np.flatnonzero(~ok):
-            state = rows[p]
-            a_p = a[p] if a.ndim == 2 else a
-            c_p = c[p] if c.ndim == 3 else c
-            r_p = float(r[p] if r.ndim else r)
-            g_star = growth_optimal_constrained(a_p, c_p, r_p, constraint).g_star
-            gap[p, k] = g_star - growth_rate(state, a_p, c_p, r_p)
+        ok, row = _growth_optimal_rows(rows, t, None, c_spec, a_spec, r_spec, None)
+        for p in np.flatnonzero(~(ok & certify)):
+            a, c, r, _ = row(p)
+            g_star = growth_optimal_constrained(a, c, r, constraint).g_star
+            gap[p, k] = g_star - growth_rate(rows[p], a, c, r)
     return gap
 
 
@@ -275,28 +251,19 @@ def loss_of_balance(
     """
     if constraint is None:
         constraint = ConstraintSet.closed_simplex()
-    gap = _growth_gap_grid(ps, a_spec, r_spec, constraint)
-    worst = float(gap.min())
-    if worst < -_GAP_TOL:
-        raise SolverFailure(
-            f"growth gap fell to {worst:.3e}; optimizer failed to dominate "
-            "the market portfolio"
-        )
-    np.maximum(gap, 0.0, out=gap)
     times = ps.times()
+    gap = _clamped_rates(_growth_gap_grid(ps, a_spec, r_spec, constraint), times)
     dts = np.diff(times)
     L = np.zeros_like(gap)
     np.cumsum(gap[:, :-1] * dts, axis=1, out=L[:, 1:])
     return BalanceReport.from_loss(times, L, eps_slope, L_cap)
 
 
-def _tail_slope(L: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Average dL/dt over the final quarter of the horizon, per row of L."""
-    horizon = times[-1]
-    idx = int(np.searchsorted(times, 0.75 * horizon))
-    if idx >= len(times) - 1:
-        idx = len(times) - 2
-    return (L[..., -1] - L[..., idx]) / (times[-1] - times[idx])
+def _tail_start(times: np.ndarray) -> int:
+    """Index of the first stored time in the final quarter of the run,
+    leaving at least one step after it."""
+    start = times[0] + 0.75 * (times[-1] - times[0])
+    return min(int(np.searchsorted(times, start)), len(times) - 2)
 
 
 def classify_outcome(
@@ -467,7 +434,8 @@ def pairwise_distance(
         # the integrand never changes: integrate it in closed form
         a = a_spec.rows(0.0, None, (d,), "drift rate a")
         c = c_spec.rows(0.0, None, (d, d), "covariance rate c")
-        return float(_pair_integrand(a, c, i, j) * min(horizon, times[-1]))
+        span = max(min(horizon, float(times[-1])) - float(times[0]), 0.0)
+        return float(_pair_integrand(a, c, i, j) * span)
     total = 0.0
     for k in range(len(times) - 1):
         t = float(times[k])
@@ -576,11 +544,7 @@ def limiting_distribution(
     oscillating.  Raises :class:`HorizonTooShort` when more than half the
     paths land in neither bucket.
     """
-    times = ps.times()
-    horizon = times[-1]
-    tail_from = int(np.searchsorted(times, 0.75 * horizon))
-    tail_from = min(tail_from, len(times) - 2)
-    tail = ps.kappa[:, tail_from:, :]
+    tail = ps.kappa[:, _tail_start(ps.times()):, :]
     tail_range = tail.max(axis=1) - tail.min(axis=1)
     worst_range = tail_range.max(axis=1)
     terminal = ps.kappa[:, -1, :]

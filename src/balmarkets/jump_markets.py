@@ -32,12 +32,13 @@ no Brownian draws unless increments are stored, and it runs as one
 chunk on the calling thread, so the thread count changes neither its
 values, its diagnostics nor its time.
 
-The loss of balance and the pairwise distance share one kernel,
-``_growth_optimal_rows``: it certifies each row of a time slab by the
-Frank-Wolfe gap of the jump-adjusted growth rate, for any drift, and
-solves only the rows it rejects with ``growth_optimal_jump``.  That
-optimizer takes damped Newton steps whose subproblem is the growth-rate
-QP of ``growth_opt``, solved exactly by its active-set method.
+The loss of balance of jump and continuous markets and the jump distance
+share one certificate, ``_growth_optimal_rows``: it evaluates a time
+slab's coefficients and accepts each row whose relative Frank-Wolfe gap
+at kappa is within ``_GAP_RTOL``, for any drift.  It solves nothing; the
+jump diagnostics solve the rows it rejects with ``growth_optimal_jump``,
+which takes damped Newton steps whose subproblem is the growth-rate QP of
+``growth_opt``, solved exactly by its active-set method.
 """
 
 from __future__ import annotations
@@ -812,38 +813,51 @@ def growth_optimal_jump(
 # generalized diagnostics
 
 
-def _batch_balanced_stationary(
-    slab: np.ndarray, jump_spec: JumpSpec, t: float, active: np.ndarray,
-    excess: np.ndarray | None = None,
-) -> np.ndarray:
-    """Rows of ``slab`` whose own weights are growth optimal at time ``t``.
+def _growth_optimal_rows(
+    slab: np.ndarray, t: float, jump_spec: JumpSpec | None,
+    c_spec: ProcessSpec, b_spec: ProcessSpec | None, r_spec: ProcessSpec,
+    active: np.ndarray | None,
+):
+    """Which rows of a time slab are their own growth-optimal portfolio.
 
-    The certificate is the Frank-Wolfe gap of the jump-adjusted growth rate
-    at each row's state, over its living companies.  ``excess`` holds each
-    row's ``b - r 1 - c kappa``; ``None`` stands for the balanced drift,
-    whose excess is ``-I1 + I2`` where the jump law is ``active`` and zero
-    elsewhere.  A state intensity is read at each active row.  Rows whose
-    state leaves the jump domain report ``False``, so that the solver
-    raises the precise error.
+    Evaluates each row's drift, covariance and rate at time ``t``;
+    ``b_spec=None`` means the balanced drift ``c kappa + r 1 - I1 + I2``,
+    whose jump terms are there only where ``active``.  A row is certified
+    when kappa lies on the simplex (nonnegative, summing to one within
+    ``_GAP_RTOL``) and the relative Frank-Wolfe gap of the jump-adjusted
+    growth rate at kappa is at most ``_GAP_RTOL``, the stopping gap of
+    :func:`growth_optimal_jump`.  The gap runs over the living
+    companies when a jump law is given, and over all companies when
+    ``jump_spec`` is ``None`` (a continuous market; ``active`` is then
+    unused).  A state intensity is read at each active row.  Rows whose
+    state leaves the jump domain are not certified, so that the solver
+    raises the precise error.  Solves nothing: returns ``(certified, row)``
+    with ``row(p)`` giving ``(b, c, r, nu)`` of row ``p``, where ``nu`` is
+    the jump law where it is active and ``None`` elsewhere.
     """
-    n = len(slab)
-    if jump_spec.intensity.depends_on_state():
-        lam = np.zeros(n)
-        lam[active] = [jump_spec.intensity_at(t, k) for k in slab[active]]
-    else:
-        lam = np.where(active, jump_spec.intensity_at(t), 0.0)
-    jumps = lam.any()
-    if excess is None and not jumps:
-        # the balanced drift without jump activity has an exactly zero
-        # gradient
-        return np.ones(n, dtype=bool)
+    n, d = slab.shape
+    c = c_spec.rows(t, slab, (d, d), "covariance rate c")
+    r = r_spec.rows(t, slab, (), "interest rate r")
     # rows run along the columns of these (d, n) and (K, n) arrays, so that
     # every reduction or broadcast over a row's few entries is one
     # whole-array operation
     kt = np.ascontiguousarray(slab.T)
-    grad = None if excess is None else excess.T
+    b = None
+    grad = np.zeros((d, n))
+    if b_spec is not None:
+        b = b_spec.rows(t, slab, (d,), "drift rate")
+        cx = slab @ c.T if c.ndim == 2 else np.einsum("pij,pj->pi", c, slab)
+        grad = (b - (r[:, None] if r.ndim else r) - cx).T
+    lam = np.zeros(n)
+    alive = np.ones((d, n), dtype=bool)
+    if jump_spec is not None:
+        if jump_spec.intensity.depends_on_state():
+            lam[active] = [jump_spec.intensity_at(t, k) for k in slab[active]]
+        else:
+            lam[active] = jump_spec.intensity_at(t)
+        alive = kt > DEATH_THRESHOLD
     bad = np.zeros(n, dtype=bool)
-    if jumps:
+    if lam.any():
         x = jump_spec.atoms_at(t)
         denom = 1.0 + x @ kt
         out = denom <= 0.0
@@ -851,72 +865,51 @@ def _batch_balanced_stationary(
         denom[out] = 1.0
         trunc = jump_spec.probs * (np.linalg.norm(x, axis=1) <= 1.0)
         weights = jump_spec.probs[:, None] / denom
-        if grad is None:
+        if b is None:
+            # the balanced drift's excess b - r 1 - c kappa is -I1 + I2
             grad = -(lam * (x.T @ weights)) + lam * (trunc @ x)[:, None]
         grad = grad + lam * (x.T @ (weights - trunc[:, None]))
-    alive = kt > DEATH_THRESHOLD
     gain = simplex_gap(grad.T, kt.T, alive.T)
     scale = np.where(alive, np.abs(grad), 0.0).max(axis=0)
-    return (gain <= _GAP_RTOL * (1.0 + scale)) & ~bad
-
-
-def _growth_optimal_rows(
-    slab: np.ndarray, t: float, jump_spec: JumpSpec, c_spec: ProcessSpec,
-    b_spec: ProcessSpec | None, r_spec: ProcessSpec, active: np.ndarray,
-    warm: dict,
-):
-    """Is each row of ``slab`` growth optimal at time ``t``, and if not,
-    what is?
-
-    Certifies every row at once (see :func:`_batch_balanced_stationary`)
-    and returns ``(certified, row)``.  ``row(p)`` gives the row's drift,
-    covariance, rate, active jump measure (``None`` where ``active[p]`` is
-    false) and growth-optimal ``rho``: the row itself where it is
-    certified, else the solution of :func:`growth_optimal_jump`,
-    warm-started from ``warm[p]`` (the last solution on that path) and
-    stored there.  ``b_spec=None`` means the balanced drift.
-    """
-    d = slab.shape[1]
-    c = c_spec.rows(t, slab, (d, d), "covariance rate c")
-    r = r_spec.rows(t, slab, (), "interest rate r")
-    excess = b = None
-    if b_spec is not None:
-        b = b_spec.rows(t, slab, (d,), "drift rate b")
-        cx = slab @ c.T if c.ndim == 2 else np.einsum("pij,pj->pi", c, slab)
-        excess = b - (r[:, None] if r.ndim else r) - cx
-    ok = _batch_balanced_stationary(slab, jump_spec, t, active, excess)
+    ok = (
+        (kt >= 0.0).all(axis=0)
+        & (np.abs(kt.sum(axis=0) - 1.0) <= _GAP_RTOL)
+        & (gain <= _GAP_RTOL * (1.0 + scale))
+        & ~bad
+    )
 
     def row(p: int):
         kap = slab[p]
         c_p = c if c.ndim == 2 else c[p]
         r_p = float(r[p] if r.ndim else r)
-        nu = jump_spec if active[p] else None
+        nu = jump_spec if active is not None and active[p] else None
         if b is not None:
             b_p = b if b.ndim == 1 else b[p]
         elif nu is None:
             b_p = c_p @ kap + r_p
         else:
             b_p = drift_from_balance_jump(kap, c_p, nu, r_p, t)
-        if ok[p]:
-            return b_p, c_p, r_p, nu, kap
-        rho, _ = growth_optimal_jump(
-            b_p, c_p, r_p, nu, t, support=kap > DEATH_THRESHOLD,
-            warm_start=warm.get(p, kap), kappa_state=kap,
-        )
-        warm[p] = rho
-        return b_p, c_p, r_p, nu, rho
+        return b_p, c_p, r_p, nu
 
     return ok, row
 
 
-def _checked_increment(inc: float, t: float) -> float:
-    """Loss rate clamped at zero; a solver that lost to kappa raises."""
-    if inc < -_GAP_TOL:
+def _clamped_rates(rates: np.ndarray, times) -> np.ndarray:
+    """Loss rates clamped at zero in place; ``times`` broadcasts against
+    ``rates``.
+
+    The market portfolio is feasible, so a rate below ``-_GAP_TOL`` means
+    the optimizer lost to it: raises :class:`SolverFailure` with the worst
+    rate and its time.
+    """
+    worst = np.unravel_index(np.argmin(rates), rates.shape)
+    if rates[worst] < -_GAP_TOL:
+        t = np.broadcast_to(times, rates.shape)[worst]
         raise SolverFailure(
-            f"loss increment fell to {inc:.3e} at t={t:.6g}; the optimizer "
-            "failed to dominate the market portfolio"
+            f"growth gap fell to {rates[worst]:.3e} at t={t:.6g}; the "
+            "optimizer failed to dominate the market portfolio"
         )
-    return max(inc, 0.0)
+    return np.maximum(rates, 0.0, out=rates)
 
 
 def loss_of_balance_jump(
@@ -952,24 +945,28 @@ def loss_of_balance_jump(
     if lifetimes is not None and lifetimes.budget_exhausted_time is not None:
         cutoff = np.asarray(lifetimes.budget_exhausted_time, dtype=float)
     L = np.zeros((n, ns))
-    acc = np.zeros(n)
     warm: dict[int, np.ndarray] = {}
     for k in range(ns - 1):
         t = float(times[k])
         dt_k = float(times[k + 1] - times[k])
         slab = ps.kappa[:, k]
         ok, row = _growth_optimal_rows(
-            slab, t, jump_spec, ps.c_spec, b_spec, r_spec, t < cutoff, warm)
+            slab, t, jump_spec, ps.c_spec, b_spec, r_spec, t < cutoff)
+        rates = np.zeros(n)
         for p in np.flatnonzero(~ok):
-            b, c, r, nu, rho = row(p)
+            b, c, r, nu = row(p)
             kap = slab[p]
+            rho, _ = growth_optimal_jump(
+                b, c, r, nu, t, support=kap > DEATH_THRESHOLD,
+                warm_start=warm.get(p, kap), kappa_state=kap)
+            warm[p] = rho
             rel_k = rel_rate_of_return(kap, rho, b, c, nu, r, t, kappa_state=kap)
             quad = float((kap - rho) @ c @ (kap - rho))
             inc = -rel_k + 0.5 * quad
             if nu is not None:
                 inc += nu.loss_jump_integrand(t, kap, rho)
-            acc[p] += _checked_increment(inc, t) * dt_k
-        L[:, k + 1] = acc
+            rates[p] = inc
+        L[:, k + 1] = L[:, k] + _clamped_rates(rates, t) * dt_k
     return L
 
 
@@ -1009,7 +1006,7 @@ def pairwise_distance_jump(
     if lifetimes is not None and lifetimes.budget_exhausted_time is not None:
         cutoff = float(lifetimes.budget_exhausted_time[path_index])
     total = 0.0
-    warm: dict[int, np.ndarray] = {}
+    rho_prev = None
     for k in range(len(times) - 1):
         t = float(times[k])
         if t >= horizon:
@@ -1020,10 +1017,17 @@ def pairwise_distance_jump(
                 f"company {i if kap[i] <= DEATH_THRESHOLD else j} is dead at "
                 f"t={t:.6g}; the distance needs both alive"
             )
-        _, row = _growth_optimal_rows(
+        ok, row = _growth_optimal_rows(
             kap[None], t, jump_spec, ps.c_spec, b_spec, r_spec,
-            np.array([t < cutoff]), warm)
-        b, c, r, nu, rho = row(0)
+            np.array([t < cutoff]))
+        b, c, r, nu = row(0)
+        rho = kap
+        if not ok[0]:
+            rho, _ = growth_optimal_jump(
+                b, c, r, nu, t, support=kap > DEATH_THRESHOLD,
+                warm_start=kap if rho_prev is None else rho_prev,
+                kappa_state=kap)
+            rho_prev = rho
         rel_i = rel_rate_of_return(e_i, rho, b, c, nu, r, t, kappa_state=kap)
         rel_j = rel_rate_of_return(e_j, rho, b, c, nu, r, t, kappa_state=kap)
         c_pair = c[i, i] + c[j, j] - 2.0 * c[i, j]

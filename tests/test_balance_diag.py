@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from balmarkets import balance_diag
 from balmarkets.balance_diag import (
+    BalanceReport,
     bank_rate_statistic,
     classify_outcome,
     distance_matrix,
@@ -17,6 +18,7 @@ from balmarkets.balance_diag import (
     limiting_to_csv,
     lln_diagnostic,
     loss_of_balance,
+    pairwise_distance,
     relative_covariance,
     relative_growth,
     relcap_drift,
@@ -45,11 +47,11 @@ C3 = np.array([
 K3 = np.array([0.5, 0.3, 0.2])
 
 
-def _synthetic_ps(kappa, dt=0.01):
+def _synthetic_ps(kappa, dt=0.01, t0=0.0):
     """Wrap a hand-built weight array in a PathSet."""
     kappa = np.asarray(kappa, dtype=float)
     n, steps, d = kappa.shape
-    grid = PathGrid(dt=dt, n_steps=steps - 1)
+    grid = PathGrid(dt=dt, n_steps=steps - 1, t0=t0)
     return PathSet(
         grid=grid,
         n_paths=n,
@@ -85,6 +87,16 @@ def test_slow_creep_is_indeterminate():
     t = np.linspace(0.0, 100.0, 401)
     # tail slope of 5e-3 sits between eps and 10 eps
     assert classify_outcome(5e-3 * t, t) == "Indeterminate"
+
+
+def test_tail_slope_reads_the_final_quarter_of_a_late_run():
+    # a run over [5, 6] whose loss rises over its first half only: the
+    # final quarter starts at 5.75, not at 0.75 * 6
+    t = 5.0 + np.linspace(0.0, 1.0, 101)
+    L = np.minimum(t - 5.0, 0.5)
+    rep = BalanceReport.from_loss(t, L[None, :])
+    assert rep.slope_tail[0] == 0.0
+    assert rep.classification == ["Balanced"]
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +308,23 @@ def test_distance_matrix_symmetry_and_diagonal():
     assert np.asarray(j["values"]).shape == (3, 3)
 
 
+def test_closed_form_distance_starts_at_the_first_time():
+    """On a run over [5, 6] the constant-coefficient closed form and the
+    step sum over the same coefficients, as a time table, agree."""
+    a = np.array([0.3, 0.0, 0.1])
+    c = np.array([[0.04, 0.01, 0.0], [0.01, 0.09, 0.02], [0.0, 0.02, 0.16]])
+    ps = _synthetic_ps(np.full((1, 101, 3), 1.0 / 3.0), t0=5.0)
+    for horizon in (None, 5.5, 4.0):
+        closed = pairwise_distance(
+            dataclasses.replace(ps, c_spec=ProcessSpec.constant(c)),
+            0, 1, ProcessSpec.constant(a), horizon=horizon)
+        stepped = pairwise_distance(
+            dataclasses.replace(ps, c_spec=ProcessSpec.time_table([0.0], [c])),
+            0, 1, ProcessSpec.time_table([0.0], [a]), horizon=horizon)
+        assert closed == pytest.approx(stepped, rel=1e-12, abs=1e-15)
+    assert closed == 0.0
+
+
 def test_equal_companies_have_small_distance():
     # two identical companies plus one with a drift edge: the identical
     # pair stays close while both diverge from the third
@@ -346,6 +375,14 @@ def test_limiting_distribution_on_synthetic_paths():
     assert ld.labels == ["atom_1", "interior", "oscillating"]
     assert ld.histogram == {"atom_1": 1, "interior": 1, "oscillating": 1}
     assert ld.fraction("atom_1") == pytest.approx(1.0 / 3.0)
+
+
+def test_limiting_window_is_the_final_quarter_of_a_late_run():
+    # over [5, 6] the weight moves by 0.6 in the first half, then settles
+    steps = 101
+    k1 = np.minimum(np.linspace(0.2, 1.4, steps), 0.8)
+    ps = _synthetic_ps(np.column_stack([k1, 1.0 - k1])[None], t0=5.0)
+    assert limiting_distribution(ps).labels == ["interior"]
 
 
 def test_unsettled_majority_raises_horizon_too_short():

@@ -1,13 +1,19 @@
 """Jump-market engine, compensator moments, and the analytic example."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from balmarkets import jump_markets
+from balmarkets.balance_diag import loss_of_balance
 from balmarkets.errors import CompensatorUnavailable, SolverFailure
 from balmarkets.jump_markets import (
+    _GAP_RTOL,
     ALIVE,
     CONTINUOUS_VANISH,
+    DEATH_THRESHOLD,
     JUMP_TO_ZERO,
     JumpSpec,
     drift_from_balance_jump,
@@ -302,15 +308,118 @@ def test_negative_loss_increment_raises_solver_failure(monkeypatch, batched):
     monkeypatch.setattr(jump_markets, "growth_optimal_jump",
                         lambda *args, **kw: (worst, 0.0))
     if batched:
-        monkeypatch.setattr(
-            jump_markets, "_batch_balanced_stationary",
-            lambda slab, *args, **kw: np.zeros(len(slab), dtype=bool))
+        kernel = jump_markets._growth_optimal_rows
+
+        def certify_none(*args):
+            ok, row = kernel(*args)
+            return np.zeros_like(ok), row
+
+        monkeypatch.setattr(jump_markets, "_growth_optimal_rows", certify_none)
         kw = {}
     else:
         kw = {"b_spec": ProcessSpec.constant(np.array([0.8, -0.2, 0.0])),
               "r_spec": ProcessSpec.constant(0.0)}
-    with pytest.raises(SolverFailure, match="loss increment fell"):
+    with pytest.raises(SolverFailure, match="growth gap fell"):
         loss_of_balance_jump(ps, _spec(), lifetimes=rec, **kw)
+
+
+def test_zero_intensity_jump_loss_is_the_continuous_loss():
+    """With no active jump measure the generalized loss is the integral of
+    g* - g^kappa, on the same paths, drift and rate."""
+    grid = PathGrid(dt=1e-3, n_steps=200)
+    ps = simulate_relative_caps_balanced(
+        ProcessSpec.constant(C3), K3, grid, 20, 29, store_every=10)
+    spec = _spec(lam=0.0, lam_max=1.0)
+    rate = ProcessSpec.constant(0.02)
+    balanced = ProcessSpec.state_function(lambda t, k: C3 @ k + 0.02)
+    for drift in (None, balanced):
+        assert not loss_of_balance_jump(ps, spec, b_spec=drift, r_spec=rate).any()
+        assert not loss_of_balance(ps, drift, rate).L_path.any()
+    tilted = ProcessSpec.state_function(
+        lambda t, k: C3 @ k + 0.02 + k[0] * np.array([0.3, -0.2, 0.05]))
+    L_jump = loss_of_balance_jump(ps, spec, b_spec=tilted, r_spec=rate)
+    L = loss_of_balance(ps, tilted, rate).L_path
+    assert L[:, -1].min() > 0.0
+    np.testing.assert_allclose(L_jump, L, rtol=0.0, atol=1e-12)
+
+
+def _simplex_max(q, c):
+    """``max <q, p> - <p, c p> / 2`` over the closed simplex, by brute force.
+
+    Takes the least-squares stationary point of every face that lies in the
+    face.  A maximizer of least support is the only stationary point of its
+    face, and every candidate is feasible, so the best candidate is the
+    maximum, also where the active-set solver stalls on a nearly flat face.
+    """
+    d = len(q)
+    best = -np.inf
+    for k in range(1, d + 1):
+        for face in itertools.combinations(range(d), k):
+            s = list(face)
+            m = np.ones((k + 1, k + 1))
+            m[:k, :k] = c[np.ix_(s, s)]
+            m[k, k] = 0.0
+            z = np.linalg.lstsq(m, np.append(q[s], 1.0), rcond=None)[0][:k]
+            if z.min() >= 0.0 and z.sum() > 0.0:
+                p = np.zeros(d)
+                p[s] = z / z.sum()
+                best = max(best, q @ p - 0.5 * p @ c @ p)
+    return best
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31 - 1), st.booleans())
+def test_certified_rows_lose_no_growth(seed, jumps):
+    """A row the shared certificate accepts, solved anyway, has a loss rate
+    within the certificate's tolerance: PSD c of any rank, states with zero
+    coordinates, drifts tilted off balance by rounding level up to order
+    one, with and without an active jump law.  The continuous optimum is
+    found by brute force; the jump optimizer runs its own stopping test
+    from kappa, as the jump loss does."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 6))
+    f = rng.standard_normal((d, int(rng.integers(0, d + 1))))
+    c = f @ f.T * rng.uniform(0.01, 0.4)
+    r = float(rng.uniform(-0.05, 0.05))
+    n = 12
+    kappa = rng.dirichlet(np.ones(d), size=n)
+    kappa[: n // 2, rng.integers(d)] = 0.0
+    kappa /= kappa.sum(axis=1, keepdims=True)
+    spec = None
+    if jumps:
+        k = int(rng.integers(1, 4))
+        spec = _spec(lam=rng.uniform(0.2, 5.0),
+                     atoms=rng.uniform(-0.95, 2.0, (k, d)),
+                     probs=rng.dirichlet(np.ones(k)))
+    tilt = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-16.0, 0.0, (n, 1))
+    tilt[0] = 0.0
+    drift = {}  # equal states (vertices) take the first one's tilt
+    for kap, tl in zip(kappa, tilt):
+        base = c @ kap + r if spec is None else drift_from_balance_jump(kap, c, spec, r)
+        drift.setdefault(kap.tobytes(), base + tl)
+    ok, row = jump_markets._growth_optimal_rows(
+        kappa, 0.0, spec, ProcessSpec.constant(c),
+        ProcessSpec.state_function(lambda t, k: drift[k.tobytes()]),
+        ProcessSpec.constant(r), None if spec is None else np.ones(n, dtype=bool))
+    assert ok[0]
+    for p in np.flatnonzero(ok):
+        b, _, _, nu = row(p)
+        kap = kappa[p]
+        grad = (b - r) - c @ kap
+        support = np.ones(d, dtype=bool)
+        if spec is None:
+            q = b - r
+            loss = _simplex_max(q, c) - (q @ kap - 0.5 * kap @ c @ kap)
+        else:
+            grad += spec.growth_jump_gradient(0.0, kap)
+            support = kap > DEATH_THRESHOLD
+            # solved as the jump loss solves a path's first row: from kappa
+            rho, _ = growth_optimal_jump(b, c, r, nu, support=support,
+                                         warm_start=kap, kappa_state=kap)
+            loss = (-rel_rate_of_return(kap, rho, b, c, nu, r)
+                    + 0.5 * (kap - rho) @ c @ (kap - rho)
+                    + nu.loss_jump_integrand(0.0, kap, rho))
+        assert loss <= _GAP_RTOL * (1.0 + np.abs(grad[support]).max())
 
 
 def test_pairwise_distance_symmetric_and_positive():

@@ -228,15 +228,6 @@ class JumpSpec:
         small = np.linalg.norm(x, axis=1) <= 1.0
         return lam * float(self.probs @ (np.log1p(px) - px * small))
 
-    def growth_jump_gradient(self, t: float, p: np.ndarray, kappa=None) -> np.ndarray:
-        x = self.atoms_at(t)
-        lam = self.intensity_at(t, kappa)
-        if lam == 0.0:
-            return np.zeros(self.d)
-        px = x @ np.asarray(p, dtype=float)
-        small = np.linalg.norm(x, axis=1) <= 1.0
-        return lam * ((self.probs / (1.0 + px) - self.probs * small) @ x)
-
     def loss_jump_integrand(
         self, t: float, kappa: np.ndarray, rho: np.ndarray
     ) -> float:
@@ -320,9 +311,6 @@ class LifetimeRecord:
 
     def died(self, company: int) -> np.ndarray:
         return np.isfinite(self.zeta[:, company])
-
-    def death_fraction(self, company: int) -> float:
-        return float(self.died(company).mean())
 
 
 # ---------------------------------------------------------------------------

@@ -318,14 +318,17 @@ def psd_factor(c: np.ndarray) -> np.ndarray:
 
     Positive-definite input takes the plain Cholesky fast path and the result
     is lower-triangular.  Rank-deficient input falls back to a pivoted
-    Cholesky (row-permuted triangle), which reproduces exact zeros instead of
-    smearing them with a diagonal shift.  Input indefinite beyond
-    ``PSD_TOL`` relative tolerance raises :class:`IndefiniteMatrix`.
+    Cholesky in outer-product form, as LAPACK ``dpstf2``: each step pivots on
+    the first largest remaining diagonal entry, and the factor stops at rank
+    ``k`` once that entry is at most ``d * 2**-53 * max(diag c)``.  The
+    result is the row-permuted triangle, and its columns ``k..d-1`` are
+    exactly zero, so exact zeros in ``c`` are not smeared by a diagonal
+    shift.  Input indefinite beyond ``PSD_TOL`` relative tolerance raises
+    :class:`IndefiniteMatrix`.
     """
     c = np.asarray(c, dtype=float)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {c.shape}")
-    d = c.shape[0]
     scale = 1.0 + float(np.max(np.abs(c))) if c.size else 1.0
     if not np.allclose(c, c.T, atol=PSD_TOL * scale, rtol=0.0):
         raise AsymmetricCovariance("matrix to factor is not symmetric")
@@ -335,22 +338,26 @@ def psd_factor(c: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError:
         pass
 
-    sym = 0.5 * (c + c.T)
-    eigs = np.linalg.eigvalsh(sym)
+    a = 0.5 * (c + c.T)
+    eigs = np.linalg.eigvalsh(a)
     if eigs.min() < -PSD_TOL * scale:
         raise IndefiniteMatrix(
             f"eigenvalue {eigs.min():.3e} below -{PSD_TOL * scale:.3e}"
         )
-
-    # Pivoted Cholesky: sym[p, :][:, p] = L @ L.T with p the pivot order.
-    from scipy.linalg.lapack import dpstrf
-
-    low, piv, rank, info = dpstrf(sym, lower=1)
-    if info < 0:
-        raise IndefiniteMatrix(f"pivoted factorization failed (info={info})")
-    piv = piv - 1  # LAPACK is 1-based
-    tri = np.tril(low)
-    tri[:, rank:] = 0.0
-    sigma = np.zeros_like(tri)
-    sigma[piv, :] = tri
+    d = len(a)
+    piv = np.arange(d)
+    stop = d * 2.0**-53 * np.diagonal(a).max()
+    for j in range(d):
+        p = j + int(np.argmax(np.diagonal(a)[j:]))
+        if not a[p, p] > stop:
+            a[:, j:] = 0.0
+            break
+        a[[j, p]] = a[[p, j]]
+        a[:, [j, p]] = a[:, [p, j]]
+        piv[[j, p]] = piv[[p, j]]
+        a[j, j] = ajj = np.sqrt(a[j, j])
+        a[j + 1:, j] *= 1.0 / ajj
+        a[j + 1:, j + 1:] -= np.outer(a[j + 1:, j], a[j + 1:, j])
+    sigma = np.empty_like(a)
+    sigma[piv] = np.tril(a)
     return sigma

@@ -28,6 +28,7 @@ from balmarkets.jump_markets import (
     simulate_jump_balanced,
 )
 from balmarkets.market_model import PathGrid, ProcessSpec
+from test_jump_markets import growth_jump_gradient
 
 C3 = np.array([
     [0.09, 0.02, 0.01],
@@ -103,7 +104,7 @@ def _b_spec(spec, c_spec, r_spec, drift):
 def _stationary(b, c, r, nu, t, p, support, tol=1e-10):
     grad = (b - r) - c @ p
     if nu is not None:
-        grad = grad + nu.growth_jump_gradient(t, p, p)
+        grad = grad + growth_jump_gradient(nu, t, p, p)
     sup = np.flatnonzero(support)
     gain = grad[sup].max() - float(grad @ p)
     return gain <= tol * (1.0 + float(np.abs(grad[sup]).max()))

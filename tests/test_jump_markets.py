@@ -53,6 +53,18 @@ def _spec(lam=1.5, atoms=ATOMS, probs=PROBS, lam_max=None):
         atoms=atoms, probs=probs)
 
 
+def growth_jump_gradient(spec, t, p, kappa=None):
+    """Reference gradient in ``p`` of ``spec.growth_jump_term(t, p, kappa)``:
+    ``lam * sum_k w_k x_k (1/(1 + <p, x_k>) - 1{|x_k| <= 1})``."""
+    x = spec.atoms_at(t)
+    lam = spec.intensity_at(t, kappa)
+    if lam == 0.0:
+        return np.zeros(spec.d)
+    px = x @ np.asarray(p, dtype=float)
+    small = np.linalg.norm(x, axis=1) <= 1.0
+    return lam * ((spec.probs / (1.0 + px) - spec.probs * small) @ x)
+
+
 def _run(n_paths=200, seed=71, lam=1.5, **kw):
     grid = PathGrid(dt=1e-3, n_steps=500)
     return simulate_jump_balanced(
@@ -92,7 +104,7 @@ def test_growth_jump_term_matches_quadrature():
 def test_growth_jump_gradient_matches_finite_differences():
     spec = _spec()
     p = np.array([0.25, 0.45, 0.3])
-    grad = spec.growth_jump_gradient(0.0, p)
+    grad = growth_jump_gradient(spec, 0.0, p)
     h = 1e-7
     for i in range(3):
         e = np.zeros(3)
@@ -411,7 +423,7 @@ def test_certified_rows_lose_no_growth(seed, jumps):
             q = b - r
             loss = _simplex_max(q, c) - (q @ kap - 0.5 * kap @ c @ kap)
         else:
-            grad += spec.growth_jump_gradient(0.0, kap)
+            grad += growth_jump_gradient(spec, 0.0, kap)
             support = kap > DEATH_THRESHOLD
             # solved as the jump loss solves a path's first row: from kappa
             rho, _ = growth_optimal_jump(b, c, r, nu, support=support,
@@ -540,7 +552,7 @@ def test_jump_optimizer_converges_on_random_problems():
         def objective(p):
             return growth_rate(p, b, c, r) + spec.growth_jump_term(0.0, p)
 
-        grad = (b - r) - c @ rho + spec.growth_jump_gradient(0.0, rho)
+        grad = (b - r) - c @ rho + growth_jump_gradient(spec, 0.0, rho)
         scale = 1.0 + np.abs(grad[support]).max()
         assert simplex_gap(grad, rho, support) <= 1e-10 * scale
         assert np.all(rho[~support] == 0.0)

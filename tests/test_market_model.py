@@ -17,6 +17,7 @@ from balmarkets.market_model import (
     ConstraintSet,
     MarketParams,
     PathGrid,
+    PSD_TOL,
     ProcessSpec,
     psd_factor,
     validate_params,
@@ -159,6 +160,72 @@ def test_psd_factor_rejects_indefinite():
     c = np.array([[1.0, 2.0], [2.0, 1.0]])
     with pytest.raises(IndefiniteMatrix):
         psd_factor(c)
+
+
+def _planted_rank(rng, d, rank, scale):
+    """``scale * P (A + 0) P.T``: a well-conditioned rank-``rank`` block A
+    with exactly zero rows and columns at random places, and the positions
+    of those zeros."""
+    q, _ = np.linalg.qr(rng.normal(size=(rank, rank)))
+    block = (q * rng.uniform(0.5, 2.0, size=rank)) @ q.T
+    c = np.zeros((d, d))
+    live = np.sort(rng.permutation(d)[:rank])
+    c[np.ix_(live, live)] = scale * 0.5 * (block + block.T)
+    return c, np.setdiff1d(np.arange(d), live)
+
+
+@given(st.integers(min_value=0, max_value=2**31 - 1),
+       st.integers(min_value=1, max_value=8).flatmap(
+           lambda d: st.tuples(st.just(d), st.integers(0, d))),
+       st.floats(min_value=-8.0, max_value=8.0))
+@settings(max_examples=200, deadline=None)
+def test_pivoted_factor_on_every_rank(seed, shape, log_scale):
+    """sigma sigma^T = c to 1e-12, columns from the rank on exactly zero,
+    and IndefiniteMatrix below -PSD_TOL; also after a random rotation,
+    which takes away the exact zeros."""
+    d, rank = shape
+    rng = np.random.default_rng(seed)
+    c, dead = _planted_rank(rng, d, rank, 10.0 ** log_scale)
+    top = np.abs(c).max()
+    sigma = psd_factor(c)
+    assert np.all(np.abs(sigma @ sigma.T - c) <= 1e-12 * top)
+    assert np.all(sigma[:, rank:] == 0.0)
+    assert np.all(np.any(sigma[:, :rank] != 0.0, axis=0))
+
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    turned = q @ c @ q.T
+    turned = 0.5 * (turned + turned.T)
+    sigma = psd_factor(turned)
+    err = np.abs(sigma @ sigma.T - turned).max()
+    assert err <= 1e-12 * np.abs(turned).max()
+
+    if rank < d:
+        tol = PSD_TOL * (1.0 + top)
+        c[dead[0], dead[0]] = -0.5 * tol  # rounding noise: clipped
+        assert np.all(psd_factor(c)[:, rank:] == 0.0)
+        c[dead[0], dead[0]] = -2.0 * tol
+        with pytest.raises(IndefiniteMatrix):
+            psd_factor(c)
+
+
+def test_pivoted_factor_of_the_builtin_covariances():
+    """The sec6_* builtins use diag(0, 1), the death example zeros."""
+    assert psd_factor(np.diag([0.0, 1.0])).tolist() == [[0.0, 0.0], [1.0, 0.0]]
+    zero = psd_factor(np.zeros((2, 2)))
+    assert zero.tobytes() == np.zeros((2, 2)).tobytes()
+
+
+def test_pivoted_factor_rank_rule_and_pivot_order():
+    """Rank stops once the largest remaining diagonal is at most
+    d * 2**-53 * max(diag c); ties go to the first such entry."""
+    u = 2.0**-53
+    at = psd_factor(np.diag([0.0, 1.0, 3 * u]))
+    assert at.tolist() == [[0.0] * 3, [1.0, 0.0, 0.0], [0.0] * 3]
+    above = psd_factor(np.diag([0.0, 1.0, 4 * u]))
+    assert above.tolist() == [[0.0] * 3, [1.0, 0.0, 0.0], [0.0, 2 * u**0.5, 0.0]]
+    tie = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 0.5], [0.0, 0.5, 1.0]])
+    assert psd_factor(tie).tolist() == [[0.0] * 3, [1.0, 0.0, 0.0],
+                                        [0.5, 0.75**0.5, 0.0]]
 
 
 # ---------------------------------------------------------------------------

@@ -400,6 +400,38 @@ def test_python_dash_m_runs_without_runtime_warning():
     assert "perfect_balance_demo" in done.stdout
 
 
+_RUN_AND_LIST_SCIPY = """
+import json, sys, tempfile
+from balmarkets.scenario_cli import parse_config, run_scenario
+for doc in json.loads(sys.argv[1]):
+    with tempfile.TemporaryDirectory() as out:
+        run_scenario(parse_config(doc), out)
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def test_singular_covariance_runs_never_import_scipy():
+    """diag(0, 1) and the death example's zero covariance take the pivoted
+    factor, which is numpy only."""
+    docs = [
+        {"builtin": "sec6_case_critical", "n_paths": 20,
+         "grid": {"T": 2.0, "dt": 0.01}, "store_every": 10,
+         "diagnostics": {"limiting_distribution": False}},
+        {"builtin": "example_7_2", "n_paths": 64,
+         "grid": {"T": 1.5, "dt": 1e-3}, "store_every": 10},
+    ]
+    src = os.path.dirname(os.path.dirname(balmarkets.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run(
+        [sys.executable, "-c", _RUN_AND_LIST_SCIPY, json.dumps(docs)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == []
+
+
 # ---------------------------------------------------------------------------
 # one field table behind the parser and the schema
 

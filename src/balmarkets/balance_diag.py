@@ -223,7 +223,7 @@ def _growth_gap_grid(
     for k, t in enumerate(times):
         t = float(t)
         rows = kappa[:, k]
-        ok, row = _growth_optimal_rows(rows, t, None, c_spec, a_spec, r_spec, None)
+        ok, row = _growth_optimal_rows(rows, t, None, c_spec, a_spec, r_spec)
         for p in np.flatnonzero(~(ok & certify)):
             a, c, r, _ = row(p)
             g_star = growth_optimal_constrained(a, c, r, constraint).g_star

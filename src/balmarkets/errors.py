@@ -83,6 +83,10 @@ class CompensatorUnavailable(BalmarketsError):
     """Jump spec lacks the moment rule needed for compensator integrals."""
 
 
+class JumpDomainError(BalmarketsError, ValueError):
+    """A portfolio with jump activity has ``1 + <p, x> <= 0`` for some atom."""
+
+
 # ---------------------------------------------------------------------------
 # diagnostics
 

@@ -32,7 +32,9 @@ no Brownian draws unless increments are stored, and it runs as one
 chunk on the calling thread, so the thread count changes neither its
 values, its diagnostics nor its time.
 
-The loss of balance of jump and continuous markets and the jump distance
+Every compensator integral of the diagnostics comes from ``JumpMoments``,
+built once per time from the atoms and the intensity of each row.  The
+loss of balance of jump and continuous markets and the jump distance
 share one certificate, ``_growth_optimal_rows``: it evaluates a time
 slab's coefficients and accepts each row whose relative Frank-Wolfe gap
 at kappa is within ``_GAP_RTOL``, for any drift.  It solves nothing; the
@@ -43,7 +45,7 @@ which takes damped Newton steps whose subproblem is the growth-rate QP of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable
 
@@ -53,6 +55,7 @@ from .errors import (
     CompensatorUnavailable,
     DimensionMismatch,
     InconsistentInitialState,
+    JumpDomainError,
     NoSolution,
     SolverFailure,
 )
@@ -80,6 +83,7 @@ from .sde_engine import (
 
 __all__ = [
     "JumpSpec",
+    "JumpMoments",
     "LifetimeRecord",
     "ALIVE",
     "CONTINUOUS_VANISH",
@@ -109,13 +113,14 @@ _DOMAIN_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class JumpSpec:
-    """Finite-activity jump measure with closed-form compensator moments.
+    """Finite-activity jump measure.
 
     The supported law places probability ``probs[k]`` on finitely many size
     vectors ``atoms[k]`` (each coordinate in [-1, inf)), arriving at rate
     ``intensity(t, kappa) <= lam_max``; atoms may vary deterministically in
-    time via a callable ``t -> (K, d) array``.  ``sampler_only`` specs only
-    draw jump sizes: compensator queries and :func:`simulate_jump_balanced`
+    time via a callable ``t -> (K, d) array``.  Its compensator moments at a
+    time come from :class:`JumpMoments`.  ``sampler_only`` specs only draw
+    jump sizes: compensator queries and :func:`simulate_jump_balanced`
     raise :class:`CompensatorUnavailable` on them.
     """
 
@@ -136,26 +141,11 @@ class JumpSpec:
         probs = np.asarray(probs, dtype=float)
         if probs.ndim != 1 or np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-12:
             raise ValueError("atom probabilities must be a distribution")
-        if callable(atoms):
-            d = np.asarray(atoms(0.0), dtype=float).shape[1]
-        else:
-            atoms = np.asarray(atoms, dtype=float)
-            if atoms.ndim != 2 or atoms.shape[0] != len(probs):
-                raise DimensionMismatch(
-                    f"atoms shape {atoms.shape} does not match {len(probs)} probs"
-                )
-            _check_atoms(atoms)
-            d = atoms.shape[1]
+        x0 = _checked_atoms(atoms(0.0) if callable(atoms) else atoms, len(probs))
         if lam_max < 0:
             raise ValueError("lam_max must be nonnegative")
-        return JumpSpec(
-            intensity=intensity,
-            lam_max=float(lam_max),
-            d=d,
-            atoms=atoms,
-            probs=probs,
-            max_jumps=max_jumps,
-        )
+        return JumpSpec(intensity, float(lam_max), x0.shape[1],
+                        atoms if callable(atoms) else x0, probs, max_jumps=max_jumps)
 
     @staticmethod
     def sampler_only(
@@ -164,13 +154,8 @@ class JumpSpec:
     ) -> "JumpSpec":
         if not isinstance(intensity, ProcessSpec):
             intensity = ProcessSpec.constant(float(intensity))
-        return JumpSpec(
-            intensity=intensity,
-            lam_max=float(lam_max),
-            d=int(d),
-            sampler=sampler,
-            max_jumps=max_jumps,
-        )
+        return JumpSpec(intensity, float(lam_max), int(d), sampler=sampler,
+                        max_jumps=max_jumps)
 
     @property
     def has_moments(self) -> bool:
@@ -183,9 +168,7 @@ class JumpSpec:
                 "need finite atoms"
             )
         if callable(self.atoms):
-            x = np.asarray(self.atoms(float(t)), dtype=float)
-            _check_atoms(x)
-            return x
+            return _checked_atoms(self.atoms(float(t)), len(self.probs), self.d)
         return self.atoms
 
     def intensity_at(self, t: float, kappa=None) -> float:
@@ -196,74 +179,12 @@ class JumpSpec:
             )
         return min(max(lam, 0.0), self.lam_max)
 
-    # -- compensator moments -------------------------------------------------
-
-    def i1(self, t: float, kappa: np.ndarray) -> np.ndarray:
-        """``integral of x / (1 + <kappa, x>) dnu`` as a d-vector."""
-        x = self.atoms_at(t)
-        lam = self.intensity_at(t, kappa)
-        if lam == 0.0:
-            return np.zeros(self.d)
-        denom = 1.0 + x @ np.asarray(kappa, dtype=float)
-        if np.any(denom <= 0.0):
-            raise ValueError("jump size annihilates the whole market")
-        return lam * ((self.probs / denom) @ x)
-
-    def i2(self, t: float, kappa=None) -> np.ndarray:
-        """``integral of x 1{|x| <= 1} dnu`` (Euclidean truncation)."""
-        x = self.atoms_at(t)
-        lam = self.intensity_at(t, kappa)
-        small = np.linalg.norm(x, axis=1) <= 1.0
-        return lam * ((self.probs * small) @ x)
-
-    def growth_jump_term(self, t: float, p: np.ndarray, kappa=None) -> float:
-        """``integral of [log(1 + <p, x>) - <p, x> 1{|x| <= 1}] dnu``."""
-        x = self.atoms_at(t)
-        lam = self.intensity_at(t, kappa)
-        if lam == 0.0:
-            return 0.0
-        px = x @ np.asarray(p, dtype=float)
-        if np.any(1.0 + px <= 0.0):
-            return -np.inf
-        small = np.linalg.norm(x, axis=1) <= 1.0
-        return lam * float(self.probs @ (np.log1p(px) - px * small))
-
-    def loss_jump_integrand(
-        self, t: float, kappa: np.ndarray, rho: np.ndarray
-    ) -> float:
-        """``integral of 1 ∧ log^2((1 + <kappa, x>)/(1 + <rho, x>)) dnu``."""
-        x = self.atoms_at(t)
-        lam = self.intensity_at(t, kappa)
-        if lam == 0.0:
-            return 0.0
-        num = 1.0 + x @ np.asarray(kappa, dtype=float)
-        den = 1.0 + x @ np.asarray(rho, dtype=float)
-        with np.errstate(divide="ignore"):
-            ratio = np.where((num > 0.0) & (den > 0.0), num / den, np.inf)
-            val = np.minimum(1.0, np.log(ratio) ** 2)
-        val = np.where(np.isfinite(val), val, 1.0)
-        return lam * float(self.probs @ val)
-
-    def pair_jump_integrand(self, t: float, i: int, j: int, kappa=None) -> float:
-        """``integral of 1 ∧ log^2((1 + x_i)/(1 + x_j)) dnu``."""
-        x = self.atoms_at(t)
-        lam = self.intensity_at(t, kappa)
-        if lam == 0.0:
-            return 0.0
-        with np.errstate(divide="ignore"):
-            num = np.log1p(x[:, i])
-            den = np.log1p(x[:, j])
-            val = np.minimum(1.0, (num - den) ** 2)
-        val = np.where(np.isfinite(val), val, 1.0)
-        return lam * float(self.probs @ val)
-
     # -- sampling ------------------------------------------------------------
 
     def sample_jump(self, t: float, kappa: np.ndarray, rng) -> np.ndarray:
         if self.sampler is not None:
-            x = np.asarray(self.sampler(t, kappa, rng), dtype=float)
-            _check_atoms(x[None, :])
-            return x
+            return _checked_atoms(
+                [self.sampler(t, kappa, rng)], 1, self.d)[0]
         x = self.atoms_at(t)
         k = int(self._cum_probs.searchsorted(rng.uniform(), side="right"))
         return x[min(k, len(self.probs) - 1)]
@@ -273,13 +194,126 @@ class JumpSpec:
         return np.cumsum(self.probs)
 
 
-def _check_atoms(x: np.ndarray) -> None:
+def _checked_atoms(x, n_atoms: int, d: int | None = None) -> np.ndarray:
+    """Jump sizes as an ``(n_atoms, d)`` array, each one >= -1 and not -1 in all."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[0] != n_atoms or d not in (None, x.shape[1]):
+        raise DimensionMismatch(
+            f"jump sizes of shape {x.shape}, expected ({n_atoms}, {d or 'd'})")
     low = x <= -1.0 + 1e-15
     if low.any():
         if (x < -1.0).any():
             raise ValueError("jump sizes must be >= -1 in every coordinate")
         if low.all(axis=1).any():
             raise ValueError("a jump of -1 in every coordinate annihilates the market")
+    return x
+
+
+@dataclass(frozen=True)
+class JumpMoments:
+    """Compensator moments of a finite-atom jump law at one time ``t``.
+
+    Holds the atoms ``x`` at ``t``, evaluated and checked once, the
+    intensity ``lam`` (a scalar, or one per row of a stack of ``n``
+    states), the weights ``w = lam * probs`` and their truncated part
+    ``w_small``, on the atoms in the closed unit ball.  Each method takes a
+    portfolio of shape ``(d,)`` or a stack of shape ``(n, d)``, matched row
+    by row with ``lam``.  A row with jump activity must keep
+    ``1 + <p, x> > 0``, the jump domain; the methods that need it raise
+    :class:`JumpDomainError` otherwise.
+    """
+
+    x: np.ndarray
+    lam: float | np.ndarray
+    w: np.ndarray
+    w_small: np.ndarray
+
+    @classmethod
+    def at(cls, spec: JumpSpec, t: float, lam) -> "JumpMoments":
+        x = spec.atoms_at(t)
+        w = np.multiply.outer(lam, spec.probs)
+        return cls(x, lam, w, w * (np.linalg.norm(x, axis=1) <= 1.0))
+
+    @classmethod
+    def of_rows(cls, spec: JumpSpec, t: float, rows: np.ndarray,
+                active: np.ndarray) -> "JumpMoments":
+        """The moments of a stack of states, jump-free off the ``active``
+        rows; a state intensity is read once at each active row."""
+        lam = np.zeros(len(rows))
+        if spec.intensity.depends_on_state():
+            lam[active] = [spec.intensity_at(t, k) for k in rows[active]]
+        else:
+            lam[active] = spec.intensity_at(t)
+        return cls.at(spec, t, lam)
+
+    def row(self, p: int) -> "JumpMoments | None":
+        """Row ``p`` of a stack; ``None`` where it has no jump activity."""
+        lam = self.lam[p]
+        return JumpMoments(self.x, lam, self.w[p], self.w_small[p]) if lam else None
+
+    def inner(self, p: np.ndarray) -> np.ndarray:
+        """``<p, x_k>`` for each atom, per row."""
+        return (self.x @ p.T).T
+
+    def domain(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(den, out)``: ``den = 1 + <p, x_k>`` per atom, set to 1 where it
+        is not positive, and the rows with jump activity where that
+        happens."""
+        den = 1.0 + self.inner(p)
+        low = den <= 0.0
+        den[low] = 1.0
+        return den, low.any(axis=-1) & (self.lam > 0.0)
+
+    def denominators(self, p: np.ndarray) -> np.ndarray:
+        """``1 + <p, x_k>`` per atom; raises where a row leaves the domain."""
+        den, out = self.domain(p)
+        if np.any(out):
+            raise JumpDomainError(
+                "jump size annihilates the whole market: 1 + <p, x> <= 0")
+        return den
+
+    def gradient(self, p: np.ndarray, den: np.ndarray | None = None) -> np.ndarray:
+        """``integral of x (1/(1 + <p, x>) - 1{|x| <= 1}) dnu``, the jump part
+        of the growth rate's gradient at ``p`` (Karatzas & Kardaras 2007);
+        ``den`` is ``p``'s :meth:`domain` when already at hand."""
+        if den is None:
+            den = self.denominators(p)
+        return (self.w / den - self.w_small) @ self.x
+
+    def curvature_root(self, den: np.ndarray) -> np.ndarray:
+        """``F`` with ``F^T F = integral of x x^T / (1 + <p, x>)^2 dnu`` at one
+        portfolio; square-root weights keep it exactly symmetric."""
+        return self.x * (np.sqrt(self.w) / den)[:, None]
+
+    def log_term(self, p: np.ndarray) -> np.ndarray:
+        """``integral of [log(1 + <p, x>) - <p, x> 1{|x| <= 1}] dnu``."""
+        px = self.inner(p)
+        self.denominators(p)
+        return (self.w * np.log1p(px) - self.w_small * px).sum(axis=-1)
+
+    def log_ratio_integrand(self, kappa: np.ndarray, rho: np.ndarray) -> np.ndarray:
+        """``integral of 1 ∧ log^2((1 + <kappa, x>)/(1 + <rho, x>)) dnu``,
+        with 1 on the atoms where either side leaves the domain: the jump
+        term of the loss of balance, and with unit vectors ``e_i, e_j`` that
+        of the distance between companies i and j."""
+        num = 1.0 + self.inner(kappa)
+        den = 1.0 + self.inner(rho)
+        with np.errstate(divide="ignore"):
+            ratio = np.where((num > 0.0) & (den > 0.0), num / den, np.inf)
+            val = np.minimum(1.0, np.log(ratio) ** 2)
+        return (self.w * np.where(np.isfinite(val), val, 1.0)).sum(axis=-1)
+
+
+def _moments(nu, t: float, kappa) -> JumpMoments | None:
+    """``nu`` as the :class:`JumpMoments` of one state at ``t``, or ``None``
+    without jump activity.  A :class:`JumpSpec` is evaluated with its
+    intensity read at ``kappa``."""
+    if not isinstance(nu, JumpSpec) or nu.lam_max == 0.0:
+        return nu if isinstance(nu, JumpMoments) else None
+    if kappa is None and nu.intensity.depends_on_state():
+        raise ValueError("a state-dependent intensity needs kappa_state")
+    lam = nu.intensity_at(t, kappa)
+    return JumpMoments.at(nu, t, lam) if lam > 0.0 else None
 
 
 def _log_weights(k: np.ndarray) -> np.ndarray:
@@ -482,7 +516,7 @@ def simulate_jump_balanced(
                         if lam_t is None:
                             bad &= lam_frozen > 0.0
                         if bad.any():
-                            raise ValueError(
+                            raise JumpDomainError(
                                 "jump size annihilates the whole market")
                     if ids.size:
                         # compensator factor from the left state
@@ -490,7 +524,7 @@ def simulate_jump_balanced(
                         bad = (denom <= 0.0).any(axis=1) if neg else None
                         if bad is not None and bad.any():
                             if lam_t is not None or (bad & (lam_live > 0.0)).any():
-                                raise ValueError(
+                                raise JumpDomainError(
                                     "jump size annihilates the whole market")
                             # rows with zero intensity never use the moment
                             denom[bad] = 1.0
@@ -544,7 +578,7 @@ def simulate_jump_balanced(
                             x = jump_spec.sample_jump(tau, kap, jgens[i])
                             base = 1.0 + kap @ x
                             if base <= 0.0:
-                                raise ValueError(
+                                raise JumpDomainError(
                                     "jump size annihilates the whole market")
                             acc.append(r)
                             knew.append(kap * (1.0 + x) / base)
@@ -629,33 +663,33 @@ def simulate_jump_balanced(
 
 
 def drift_from_balance_jump(
-    kappa_minus, c, jump_spec: JumpSpec, r: float, t: float = 0.0
+    kappa_minus, c, jump_spec: JumpSpec | JumpMoments | None, r: float,
+    t: float = 0.0,
 ) -> np.ndarray:
     """Capitalization drift that makes the weight process a martingale.
 
-    ``b = c kappa + r 1 - I1(kappa) + I2``, coordinatewise, for the living
-    companies.
+    ``b = c kappa + r 1 - integral of x (1/(1+<kappa,x>) - 1{|x|<=1}) dnu``,
+    coordinatewise, for the living companies: the jump gradient of
+    :class:`JumpMoments` taken at kappa.  ``jump_spec`` may also be the
+    moments of kappa's row at ``t``.
     """
     kappa_minus = np.asarray(kappa_minus, dtype=float)
-    c = np.asarray(c, dtype=float)
-    return (
-        c @ kappa_minus
-        + r
-        - jump_spec.i1(t, kappa_minus)
-        + jump_spec.i2(t, kappa_minus)
-    )
+    b = np.asarray(c, dtype=float) @ kappa_minus + r
+    m = _moments(jump_spec, t, kappa_minus)
+    return b if m is None else b - m.gradient(kappa_minus)
 
 
 def rel_rate_of_return(
-    pi, rho, b, c, jump_spec: JumpSpec | None, r: float, t: float = 0.0,
-    kappa_state=None,
+    pi, rho, b, c, jump_spec: JumpSpec | JumpMoments | None, r: float,
+    t: float = 0.0, kappa_state=None,
 ) -> float:
     """First-order growth advantage of ``pi`` over ``rho``.
 
     ``<pi - rho, b - r1 - c rho> + integral of [<pi-rho, x>/(1+<rho, x>) -
     <pi-rho, x> 1{|x|<=1}] dnu``.  Nonpositive for every feasible ``pi``
     exactly when ``rho`` is growth-optimal.  ``kappa_state`` feeds
-    state-dependent intensities; it defaults to ``rho``.
+    state-dependent intensities; it defaults to ``rho``.  ``jump_spec`` may
+    also be the moments of the state's row at ``t``.
     """
     pi = np.asarray(pi, dtype=float)
     rho = np.asarray(rho, dtype=float)
@@ -663,16 +697,9 @@ def rel_rate_of_return(
     c = np.asarray(c, dtype=float)
     diff = pi - rho
     val = float(diff @ (b - r - c @ rho))
-    if jump_spec is not None and jump_spec.lam_max > 0.0:
-        x = jump_spec.atoms_at(t)
-        lam = jump_spec.intensity_at(t, kappa_state if kappa_state is not None else rho)
-        if lam > 0.0:
-            den = 1.0 + x @ rho
-            if np.any(den <= 0.0):
-                raise ValueError("rho leaves the jump domain 1 + <rho, x> > 0")
-            small = np.linalg.norm(x, axis=1) <= 1.0
-            dx = x @ diff
-            val += lam * float(jump_spec.probs @ (dx / den - dx * small))
+    m = _moments(jump_spec, t, rho if kappa_state is None else kappa_state)
+    if m is not None:
+        val += float(diff @ m.gradient(rho))
     return val
 
 
@@ -680,7 +707,7 @@ def growth_optimal_jump(
     b,
     c,
     r: float,
-    jump_spec: JumpSpec | None,
+    jump_spec: JumpSpec | JumpMoments | None,
     t: float = 0.0,
     *,
     support: np.ndarray | None = None,
@@ -701,10 +728,10 @@ def growth_optimal_jump(
     falls; objective values are never compared.  With no jump activity the
     QP is the problem itself.  ``support`` masks out dead companies.  The
     intensity is read once, at ``kappa_state``; a state-dependent intensity
-    without ``kappa_state`` raises ``ValueError``.  Returns
-    ``(rho, g_star)``; raises :class:`SolverFailure` if the relative
-    Frank-Wolfe gap is still above ``_GAP_RTOL`` after ``_NEWTON_MAX_ITER``
-    steps.
+    without ``kappa_state`` raises ``ValueError``.  ``jump_spec`` may also
+    be the moments of the state's row at ``t``.  Returns ``(rho, g_star)``;
+    raises :class:`SolverFailure` if the relative Frank-Wolfe gap is still
+    above ``_GAP_RTOL`` after ``_NEWTON_MAX_ITER`` steps.
     """
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -714,24 +741,21 @@ def growth_optimal_jump(
     sup = np.flatnonzero(support)
     if sup.size == 0:
         raise NoSolution("no living companies to invest in")
-    lam = 0.0
-    if jump_spec is not None and jump_spec.lam_max > 0.0:
-        if kappa_state is None and jump_spec.intensity.depends_on_state():
-            raise ValueError("a state-dependent intensity needs kappa_state")
-        lam = jump_spec.intensity_at(t, kappa_state)
+    m = _moments(jump_spec, t, kappa_state)
     simplex = ConstraintSet.closed_simplex()
     cs = c[np.ix_(sup, sup)]
-    if lam == 0.0:
+    rho = np.zeros(d)
+    if m is None:
         sol = growth_optimal_constrained(b[sup], cs, r, simplex)
-        rho = np.zeros(d)
         rho[sup] = sol.rho
         return rho, sol.g_star
 
-    x_atoms = jump_spec.atoms_at(t)
-    x = x_atoms[:, sup]
+    # the law seen by the living companies; the truncation stays that of
+    # the whole jump
+    ms = replace(m, x=m.x[:, sup])
 
     def feasible(ps: np.ndarray) -> bool:
-        return bool(np.all(1.0 + x @ ps > _DOMAIN_FLOOR))
+        return bool(np.all(1.0 + ms.inner(ps) > _DOMAIN_FLOOR))
 
     # start from the warm start where it is feasible, else from the uniform
     # portfolio of the living companies; that one leaves the domain only
@@ -744,20 +768,17 @@ def growth_optimal_jump(
     if not feasible(ps):
         raise NoSolution("no feasible portfolio keeps 1 + <p, x> > 0")
 
-    w = lam * jump_spec.probs
-    w_small = w * (np.linalg.norm(x_atoms, axis=1) <= 1.0)
     q = b[sup] - r
     for it in range(_NEWTON_MAX_ITER + 1):
-        den = 1.0 + x @ ps
-        grad = q - cs @ ps + (w / den - w_small) @ x
+        den = ms.denominators(ps)
+        grad = q - cs @ ps + ms.gradient(ps, den)
         gap = float(simplex_gap(grad, ps)) / (1.0 + float(np.abs(grad).max()))
         if gap <= _GAP_RTOL or it == _NEWTON_MAX_ITER:
             break
-        # square-root weights keep the jump curvature exactly symmetric
-        xw = x * (np.sqrt(w) / den)[:, None]
+        xw = ms.curvature_root(den)
         h = cs + xw.T @ xw
         step = growth_optimal_constrained(grad + h @ ps, h, 0.0, simplex).rho - ps
-        dx = x @ step
+        dx = ms.inner(step)
         # the step sums to zero only up to rounding; measured from the
         # gradient's top the slope does not pick up that rounding times
         # the gradient's common level
@@ -775,7 +796,7 @@ def growth_optimal_jump(
             den_s = den + s * dx
             if den_s.min() > _DOMAIN_FLOOR:
                 dphi = slope - s * (
-                    curv + float((w * dx * dx) @ (1.0 / (den * den_s))))
+                    curv + float((ms.w * dx * dx) @ (1.0 / (den * den_s))))
                 if dphi >= 0.0:
                     break
                 if k == 0:
@@ -790,10 +811,8 @@ def growth_optimal_jump(
             f"Newton ascent stopped at iteration {it} with a relative "
             f"Frank-Wolfe gap of {gap:.3e} at t={t:.6g}"
         )
-    rho = np.zeros(d)
     rho[sup] = ps
-    g_star = (r + rho @ (b - r) - 0.5 * rho @ c @ rho
-              + jump_spec.growth_jump_term(t, rho, kappa_state))
+    g_star = r + rho @ (b - r) - 0.5 * rho @ c @ rho + m.log_term(rho)
     return rho, float(g_star)
 
 
@@ -802,81 +821,58 @@ def growth_optimal_jump(
 
 
 def _growth_optimal_rows(
-    slab: np.ndarray, t: float, jump_spec: JumpSpec | None,
+    slab: np.ndarray, t: float, moments: JumpMoments | None,
     c_spec: ProcessSpec, b_spec: ProcessSpec | None, r_spec: ProcessSpec,
-    active: np.ndarray | None,
 ):
     """Which rows of a time slab are their own growth-optimal portfolio.
 
     Evaluates each row's drift, covariance and rate at time ``t``;
-    ``b_spec=None`` means the balanced drift ``c kappa + r 1 - I1 + I2``,
-    whose jump terms are there only where ``active``.  A row is certified
-    when kappa lies on the simplex (nonnegative, summing to one within
-    ``_GAP_RTOL``) and the relative Frank-Wolfe gap of the jump-adjusted
-    growth rate at kappa is at most ``_GAP_RTOL``, the stopping gap of
-    :func:`growth_optimal_jump`.  The gap runs over the living
-    companies when a jump law is given, and over all companies when
-    ``jump_spec`` is ``None`` (a continuous market; ``active`` is then
-    unused).  A state intensity is read at each active row.  Rows whose
-    state leaves the jump domain are not certified, so that the solver
-    raises the precise error.  Solves nothing: returns ``(certified, row)``
-    with ``row(p)`` giving ``(b, c, r, nu)`` of row ``p``, where ``nu`` is
-    the jump law where it is active and ``None`` elsewhere.
+    ``b_spec=None`` means the balanced drift of
+    :func:`drift_from_balance_jump`.  ``moments`` are the slab's jump
+    moments (:meth:`JumpMoments.of_rows`), or ``None`` for a continuous
+    market.  A row is certified when kappa lies on the simplex
+    (nonnegative, summing to one within ``_GAP_RTOL``) and the relative
+    Frank-Wolfe gap of the jump-adjusted growth rate at kappa is at most
+    ``_GAP_RTOL``, the stopping gap of :func:`growth_optimal_jump`.  The
+    gap runs over the living companies in a jump market and over all
+    companies in a continuous one.  Rows whose state leaves the jump
+    domain are not certified, so that the solver raises the precise error.
+    Solves nothing: returns ``(certified, row)`` with ``row(p)`` giving
+    ``(b, c, r, nu)`` of row ``p``, where ``nu`` is the row's moments where
+    it has jump activity and ``None`` elsewhere.
     """
     n, d = slab.shape
     c = c_spec.rows(t, slab, (d, d), "covariance rate c")
     r = r_spec.rows(t, slab, (), "interest rate r")
-    # rows run along the columns of these (d, n) and (K, n) arrays, so that
-    # every reduction or broadcast over a row's few entries is one
-    # whole-array operation
+    # rows run along the columns of these (d, n) arrays, so that every
+    # reduction or broadcast over a row's few entries is one whole-array
+    # operation
     kt = np.ascontiguousarray(slab.T)
-    b = None
+    b = None if b_spec is None else b_spec.rows(t, slab, (d,), "drift rate")
+    # the balanced drift's gradient b - r 1 - c kappa + jump gradient at
+    # kappa is zero by its definition
     grad = np.zeros((d, n))
-    if b_spec is not None:
-        b = b_spec.rows(t, slab, (d,), "drift rate")
+    if b is not None:
         cx = slab @ c.T if c.ndim == 2 else np.einsum("pij,pj->pi", c, slab)
         grad = (b - (r[:, None] if r.ndim else r) - cx).T
-    lam = np.zeros(n)
-    alive = np.ones((d, n), dtype=bool)
-    if jump_spec is not None:
-        if jump_spec.intensity.depends_on_state():
-            lam[active] = [jump_spec.intensity_at(t, k) for k in slab[active]]
-        else:
-            lam[active] = jump_spec.intensity_at(t)
-        alive = kt > DEATH_THRESHOLD
+    alive = np.ones((d, n), dtype=bool) if moments is None else kt > DEATH_THRESHOLD
     bad = np.zeros(n, dtype=bool)
-    if lam.any():
-        x = jump_spec.atoms_at(t)
-        denom = 1.0 + x @ kt
-        out = denom <= 0.0
-        bad = out.any(axis=0) & (lam > 0.0)
-        denom[out] = 1.0
-        trunc = jump_spec.probs * (np.linalg.norm(x, axis=1) <= 1.0)
-        weights = jump_spec.probs[:, None] / denom
-        if b is None:
-            # the balanced drift's excess b - r 1 - c kappa is -I1 + I2
-            grad = -(lam * (x.T @ weights)) + lam * (trunc @ x)[:, None]
-        grad = grad + lam * (x.T @ (weights - trunc[:, None]))
+    if moments is not None:
+        den, bad = moments.domain(slab)
+        if b is not None:
+            grad = grad + moments.gradient(slab, den).T
     gain = simplex_gap(grad.T, kt.T, alive.T)
     scale = np.where(alive, np.abs(grad), 0.0).max(axis=0)
-    ok = (
-        (kt >= 0.0).all(axis=0)
-        & (np.abs(kt.sum(axis=0) - 1.0) <= _GAP_RTOL)
-        & (gain <= _GAP_RTOL * (1.0 + scale))
-        & ~bad
-    )
+    ok = ((kt >= 0.0).all(axis=0) & (np.abs(kt.sum(axis=0) - 1.0) <= _GAP_RTOL)
+          & (gain <= _GAP_RTOL * (1.0 + scale)) & ~bad)
 
     def row(p: int):
         kap = slab[p]
         c_p = c if c.ndim == 2 else c[p]
         r_p = float(r[p] if r.ndim else r)
-        nu = jump_spec if active is not None and active[p] else None
-        if b is not None:
-            b_p = b if b.ndim == 1 else b[p]
-        elif nu is None:
-            b_p = c_p @ kap + r_p
-        else:
-            b_p = drift_from_balance_jump(kap, c_p, nu, r_p, t)
+        nu = None if moments is None else moments.row(p)
+        b_p = (drift_from_balance_jump(kap, c_p, nu, r_p, t) if b is None
+               else b if b.ndim == 1 else b[p])
         return b_p, c_p, r_p, nu
 
     return ok, row
@@ -938,8 +934,8 @@ def loss_of_balance_jump(
         t = float(times[k])
         dt_k = float(times[k + 1] - times[k])
         slab = ps.kappa[:, k]
-        ok, row = _growth_optimal_rows(
-            slab, t, jump_spec, ps.c_spec, b_spec, r_spec, t < cutoff)
+        moments = JumpMoments.of_rows(jump_spec, t, slab, t < cutoff)
+        ok, row = _growth_optimal_rows(slab, t, moments, ps.c_spec, b_spec, r_spec)
         rates = np.zeros(n)
         for p in np.flatnonzero(~ok):
             b, c, r, nu = row(p)
@@ -949,10 +945,9 @@ def loss_of_balance_jump(
                 warm_start=warm.get(p, kap), kappa_state=kap)
             warm[p] = rho
             rel_k = rel_rate_of_return(kap, rho, b, c, nu, r, t, kappa_state=kap)
-            quad = float((kap - rho) @ c @ (kap - rho))
-            inc = -rel_k + 0.5 * quad
+            inc = -rel_k + 0.5 * float((kap - rho) @ c @ (kap - rho))
             if nu is not None:
-                inc += nu.loss_jump_integrand(t, kap, rho)
+                inc += nu.log_ratio_integrand(kap, rho)
             rates[p] = inc
         L[:, k + 1] = L[:, k] + _clamped_rates(rates, t) * dt_k
     return L
@@ -985,11 +980,7 @@ def pairwise_distance_jump(
     if horizon is None:
         horizon = float(times[-1])
     r_spec = r_spec if r_spec is not None else ProcessSpec.constant(0.0)
-    d = ps.d
-    e_i = np.zeros(d)
-    e_i[i] = 1.0
-    e_j = np.zeros(d)
-    e_j[j] = 1.0
+    e_i, e_j = np.eye(ps.d)[[i, j]]
     cutoff = np.inf
     if lifetimes is not None and lifetimes.budget_exhausted_time is not None:
         cutoff = float(lifetimes.budget_exhausted_time[path_index])
@@ -1005,9 +996,9 @@ def pairwise_distance_jump(
                 f"company {i if kap[i] <= DEATH_THRESHOLD else j} is dead at "
                 f"t={t:.6g}; the distance needs both alive"
             )
-        ok, row = _growth_optimal_rows(
-            kap[None], t, jump_spec, ps.c_spec, b_spec, r_spec,
-            np.array([t < cutoff]))
+        slab = kap[None]
+        moments = JumpMoments.of_rows(jump_spec, t, slab, np.array([t < cutoff]))
+        ok, row = _growth_optimal_rows(slab, t, moments, ps.c_spec, b_spec, r_spec)
         b, c, r, nu = row(0)
         rho = kap
         if not ok[0]:
@@ -1022,7 +1013,7 @@ def pairwise_distance_jump(
         step = min(float(times[k + 1]), horizon) - t
         total += (abs(rel_i - rel_j) + 0.5 * c_pair) * step
         if nu is not None:
-            total += nu.pair_jump_integrand(t, i, j, kap) * step
+            total += nu.log_ratio_integrand(e_i, e_j) * step
     return total
 
 
@@ -1031,6 +1022,7 @@ def pairwise_distance_jump(
 
 
 _T_DEATH = 2.0 * np.log(2.0)
+_EXAMPLE_MAX_DT = 1e-3  # coarsest step at which the analytic comparison holds
 
 
 def _example_size(t: float) -> np.ndarray:
@@ -1064,8 +1056,8 @@ def example_death_of_company(
     it, so the run costs about one step per grid point plus one per jump,
     whatever ``n_threads``.
     """
-    if grid.dt > 1e-3:
-        raise ValueError("the analytic comparison needs dt <= 1e-3")
+    if grid.dt > _EXAMPLE_MAX_DT:
+        raise ValueError(f"the analytic comparison needs dt <= {_EXAMPLE_MAX_DT:g}")
     # unit rate while the drift can still be outrun, zero afterwards; the
     # 1e-9-wide ramp keeps the knots strictly increasing and never contains
     # a grid point, so every step sees exactly 0 or 1

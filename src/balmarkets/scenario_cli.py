@@ -48,6 +48,7 @@ from .balance_diag import (
 from .errors import BalmarketsError, ConfigParseError, VersionMismatch
 from .growth_opt import implied_interest_rate
 from .jump_markets import (
+    _EXAMPLE_MAX_DT,
     JumpSpec,
     example_death_of_company,
     jump_pathset_to_csv,
@@ -371,6 +372,8 @@ def parse_config(doc: dict) -> ScenarioConfig:
     if "example" in vals:
         if model != "jump":
             _fail("model", "the death_of_company example is a jump model")
+        if dt > _EXAMPLE_MAX_DT:
+            _fail("grid.dt", f"death_of_company needs dt <= {_EXAMPLE_MAX_DT:g}")
         engine, d = "jump_example", 2
     else:
         market = _need(vals, "market")

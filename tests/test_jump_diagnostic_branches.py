@@ -20,6 +20,7 @@ from balmarkets import jump_markets
 from balmarkets.jump_markets import (
     ALIVE,
     DEATH_THRESHOLD,
+    JumpMoments,
     JumpSpec,
     drift_from_balance_jump,
     loss_of_balance_jump,
@@ -101,6 +102,11 @@ def _b_spec(spec, c_spec, r_spec, drift):
 # the row-by-row reference
 
 
+def _moments(spec, t, kap):
+    """The law's moments at ``t``, the intensity read at ``kap``."""
+    return JumpMoments.at(spec, t, spec.intensity_at(t, kap))
+
+
 def _stationary(b, c, r, nu, t, p, support, tol=1e-10):
     grad = (b - r) - c @ p
     if nu is not None:
@@ -153,7 +159,7 @@ def _reference_loss(ps, rec, spec, b_spec, r_spec, solve):
             quad = float((kap - rho) @ c @ (kap - rho))
             inc = -rel_k + 0.5 * quad
             if nu is not None:
-                inc += nu.loss_jump_integrand(t, kap, rho)
+                inc += _moments(nu, t, kap).log_ratio_integrand(kap, rho)
             assert inc >= -1e-12
             acc += max(inc, 0.0) * float(times[k + 1] - times[k])
             L[p, k + 1] = acc
@@ -180,7 +186,7 @@ def _reference_distance(ps, rec, i, j, spec, b_spec, r_spec, horizon, p, solve):
         step = min(float(times[k + 1]), horizon) - t
         total += (abs(rel_i - rel_j) + 0.5 * c_pair) * step
         if nu is not None:
-            total += nu.pair_jump_integrand(t, i, j, kap) * step
+            total += _moments(nu, t, kap).log_ratio_integrand(e_i, e_j) * step
     return total
 
 

@@ -1,6 +1,7 @@
 """Jump-market engine, compensator moments, and the analytic example."""
 
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,13 +9,20 @@ from hypothesis import given, settings, strategies as st
 
 from balmarkets import jump_markets
 from balmarkets.balance_diag import loss_of_balance
-from balmarkets.errors import CompensatorUnavailable, SolverFailure
+from balmarkets.errors import (
+    BalmarketsError,
+    CompensatorUnavailable,
+    DimensionMismatch,
+    JumpDomainError,
+    SolverFailure,
+)
 from balmarkets.jump_markets import (
     _GAP_RTOL,
     ALIVE,
     CONTINUOUS_VANISH,
     DEATH_THRESHOLD,
     JUMP_TO_ZERO,
+    JumpMoments,
     JumpSpec,
     drift_from_balance_jump,
     example_death_of_company,
@@ -54,7 +62,8 @@ def _spec(lam=1.5, atoms=ATOMS, probs=PROBS, lam_max=None):
 
 
 def growth_jump_gradient(spec, t, p, kappa=None):
-    """Reference gradient in ``p`` of ``spec.growth_jump_term(t, p, kappa)``:
+    """Reference gradient in ``p`` of the jump log term at ``t``, with the
+    intensity read at ``kappa``:
     ``lam * sum_k w_k x_k (1/(1 + <p, x_k>) - 1{|x_k| <= 1})``."""
     x = spec.atoms_at(t)
     lam = spec.intensity_at(t, kappa)
@@ -63,6 +72,21 @@ def growth_jump_gradient(spec, t, p, kappa=None):
     px = x @ np.asarray(p, dtype=float)
     small = np.linalg.norm(x, axis=1) <= 1.0
     return lam * ((spec.probs / (1.0 + px) - spec.probs * small) @ x)
+
+
+def _moments(spec, t=0.0, kappa=None):
+    """The spec's moments at ``t``, the intensity read at ``kappa``."""
+    return JumpMoments.at(spec, t, spec.intensity_at(t, kappa))
+
+
+def _explicit_i1_i2(kappa, lam=1.5):
+    """``I1 = lam sum_k w_k x_k / (1 + <kappa, x_k>)`` and
+    ``I2 = lam sum_k w_k x_k 1{|x_k| <= 1}`` of ATOMS, summed term by term."""
+    denom = 1.0 + ATOMS @ kappa
+    i1 = lam * np.sum(PROBS[:, None] * ATOMS / denom[:, None], axis=0)
+    small = np.linalg.norm(ATOMS, axis=1) <= 1.0
+    i2 = lam * np.sum((PROBS * small)[:, None] * ATOMS, axis=0)
+    return i1, i2
 
 
 def _run(n_paths=200, seed=71, lam=1.5, **kw):
@@ -76,18 +100,14 @@ def _run(n_paths=200, seed=71, lam=1.5, **kw):
 
 
 def test_moment_functions_match_explicit_sums():
-    spec = _spec()
     kappa = np.array([0.6, 0.3, 0.1])
-    t = 0.3
-    lam = 1.5
-    denom = 1.0 + ATOMS @ kappa
-    i1_expected = lam * np.sum(
-        PROBS[:, None] * ATOMS / denom[:, None], axis=0)
-    np.testing.assert_allclose(spec.i1(t, kappa), i1_expected, rtol=1e-12)
-    small = np.linalg.norm(ATOMS, axis=1) <= 1.0
-    i2_expected = lam * np.sum(
-        (PROBS * small)[:, None] * ATOMS, axis=0)
-    np.testing.assert_allclose(spec.i2(t), i2_expected, rtol=1e-12)
+    m = _moments(_spec(), 0.3, kappa)
+    i1_expected, i2_expected = _explicit_i1_i2(kappa)
+    np.testing.assert_allclose((m.w / m.denominators(kappa)) @ m.x,
+                               i1_expected, rtol=1e-12)
+    np.testing.assert_allclose(m.w_small @ m.x, i2_expected, rtol=1e-12)
+    np.testing.assert_allclose(m.gradient(kappa), i1_expected - i2_expected,
+                               rtol=1e-12)
 
 
 def test_growth_jump_term_matches_quadrature():
@@ -98,19 +118,19 @@ def test_growth_jump_term_matches_quadrature():
     inner = ATOMS @ p
     expected = lam * np.sum(
         PROBS * (np.log1p(inner) - inner * small))
-    assert spec.growth_jump_term(0.0, p) == pytest.approx(expected, rel=1e-12)
+    assert _moments(spec).log_term(p) == pytest.approx(expected, rel=1e-12)
 
 
 def test_growth_jump_gradient_matches_finite_differences():
     spec = _spec()
     p = np.array([0.25, 0.45, 0.3])
     grad = growth_jump_gradient(spec, 0.0, p)
+    m = _moments(spec)
     h = 1e-7
     for i in range(3):
         e = np.zeros(3)
         e[i] = h
-        fd = (spec.growth_jump_term(0.0, p + e)
-              - spec.growth_jump_term(0.0, p - e)) / (2.0 * h)
+        fd = (m.log_term(p + e) - m.log_term(p - e)) / (2.0 * h)
         assert grad[i] == pytest.approx(fd, abs=1e-6)
 
 
@@ -121,13 +141,145 @@ def test_sampler_only_spec_refuses_moment_queries():
     assert spec.atoms is None
     assert not spec.has_moments
     with pytest.raises(CompensatorUnavailable):
-        spec.i1(0.0, np.array([0.5, 0.5]))
+        JumpMoments.at(spec, 0.0, 1.0)
     with pytest.raises(CompensatorUnavailable):
-        spec.growth_jump_term(0.0, np.array([0.5, 0.5]))
+        drift_from_balance_jump([0.5, 0.5], np.zeros((2, 2)), spec, 0.0)
+    with pytest.raises(CompensatorUnavailable):
+        growth_optimal_jump(np.zeros(2), np.eye(2), 0.0, spec)
     # the engine needs the compensator drift, so it refuses the spec too
     with pytest.raises(CompensatorUnavailable):
         simulate_jump_balanced(ProcessSpec.constant(np.zeros((2, 2))), spec,
                                [0.5, 0.5], PathGrid(dt=1e-2, n_steps=10), 4, 1)
+
+
+# ---------------------------------------------------------------------------
+# the moment evaluator
+
+
+def test_callable_atoms_of_the_wrong_shape_raise_dimension_mismatch():
+    with pytest.raises(DimensionMismatch):
+        JumpSpec.finite_atoms(1.0, 1.0, lambda t: np.ones((3, 2)) * 0.1,
+                              [0.5, 0.5])
+    good = np.array([[0.1, -0.1], [0.2, 0.0]])
+    # three atoms for two probabilities, then three coordinates for two
+    for bad in (np.ones((3, 2)) * 0.1, np.ones((2, 3)) * 0.1):
+        spec = JumpSpec.finite_atoms(
+            1.0, 1.0, lambda t, bad=bad: good if t == 0.0 else bad, [0.5, 0.5])
+        assert spec.d == 2
+        np.testing.assert_array_equal(JumpMoments.at(spec, 0.0, 1.0).x, good)
+        with pytest.raises(DimensionMismatch):
+            JumpMoments.at(spec, 0.5, 1.0)
+        with pytest.raises(DimensionMismatch):
+            drift_from_balance_jump([0.5, 0.5], np.zeros((2, 2)), spec, 0.0, 0.5)
+        with pytest.raises(DimensionMismatch):
+            simulate_jump_balanced(ProcessSpec.constant(np.zeros((2, 2))), spec,
+                                   [0.5, 0.5], PathGrid(dt=0.1, n_steps=3), 2, 1)
+
+
+def test_jump_domain_errors_are_typed():
+    assert issubclass(JumpDomainError, BalmarketsError)
+    assert issubclass(JumpDomainError, ValueError)
+    # the first atom wipes out company 0: 1 + <e_0, x> = 0
+    spec = _spec(atoms=np.array([[-1.0, 0.5, 0.2], [0.1, 0.1, 0.1]]),
+                 probs=[0.5, 0.5])
+    edge = np.array([1.0, 0.0, 0.0])
+    with pytest.raises(JumpDomainError, match="annihilates"):
+        rel_rate_of_return(K3, edge, np.zeros(3), C3, spec, 0.0)
+    with pytest.raises(JumpDomainError, match="annihilates"):
+        drift_from_balance_jump(edge, C3, spec, 0.0)
+    # a row without jump activity may sit outside the domain
+    m = JumpMoments.at(spec, 0.0, np.array([1.5, 0.0]))
+    stack = np.array([edge, edge])
+    assert m.domain(stack)[1].tolist() == [True, False]
+    with pytest.raises(JumpDomainError):
+        m.gradient(stack)
+    assert not m.row(1)
+    quiet = JumpMoments.at(spec, 0.0, np.zeros(2))
+    assert not quiet.gradient(stack).any()
+
+
+def _annihilating_engine_run(site):
+    """A zero-covariance run that leaves the jump domain at one engine check:
+    a live row at a step, a spent (frozen) row at a step, or an accepted
+    jump between grid times."""
+    c0 = ProcessSpec.constant(np.zeros((2, 2)))
+    if site == "live":
+        spec = JumpSpec.finite_atoms(1.0, 1.0, [[-1.0, 0.0]], [1.0])
+        return simulate_jump_balanced(c0, spec, [1.0, 0.0], PathGrid(1e-3, 1), 4, 1)
+    if site == "accepted":
+        # grid time 0 sees a harmless atom; candidates after 5e-4 see one that
+        # wipes out company 0, which holds the whole market
+        spec = JumpSpec.finite_atoms(
+            2000.0, 2000.0,
+            lambda t: np.array([[0.5, 0.0]] if t <= 5e-4 else [[-1.0, 0.0]]), [1.0])
+        return simulate_jump_balanced(c0, spec, [1.0, 0.0], PathGrid(1e-3, 1), 16, 1)
+    # paths frozen at (1, 0) by an early jump meet the atom (-1, 0) from 0.1 on
+    spec = JumpSpec.finite_atoms(
+        5.0, 5.0,
+        lambda t: np.array([[0.0, -1.0]] if t < 0.1 else [[-1.0, 0.0]]), [1.0],
+        max_jumps=1)
+    return simulate_jump_balanced(c0, spec, [0.5, 0.5], PathGrid(1e-3, 300), 64, 31)
+
+
+@pytest.mark.parametrize("site", ["live", "accepted", "frozen"])
+def test_engine_domain_errors_are_typed(site):
+    with pytest.raises(JumpDomainError, match="annihilates the whole market"):
+        _annihilating_engine_run(site)
+
+
+def test_diagnostics_read_the_jump_law_once_per_stored_time():
+    """One atom evaluation per stored time and call, and one state
+    intensity read per active row, also where rows are solved."""
+    calls = Counter()
+
+    def atoms(t):
+        calls["atoms"] += 1
+        return ATOMS * (1.0 + t)
+
+    def intensity(t, k):
+        calls["intensity"] += 1
+        return 1.0 + k[0]
+
+    spec = JumpSpec.finite_atoms(
+        ProcessSpec.state_function(intensity), 2.0, atoms, PROBS)
+    ps, rec = simulate_jump_balanced(ProcessSpec.constant(C3), spec, K3,
+                                     PathGrid(dt=1e-3, n_steps=100), 4, 5,
+                                     store_every=20)
+    steps = ps.kappa.shape[1] - 1
+    skew = {"b_spec": ProcessSpec.constant(np.array([0.8, -0.2, 0.0])),
+            "r_spec": ProcessSpec.constant(0.0)}
+    for kw in ({}, skew):
+        calls.clear()
+        L = loss_of_balance_jump(ps, spec, lifetimes=rec, **kw)
+        assert calls == {"atoms": steps, "intensity": 4 * steps}
+        assert (L[:, -1] > 0.0).all() == bool(kw)
+        calls.clear()
+        pairwise_distance_jump(ps, 0, 2, spec, lifetimes=rec, **kw)
+        assert calls == {"atoms": steps, "intensity": steps}
+
+
+def test_batched_gradient_matches_the_reference_row_by_row():
+    """A stack with per-row intensities, zero on inactive rows and a state
+    intensity elsewhere, and rows up to 1e-9 from the domain's edge."""
+    atoms = np.array([[-1.0, 0.5, 0.2], [0.3, -0.2, 1.5], [0.1, 0.1, -0.4]])
+    spec = JumpSpec.finite_atoms(
+        ProcessSpec.state_function(lambda t, k: 1.0 + 3.0 * k[1]), 4.0,
+        atoms, [0.3, 0.3, 0.4])
+    eps = 10.0 ** -np.arange(3.0, 10.0)
+    stack = np.vstack([np.random.default_rng(7).dirichlet(np.ones(3), 12),
+                       np.column_stack([1.0 - eps, eps / 2.0, eps / 2.0])])
+    active = np.arange(len(stack)) % 3 != 0
+    m = JumpMoments.of_rows(spec, 0.2, stack, active)
+    assert (m.lam[active] > 0.0).all() and not m.lam[~active].any()
+    den, out = m.domain(stack)
+    assert not out.any() and den.min() < 1e-8
+    grad = m.gradient(stack)
+    for p, row in enumerate(stack):
+        want = growth_jump_gradient(spec, 0.2, row, row) if active[p] else 0.0
+        np.testing.assert_allclose(grad[p], want, rtol=1e-12, atol=0.0)
+        if active[p]:
+            np.testing.assert_allclose(m.row(p).gradient(row), want,
+                                       rtol=1e-12, atol=0.0)
 
 
 def test_atoms_below_minus_one_are_rejected():
@@ -258,8 +410,7 @@ def test_jump_solution_dominates_lattice():
     rho, g_star = growth_optimal_jump(b, C3, 0.0, spec)
 
     def objective(p):
-        return (growth_rate(p, b, C3, 0.0)
-                + spec.growth_jump_term(0.0, p))
+        return growth_rate(p, b, C3, 0.0) + _moments(spec).log_term(p)
 
     assert g_star == pytest.approx(objective(rho), abs=1e-8)
     rng = np.random.default_rng(211)
@@ -281,7 +432,8 @@ def test_balanced_drift_formula_consistency():
     spec = _spec()
     kappa = np.array([0.5, 0.3, 0.2])
     b = drift_from_balance_jump(kappa, C3, spec, 0.04)
-    expected = C3 @ kappa + 0.04 - spec.i1(0.0, kappa) + spec.i2(0.0)
+    i1, i2 = _explicit_i1_i2(kappa)
+    expected = C3 @ kappa + 0.04 - i1 + i2
     np.testing.assert_allclose(b, expected, rtol=1e-12)
 
 
@@ -409,10 +561,12 @@ def test_certified_rows_lose_no_growth(seed, jumps):
     for kap, tl in zip(kappa, tilt):
         base = c @ kap + r if spec is None else drift_from_balance_jump(kap, c, spec, r)
         drift.setdefault(kap.tobytes(), base + tl)
+    moments = None if spec is None else JumpMoments.of_rows(
+        spec, 0.0, kappa, np.ones(n, dtype=bool))
     ok, row = jump_markets._growth_optimal_rows(
-        kappa, 0.0, spec, ProcessSpec.constant(c),
+        kappa, 0.0, moments, ProcessSpec.constant(c),
         ProcessSpec.state_function(lambda t, k: drift[k.tobytes()]),
-        ProcessSpec.constant(r), None if spec is None else np.ones(n, dtype=bool))
+        ProcessSpec.constant(r))
     assert ok[0]
     for p in np.flatnonzero(ok):
         b, _, _, nu = row(p)
@@ -430,7 +584,7 @@ def test_certified_rows_lose_no_growth(seed, jumps):
                                          warm_start=kap, kappa_state=kap)
             loss = (-rel_rate_of_return(kap, rho, b, c, nu, r)
                     + 0.5 * (kap - rho) @ c @ (kap - rho)
-                    + nu.loss_jump_integrand(0.0, kap, rho))
+                    + nu.log_ratio_integrand(kap, rho))
         assert loss <= _GAP_RTOL * (1.0 + np.abs(grad[support]).max())
 
 
@@ -550,7 +704,7 @@ def test_jump_optimizer_converges_on_random_problems():
         rho, g_star = growth_optimal_jump(b, c, r, spec, support=support)
 
         def objective(p):
-            return growth_rate(p, b, c, r) + spec.growth_jump_term(0.0, p)
+            return growth_rate(p, b, c, r) + _moments(spec).log_term(p)
 
         grad = (b - r) - c @ rho + growth_jump_gradient(spec, 0.0, rho)
         scale = 1.0 + np.abs(grad[support]).max()

@@ -22,6 +22,7 @@ from balmarkets.errors import (
     NegativeEigenvalue,
     VersionMismatch,
 )
+from balmarkets.jump_markets import example_death_of_company
 from balmarkets.market_model import MarketParams, PathGrid, ProcessSpec
 from balmarkets.scenario_cli import (
     _DEFAULT_DIAGNOSTICS,
@@ -179,6 +180,17 @@ def test_example_excludes_market_section():
            "n_paths": 10, "seed": 3}
     with pytest.raises(ConfigParseError, match="example"):
         parse_config(doc)
+
+
+def test_death_example_rejects_a_coarse_step():
+    # the analytic comparison needs dt <= 1e-3; the parser says so before a
+    # run starts, and the library keeps its own guard for direct callers
+    with pytest.raises(ConfigParseError, match=r"^grid\.dt: .*dt <= 0\.001"):
+        parse_config({"builtin": "example_7_2", "grid": {"T": 1.5, "dt": 1e-2}})
+    assert _cfg({"builtin": "example_7_2",
+                 "grid": {"T": 1.5, "dt": 1e-3}}).grid_dt == 1e-3
+    with pytest.raises(ValueError, match="dt <= 0.001"):
+        example_death_of_company(PathGrid(dt=1e-2, n_steps=150), 4, 1)
 
 
 def test_engine_inference():

@@ -68,11 +68,12 @@ STREAM_JUMP = 1
 
 _CHUNK_PATHS = 1024
 _BLOCK_STEPS = 4096  # rows the path writer formats at once
-# Brownian draws one engine worker holds at once (4 MiB): a block of steps
-# for every path of its chunk, or a tile of paths in the constant branch
-# of the capitalization engine
+# Brownian draws held at once (4 MiB): by each worker of a step engine, a
+# block of steps for every path of its chunk; by all the workers of the
+# capitalization engine's constant branch together, as tiles of paths
 _BLOCK_VALUES = 2**19
-_TILE_STEPS = 4096  # steps of a constant-branch tile, per draw call
+_TILE_STEPS = 2048  # steps of a constant-branch tile, per draw call
+_SLAB_VALUES = 2**13  # product scratch of a constant-branch worker (64 KiB)
 _LOG_FLOOR = np.log(1e-300)
 _LOG_CAP = 700.0
 
@@ -263,17 +264,29 @@ def _stored_steps(n_steps: int, store_every: int) -> np.ndarray:
     return np.asarray(steps, dtype=np.int64)
 
 
-def _spans(n: int, k: int) -> list[tuple[int, int]]:
-    """``range(n)`` cut into ``k`` near-equal spans."""
+def _spans(n: int, most: int, at_least: int = 1) -> list[tuple[int, int]]:
+    """``range(n)`` in near-equal spans, at least ``at_least`` of them and
+    enough that none holds more than ``most >= 3`` items, but never a
+    one-item span when ``n >= 2``: BLAS rounds a one-row product (gemv)
+    differently from a larger one (gemm)."""
+    k = max(-(-n // most), min(at_least, n // 2))
     return [(i * n // k, (i + 1) * n // k) for i in range(k)]
 
 
 def _chunks(n_paths: int, n_threads: int):
-    """Near-equal path spans, at least one per ``_CHUNK_PATHS`` paths and
-    one per thread, but never a one-path span when ``n_paths >= 2``: BLAS
-    rounds a one-row product (gemv) differently from a larger one (gemm)."""
-    return _spans(n_paths, max(-(-n_paths // _CHUNK_PATHS),
-                               min(n_threads, n_paths // 2)))
+    """Path spans of the engine workers, one or more per thread."""
+    return _spans(n_paths, _CHUNK_PATHS, n_threads)
+
+
+def _tile_plan(m: int, d: int, n_steps: int,
+               workers: int) -> tuple[int, list[tuple[int, int]]]:
+    """Steps per tile and the path tiles of a constant-branch worker's ``m``
+    paths when ``workers`` share ``_BLOCK_VALUES`` draws.  Up to 8 workers
+    and 6 companies, 3 paths of ``_TILE_STEPS`` steps fit a share, so the
+    steps, and with them each path's draw call, do not depend on it."""
+    share = _BLOCK_VALUES // workers
+    span = min(n_steps, _TILE_STEPS, max(1, share // (3 * d)))
+    return span, _spans(m, max(3, share // (span * d)))
 
 
 def _run_chunked(worker, n_paths: int, n_threads: int) -> EngineDiagnostics:
@@ -425,14 +438,16 @@ def _simplex_defect(kappa: np.ndarray) -> float:
     return float(np.abs(kappa.sum(axis=-1) - 1.0).max(initial=0.0))
 
 
-def _weights(logs: np.ndarray) -> np.ndarray:
-    """Row-wise ``exp(logs) / sum(exp(logs))``, shifted by the row maximum
-    and reduced company-major, like :func:`_renormalize_log`."""
-    w = logs.T.copy()
+def _weights(logs: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out[...] = exp(logs) / sum(exp(logs))`` along the last (company)
+    axis, shifted by the maximum and reduced company-major, like
+    :func:`_renormalize_log`; ``out`` may be any view of that shape."""
+    w = np.moveaxis(logs, -1, 0).copy()
     w -= w.max(axis=0)
     np.exp(w, out=w)
     w /= _company_sum(w)
-    return w.T.copy()
+    out[...] = np.moveaxis(w, 0, -1)
+    return out
 
 
 def simulate_relative_caps_balanced(
@@ -526,12 +541,12 @@ def simulate_capitalizations(
     log-capitalization leaves [-700, 700], which would denormalize ``exp``,
     naming the earliest such step of the chunk.
 
-    Each worker holds at most ``_BLOCK_VALUES`` draws at once.  Coefficients
-    that move with time or state take one step at a time over blocks of
-    steps.  Constant coefficients make ``log S`` a running sum, evaluated a
-    tile of paths by up to ``_TILE_STEPS`` steps at a time with one draw
-    call per path, one gemm and one cumulative sum, and a product tile the
-    size of the draws; the values are those of stepping one at a time.
+    Coefficients that move with time or state take one step at a time over
+    blocks of steps, each worker holding at most ``_BLOCK_VALUES`` draws.
+    Constant coefficients make ``log S`` a running sum, evaluated a tile of
+    paths by up to ``_TILE_STEPS`` steps at a time with one draw call per
+    path, a gemm in place and one cumulative sum, the workers sharing
+    ``_BLOCK_VALUES`` draws; the values are those of stepping one at a time.
     """
     validate_params(params)
     d = params.d
@@ -556,6 +571,7 @@ def simulate_capitalizations(
         c, sigma = cov(grid.t0, None)
         a = params.a_spec.rows(grid.t0, None, (d,), "drift rate a")
         drift = (a - 0.5 * np.diag(c)) * dt
+        workers = max(1, min(n_threads, len(_chunks(n_paths, n_threads))))
 
     def overflow(worst: float, step: int) -> NumericalOverflow:
         return NumericalOverflow(
@@ -574,30 +590,30 @@ def simulate_capitalizations(
         kappa_out[lo:hi, 0] = kappa
         defect = _simplex_defect(kappa)
         if constant:
-            # tiles of paths by steps, each at most _BLOCK_VALUES draws, and
-            # never of one path when m >= 2 (as in _chunks)
-            span = min(grid.n_steps, _TILE_STEPS,
-                       max(1, _BLOCK_VALUES // (2 * d)))
-            per = max(2, _BLOCK_VALUES // (span * d))
-            tiles = _spans(m, max(1, min(-(-m // per), m // 2)))
-            size = max(p1 - p0 for p0, p1 in tiles) * span * d
-            buf, x_buf = np.empty(size), np.empty(size)
+            span, tiles = _tile_plan(m, d, grid.n_steps, workers)
+            buf = np.empty(max(p1 - p0 for p0, p1 in tiles) * span * d)
+            scratch = np.empty((max(3, _SLAB_VALUES // d), d))
+            even = stored[: grid.n_steps // store_every + 1]  # k * store_every
             for step in range(0, grid.n_steps, span):
                 blk = min(span, grid.n_steps - step)
-                # the block's stored steps, as tile columns
-                i0, i1 = np.searchsorted(stored, (step + 1, step + blk + 1))
-                cols = stored[i0:i1] - (step + 1)
+                # the block's stored steps on that spacing, a column slice
+                i0, i1 = np.searchsorted(even, (step + 1, step + blk + 1))
+                cols = slice(i0 * store_every - step - 1,
+                             i1 * store_every - step - 1, store_every)
                 worst = None
                 for p0, p1 in tiles:
                     rows = slice(lo + p0, lo + p1)
-                    dw = _draw_block(gens[p0:p1], buf, blk, d, sqrt_dt)
+                    x = _draw_block(gens[p0:p1], buf, blk, d, sqrt_dt)
                     if inc_out is not None:
-                        inc_out[rows, step : step + blk] = dw
-                    # one gemm over every row of the tile (row for row the
+                        inc_out[rows, step : step + blk] = x
+                    # sigma dW in place, by gemm over slabs (row for row the
                     # per-step product), then a sequential sum along time,
                     # so each x[:, j] is exactly log S after step + j + 1
-                    x = x_buf[: dw.size].reshape(dw.shape)
-                    np.matmul(dw.reshape(-1, d), sigma.T, out=x.reshape(-1, d))
+                    flat = x.reshape(-1, d)
+                    for s0, s1 in _spans(len(flat), len(scratch)):
+                        prod = scratch[: s1 - s0]
+                        np.matmul(flat[s0:s1], sigma.T, out=prod)
+                        flat[s0:s1] = prod
                     x += drift
                     x[:, 0] += logs[p0:p1]
                     np.add.accumulate(x, axis=1, out=x)
@@ -607,14 +623,16 @@ def simulate_capitalizations(
                         worst = w if worst is None else np.maximum(worst, w)
                         continue
                     logs[p0:p1] = x[:, -1]
-                    xs = x[:, cols]
-                    np.exp(xs, out=caps_out[rows, i0:i1])
-                    kw = _weights(xs.reshape(-1, d))
-                    kappa_out[rows, i0:i1] = kw.reshape(xs.shape)
+                    np.exp(x[:, cols], out=caps_out[rows, i0:i1])
+                    kw = _weights(x[:, cols], kappa_out[rows, i0:i1])
                     defect = max(defect, _simplex_defect(kw))
                 if worst is not None:
                     j = int(np.argmax(worst > _LOG_CAP))
                     raise overflow(worst[j], step + j + 1)
+            if len(even) < len(stored):  # the final step, off that spacing
+                np.exp(logs, out=caps_out[lo:hi, -1])
+                kw = _weights(logs, kappa_out[lo:hi, -1])
+                defect = max(defect, _simplex_defect(kw))
         else:
             span = _block_steps(m, d, grid.n_steps)
             buf = np.empty(m * span * d)
@@ -632,7 +650,7 @@ def simulate_capitalizations(
                     worst = float(np.abs(logs).max())
                     if worst > _LOG_CAP:
                         raise overflow(worst, step + j + 1)
-                    kappa = _weights(logs)
+                    kappa = _weights(logs, np.empty_like(logs))
                     idx = stored_pos.get(step + j + 1)
                     if idx is not None:
                         caps_out[lo:hi, idx] = np.exp(logs)

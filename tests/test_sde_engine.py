@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from balmarkets import scenario_cli, sde_engine
 from balmarkets.errors import NumericalOverflow, ShapeMismatch
@@ -239,14 +239,27 @@ def _caps_per_step(params, grid, n_paths, seed, store_every):
 
 
 # Patched ``_BLOCK_VALUES`` for the constant-coefficient tiles, given as
-# (paths, steps) per tile: the default; two paths by four steps, so that
-# 4096 + 37 steps end in a one-step block and three paths make one tile,
-# five paths two, of two and three; three paths by the full 4096 steps
-_TILES = [None, (2, 4), (3, 4096)]
+# (paths, steps) per tile of one worker: the default; three paths by four
+# steps, so that 4096 + 37 steps end in a one-step block and three paths
+# make one tile, five paths two, of two and three; three paths by the full
+# ``_TILE_STEPS`` steps
+_TILES = [None, (3, 4), (3, sde_engine._TILE_STEPS)]
 
 
 def _tile_values(tile, d):
     return sde_engine._BLOCK_VALUES if tile is None else tile[0] * tile[1] * d
+
+
+def _tile_rows(n_paths, n_steps, d, n_threads):
+    """Row counts (paths by steps) of the constant branch's tile products."""
+    chunks = sde_engine._chunks(n_paths, n_threads)
+    workers = min(n_threads, len(chunks))
+    rows = set()
+    for lo, hi in chunks:
+        span, tiles = sde_engine._tile_plan(hi - lo, d, n_steps, workers)
+        for blk in {span, n_steps % span or span}:
+            rows |= {(p1 - p0) * blk for p0, p1 in tiles}
+    return rows
 
 
 @pytest.mark.parametrize("a,c", [
@@ -259,25 +272,61 @@ def _tile_values(tile, d):
 def test_block_step_matches_per_step_reference(a, c, store_every):
     d = len(a)
     params = MarketParams.from_constants(a, c, 0.0, np.arange(1.0, d + 1.0))
-    # (paths, steps, tile): stored steps straddle the edge of the first
-    # 4096-step tile; a split of 3, 5 or 7 paths into tiles of at most two
-    # by one step could leave one path alone, and its product (a gemv)
-    # would round differently from the reference's, early enough to show
+    # (paths, steps, tile): stored steps straddle the edges of the first
+    # tiles; a split of 3, 5 or 7 paths into tiles of at most three by one
+    # step could leave one path alone, and its product (a gemv) would round
+    # differently from the reference's, early enough to show
     cases = [(n, 4096 + 37, tile) for n in (2, 3, 5) for tile in _TILES]
-    cases += [(n, 50, (2, 1)) for n in (3, 5, 7)]
-    for n_paths, n_steps, tile in cases:
+    cases += [(n, 50, (3, 1)) for n in (3, 5, 7)]
+    # and product slabs of the default size or of 3 rows: a tile of 3k + 1
+    # rows, cut into 3-row slabs from its first row, would end in a one-row
+    # product
+    remainders = set()
+    for (n_paths, n_steps, tile), slab in itertools.product(cases, (None, 3)):
         grid = PathGrid(dt=0.01, n_steps=n_steps)
         kappa, caps, dw = _caps_per_step(params, grid, n_paths, 23, store_every)
-        with mock.patch.object(sde_engine, "_BLOCK_VALUES", _tile_values(tile, d)):
+        slab_values = sde_engine._SLAB_VALUES if slab is None else slab * d
+        with mock.patch.object(sde_engine, "_BLOCK_VALUES", _tile_values(tile, d)), \
+                mock.patch.object(sde_engine, "_SLAB_VALUES", slab_values):
             for n_threads in (1, 2, 3):
+                remainders |= {r % 3 for r in _tile_rows(n_paths, n_steps, d, n_threads)}
                 ps = simulate_capitalizations(
                     params, grid, n_paths, 23, store_every=store_every,
                     store_increments=store_every == 1, n_threads=n_threads)
-                label = (n_paths, n_steps, tile, n_threads)
+                label = (n_paths, n_steps, tile, slab, n_threads)
                 assert np.array_equal(ps.kappa, kappa), label
                 assert np.array_equal(ps.caps, caps), label
                 if store_every == 1:
                     assert np.array_equal(ps.brownian_increments, dw), label
+    assert 1 in remainders
+
+
+@settings(max_examples=300, deadline=None)
+@given(n_paths=st.integers(1, 5000), n_threads=st.integers(1, 8),
+       d=st.integers(1, 6), n_steps=st.integers(1, 20_000))
+# eight workers of 3 paths of 6 companies: the tightest share
+@example(n_paths=24, n_threads=8, d=6, n_steps=20_000)
+def test_constant_tiles_share_the_block_budget(n_paths, n_threads, d, n_steps):
+    # arithmetic only: no thread is started
+    def plans(n_threads):
+        chunks = sde_engine._chunks(n_paths, n_threads)
+        workers = min(n_threads, len(chunks))
+        return workers, [sde_engine._tile_plan(hi - lo, d, n_steps, workers)
+                         for lo, hi in chunks]
+
+    workers, plan = plans(n_threads)
+    # each worker's draw tile: its largest tile of paths by the steps
+    held = sorted((max(p1 - p0 for p0, p1 in tiles) * span * d
+                   for span, tiles in plan), reverse=True)
+    assert sum(held[:workers]) <= sde_engine._BLOCK_VALUES
+    for (lo, hi), (span, tiles) in zip(sde_engine._chunks(n_paths, n_threads), plan):
+        assert span >= 1
+        assert tiles[0][0] == 0 and tiles[-1][1] == hi - lo
+        assert all(a[1] == b[0] for a, b in zip(tiles, tiles[1:]))
+        if hi - lo >= 2:
+            assert min(p1 - p0 for p0, p1 in tiles) >= 2
+    # a path's draw call is span * d long, whatever the thread count
+    assert {span for span, _ in plan} == {span for span, _ in plans(1)[1]}
 
 
 def _first_overflow(params, grid, paths, seed):
@@ -310,7 +359,7 @@ def _assert_overflow_errors(n_threads):
     with pytest.raises(NumericalOverflow):
         simulate_capitalizations(params, grid, 4, 3, n_threads=n_threads)
     # log S_1 = 0.15 k up to noise of ~1e-2: it passes 700 at step 4667,
-    # in the middle of the second 4096-step tile
+    # in the middle of the third tile of the default _TILE_STEPS steps
     params = MarketParams.from_constants(
         [0.15, 0.0], np.diag([1e-8, 1e-8]), 0.0, [1.0, 1.0])
     grid = PathGrid(dt=1.0, n_steps=6000)
@@ -388,22 +437,40 @@ def test_step_engines_ignore_block_length_and_threads(engine):
         assert ref_fields["n_prerenorm_samples"] > 0
 
 
-def test_constant_engine_memory_is_bounded_by_the_block_budget():
-    # 1000 paths in one chunk once held two 1000 x 4096 x 2 buffers (131 MB)
+def _caps_peak(n_paths, n_steps, store_every, n_threads):
+    """tracemalloc peak of a constant-coefficient run above its outputs."""
     params = MarketParams.from_constants(
         [0.0, 0.5], [[0.0, 0.0], [0.0, 1.0]], 0.0, [1.0, 1.0])
     simulate_capitalizations(params, PathGrid(dt=0.01, n_steps=2), 2, 7)  # imports
-    grid = PathGrid(dt=0.01, n_steps=10_000)
-    tracemalloc.start()
+    grid = PathGrid(dt=0.01, n_steps=n_steps)
+    tracemalloc.start()  # also sees numpy's allocations in worker threads
     try:
-        ps = simulate_capitalizations(params, grid, 1000, 7, store_every=100)
+        ps = simulate_capitalizations(params, grid, n_paths, 7,
+                                      store_every=store_every, n_threads=n_threads)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    outputs = ps.kappa.nbytes + ps.caps.nbytes
-    # the draw and product tiles, plus the path generators and small arrays
-    budget = 2 * sde_engine._BLOCK_VALUES * 8
-    assert peak < outputs + budget + 4 * 2**20, (peak - outputs) / 2**20
+    return peak - ps.kappa.nbytes - ps.caps.nbytes
+
+
+def test_constant_engine_memory_is_bounded_by_the_block_budget():
+    # 1000 paths in one chunk once held two 1000 x 4096 x 2 buffers (131 MB),
+    # and then two tiles of the whole budget per worker
+    for n_threads in (1, 2):
+        above = _caps_peak(1000, 10_000, 100, n_threads)
+        # the workers' draw tiles and product slabs, plus the path
+        # generators and small arrays
+        budget = (sde_engine._BLOCK_VALUES
+                  + n_threads * sde_engine._SLAB_VALUES) * 8
+        assert above < budget + 4 * 2**20, (n_threads, above / 2**20)
+
+
+def test_constant_engine_memory_is_bounded_when_every_step_is_stored():
+    # 24.6 MB of outputs; the gathered stored columns and a row-major copy of
+    # the weights once added two more tiles
+    above = _caps_peak(128, 6000, 1, 1)
+    # the draw tile and the weights' company-major copy
+    assert above < 2 * sde_engine._BLOCK_VALUES * 8 + 4 * 2**20, above / 2**20
 
 
 @pytest.mark.parametrize("engine", ["balanced", "caps", "jump"])

@@ -28,7 +28,15 @@ from .errors import (
     SingularCovariance,
 )
 from .growth_opt import growth_optimal_constrained, growth_rate
-from .jump_markets import _clamped_rates, _growth_optimal_rows
+from .jump_markets import (
+    DEATH_THRESHOLD,
+    JumpSpec,
+    LifetimeRecord,
+    _clamped_rates,
+    _growth_optimal_rows,
+    _moments,
+    drift_from_balance_jump,
+)
 from .market_model import (
     ConstraintKind,
     ConstraintSet,
@@ -46,7 +54,6 @@ __all__ = [
     "loss_of_balance",
     "classify_outcome",
     "wealth_path",
-    "pairwise_distance",
     "distance_matrix",
     "equivalence_classes",
     "limiting_distribution",
@@ -395,32 +402,34 @@ class DistanceMatrix:
         return {"horizon": self.horizon, "values": self.values.tolist()}
 
 
-def _pair_integrand(a, c, i: int, j: int):
-    g_ij = (a[..., i] - 0.5 * c[..., i, i]) - (a[..., j] - 0.5 * c[..., j, j])
-    c_ij = c[..., i, i] + c[..., j, j] - 2.0 * c[..., i, j]
-    return np.abs(g_ij) + 0.5 * c_ij
-
-
-def pairwise_distance(
+def distance_matrix(
     ps: PathSet,
-    i: int,
-    j: int,
     a_spec: ProcessSpec | None,
     *,
     r_spec: ProcessSpec | None = None,
     horizon: float | None = None,
     path_index: int = 0,
-) -> float:
-    """Accumulated divergence between companies ``i`` and ``j`` on one path.
+    jump_spec: JumpSpec | None = None,
+    lifetimes: LifetimeRecord | None = None,
+) -> DistanceMatrix:
+    """All pairwise segregation distances on one path, in one walk of it.
 
-    Integrates ``|g^{i|j}| + c^{i|j} / 2`` (single-company growth spread
-    plus half the variance of the log ratio) with a left-endpoint rule on
-    the stored grid up to ``horizon``.  ``a_spec=None`` means the balanced
-    drift ``a = c kappa + r 1``, with ``r`` from ``r_spec`` (default: the
-    path set's rate, else zero).
+    For companies ``i`` and ``j`` integrates
+
+        |g^{i|j}| + c^{i|j} / 2 + integral of 1 ∧ y^2 dnu,
+
+    ``y = log((1 + x_i)/(1 + x_j))``, with a left-endpoint rule on the
+    stored grid up to ``horizon``.  ``g^{i|j}`` is the drift of
+    ``log(S_i / S_j)``: ``(a_i - c_ii/2) - (a_j - c_jj/2)`` plus the jump
+    law's :meth:`~balmarkets.jump_markets.JumpMoments.log_ratio_drift`,
+    which truncates the log-jump ``y`` at ``|y| <= 1``.  ``c^{i|j}`` is the
+    variance rate of that log ratio.  ``a_spec=None`` means the balanced
+    drift of :func:`~balmarkets.jump_markets.drift_from_balance_jump`,
+    ``c kappa + r 1`` less the jump gradient, with ``r`` from ``r_spec``
+    (default: the path set's rate, else zero).  With a jump law every
+    company must stay alive on the path, and ``lifetimes`` switches the
+    law off once the path's jump budget ran out, as in the engine.
     """
-    if i == j:
-        return 0.0
     if ps.c_spec is None:
         raise ValueError("PathSet does not record its covariance spec")
     times = ps.times()
@@ -430,48 +439,49 @@ def pairwise_distance(
     d = ps.d
     if r_spec is None:
         r_spec = ps.r_spec if ps.r_spec is not None else ProcessSpec.constant(0.0)
-    if a_spec is not None and a_spec.is_constant() and c_spec.is_constant():
+    iu, ju = np.triu_indices(d, 1)
+    e_i, e_j = np.eye(d)[iu], np.eye(d)[ju]
+
+    def integrand(a, c, nu):
+        g = (a[iu] - 0.5 * c[iu, iu]) - (a[ju] - 0.5 * c[ju, ju])
+        c_pair = c[iu, iu] + c[ju, ju] - 2.0 * c[iu, ju]
+        if nu is None:
+            return np.abs(g) + 0.5 * c_pair
+        return (np.abs(g + nu.log_ratio_drift(e_i, e_j)) + 0.5 * c_pair
+                + nu.log_ratio_integrand(e_i, e_j))
+
+    idle = jump_spec is None or jump_spec.lam_max == 0.0
+    if idle and a_spec is not None and a_spec.is_constant() and c_spec.is_constant():
         # the integrand never changes: integrate it in closed form
         a = a_spec.rows(0.0, None, (d,), "drift rate a")
         c = c_spec.rows(0.0, None, (d, d), "covariance rate c")
         span = max(min(horizon, float(times[-1])) - float(times[0]), 0.0)
-        return float(_pair_integrand(a, c, i, j) * span)
-    total = 0.0
-    for k in range(len(times) - 1):
-        t = float(times[k])
-        if t >= horizon:
-            break
-        state = ps.kappa[path_index, k]
-        c = c_spec.rows(t, state, (d, d), "covariance rate c")
-        if a_spec is None:
-            a = c @ state + float(r_spec.rows(t, state, (), "interest rate r"))
-        else:
-            a = a_spec.rows(t, state, (d,), "drift rate a")
-        step = min(float(times[k + 1]), horizon) - t
-        total += float(_pair_integrand(a, c, i, j)) * step
-    return total
-
-
-def distance_matrix(
-    ps: PathSet,
-    a_spec: ProcessSpec | None,
-    *,
-    r_spec: ProcessSpec | None = None,
-    horizon: float | None = None,
-    path_index: int = 0,
-) -> DistanceMatrix:
-    """All pairwise segregation distances on one path."""
-    d = ps.d
-    times = ps.times()
-    if horizon is None:
-        horizon = float(times[-1])
+        total = integrand(a, c, None) * span
+    else:
+        cutoff = np.inf
+        if lifetimes is not None and lifetimes.budget_exhausted_time is not None:
+            cutoff = float(lifetimes.budget_exhausted_time[path_index])
+        total = np.zeros(len(iu))
+        for k in range(len(times) - 1):
+            t = float(times[k])
+            if t >= horizon:
+                break
+            state = ps.kappa[path_index, k]
+            if jump_spec is not None and state.min() <= DEATH_THRESHOLD:
+                raise ValueError(
+                    f"company {int(np.argmin(state))} is dead at t={t:.6g}; "
+                    "the distance needs every company alive")
+            c = c_spec.rows(t, state, (d, d), "covariance rate c")
+            nu = _moments(jump_spec, t, state) if t < cutoff else None
+            if a_spec is None:
+                r = float(r_spec.rows(t, state, (), "interest rate r"))
+                a = drift_from_balance_jump(state, c, nu, r, t)
+            else:
+                a = a_spec.rows(t, state, (d,), "drift rate a")
+            step = min(float(times[k + 1]), horizon) - t
+            total += integrand(a, c, nu) * step
     vals = np.zeros((d, d))
-    for i in range(d):
-        for j in range(i + 1, d):
-            vals[i, j] = vals[j, i] = pairwise_distance(
-                ps, i, j, a_spec, r_spec=r_spec, horizon=horizon,
-                path_index=path_index,
-            )
+    vals[iu, ju] = vals[ju, iu] = total
     return DistanceMatrix(values=vals, horizon=horizon)
 
 

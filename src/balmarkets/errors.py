@@ -79,10 +79,6 @@ class SolverFailure(BalmarketsError):
 # jumps
 
 
-class CompensatorUnavailable(BalmarketsError):
-    """Jump spec lacks the moment rule needed for compensator integrals."""
-
-
 class JumpDomainError(BalmarketsError, ValueError):
     """A portfolio with jump activity has ``1 + <p, x> <= 0`` for some atom."""
 

@@ -34,13 +34,16 @@ values, its diagnostics nor its time.
 
 Every compensator integral of the diagnostics comes from ``JumpMoments``,
 built once per time from the atoms and the intensity of each row.  The
-loss of balance of jump and continuous markets and the jump distance
-share one certificate, ``_growth_optimal_rows``: it evaluates a time
-slab's coefficients and accepts each row whose relative Frank-Wolfe gap
-at kappa is within ``_GAP_RTOL``, for any drift.  It solves nothing; the
-jump diagnostics solve the rows it rejects with ``growth_optimal_jump``,
-which takes damped Newton steps whose subproblem is the growth-rate QP of
-``growth_opt``, solved exactly by its active-set method.
+loss of balance of jump and continuous markets share one certificate,
+``_growth_optimal_rows``: it evaluates a time slab's coefficients and
+accepts each row whose relative Frank-Wolfe gap at kappa is within
+``_GAP_RTOL``, for any drift.  It solves nothing; the jump loss solves the
+rows it rejects with ``growth_optimal_jump``, which takes damped Newton
+steps whose subproblem is the growth-rate QP of ``growth_opt``, solved
+exactly by its active-set method.  The segregation distance of both
+markets is ``balance_diag.distance_matrix``, which needs no growth-optimal
+portfolio: its jump terms are :meth:`JumpMoments.log_ratio_drift` and
+:meth:`JumpMoments.log_ratio_integrand` at unit vectors.
 """
 
 from __future__ import annotations
@@ -52,7 +55,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import (
-    CompensatorUnavailable,
     DimensionMismatch,
     InconsistentInitialState,
     JumpDomainError,
@@ -93,7 +95,6 @@ __all__ = [
     "rel_rate_of_return",
     "growth_optimal_jump",
     "loss_of_balance_jump",
-    "pairwise_distance_jump",
     "example_death_of_company",
     "jump_pathset_to_csv",
 ]
@@ -119,17 +120,14 @@ class JumpSpec:
     vectors ``atoms[k]`` (each coordinate in [-1, inf)), arriving at rate
     ``intensity(t, kappa) <= lam_max``; atoms may vary deterministically in
     time via a callable ``t -> (K, d) array``.  Its compensator moments at a
-    time come from :class:`JumpMoments`.  ``sampler_only`` specs only draw
-    jump sizes: compensator queries and :func:`simulate_jump_balanced`
-    raise :class:`CompensatorUnavailable` on them.
+    time come from :class:`JumpMoments`.
     """
 
     intensity: ProcessSpec
     lam_max: float
     d: int
-    atoms: np.ndarray | Callable[[float], np.ndarray] | None = None
-    probs: np.ndarray | None = None
-    sampler: Callable | None = None
+    atoms: np.ndarray | Callable[[float], np.ndarray]
+    probs: np.ndarray
     max_jumps: int | None = None
 
     @staticmethod
@@ -147,26 +145,7 @@ class JumpSpec:
         return JumpSpec(intensity, float(lam_max), x0.shape[1],
                         atoms if callable(atoms) else x0, probs, max_jumps=max_jumps)
 
-    @staticmethod
-    def sampler_only(
-        intensity, lam_max: float, d: int, sampler: Callable,
-        *, max_jumps: int | None = None,
-    ) -> "JumpSpec":
-        if not isinstance(intensity, ProcessSpec):
-            intensity = ProcessSpec.constant(float(intensity))
-        return JumpSpec(intensity, float(lam_max), int(d), sampler=sampler,
-                        max_jumps=max_jumps)
-
-    @property
-    def has_moments(self) -> bool:
-        return self.atoms is not None
-
     def atoms_at(self, t: float) -> np.ndarray:
-        if self.atoms is None:
-            raise CompensatorUnavailable(
-                "this jump law only has a sampler; compensator moments "
-                "need finite atoms"
-            )
         if callable(self.atoms):
             return _checked_atoms(self.atoms(float(t)), len(self.probs), self.d)
         return self.atoms
@@ -182,9 +161,6 @@ class JumpSpec:
     # -- sampling ------------------------------------------------------------
 
     def sample_jump(self, t: float, kappa: np.ndarray, rng) -> np.ndarray:
-        if self.sampler is not None:
-            return _checked_atoms(
-                [self.sampler(t, kappa, rng)], 1, self.d)[0]
         x = self.atoms_at(t)
         k = int(self._cum_probs.searchsorted(rng.uniform(), side="right"))
         return x[min(k, len(self.probs) - 1)]
@@ -291,17 +267,34 @@ class JumpMoments:
         self.denominators(p)
         return (self.w * np.log1p(px) - self.w_small * px).sum(axis=-1)
 
-    def log_ratio_integrand(self, kappa: np.ndarray, rho: np.ndarray) -> np.ndarray:
-        """``integral of 1 ∧ log^2((1 + <kappa, x>)/(1 + <rho, x>)) dnu``,
-        with 1 on the atoms where either side leaves the domain: the jump
-        term of the loss of balance, and with unit vectors ``e_i, e_j`` that
-        of the distance between companies i and j."""
+    def log_ratios(self, kappa: np.ndarray, rho: np.ndarray) -> np.ndarray:
+        """``y = log((1 + <kappa, x>)/(1 + <rho, x>))`` per atom, the jump of
+        ``log(V^kappa / V^rho)``; infinite on the atoms where either side
+        leaves the domain."""
         num = 1.0 + self.inner(kappa)
         den = 1.0 + self.inner(rho)
         with np.errstate(divide="ignore"):
             ratio = np.where((num > 0.0) & (den > 0.0), num / den, np.inf)
-            val = np.minimum(1.0, np.log(ratio) ** 2)
-        return (self.w * np.where(np.isfinite(val), val, 1.0)).sum(axis=-1)
+            return np.log(ratio)
+
+    def log_ratio_integrand(self, kappa: np.ndarray, rho: np.ndarray) -> np.ndarray:
+        """``integral of 1 ∧ y^2 dnu`` for ``y`` of :meth:`log_ratios`, so 1 on
+        the atoms where either side leaves the domain: the jump term of the
+        loss of balance, and with unit vectors ``e_i, e_j`` (stacked, one
+        pair per row) that of the distance between companies i and j."""
+        return (self.w * np.minimum(1.0, self.log_ratios(kappa, rho) ** 2)).sum(axis=-1)
+
+    def log_ratio_drift(self, kappa: np.ndarray, rho: np.ndarray) -> np.ndarray:
+        """``integral of [y 1{|y| <= 1} - <kappa - rho, x> 1{|x| <= 1}] dnu``
+        for ``y`` of :meth:`log_ratios`, with ``y 1{|y| <= 1} = 0`` where
+        either side leaves the domain: the jump part of the drift of
+        ``log(V^kappa / V^rho)`` under the truncation ``y 1{|y| <= 1}``, the
+        one that pairs with ``1 ∧ y^2`` (Jacod & Shiryaev, *Limit Theorems
+        for Stochastic Processes*, II.2).  With unit vectors it is that of
+        ``log(S_i / S_j)``."""
+        y = self.log_ratios(kappa, rho)
+        small = np.where(np.abs(y) <= 1.0, y, 0.0)
+        return (self.w * small - self.w_small * self.inner(kappa - rho)).sum(axis=-1)
 
 
 def _moments(nu, t: float, kappa) -> JumpMoments | None:
@@ -373,10 +366,6 @@ def simulate_jump_balanced(
     (see the module docstring); every path still thins its own candidates
     on its own jump stream, so the values are those of stepping every path.
     """
-    if not jump_spec.has_moments:
-        raise CompensatorUnavailable(
-            "simulation needs the compensator drift; provide finite atoms"
-        )
     kappa0 = np.asarray(kappa0, dtype=float)
     d = len(kappa0)
     if jump_spec.d != d:
@@ -951,70 +940,6 @@ def loss_of_balance_jump(
             rates[p] = inc
         L[:, k + 1] = L[:, k] + _clamped_rates(rates, t) * dt_k
     return L
-
-
-def pairwise_distance_jump(
-    ps: PathSet,
-    i: int,
-    j: int,
-    jump_spec: JumpSpec,
-    *,
-    b_spec: ProcessSpec | None = None,
-    r_spec: ProcessSpec | None = None,
-    horizon: float | None = None,
-    path_index: int = 0,
-    lifetimes: LifetimeRecord | None = None,
-) -> float:
-    """Generalized divergence between companies ``i`` and ``j`` on one path.
-
-    ``integral of (|rel(e_i|rho) - rel(e_j|rho)| + 0.5 c^{i|j}) dt`` plus
-    the jump term ``integral of 1 ∧ log^2((1+x_i)/(1+x_j)) dnu dt``, up to
-    ``horizon``.  Both companies must be alive throughout.  ``lifetimes``
-    switches the jump measure off once the path's jump budget ran out.
-    """
-    if i == j:
-        return 0.0
-    if ps.c_spec is None:
-        raise ValueError("PathSet does not record its covariance spec")
-    times = ps.times()
-    if horizon is None:
-        horizon = float(times[-1])
-    r_spec = r_spec if r_spec is not None else ProcessSpec.constant(0.0)
-    e_i, e_j = np.eye(ps.d)[[i, j]]
-    cutoff = np.inf
-    if lifetimes is not None and lifetimes.budget_exhausted_time is not None:
-        cutoff = float(lifetimes.budget_exhausted_time[path_index])
-    total = 0.0
-    rho_prev = None
-    for k in range(len(times) - 1):
-        t = float(times[k])
-        if t >= horizon:
-            break
-        kap = ps.kappa[path_index, k]
-        if kap[i] <= DEATH_THRESHOLD or kap[j] <= DEATH_THRESHOLD:
-            raise ValueError(
-                f"company {i if kap[i] <= DEATH_THRESHOLD else j} is dead at "
-                f"t={t:.6g}; the distance needs both alive"
-            )
-        slab = kap[None]
-        moments = JumpMoments.of_rows(jump_spec, t, slab, np.array([t < cutoff]))
-        ok, row = _growth_optimal_rows(slab, t, moments, ps.c_spec, b_spec, r_spec)
-        b, c, r, nu = row(0)
-        rho = kap
-        if not ok[0]:
-            rho, _ = growth_optimal_jump(
-                b, c, r, nu, t, support=kap > DEATH_THRESHOLD,
-                warm_start=kap if rho_prev is None else rho_prev,
-                kappa_state=kap)
-            rho_prev = rho
-        rel_i = rel_rate_of_return(e_i, rho, b, c, nu, r, t, kappa_state=kap)
-        rel_j = rel_rate_of_return(e_j, rho, b, c, nu, r, t, kappa_state=kap)
-        c_pair = c[i, i] + c[j, j] - 2.0 * c[i, j]
-        step = min(float(times[k + 1]), horizon) - t
-        total += (abs(rel_i - rel_j) + 0.5 * c_pair) * step
-        if nu is not None:
-            total += nu.log_ratio_integrand(e_i, e_j) * step
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,6 @@ from .balance_diag import (
     DEFAULT_INDETERMINATE_CAP,
     DEFAULT_L_CAP,
     BalanceReport,
-    DistanceMatrix,
     bank_rate_statistic,
     distance_matrix,
     equivalence_classes,
@@ -53,7 +52,6 @@ from .jump_markets import (
     example_death_of_company,
     jump_pathset_to_csv,
     loss_of_balance_jump,
-    pairwise_distance_jump,
     simulate_jump_balanced,
 )
 from .market_model import MarketParams, PathGrid, ProcessSpec, check_covariance
@@ -616,30 +614,16 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str,
         summary["balance"] = {"enabled": False}
 
     if cfg.diagnostics["segregation"]:
-        payload = None
-        if jump_spec is not None:
-            pidx = _whole_market_path(ps)
-            if pidx is None:
-                payload = {"enabled": False,
-                           "reason": "no path kept every company alive to "
-                                     "the horizon"}
-            else:
-                d = ps.kappa.shape[2]
-                vals = np.zeros((d, d))
-                for i in range(d):
-                    for j in range(i + 1, d):
-                        vals[i, j] = vals[j, i] = pairwise_distance_jump(
-                            ps, i, j, jump_spec,
-                            path_index=pidx, lifetimes=rec,
-                        )
-                D = DistanceMatrix(values=vals, horizon=float(times[-1]))
-                payload = D.to_json_dict()
-                payload["path_index"] = pidx
+        pidx = 0 if jump_spec is None else _whole_market_path(ps)
+        if pidx is None:
+            payload = {"enabled": False,
+                       "reason": "no path kept every company alive to "
+                                 "the horizon"}
         else:
-            D = distance_matrix(ps, a_spec, r_spec=r_spec)
+            D = distance_matrix(ps, a_spec, r_spec=r_spec, path_index=pidx,
+                                jump_spec=jump_spec, lifetimes=rec)
             payload = D.to_json_dict()
-            payload["path_index"] = 0
-        if "values" in payload:
+            payload["path_index"] = pidx
             classes, intransitive = equivalence_classes(
                 D, thresholds["d_threshold"])
             payload["d_threshold"] = thresholds["d_threshold"]

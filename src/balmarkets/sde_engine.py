@@ -32,6 +32,7 @@ import functools
 import hashlib
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -278,6 +279,12 @@ def _chunks(n_paths: int, n_threads: int):
     return _spans(n_paths, _CHUNK_PATHS, n_threads)
 
 
+def _n_workers(n_threads: int, n_chunks: int) -> int:
+    """Worker threads for ``n_chunks`` chunks: no more than were asked for,
+    than there are chunks, or than the machine has cores."""
+    return max(1, min(n_threads, n_chunks, os.cpu_count() or 1))
+
+
 def _tile_plan(m: int, d: int, n_steps: int,
                workers: int) -> tuple[int, list[tuple[int, int]]]:
     """Steps per tile and the path tiles of a constant-branch worker's ``m``
@@ -298,11 +305,12 @@ def _run_chunked(worker, n_paths: int, n_threads: int) -> EngineDiagnostics:
     """
     diag = EngineDiagnostics()
     spans = _chunks(n_paths, n_threads)
-    if n_threads <= 1 or len(spans) == 1:
+    workers = _n_workers(n_threads, len(spans))
+    if workers == 1:
         for lo, hi in spans:
             diag.merge(worker(lo, hi))
         return diag
-    with ThreadPoolExecutor(max_workers=n_threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         for part in pool.map(lambda span: worker(*span), spans):
             diag.merge(part)
     return diag
@@ -571,7 +579,7 @@ def simulate_capitalizations(
         c, sigma = cov(grid.t0, None)
         a = params.a_spec.rows(grid.t0, None, (d,), "drift rate a")
         drift = (a - 0.5 * np.diag(c)) * dt
-        workers = max(1, min(n_threads, len(_chunks(n_paths, n_threads))))
+        workers = _n_workers(n_threads, len(_chunks(n_paths, n_threads)))
 
     def overflow(worst: float, step: int) -> NumericalOverflow:
         return NumericalOverflow(

@@ -18,7 +18,6 @@ from balmarkets.balance_diag import (
     limiting_to_csv,
     lln_diagnostic,
     loss_of_balance,
-    pairwise_distance,
     relative_covariance,
     relative_growth,
     relcap_drift,
@@ -315,14 +314,14 @@ def test_closed_form_distance_starts_at_the_first_time():
     c = np.array([[0.04, 0.01, 0.0], [0.01, 0.09, 0.02], [0.0, 0.02, 0.16]])
     ps = _synthetic_ps(np.full((1, 101, 3), 1.0 / 3.0), t0=5.0)
     for horizon in (None, 5.5, 4.0):
-        closed = pairwise_distance(
+        closed = distance_matrix(
             dataclasses.replace(ps, c_spec=ProcessSpec.constant(c)),
-            0, 1, ProcessSpec.constant(a), horizon=horizon)
-        stepped = pairwise_distance(
+            ProcessSpec.constant(a), horizon=horizon).values
+        stepped = distance_matrix(
             dataclasses.replace(ps, c_spec=ProcessSpec.time_table([0.0], [c])),
-            0, 1, ProcessSpec.time_table([0.0], [a]), horizon=horizon)
-        assert closed == pytest.approx(stepped, rel=1e-12, abs=1e-15)
-    assert closed == 0.0
+            ProcessSpec.time_table([0.0], [a]), horizon=horizon).values
+        np.testing.assert_allclose(closed, stepped, rtol=1e-12, atol=1e-15)
+    assert not closed.any()
 
 
 def test_equal_companies_have_small_distance():

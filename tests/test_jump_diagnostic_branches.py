@@ -1,14 +1,16 @@
 """Jump loss and jump distance on every coefficient branch, row by row.
 
-``loss_of_balance_jump`` and ``pairwise_distance_jump`` are checked against
-an in-test loop that visits one path and one stored step at a time: it
-calls a row growth optimal when kappa passes the first-order test, solves
-it with ``growth_optimal_jump`` otherwise, and adds the row's loss or
-divergence increment.  Each market has a state covariance, a state rate, a
-state intensity or time-dependent atoms, and a one-jump budget that runs
-out in the middle of the run on most paths.  Where the library solves the
-same rows as the loop, the values agree bit for bit; otherwise they agree
-to 1e-12, and the failure names the rows only one side solved.
+``loss_of_balance_jump`` is checked against an in-test loop that visits one
+path and one stored step at a time: it calls a row growth optimal when
+kappa passes the first-order test, solves it with ``growth_optimal_jump``
+otherwise, and adds the row's loss increment.  ``distance_matrix`` is
+checked against a loop over one pair and one stored step at a time that
+works from the raw atoms, probabilities and intensity.  Each market has a
+state covariance, a state rate, a state intensity or time-dependent atoms,
+and a one-jump budget that runs out in the middle of the run on most
+paths.  Where the library solves the same rows as the loop, the losses
+agree bit for bit; otherwise they agree to 1e-12, and the failure names
+the rows only one side solved.  The distances agree to 1e-12.
 """
 
 from collections import Counter
@@ -17,6 +19,7 @@ import numpy as np
 import pytest
 
 from balmarkets import jump_markets
+from balmarkets.balance_diag import distance_matrix
 from balmarkets.jump_markets import (
     ALIVE,
     DEATH_THRESHOLD,
@@ -24,12 +27,11 @@ from balmarkets.jump_markets import (
     JumpSpec,
     drift_from_balance_jump,
     loss_of_balance_jump,
-    pairwise_distance_jump,
     rel_rate_of_return,
     simulate_jump_balanced,
 )
 from balmarkets.market_model import PathGrid, ProcessSpec
-from test_jump_markets import growth_jump_gradient
+from test_jump_markets import growth_jump_gradient, pair_step
 
 C3 = np.array([
     [0.09, 0.02, 0.01],
@@ -166,27 +168,30 @@ def _reference_loss(ps, rec, spec, b_spec, r_spec, solve):
     return L
 
 
-def _reference_distance(ps, rec, i, j, spec, b_spec, r_spec, horizon, p, solve):
+def _reference_distance(ps, rec, i, j, spec, b_spec, r_spec, horizon, p):
     times = ps.times()
-    e_i = np.eye(ps.d)[i]
-    e_j = np.eye(ps.d)[j]
+    d = ps.d
     total = 0.0
-    rho_prev = None
     for k in range(len(times) - 1):
         t = float(times[k])
         if t >= horizon:
             break
         kap = ps.kappa[p, k]
-        b, c, r, nu, rho, rho_prev = _row(
-            ps, p, k, spec, b_spec, r_spec,
-            rec.budget_exhausted_time[p], rho_prev, solve)
-        rel_i = rel_rate_of_return(e_i, rho, b, c, nu, r, t, kappa_state=kap)
-        rel_j = rel_rate_of_return(e_j, rho, b, c, nu, r, t, kappa_state=kap)
+        c = ps.c_spec.rows(t, kap, (d, d), "covariance rate c")
+        r = float(r_spec.rows(t, kap, (), "interest rate r"))
+        x = spec.atoms_at(t)
+        lam = spec.intensity_at(t, kap) if t < rec.budget_exhausted_time[p] else 0.0
+        w = lam * spec.probs
+        small = np.linalg.norm(x, axis=1) <= 1.0
+        if b_spec is None:
+            b = c @ kap + r - (w / (1.0 + x @ kap) - w * small) @ x
+        else:
+            b = b_spec.rows(t, kap, (d,), "drift rate b")
+        jump_drift, jump_term = pair_step(x, w, small, i, j)
+        g = (b[i] - 0.5 * c[i, i]) - (b[j] - 0.5 * c[j, j]) + jump_drift
         c_pair = c[i, i] + c[j, j] - 2.0 * c[i, j]
         step = min(float(times[k + 1]), horizon) - t
-        total += (abs(rel_i - rel_j) + 0.5 * c_pair) * step
-        if nu is not None:
-            total += _moments(nu, t, kap).log_ratio_integrand(e_i, e_j) * step
+        total += (abs(g) + 0.5 * c_pair + jump_term) * step
     return total
 
 
@@ -241,26 +246,20 @@ def test_jump_loss_matches_row_by_row_reference(monkeypatch, branch, drift):
 
 @pytest.mark.parametrize("drift", ["balanced", "partial"])
 @pytest.mark.parametrize("branch", BRANCHES)
-def test_jump_distance_matches_row_by_row_reference(monkeypatch, branch, drift):
+def test_jump_distance_matches_row_by_row_reference(branch, drift):
     ps, rec, spec, r_spec = _market(branch)
     b_spec = _b_spec(spec, ps.c_spec, r_spec, drift)
     times = ps.times()
     cut = rec.budget_exhausted_time
     # a path whose budget runs out inside the run
     p = int(np.flatnonzero((cut > times[1]) & (cut < times[-2]))[0])
-    solver = jump_markets.growth_optimal_jump
-    for i, j, horizon in [(0, 1, None), (2, 0, 0.5 * float(times[-1]))]:
-        lib_rows, ref_rows = Counter(), Counter()
-        want = _reference_distance(
-            ps, rec, i, j, spec, b_spec, r_spec,
-            float(times[-1]) if horizon is None else horizon, p,
-            _recording(solver, ref_rows))
-        with monkeypatch.context() as mp:
-            mp.setattr(jump_markets, "growth_optimal_jump",
-                       _recording(solver, lib_rows))
-            got = pairwise_distance_jump(
-                ps, i, j, spec, b_spec=b_spec, r_spec=r_spec,
-                horizon=horizon, path_index=p, lifetimes=rec)
-        assert got > 0.0
-        assert bool(ref_rows) == (drift == "partial")
-        _assert_agree(np.array(got), np.array(want), lib_rows, ref_rows)
+    for horizon in (None, 0.5 * float(times[-1])):
+        got = distance_matrix(ps, b_spec, r_spec=r_spec, horizon=horizon,
+                              path_index=p, jump_spec=spec, lifetimes=rec).values
+        want = np.zeros((3, 3))
+        for i, j in [(0, 1), (0, 2), (1, 2)]:
+            want[i, j] = want[j, i] = _reference_distance(
+                ps, rec, i, j, spec, b_spec, r_spec,
+                float(times[-1]) if horizon is None else horizon, p)
+        assert want[np.triu_indices(3, 1)].min() > 0.0
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)

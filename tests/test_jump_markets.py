@@ -1,17 +1,17 @@
 """Jump-market engine, compensator moments, and the analytic example."""
 
 import itertools
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from balmarkets import jump_markets
-from balmarkets.balance_diag import loss_of_balance
+from balmarkets import balance_diag, jump_markets
+from balmarkets.balance_diag import distance_matrix, loss_of_balance
 from balmarkets.errors import (
     BalmarketsError,
-    CompensatorUnavailable,
     DimensionMismatch,
     JumpDomainError,
     SolverFailure,
@@ -28,7 +28,6 @@ from balmarkets.jump_markets import (
     example_death_of_company,
     growth_optimal_jump,
     loss_of_balance_jump,
-    pairwise_distance_jump,
     rel_rate_of_return,
     simulate_jump_balanced,
 )
@@ -95,6 +94,22 @@ def _run(n_paths=200, seed=71, lam=1.5, **kw):
         ProcessSpec.constant(C3), _spec(lam), K3, grid, n_paths, seed, **kw)
 
 
+def pair_step(x, w, small, i, j):
+    """``(drift, integrand)``: the jump parts of the distance between ``i``
+    and ``j`` from atoms ``x`` with weights ``w = lam * probs``, ``small``
+    marking the atoms in the closed unit ball, one atom at a time."""
+    drift = integrand = 0.0
+    for xk, wk, sk in zip(x, w, small):
+        if 1.0 + xk[i] <= 0.0 or 1.0 + xk[j] <= 0.0:
+            y_small, y_sq = 0.0, 1.0
+        else:
+            y = math.log1p(xk[i]) - math.log1p(xk[j])
+            y_small, y_sq = (y if abs(y) <= 1.0 else 0.0), min(1.0, y * y)
+        drift += wk * (y_small - (xk[i] - xk[j]) * sk)
+        integrand += wk * y_sq
+    return drift, integrand
+
+
 # ---------------------------------------------------------------------------
 # compensator moments
 
@@ -134,22 +149,22 @@ def test_growth_jump_gradient_matches_finite_differences():
         assert grad[i] == pytest.approx(fd, abs=1e-6)
 
 
-def test_sampler_only_spec_refuses_moment_queries():
-    spec = JumpSpec.sampler_only(
-        1.0, lam_max=1.0, d=2,
-        sampler=lambda t, kappa, rng: np.array([0.1, -0.1]))
-    assert spec.atoms is None
-    assert not spec.has_moments
-    with pytest.raises(CompensatorUnavailable):
-        JumpMoments.at(spec, 0.0, 1.0)
-    with pytest.raises(CompensatorUnavailable):
-        drift_from_balance_jump([0.5, 0.5], np.zeros((2, 2)), spec, 0.0)
-    with pytest.raises(CompensatorUnavailable):
-        growth_optimal_jump(np.zeros(2), np.eye(2), 0.0, spec)
-    # the engine needs the compensator drift, so it refuses the spec too
-    with pytest.raises(CompensatorUnavailable):
-        simulate_jump_balanced(ProcessSpec.constant(np.zeros((2, 2))), spec,
-                               [0.5, 0.5], PathGrid(dt=1e-2, n_steps=10), 4, 1)
+def test_log_ratio_terms_of_unit_vectors_match_the_atoms():
+    """The distance's jump terms for every pair at once, also on atoms that
+    kill one company (``1 + x_i = 0``), where ``y 1{|y| <= 1}`` is 0 and
+    ``1 ∧ y^2`` is 1, and on atoms with ``|y|`` above 1."""
+    atoms = np.array([[-1.0, 0.5, 0.2], [0.3, -0.2, 1.5], [0.1, 0.1, -0.4],
+                      [0.05, -1.0, 0.0], [2.5, 0.0, 0.0]])
+    probs = np.array([0.1, 0.2, 0.3, 0.15, 0.25])
+    m = JumpMoments.at(_spec(atoms=atoms, probs=probs), 0.0, 2.0)
+    iu, ju = np.triu_indices(3, 1)
+    e = np.eye(3)
+    got = m.log_ratio_drift(e[iu], e[ju]), m.log_ratio_integrand(e[iu], e[ju])
+    small = np.linalg.norm(atoms, axis=1) <= 1.0
+    for n, (i, j) in enumerate(zip(iu, ju)):
+        want = pair_step(atoms, 2.0 * probs, small, i, j)
+        assert got[0][n] == pytest.approx(want[0], rel=1e-12, abs=1e-15)
+        assert got[1][n] == pytest.approx(want[1], rel=1e-12, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +269,9 @@ def test_diagnostics_read_the_jump_law_once_per_stored_time():
         assert calls == {"atoms": steps, "intensity": 4 * steps}
         assert (L[:, -1] > 0.0).all() == bool(kw)
         calls.clear()
-        pairwise_distance_jump(ps, 0, 2, spec, lifetimes=rec, **kw)
+        D = distance_matrix(ps, kw.get("b_spec"), r_spec=kw.get("r_spec"),
+                            jump_spec=spec, lifetimes=rec)
+        assert D.values[np.triu_indices(3, 1)].min() > 0.0
         assert calls == {"atoms": steps, "intensity": steps}
 
 
@@ -590,10 +607,12 @@ def test_certified_rows_lose_no_growth(seed, jumps):
 
 def test_pairwise_distance_symmetric_and_positive():
     ps, rec = _run(n_paths=3, seed=131, store_every=50)
-    d01 = pairwise_distance_jump(ps, 0, 1, _spec(), lifetimes=rec)
-    d10 = pairwise_distance_jump(ps, 1, 0, _spec(), lifetimes=rec)
-    assert d01 == pytest.approx(d10, rel=1e-12)
-    assert d01 > 0.0
+    for p in range(3):
+        v = distance_matrix(ps, None, path_index=p, jump_spec=_spec(),
+                            lifetimes=rec).values
+        assert np.array_equal(v, v.T)
+        assert not np.diag(v).any()
+        assert v[np.triu_indices(3, 1)].min() > 0.0
 
 
 def test_indistinguishable_companies_have_zero_distance():
@@ -608,8 +627,65 @@ def test_indistinguishable_companies_have_zero_distance():
         ProcessSpec.constant(c), spec, [0.5, 0.5], grid, 1, 137)
     # freeze the path at the symmetric state to isolate the integrand
     ps.kappa[:] = 0.5
-    d01 = pairwise_distance_jump(ps, 0, 1, spec, lifetimes=rec)
+    d01 = distance_matrix(ps, None, jump_spec=spec, lifetimes=rec).values[0, 1]
     assert d01 == pytest.approx(0.0, abs=1e-12)
+
+
+def test_distance_calls_no_growth_solver(monkeypatch):
+    ps, rec = _run(n_paths=3, seed=131, store_every=50)
+    want = distance_matrix(ps, None, jump_spec=_spec(), lifetimes=rec).values
+
+    def refuse(*args, **kw):
+        raise AssertionError("the distance called a growth solver")
+
+    for mod, name in [(jump_markets, "growth_optimal_jump"),
+                      (jump_markets, "_growth_optimal_rows"),
+                      (balance_diag, "_growth_optimal_rows"),
+                      (jump_markets, "growth_optimal_constrained"),
+                      (balance_diag, "growth_optimal_constrained")]:
+        monkeypatch.setattr(mod, name, refuse)
+    got = distance_matrix(ps, None, jump_spec=_spec(), lifetimes=rec).values
+    assert np.array_equal(got, want)
+    skew = ProcessSpec.constant(np.array([0.8, -0.2, 0.0]))
+    got = distance_matrix(ps, skew, jump_spec=_spec(), lifetimes=rec).values
+    assert got[np.triu_indices(3, 1)].min() > 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31 - 1),
+       st.sampled_from(["balanced", "tilted", "constant", "time_table"]),
+       st.booleans())
+def test_zero_intensity_jump_distance_is_the_continuous_distance(
+        seed, drift, idle_law):
+    """A jump law with zero intensity gives the continuous matrix bit for
+    bit: with ``lam_max = 0``, and for drifts that are walked also with a
+    positive ``lam_max``, the law then being read at every stored step."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 5))
+    f = rng.standard_normal((d, d))
+    c = f @ f.T * rng.uniform(0.01, 0.3) + 0.01 * np.eye(d)
+    ps = simulate_relative_caps_balanced(
+        ProcessSpec.constant(c), rng.dirichlet(np.ones(d) * 4.0),
+        PathGrid(dt=1e-2, n_steps=40), 2, seed % 1000,
+        store_every=int(rng.integers(1, 6)))
+    tilt = rng.standard_normal(d)
+    rate = ProcessSpec.constant(float(rng.uniform(-0.05, 0.05)))
+    a_spec = {
+        "balanced": None,
+        "tilted": ProcessSpec.state_function(lambda t, k: c @ k + k[0] * tilt),
+        "constant": ProcessSpec.constant(tilt),
+        "time_table": ProcessSpec.time_table([0.0, 0.2], [tilt, -tilt]),
+    }[drift]
+    lam_max = 0.0 if idle_law or drift == "constant" else 1.0
+    spec = _spec(lam=0.0, atoms=rng.uniform(-0.9, 2.0, (2, d)),
+                 probs=[0.5, 0.5], lam_max=lam_max)
+    horizon = None if rng.uniform() < 0.5 else float(rng.uniform(0.0, 0.4))
+    want = distance_matrix(ps, a_spec, r_spec=rate, horizon=horizon,
+                           path_index=1).values
+    got = distance_matrix(ps, a_spec, r_spec=rate, horizon=horizon,
+                          path_index=1, jump_spec=spec).values
+    assert np.array_equal(got, want)
+    assert want[0, 1] > 0.0 or horizon == 0.0
 
 
 def test_accepted_jump_takes_the_atoms_of_its_own_time():

@@ -2,8 +2,10 @@
 
 import copy
 import hashlib
+import importlib
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -97,6 +99,20 @@ TINY_JUMP = {
 
 def _cfg(doc):
     return parse_config(copy.deepcopy(doc))
+
+
+def test_every_public_name_resolves():
+    """Each name in the package's ``__all__`` and in each module's exists."""
+    exported = {"balmarkets": balmarkets.__all__}
+    for info in pkgutil.iter_modules(balmarkets.__path__):
+        mod = importlib.import_module(f"balmarkets.{info.name}")
+        if hasattr(mod, "__all__"):
+            exported[mod.__name__] = mod.__all__
+    assert len(exported) >= 6
+    missing = [f"{mod}.{name}" for mod, names in exported.items()
+               for name in names
+               if not hasattr(importlib.import_module(mod), name)]
+    assert not missing
 
 
 # ---------------------------------------------------------------------------

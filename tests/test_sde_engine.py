@@ -148,6 +148,59 @@ def test_thread_count_does_not_change_paths(engine):
                     f"{key} differs at {n_paths} paths, {n_threads} threads")
 
 
+@pytest.mark.parametrize("engine", ["balanced", "caps"])
+def test_worker_threads_are_capped_at_the_cores(monkeypatch, engine):
+    """5000 threads asked for on 10,000 paths make 5000 chunks, but the pool
+    opens no more workers than the machine has cores, and the constant
+    branch sizes its tiles for that many.  The pool here is an inline
+    fake, so no thread starts; the bytes are those of one thread."""
+    opened, shares = [], []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    tile_plan = sde_engine._tile_plan
+
+    def recording_plan(m, d, n_steps, workers):
+        shares.append(workers)
+        return tile_plan(m, d, n_steps, workers)
+
+    grid = PathGrid(dt=0.01, n_steps=8)
+    params = MarketParams.from_constants([0.05, 0.0, 0.1], C3, 0.0, 3.0 * K3)
+
+    def run(n_threads):
+        if engine == "caps":
+            ps = simulate_capitalizations(params, grid, 10_000, 17,
+                                          store_every=4, n_threads=n_threads)
+            return ps.kappa, ps.caps
+        ps = simulate_relative_caps_balanced(
+            ProcessSpec.constant(C3), K3, grid, 10_000, 17, store_every=4,
+            n_threads=n_threads)
+        return ps.kappa, ps.diagnostics.mean_prerenorm_defect
+
+    want = run(1)
+    monkeypatch.setattr(sde_engine, "ThreadPoolExecutor", InlinePool)
+    monkeypatch.setattr(sde_engine.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(sde_engine, "_tile_plan", recording_plan)
+    assert len(sde_engine._chunks(10_000, 5000)) == 5000
+    got = run(5000)
+    assert opened == [2]
+    assert set(shares) <= {2}
+    assert bool(shares) == (engine == "caps")
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
 def test_store_every_subsamples_the_full_run():
     full = _weights_run(seed=3)
     thin = _weights_run(seed=3, store_every=100)
@@ -253,7 +306,7 @@ def _tile_values(tile, d):
 def _tile_rows(n_paths, n_steps, d, n_threads):
     """Row counts (paths by steps) of the constant branch's tile products."""
     chunks = sde_engine._chunks(n_paths, n_threads)
-    workers = min(n_threads, len(chunks))
+    workers = sde_engine._n_workers(n_threads, len(chunks))
     rows = set()
     for lo, hi in chunks:
         span, tiles = sde_engine._tile_plan(hi - lo, d, n_steps, workers)

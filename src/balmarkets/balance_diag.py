@@ -43,7 +43,7 @@ from .market_model import (
     ProcessSpec,
     covariance_rows,
 )
-from .sde_engine import PathSet, _format_g17, _write_hashed
+from .sde_engine import PathSet, _format_g17, _path_blocks, _write_hashed
 
 __all__ = [
     "BalanceReport",
@@ -193,7 +193,8 @@ def _growth_gap_grid(
     r_spec: ProcessSpec,
     constraint: ConstraintSet,
 ) -> np.ndarray:
-    """(n_paths, n_stored) array of ``g* - g^kappa`` at the stored states.
+    """(n_paths, n_stored) array of ``g* - g^kappa`` at the stored states;
+    constant coefficients take one block of paths at a time.
 
     ``a_spec=None`` means the balanced drift ``a = c kappa + r 1``.
     """
@@ -210,12 +211,13 @@ def _growth_gap_grid(
     all_const = deterministic and all(
         spec.is_constant() for spec in (a_spec, c_spec, r_spec)
     )
+    gap = np.zeros(kappa.shape[:2])
     if all_const:
         a, c, r = _coeffs_at(0.0, a_spec, c_spec, r_spec, d)
         g_star = growth_optimal_constrained(a, c, r, constraint).g_star
-        gk = growth_rate(kappa, a, c, r)
-        return g_star - gk
-    gap = np.zeros(kappa.shape[:2])
+        for p0, p1 in _path_blocks(*gap.shape):
+            gap[p0:p1] = g_star - growth_rate(kappa[p0:p1], a, c, r)
+        return gap
     if deterministic:
         for k, t in enumerate(times):
             a, c, r = _coeffs_at(float(t), a_spec, c_spec, r_spec, d)
@@ -253,16 +255,24 @@ def loss_of_balance(
     ``[t_k, t_{k+1}]`` is ``(g*_k - g^kappa_k) * (t_{k+1} - t_k)``.  The gap
     is nonnegative by construction (the market weight vector is feasible);
     anything below ``-1e-12`` signals a solver failure and raises
-    :class:`SolverFailure`.  ``a_spec=None`` means the balanced drift
-    ``a = c kappa + r 1``, under which every path accrues exactly zero.
+    :class:`SolverFailure` naming the worst rate over all paths.
+    ``a_spec=None`` means the balanced drift ``a = c kappa + r 1``, under
+    which every path accrues exactly zero.  The gap becomes ``L`` in place,
+    a block of paths at a time, so ``L`` and one block are all it holds.
     """
     if constraint is None:
         constraint = ConstraintSet.closed_simplex()
     times = ps.times()
-    gap = _clamped_rates(_growth_gap_grid(ps, a_spec, r_spec, constraint), times)
     dts = np.diff(times)
-    L = np.zeros_like(gap)
-    np.cumsum(gap[:, :-1] * dts, axis=1, out=L[:, 1:])
+    L = _growth_gap_grid(ps, a_spec, r_spec, constraint)
+    low = np.zeros(len(times))  # each stored time's lowest rate over all paths
+    for p0, p1 in _path_blocks(*L.shape):
+        gap = L[p0:p1]
+        np.minimum(low, gap.min(axis=0), out=low)
+        np.maximum(gap, 0.0, out=gap)
+        np.cumsum(gap[:, :-1] * dts, axis=1, out=gap[:, 1:])
+        gap[:, 0] = 0.0
+    _clamped_rates(low, times)
     return BalanceReport.from_loss(times, L, eps_slope, L_cap)
 
 

@@ -76,6 +76,8 @@ from .sde_engine import (
     _block_steps,
     _draw_block,
     _format_g17,
+    _n_workers,
+    _path_blocks,
     _renormalize_log,
     _run_chunked,
     _stored_steps,
@@ -403,6 +405,7 @@ def simulate_jump_balanced(
     dt = grid.dt
     lam_max = jump_spec.lam_max
     state_intensity = jump_spec.intensity.depends_on_state()
+    workers = _n_workers(n_paths, n_threads) if diffusion else 1
 
     # hoist the per-step time dependence out of the hot loop: the intensity
     # and the atoms are functions of time alone unless state-dependent
@@ -416,7 +419,7 @@ def simulate_jump_balanced(
     def worker(lo: int, hi: int) -> EngineDiagnostics:
         m = hi - lo
         diag = EngineDiagnostics(prerenorm_row_sums=np.zeros(m))
-        span = _block_steps(m, d, grid.n_steps) if draws else grid.n_steps
+        span = _block_steps(m, d, grid.n_steps, workers) if draws else grid.n_steps
         if draws:
             gens = path_generators(seed, STREAM_BROWNIAN, lo, hi)
             buf = np.empty(m * span * d)
@@ -979,7 +982,8 @@ def example_death_of_company(
     The engine advances that shared flow once per step for all paths that
     have not jumped, and a path's single jump spends its budget and freezes
     it, so the run costs about one step per grid point plus one per jump,
-    whatever ``n_threads``.
+    whatever ``n_threads``.  The comparison takes one block of paths at a
+    time, so it holds little memory beyond the path set.
     """
     if grid.dt > _EXAMPLE_MAX_DT:
         raise ValueError(f"the analytic comparison needs dt <= {_EXAMPLE_MAX_DT:g}")
@@ -1005,11 +1009,13 @@ def example_death_of_company(
         times < _T_DEATH, 1.0 - np.exp(times / 2.0) / 2.0, 0.0
     )
     # per-path comparison window: strictly before the first accepted jump
-    # (nan = never jumped = compare everywhere)
+    # (nan = never jumped = compare everywhere), one block of paths at a time
     tau = np.where(np.isnan(rec.first_jump_time), np.inf, rec.first_jump_time)
-    pre_jump = times[None, :] < tau[:, None]
-    err = np.abs(ps.kappa[:, :, 1] - analytic[None, :])
-    sup_error = float(np.where(pre_jump, err, 0.0).max())
+    block_errors = []
+    for p0, p1 in _path_blocks(n_paths, len(times)):
+        err = np.abs(ps.kappa[p0:p1, :, 1] - analytic)
+        block_errors.append(np.where(times < tau[p0:p1, None], err, 0.0).max())
+    sup_error = float(np.max(block_errors))
 
     died = rec.died(1)
     frac = float(died.mean())

@@ -69,12 +69,12 @@ STREAM_JUMP = 1
 
 _CHUNK_PATHS = 1024
 _BLOCK_STEPS = 4096  # rows the path writer formats at once
-# Brownian draws held at once (4 MiB): by each worker of a step engine, a
-# block of steps for every path of its chunk; by all the workers of the
-# capitalization engine's constant branch together, as tiles of paths
+# Brownian draws held at once (4 MiB) by all the workers of an engine
+# together: blocks of steps for every path of a chunk in the step engines
+# (``_block_steps``), tiles of paths in the constant branch (``_tile_plan``)
 _BLOCK_VALUES = 2**19
 _TILE_STEPS = 2048  # steps of a constant-branch tile, per draw call
-_SLAB_VALUES = 2**13  # product scratch of a constant-branch worker (64 KiB)
+_SLAB_VALUES = 2**13  # 64 KiB: a constant-branch product slab, a path block
 _LOG_FLOOR = np.log(1e-300)
 _LOG_CAP = 700.0
 
@@ -279,10 +279,21 @@ def _chunks(n_paths: int, n_threads: int):
     return _spans(n_paths, _CHUNK_PATHS, n_threads)
 
 
-def _n_workers(n_threads: int, n_chunks: int) -> int:
-    """Worker threads for ``n_chunks`` chunks: no more than were asked for,
-    than there are chunks, or than the machine has cores."""
-    return max(1, min(n_threads, n_chunks, os.cpu_count() or 1))
+def _n_workers(n_paths: int, n_threads: int) -> int:
+    """Worker threads of a run: no more than were asked for, than there are
+    chunks, or than the machine has cores."""
+    return max(1, min(n_threads, len(_chunks(n_paths, n_threads)),
+                      os.cpu_count() or 1))
+
+
+def _block_steps(m: int, d: int, n_steps: int, workers: int) -> int:
+    """Steps per draw block of a step-engine worker's ``m`` paths: its share
+    of ``_BLOCK_VALUES`` draws among ``workers``, but never fewer steps than
+    a full chunk's block at one worker.  The workers together hold at most
+    ``_BLOCK_VALUES`` draws when ``workers * m <= _CHUNK_PATHS``."""
+    share = _BLOCK_VALUES // workers
+    return min(n_steps, max(1, _BLOCK_VALUES // (_CHUNK_PATHS * d),
+                            share // (m * d)))
 
 
 def _tile_plan(m: int, d: int, n_steps: int,
@@ -296,6 +307,11 @@ def _tile_plan(m: int, d: int, n_steps: int,
     return span, _spans(m, max(3, share // (span * d)))
 
 
+def _path_blocks(n_paths: int, n_stored: int) -> list[tuple[int, int]]:
+    """Path spans of ``_SLAB_VALUES`` stored values (3 paths at least)."""
+    return _spans(n_paths, max(3, _SLAB_VALUES // n_stored))
+
+
 def _run_chunked(worker, n_paths: int, n_threads: int) -> EngineDiagnostics:
     """Run ``worker(lo, hi) -> EngineDiagnostics`` over path chunks.
 
@@ -305,7 +321,7 @@ def _run_chunked(worker, n_paths: int, n_threads: int) -> EngineDiagnostics:
     """
     diag = EngineDiagnostics()
     spans = _chunks(n_paths, n_threads)
-    workers = _n_workers(n_threads, len(spans))
+    workers = _n_workers(n_paths, n_threads)
     if workers == 1:
         for lo, hi in spans:
             diag.merge(worker(lo, hi))
@@ -419,11 +435,6 @@ def _balanced_step(lt: np.ndarray, kappa: np.ndarray, dw_j: np.ndarray,
     return _renormalize_log(lt, diag).T.copy()
 
 
-def _block_steps(rows: int, d: int, n_steps: int) -> int:
-    """Steps per draw block when ``rows`` paths share ``_BLOCK_VALUES``."""
-    return min(n_steps, max(1, _BLOCK_VALUES // (rows * d)))
-
-
 def _draw_block(gens, buf: np.ndarray, blk: int, d: int,
                 sqrt_dt: float) -> np.ndarray:
     """Every path's next ``blk`` steps of ``N(0, dt I)`` draws, written into
@@ -474,7 +485,8 @@ def simulate_relative_caps_balanced(
     Walks ``log kappa_i`` with drift ``-0.5 <e_i - kappa, c (e_i - kappa)>``
     and noise ``<e_i - kappa, sigma dW>``, renormalizing each step so every
     state lies exactly on the simplex.  Each weight coordinate is a
-    martingale up to O(dt) discretization bias.
+    martingale up to O(dt) discretization bias.  The workers share
+    ``_BLOCK_VALUES`` draws, in blocks of steps (:func:`_block_steps`).
     """
     kappa0 = np.asarray(kappa0, dtype=float)
     d = len(kappa0)
@@ -496,6 +508,7 @@ def simulate_relative_caps_balanced(
     cov = covariance_rows(c_spec, d)
     sqrt_dt = np.sqrt(grid.dt)
     dt = grid.dt
+    workers = _n_workers(n_paths, n_threads)
 
     def worker(lo: int, hi: int) -> EngineDiagnostics:
         m = hi - lo
@@ -504,7 +517,7 @@ def simulate_relative_caps_balanced(
         lt = np.tile(np.log(kappa0)[:, None], (1, m))  # company-major
         kappa = np.tile(kappa0, (m, 1))
         kappa_out[lo:hi, 0] = kappa0
-        span = _block_steps(m, d, grid.n_steps)
+        span = _block_steps(m, d, grid.n_steps, workers)
         buf = np.empty(m * span * d)
         for step in range(0, grid.n_steps, span):
             blk = min(span, grid.n_steps - step)
@@ -550,7 +563,7 @@ def simulate_capitalizations(
     naming the earliest such step of the chunk.
 
     Coefficients that move with time or state take one step at a time over
-    blocks of steps, each worker holding at most ``_BLOCK_VALUES`` draws.
+    blocks of steps, the workers sharing ``_BLOCK_VALUES`` draws.
     Constant coefficients make ``log S`` a running sum, evaluated a tile of
     paths by up to ``_TILE_STEPS`` steps at a time with one draw call per
     path, a gemm in place and one cumulative sum, the workers sharing
@@ -575,11 +588,11 @@ def simulate_capitalizations(
     # constant coefficients make log S a running sum of i.i.d. increments
     constant = all(spec.is_constant()
                    for spec in (params.a_spec, params.c_spec, params.r_spec))
+    workers = _n_workers(n_paths, n_threads)
     if constant:
         c, sigma = cov(grid.t0, None)
         a = params.a_spec.rows(grid.t0, None, (d,), "drift rate a")
         drift = (a - 0.5 * np.diag(c)) * dt
-        workers = _n_workers(n_threads, len(_chunks(n_paths, n_threads)))
 
     def overflow(worst: float, step: int) -> NumericalOverflow:
         return NumericalOverflow(
@@ -601,6 +614,7 @@ def simulate_capitalizations(
             span, tiles = _tile_plan(m, d, grid.n_steps, workers)
             buf = np.empty(max(p1 - p0 for p0, p1 in tiles) * span * d)
             scratch = np.empty((max(3, _SLAB_VALUES // d), d))
+            drifts = np.tile(drift, len(scratch))  # a slab's drift, flat
             even = stored[: grid.n_steps // store_every + 1]  # k * store_every
             for step in range(0, grid.n_steps, span):
                 blk = min(span, grid.n_steps - step)
@@ -614,15 +628,15 @@ def simulate_capitalizations(
                     x = _draw_block(gens[p0:p1], buf, blk, d, sqrt_dt)
                     if inc_out is not None:
                         inc_out[rows, step : step + blk] = x
-                    # sigma dW in place, by gemm over slabs (row for row the
-                    # per-step product), then a sequential sum along time,
-                    # so each x[:, j] is exactly log S after step + j + 1
-                    flat = x.reshape(-1, d)
-                    for s0, s1 in _spans(len(flat), len(scratch)):
+                    # sigma dW + drift in place, by gemm over slabs (row for
+                    # row the per-step product) and a flat add, then a sequential
+                    # sum along time: each x[:, j] is log S after step + j + 1
+                    steps, flat = x.reshape(-1, d), x.reshape(-1)
+                    for s0, s1 in _spans(len(steps), len(scratch)):
                         prod = scratch[: s1 - s0]
-                        np.matmul(flat[s0:s1], sigma.T, out=prod)
-                        flat[s0:s1] = prod
-                    x += drift
+                        np.matmul(steps[s0:s1], sigma.T, out=prod)
+                        np.add(prod.reshape(-1), drifts[: prod.size],
+                               out=flat[s0 * d : s1 * d])
                     x[:, 0] += logs[p0:p1]
                     np.add.accumulate(x, axis=1, out=x)
                     if x.max() > _LOG_CAP or -x.min() > _LOG_CAP:
@@ -642,7 +656,7 @@ def simulate_capitalizations(
                 kw = _weights(logs, kappa_out[lo:hi, -1])
                 defect = max(defect, _simplex_defect(kw))
         else:
-            span = _block_steps(m, d, grid.n_steps)
+            span = _block_steps(m, d, grid.n_steps, workers)
             buf = np.empty(m * span * d)
             for step in range(0, grid.n_steps, span):
                 blk = min(span, grid.n_steps - step)

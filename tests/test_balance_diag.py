@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from balmarkets import balance_diag
+from balmarkets import balance_diag, sde_engine
 from balmarkets.balance_diag import (
     BalanceReport,
     bank_rate_statistic,
@@ -275,6 +275,43 @@ def test_negative_growth_gap_raises_solver_failure(monkeypatch):
                         short_solver)
     with pytest.raises(SolverFailure, match="growth gap fell"):
         loss_of_balance(ps, ps.a_spec, ps.r_spec)
+
+
+def test_solver_failure_names_the_worst_gap_over_every_path_block():
+    # the loss runs one block of paths at a time: a failure planted in the
+    # first block must not hide a worse one in the last
+    a, c = np.array([0.3, 0.0]), np.diag([0.04, 0.09])
+    params = MarketParams.from_constants(a, c, 0.0, [1.0, 1.0])
+    ps = simulate_capitalizations(params, PathGrid(dt=0.01, n_steps=200), 100, 5)
+    assert len(sde_engine._path_blocks(100, ps.n_stored)) >= 3
+    # leveraged states beat every simplex portfolio, so their gap is negative
+    ps.kappa[1, 10] = [1.1, -0.1]
+    ps.kappa[-1, 150] = [2.0, -1.0]
+    g_star = growth_optimal_constrained(
+        a, c, 0.0, ConstraintSet.closed_simplex()).g_star
+    worst = g_star - growth_rate([2.0, -1.0], a, c, 0.0)
+    assert worst < g_star - growth_rate([1.1, -0.1], a, c, 0.0) < -1e-12
+    t = ps.times()[150]
+    with pytest.raises(SolverFailure,
+                       match=rf"fell to {worst:.3e} at t={t:.6g};"):
+        loss_of_balance(ps, ps.a_spec, ps.r_spec)
+
+
+def test_constant_loss_memory_is_L_plus_one_path_block(peak_above):
+    params = MarketParams.from_constants(
+        [0.3, 0.0], np.diag([0.04, 0.09]), 0.0, [1.0, 1.0])
+    small = simulate_capitalizations(params, PathGrid(dt=0.01, n_steps=4), 3, 5)
+    loss_of_balance(small, small.a_spec, small.r_spec)  # imports
+    ps = simulate_capitalizations(params, PathGrid(dt=0.01, n_steps=1000), 1000, 5)
+    report, above = peak_above(
+        lambda: loss_of_balance(ps, ps.a_spec, ps.r_spec),
+        lambda report: (report.L_path,))
+    assert report.L_path.shape == (1000, 1001)
+    # the whole-array loss held the gap, its clamped copy and the growth
+    # rate's terms beside L: about 30 MiB
+    block = max(p1 - p0 for p0, p1 in
+                sde_engine._path_blocks(1000, 1001)) * 1001 * 8
+    assert above <= block + 4 * 2**20, above / 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -408,6 +408,23 @@ def test_death_fraction_matches_exact_rate():
     assert res["sup_error"] <= 5e-4
 
 
+def test_death_example_check_holds_little_beyond_the_path_set(monkeypatch,
+                                                              peak_above):
+    grid = PathGrid(dt=1e-3, n_steps=1500)
+    ref = example_death_of_company(grid, 2048, 1, store_every=10)
+    run = (ref["path_set"], ref["lifetimes"])
+    # trace the analytic check alone: the engine hands back the same run
+    monkeypatch.setattr(jump_markets, "simulate_jump_balanced",
+                        lambda *args, **kwargs: run)
+    rep, above = peak_above(
+        lambda: example_death_of_company(grid, 2048, 1, store_every=10),
+        lambda rep: ())
+    assert rep["sup_error"] == ref["sup_error"]
+    # the whole-ensemble comparison held about three (paths, stored) arrays
+    # beside the 4.9 MB path set, about 7 MiB
+    assert above <= 2**20, above / 2**20
+
+
 # ---------------------------------------------------------------------------
 # growth optimality with jumps
 

@@ -2,7 +2,6 @@
 
 import hashlib
 import itertools
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -306,7 +305,7 @@ def _tile_values(tile, d):
 def _tile_rows(n_paths, n_steps, d, n_threads):
     """Row counts (paths by steps) of the constant branch's tile products."""
     chunks = sde_engine._chunks(n_paths, n_threads)
-    workers = sde_engine._n_workers(n_threads, len(chunks))
+    workers = sde_engine._n_workers(n_paths, n_threads)
     rows = set()
     for lo, hi in chunks:
         span, tiles = sde_engine._tile_plan(hi - lo, d, n_steps, workers)
@@ -380,6 +379,29 @@ def test_constant_tiles_share_the_block_budget(n_paths, n_threads, d, n_steps):
             assert min(p1 - p0 for p0, p1 in tiles) >= 2
     # a path's draw call is span * d long, whatever the thread count
     assert {span for span, _ in plan} == {span for span, _ in plans(1)[1]}
+
+
+@settings(max_examples=300, deadline=None)
+@given(n_paths=st.integers(1, 5000), n_threads=st.integers(1, 8),
+       d=st.integers(1, 6), n_steps=st.integers(1, 20_000))
+# balanced_demo at two threads: two workers of 500 paths of 3 companies
+@example(n_paths=1000, n_threads=2, d=3, n_steps=100_000)
+def test_step_blocks_share_the_block_budget(n_paths, n_threads, d, n_steps):
+    # arithmetic only: no thread is started
+    budget = sde_engine._BLOCK_VALUES
+    chunks = sde_engine._chunks(n_paths, n_threads)
+    workers = min(n_threads, len(chunks))
+    plan = [(hi - lo, sde_engine._block_steps(hi - lo, d, n_steps, workers))
+            for lo, hi in chunks]
+    # a full chunk's draw call on its own is the shortest
+    shortest = min(n_steps, budget // (sde_engine._CHUNK_PATHS * d))
+    for m, span in plan:
+        assert shortest <= span <= n_steps
+        if workers == 1:  # one worker holds the whole budget
+            assert span == min(n_steps, max(1, budget // (m * d)))
+    if workers * max(m for m, _ in plan) <= sde_engine._CHUNK_PATHS:
+        held = sorted((m * span * d for m, span in plan), reverse=True)
+        assert sum(held[:workers]) <= budget
 
 
 def _first_overflow(params, grid, paths, seed):
@@ -490,27 +512,25 @@ def test_step_engines_ignore_block_length_and_threads(engine):
         assert ref_fields["n_prerenorm_samples"] > 0
 
 
-def _caps_peak(n_paths, n_steps, store_every, n_threads):
+def _caps_peak(peak_above, n_paths, n_steps, store_every, n_threads):
     """tracemalloc peak of a constant-coefficient run above its outputs."""
     params = MarketParams.from_constants(
         [0.0, 0.5], [[0.0, 0.0], [0.0, 1.0]], 0.0, [1.0, 1.0])
     simulate_capitalizations(params, PathGrid(dt=0.01, n_steps=2), 2, 7)  # imports
     grid = PathGrid(dt=0.01, n_steps=n_steps)
-    tracemalloc.start()  # also sees numpy's allocations in worker threads
-    try:
-        ps = simulate_capitalizations(params, grid, n_paths, 7,
-                                      store_every=store_every, n_threads=n_threads)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return peak - ps.kappa.nbytes - ps.caps.nbytes
+    _, above = peak_above(
+        lambda: simulate_capitalizations(params, grid, n_paths, 7,
+                                         store_every=store_every,
+                                         n_threads=n_threads),
+        lambda ps: (ps.kappa, ps.caps))
+    return above
 
 
-def test_constant_engine_memory_is_bounded_by_the_block_budget():
+def test_constant_engine_memory_is_bounded_by_the_block_budget(peak_above):
     # 1000 paths in one chunk once held two 1000 x 4096 x 2 buffers (131 MB),
     # and then two tiles of the whole budget per worker
     for n_threads in (1, 2):
-        above = _caps_peak(1000, 10_000, 100, n_threads)
+        above = _caps_peak(peak_above, 1000, 10_000, 100, n_threads)
         # the workers' draw tiles and product slabs, plus the path
         # generators and small arrays
         budget = (sde_engine._BLOCK_VALUES
@@ -518,10 +538,10 @@ def test_constant_engine_memory_is_bounded_by_the_block_budget():
         assert above < budget + 4 * 2**20, (n_threads, above / 2**20)
 
 
-def test_constant_engine_memory_is_bounded_when_every_step_is_stored():
+def test_constant_engine_memory_is_bounded_when_every_step_is_stored(peak_above):
     # 24.6 MB of outputs; the gathered stored columns and a row-major copy of
     # the weights once added two more tiles
-    above = _caps_peak(128, 6000, 1, 1)
+    above = _caps_peak(peak_above, 128, 6000, 1, 1)
     # the draw tile and the weights' company-major copy
     assert above < 2 * sde_engine._BLOCK_VALUES * 8 + 4 * 2**20, above / 2**20
 

@@ -15,10 +15,8 @@ from .market_model import (
 )
 from .sde_engine import (
     PathSet,
-    lift_to_capitalizations,
     pathset_summary,
     pathset_to_csv,
-    relative_caps_from_caps,
     simulate_capitalizations,
     simulate_relative_caps_balanced,
 )
@@ -28,14 +26,11 @@ from .growth_opt import (
     growth_optimal_hyperplane,
     growth_rate,
     implied_interest_rate,
-    numeraire_condition,
-    perfect_balance_residual,
 )
 from .balance_diag import (
     BalanceReport,
     DistanceMatrix,
     LimitingDistribution,
-    classify_outcome,
     distance_matrix,
     equivalence_classes,
     limiting_distribution,
@@ -65,10 +60,8 @@ __all__ = [
     "psd_factor",
     "validate_params",
     "PathSet",
-    "lift_to_capitalizations",
     "pathset_summary",
     "pathset_to_csv",
-    "relative_caps_from_caps",
     "simulate_capitalizations",
     "simulate_relative_caps_balanced",
     "GrowthSolution",
@@ -76,12 +69,9 @@ __all__ = [
     "growth_optimal_hyperplane",
     "growth_rate",
     "implied_interest_rate",
-    "numeraire_condition",
-    "perfect_balance_residual",
     "BalanceReport",
     "DistanceMatrix",
     "LimitingDistribution",
-    "classify_outcome",
     "distance_matrix",
     "equivalence_classes",
     "limiting_distribution",

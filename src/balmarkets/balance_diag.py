@@ -48,11 +48,7 @@ from .sde_engine import PathSet, _format_g17, _path_blocks, _write_hashed
 __all__ = [
     "BalanceReport",
     "DistanceMatrix",
-    "relcap_drift",
-    "relative_growth",
-    "relative_covariance",
     "loss_of_balance",
-    "classify_outcome",
     "wealth_path",
     "distance_matrix",
     "equivalence_classes",
@@ -68,35 +64,6 @@ DEFAULT_L_CAP = 50.0
 DEFAULT_DISTANCE_THRESHOLD = 25.0
 DEFAULT_ATOM_EPS = 0.01
 DEFAULT_INDETERMINATE_CAP = 0.5
-
-
-# ---------------------------------------------------------------------------
-# pointwise quantities
-
-
-def relcap_drift(kappa, a, c) -> np.ndarray:
-    """Drift of each weight: ``kappa_i * <e_i - kappa, a - c kappa>``.
-
-    Vanishes identically iff ``a - c kappa`` is a multiple of the ones
-    vector, i.e. iff the market is balanced at this state.  Broadcasts over
-    leading axes of ``kappa``.
-    """
-    kappa = np.asarray(kappa, dtype=float)
-    a = np.asarray(a, dtype=float)
-    excess = a - kappa @ c
-    mean_part = np.einsum("...i,...i->...", kappa, excess)
-    return kappa * (excess - mean_part[..., None])
-
-
-def relative_growth(pi, rho, a, c, r) -> float:
-    """Growth-rate spread ``g^pi - g^rho``."""
-    return growth_rate(pi, a, c, r) - growth_rate(rho, a, c, r)
-
-
-def relative_covariance(pi, rho, c) -> float:
-    """Quadratic-variation rate of the log wealth ratio: ``<pi-rho, c(pi-rho)>``."""
-    diff = np.asarray(pi, dtype=float) - np.asarray(rho, dtype=float)
-    return float(np.einsum("...i,ij,...j->...", diff, np.asarray(c, dtype=float), diff))
 
 
 # ---------------------------------------------------------------------------
@@ -281,18 +248,6 @@ def _tail_start(times: np.ndarray) -> int:
     leaving at least one step after it."""
     start = times[0] + 0.75 * (times[-1] - times[0])
     return min(int(np.searchsorted(times, start)), len(times) - 2)
-
-
-def classify_outcome(
-    L_path: np.ndarray,
-    times: np.ndarray,
-    eps_slope: float = DEFAULT_EPS_SLOPE,
-    L_cap: float = DEFAULT_L_CAP,
-) -> str:
-    """Outcome call for one L path, by the rule of ``BalanceReport.from_loss``."""
-    L_row = np.asarray(L_path, dtype=float)[None, :]
-    times = np.asarray(times, dtype=float)
-    return BalanceReport.from_loss(times, L_row, eps_slope, L_cap).classification[0]
 
 
 # ---------------------------------------------------------------------------
@@ -544,9 +499,6 @@ class LimitingDistribution:
     terminal_kappa: np.ndarray
     histogram: dict[str, int] = field(default_factory=dict)
     atom_eps: float = DEFAULT_ATOM_EPS
-
-    def fraction(self, label: str) -> float:
-        return self.histogram.get(label, 0) / max(len(self.labels), 1)
 
 
 def limiting_distribution(

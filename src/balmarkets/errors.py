@@ -47,10 +47,6 @@ class NumericalOverflow(BalmarketsError):
     """A log-capitalization left the representable range."""
 
 
-class ZeroTotalCapital(BalmarketsError):
-    """Total capital vanished; relative capitalizations are undefined."""
-
-
 class InconsistentInitialState(BalmarketsError):
     """Initial capital vector disagrees with the initial weight vector."""
 

@@ -31,8 +31,6 @@ __all__ = [
     "implied_interest_rate",
     "growth_optimal_hyperplane",
     "growth_optimal_constrained",
-    "numeraire_condition",
-    "perfect_balance_residual",
     "simplex_gap",
 ]
 
@@ -342,30 +340,3 @@ def simplex_gap(grad, x, support=None) -> np.ndarray:
     grad = np.asarray(grad, dtype=float)
     top = grad if support is None else np.where(support, grad, -np.inf)
     return top.max(axis=-1) - (grad * x).sum(axis=-1)
-
-
-def numeraire_condition(pi, rho, a, c, r) -> float:
-    """Directional optimality gap ``<pi - rho, a - r1 - c rho>``.
-
-    Nonpositive for every admissible ``pi`` exactly when wealth relative to
-    ``rho`` is a supermartingale, i.e. when ``rho`` is growth-optimal.
-    """
-    pi = np.asarray(pi, dtype=float)
-    rho = np.asarray(rho, dtype=float)
-    a = np.asarray(a, dtype=float)
-    c = np.asarray(c, dtype=float)
-    return float((pi - rho) @ (a - r - c @ rho))
-
-
-def perfect_balance_residual(kappa, a, c) -> float:
-    """How far ``a - c kappa`` is from a constant vector (L2 norm).
-
-    Zero means the drift decomposes as ``a = c kappa + rate * 1`` for the
-    least-squares rate, the algebraic signature of a perfectly balanced
-    market.
-    """
-    kappa = np.asarray(kappa, dtype=float)
-    a = np.asarray(a, dtype=float)
-    c = np.asarray(c, dtype=float)
-    gap = a - c @ kappa
-    return float(np.linalg.norm(gap - gap.mean()))

@@ -214,16 +214,6 @@ class ConstraintSet:
             )
         return ConstraintSet(ConstraintKind.BOX_HYPERPLANE, lo=lo, hi=hi)
 
-    def contains(self, weights: np.ndarray, tol: float = 1e-9) -> bool:
-        w = np.asarray(weights, dtype=float)
-        if abs(float(w.sum()) - 1.0) > tol:
-            return False
-        if self.kind is ConstraintKind.CLOSED_SIMPLEX:
-            return bool(np.all(w >= -tol))
-        if self.kind is ConstraintKind.BOX_HYPERPLANE:
-            return bool(np.all(w >= self.lo - tol) and np.all(w <= self.hi + tol))
-        return True
-
 
 @dataclass(frozen=True)
 class MarketParams:
@@ -263,10 +253,6 @@ class PathGrid:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
-
-    @property
-    def t_final(self) -> float:
-        return self.t0 + self.dt * self.n_steps
 
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(self.n_steps + 1)

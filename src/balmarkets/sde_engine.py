@@ -7,9 +7,7 @@ integrates the driftless weight dynamics
 
     d kappa_i = kappa_i <e_i - kappa, sigma dW>
 
-directly on the simplex (each weight is a martingale), and
-``lift_to_capitalizations`` rebuilds a consistent capitalization surface on
-top of such a weight path for any prescribed interest rate.
+directly on the simplex (each weight is a martingale).
 
 Both engines walk log-coordinates with an Euler step, so states stay
 positive by construction, and both draw their noise from per-path
@@ -30,7 +28,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -38,12 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InconsistentInitialState,
-    NumericalOverflow,
-    ZeroTotalCapital,
-)
+from .errors import InconsistentInitialState, NumericalOverflow
 from .market_model import (
     MarketParams,
     PathGrid,
@@ -56,8 +48,6 @@ __all__ = [
     "PathSet",
     "simulate_capitalizations",
     "simulate_relative_caps_balanced",
-    "lift_to_capitalizations",
-    "relative_caps_from_caps",
     "pathset_to_csv",
     "pathset_summary",
 ]
@@ -695,85 +685,6 @@ def simulate_capitalizations(
         r_spec=params.r_spec,
         diagnostics=diag,
     )
-
-
-def lift_to_capitalizations(
-    kappa_paths: PathSet,
-    r_spec: ProcessSpec,
-    s0,
-) -> PathSet:
-    """Rebuild capitalizations over a balanced weight path.
-
-    Total capital follows the market-portfolio wealth equation with drift
-    ``a = c kappa + r 1``; each company's capitalization is its weight times
-    the total.  Requires full-resolution weights and stored increments so
-    the diffusion term can be replayed.
-    """
-    ps = kappa_paths
-    if ps.brownian_increments is None or len(ps.stored_steps) != ps.grid.n_steps + 1:
-        raise ValueError(
-            "lift needs a PathSet with store_every=1 and store_increments=True"
-        )
-    if ps.c_spec is None:
-        raise ValueError("source PathSet does not record its covariance spec")
-    s0 = np.asarray(s0, dtype=float)
-    if s0.shape != (ps.d,):
-        raise DimensionMismatch(f"s0 has shape {s0.shape}, expected ({ps.d},)")
-    total0 = float(s0.sum())
-    if total0 <= 0.0 or np.any(s0 <= 0.0):
-        raise InconsistentInitialState("s0 must be strictly positive")
-    if np.abs(s0 / total0 - ps.kappa[:, 0]).max() > 1e-9:
-        raise InconsistentInitialState(
-            "s0 / sum(s0) disagrees with the initial weights beyond 1e-9"
-        )
-
-    n, n_steps, d = ps.n_paths, ps.grid.n_steps, ps.d
-    dt = ps.grid.dt
-    cov = covariance_rows(ps.c_spec, d)
-    log_total = np.full(n, np.log(total0))
-    caps = np.empty_like(ps.kappa)
-    caps[:, 0] = s0
-    times = ps.grid.t0 + dt * np.arange(n_steps + 1)
-    for k in range(n_steps):
-        kap = ps.kappa[:, k]
-        t = float(times[k])
-        c, sigma = cov(t, kap)
-        rr = r_spec.rows(t, kap, (), "interest rate r")
-        y = _noise_rows(sigma, ps.brownian_increments[:, k])
-        if c.ndim == 2:
-            quad = np.einsum("ij,ij->i", kap, kap @ c)
-        else:
-            quad = np.array([k_i @ c_i @ k_i for c_i, k_i in zip(c, kap)])
-        log_total += (rr + 0.5 * quad) * dt + np.einsum("ij,ij->i", kap, y)
-        caps[:, k + 1] = ps.kappa[:, k + 1] * np.exp(log_total)[:, None]
-
-    return PathSet(
-        grid=ps.grid,
-        n_paths=n,
-        seed=ps.seed,
-        kappa=ps.kappa,
-        stored_steps=ps.stored_steps,
-        caps=caps,
-        brownian_increments=ps.brownian_increments,
-        a_spec=None,
-        c_spec=ps.c_spec,
-        r_spec=r_spec,
-        diagnostics=ps.diagnostics,
-    )
-
-
-def relative_caps_from_caps(caps: np.ndarray) -> np.ndarray:
-    """Weights ``S_i / sum(S)`` for capitalization arrays of any batch shape.
-
-    Dead companies (zero capitalization) get weight zero; a state whose
-    total capital is not strictly positive raises
-    :class:`ZeroTotalCapital`.
-    """
-    caps = np.asarray(caps, dtype=float)
-    total = caps.sum(axis=-1, keepdims=True)
-    if np.any(~np.isfinite(total)) or np.any(total <= 0.0):
-        raise ZeroTotalCapital("total capital must be strictly positive")
-    return caps / total
 
 
 # ---------------------------------------------------------------------------

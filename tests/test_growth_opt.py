@@ -10,8 +10,6 @@ from balmarkets.growth_opt import (
     growth_optimal_hyperplane,
     growth_rate,
     implied_interest_rate,
-    numeraire_condition,
-    perfect_balance_residual,
     simplex_gap,
 )
 from balmarkets.market_model import ConstraintSet
@@ -104,24 +102,26 @@ def test_infeasible_box_raises():
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=2**31 - 1))
 def test_balanced_drift_implies_zero_residual(seed):
-    """Drift of the form c kappa + r 1 is flagged as perfectly balanced."""
+    """Under a drift ``c kappa + r 1`` the market portfolio is growth optimal
+    and ``r`` is the implied rate."""
     rng = np.random.default_rng(seed)
     d = int(rng.integers(1, 6))
     _, c = _random_problem(rng, d)
     kappa = rng.dirichlet(np.ones(d))
     r = float(rng.standard_normal())
     a = c @ kappa + r
-    assert perfect_balance_residual(kappa, a, c) < 1e-8
     assert implied_interest_rate(a, c) == pytest.approx(r, abs=1e-8)
     rho, _ = growth_optimal_hyperplane(a, c)
     np.testing.assert_allclose(rho, kappa, atol=1e-8)
 
 
 def test_unbalanced_drift_has_positive_residual():
+    """Off the balanced drift the optimum beats the market portfolio."""
     c = np.diag([0.04, 0.09])
     kappa = np.array([0.5, 0.5])
     a = np.array([1.0, 0.0])
-    assert perfect_balance_residual(kappa, a, c) > 0.1
+    rho, r = growth_optimal_hyperplane(a, c)
+    assert growth_rate(rho, a, c, r) - growth_rate(kappa, a, c, r) > 0.1
 
 
 def test_growth_rate_hand_computed():
@@ -144,17 +144,15 @@ def test_growth_rate_broadcasts_over_batches():
         assert vec[i] == pytest.approx(growth_rate(batch[i], a, c, 0.01))
 
 
-def test_numeraire_condition_zero_against_self_and_optimum():
+def test_hyperplane_optimum_beats_every_budget_portfolio():
     rng = np.random.default_rng(13)
     a, c = _random_problem(rng, 4)
-    r = implied_interest_rate(a, c)
-    rho, _ = growth_optimal_hyperplane(a, c)
+    rho, r = growth_optimal_hyperplane(a, c)
+    g_star = growth_rate(rho, a, c, r)
     for _ in range(20):
         z = rng.standard_normal(4)
         pi = z - (z.sum() - 1.0) / 4.0
-        # any budget-feasible portfolio is dominated by the optimum
-        assert numeraire_condition(pi, rho, a, c, r) <= 1e-10
-    assert numeraire_condition(rho, rho, a, c, r) == pytest.approx(0.0, abs=1e-12)
+        assert growth_rate(pi, a, c, r) <= g_star + 1e-12
 
 
 def _simplex_rows(rng, m, d):

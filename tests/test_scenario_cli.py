@@ -1,5 +1,6 @@
 """Scenario runner: config validation, outputs, replay, exit codes."""
 
+import ast
 import copy
 import hashlib
 import importlib
@@ -113,6 +114,35 @@ def test_every_public_name_resolves():
                for name in names
                if not hasattr(importlib.import_module(mod), name)]
     assert not missing
+
+
+def test_every_public_name_has_a_root():
+    """Each name in a module's ``__all__`` is loaded (as a name or an
+    attribute) somewhere in the package or in the acceptance checks, or
+    README names it: a name only its own unit test calls is dead code."""
+    here = os.path.dirname(__file__)
+    pkg = os.path.dirname(balmarkets.__file__)
+    sources = [os.path.join(pkg, f) for f in sorted(os.listdir(pkg))
+               if f.endswith(".py")]
+    loaded, exported = set(), set()
+    for path in sources + [os.path.join(here, "test_acceptance.py")]:
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
+                loaded.add(node.attr)
+            elif (path in sources and isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "__all__"
+                          for t in node.targets)):
+                exported.update(ast.literal_eval(node.value))
+    with open(os.path.join(here, "..", "README.md"), encoding="utf-8") as fh:
+        promised = set(re.findall(r"\w+", fh.read()))
+    rootless = sorted(exported - loaded - promised)
+    assert len(exported) >= 40
+    assert not rootless, f"public names with no root: {rootless}"
 
 
 # ---------------------------------------------------------------------------

@@ -21,11 +21,9 @@ from balmarkets.sde_engine import (
     STREAM_BROWNIAN,
     STREAM_JUMP,
     PathSet,
-    lift_to_capitalizations,
     pathset_summary,
     path_generator,
     pathset_to_csv,
-    relative_caps_from_caps,
     simulate_capitalizations,
     simulate_relative_caps_balanced,
 )
@@ -254,16 +252,8 @@ def test_relative_caps_consistent_with_caps():
         [0.0, 0.1], np.diag([0.04, 0.09]), 0.0, [3.0, 1.0])
     grid = PathGrid(dt=0.01, n_steps=100)
     ps = simulate_capitalizations(params, grid, 32, 13)
-    recomputed = relative_caps_from_caps(ps.caps)
+    recomputed = ps.caps / ps.caps.sum(-1, keepdims=True)
     assert np.abs(recomputed - ps.kappa).max() < 1e-12
-
-
-def test_lift_reproduces_total_capital_growth():
-    ps = _weights_run(n_paths=64, store_increments=True)
-    lifted = lift_to_capitalizations(ps, ProcessSpec.constant(0.02),
-                                     s0=5.0 * K3)
-    k_back = relative_caps_from_caps(lifted.caps)
-    assert np.abs(k_back - ps.kappa).max() < 1e-9
 
 
 def _caps_per_step(params, grid, n_paths, seed, store_every):

@@ -15,7 +15,6 @@ from balmarkets.market_model import MarketParams, PathGrid, ProcessSpec, psd_fac
 from balmarkets.sde_engine import (
     STREAM_BROWNIAN,
     STREAM_JUMP,
-    lift_to_capitalizations,
     path_generator,
     simulate_capitalizations,
     simulate_relative_caps_balanced,
@@ -210,58 +209,56 @@ def test_caps_state_coefficients_match_per_step_reference():
 
 
 # ---------------------------------------------------------------------------
-# lift and wealth
+# wealth
 
 
-def _lift_per_step(ps, s0, state_c):
-    n, d = ps.n_paths, ps.d
+def _market_wealth_per_step(ps, rate, state_c):
+    """Market-portfolio wealth one step at a time under the balanced drift
+    ``a = c kappa + r 1``, with the short rate ``rate(t, kappa)`` of each
+    path's own state."""
+    n = ps.n_paths
     dt = ps.grid.dt
     inc = ps.brownian_increments
-    log_total = np.full(n, np.log(s0.sum()))
-    caps = np.empty_like(ps.kappa)
-    caps[:, 0] = s0
     sigma = psd_factor(C3)
+    log_v = np.zeros((n, ps.grid.n_steps + 1))
     for k in range(ps.grid.n_steps):
         t = ps.grid.t0 + k * dt
         kap = ps.kappa[:, k]
-        rr = np.array([_r_state(t, kap[i]) for i in range(n)])
+        r = np.array([rate(t, row) for row in kap])
         if state_c:
-            y = np.empty((n, d))
-            quad = np.empty(n)
-            for i in range(n):
-                c = _c_state(t, kap[i])
-                y[i] = psd_factor(c) @ inc[i, k]
-                quad[i] = kap[i] @ c @ kap[i]
+            c = np.stack([_c_state(t, row) for row in kap])
+            cpi = np.einsum("pij,pj->pi", c, kap)
+            noise = np.array([
+                kap[p] @ psd_factor(c[p]) @ inc[p, k] for p in range(n)
+            ])
         else:
-            y = inc[:, k] @ sigma.T
-            quad = np.einsum("ij,ij->i", kap, kap @ C3)
-        log_total += (rr + 0.5 * quad) * dt + np.einsum("ij,ij->i", kap, y)
-        caps[:, k + 1] = ps.kappa[:, k + 1] * np.exp(log_total)[:, None]
-    return caps
+            cpi = kap @ C3
+            noise = np.einsum("pj,pj->p", kap @ sigma, inc[:, k])
+        a = cpi + r[:, None]
+        drift = (r + np.einsum("pi,pi->p", kap, a)
+                 - r * kap.sum(axis=1)
+                 - 0.5 * np.einsum("pi,pi->p", kap, cpi))
+        log_v[:, k + 1] = log_v[:, k] + drift * dt + noise
+    return np.exp(log_v)
 
 
 @pytest.mark.parametrize("state_c", [False, True])
-def test_lift_state_rate_matches_per_step_reference(state_c):
+def test_wealth_state_rate_matches_per_step_reference(state_c):
     c_spec = (ProcessSpec.state_function(_c_state) if state_c
               else ProcessSpec.constant(C3))
     ps = simulate_relative_caps_balanced(
         c_spec, K3, GRID, N_PATHS, SEED, store_increments=True)
-    s0 = 5.0 * K3
-    lifted = lift_to_capitalizations(
-        ps, ProcessSpec.state_function(_r_state), s0)
-    assert np.array_equal(lifted.caps, _lift_per_step(ps, s0, state_c))
+    V = wealth_path(ps, "market", r_spec=ProcessSpec.state_function(_r_state))
+    assert np.array_equal(V, _market_wealth_per_step(ps, _r_state, state_c))
 
 
-def test_lift_and_wealth_one_knot_table_equal_constant():
+def test_wealth_one_knot_table_equal_constant():
     const = simulate_relative_caps_balanced(
         ProcessSpec.constant(C3), K3, GRID, N_PATHS, SEED,
         store_increments=True)
     table = simulate_relative_caps_balanced(
         _one_knot(C3), K3, GRID, N_PATHS, SEED, store_increments=True)
     rate = ProcessSpec.constant(0.02)
-    lc = lift_to_capitalizations(const, rate, 5.0 * K3)
-    lt = lift_to_capitalizations(table, rate, 5.0 * K3)
-    assert np.array_equal(lt.caps, lc.caps)
     for pi in ("market", np.array([0.2, 0.5, 0.3])):
         assert np.array_equal(wealth_path(table, pi, r_spec=rate),
                               wealth_path(const, pi, r_spec=rate))
@@ -271,23 +268,6 @@ def test_wealth_state_covariance_matches_per_step_reference():
     ps = simulate_relative_caps_balanced(
         ProcessSpec.state_function(_c_state), K3, GRID, N_PATHS, SEED,
         store_increments=True)
-    rate = 0.02
-    V = wealth_path(ps, "market", r_spec=ProcessSpec.constant(rate))
-
-    dt = GRID.dt
-    log_v = np.zeros((N_PATHS, GRID.n_steps + 1))
-    for k in range(GRID.n_steps):
-        t = GRID.t0 + k * dt
-        kap = ps.kappa[:, k]
-        c = np.stack([_c_state(t, row) for row in kap])
-        a = np.einsum("pij,pj->pi", c, kap) + rate
-        cpi = np.einsum("pij,pj->pi", c, kap)
-        noise = np.array([
-            kap[p] @ psd_factor(c[p]) @ ps.brownian_increments[p, k]
-            for p in range(N_PATHS)
-        ])
-        drift = (rate + np.einsum("pi,pi->p", kap, a)
-                 - rate * kap.sum(axis=1)
-                 - 0.5 * np.einsum("pi,pi->p", kap, cpi))
-        log_v[:, k + 1] = log_v[:, k] + drift * dt + noise
-    assert np.array_equal(V, np.exp(log_v))
+    V = wealth_path(ps, "market", r_spec=ProcessSpec.constant(0.02))
+    assert np.array_equal(
+        V, _market_wealth_per_step(ps, lambda t, k: 0.02, state_c=True))

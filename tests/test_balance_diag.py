@@ -61,17 +61,31 @@ def _synthetic_ps(kappa, dt=0.01, t0=0.0):
 # outcome classification on synthetic L paths
 
 
-def test_from_loss_classifies_each_row():
+def _classify(L, t, **kw):
+    return BalanceReport.from_loss(t, L[None, :], **kw).classification[0]
+
+
+def test_flat_small_L_is_balanced():
     t = np.linspace(0.0, 100.0, 401)
-    L = np.stack([
-        1.0 - np.exp(-t),  # flat and small
-        0.5 * t,  # linear
-        np.full_like(t, 60.0),  # flat, but above L_cap
-        5e-3 * t,  # slow creep: a tail slope between eps and 10 eps
-    ])
-    rep = BalanceReport.from_loss(t, L, L_cap=50.0)
-    assert rep.classification == [
-        "Balanced", "Unbalanced", "Indeterminate", "Indeterminate"]
+    L = 1.0 - np.exp(-t)
+    assert _classify(L, t) == "Balanced"
+
+
+def test_linear_growth_is_unbalanced():
+    t = np.linspace(0.0, 100.0, 401)
+    assert _classify(0.5 * t, t) == "Unbalanced"
+
+
+def test_flat_but_huge_L_is_not_balanced():
+    t = np.linspace(0.0, 100.0, 401)
+    L = np.full_like(t, 60.0)
+    assert _classify(L, t, L_cap=50.0) != "Balanced"
+
+
+def test_slow_creep_is_indeterminate():
+    t = np.linspace(0.0, 100.0, 401)
+    # tail slope of 5e-3 sits between eps and 10 eps
+    assert _classify(5e-3 * t, t) == "Indeterminate"
 
 
 def test_tail_slope_reads_the_final_quarter_of_a_late_run():

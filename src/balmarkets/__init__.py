@@ -43,7 +43,6 @@ from .jump_markets import (
     drift_from_balance_jump,
     example_death_of_company,
     growth_optimal_jump,
-    loss_of_balance_jump,
     simulate_jump_balanced,
 )
 from .scenario_cli import BUILTINS, parse_config, replay_summary, run_scenario
@@ -82,7 +81,6 @@ __all__ = [
     "drift_from_balance_jump",
     "example_death_of_company",
     "growth_optimal_jump",
-    "loss_of_balance_jump",
     "simulate_jump_balanced",
     "BUILTINS",
     "parse_config",

@@ -12,7 +12,12 @@ The central object is the loss-of-balance process
 where ``g*`` is the best growth rate over the closed simplex and
 ``g^kappa`` the market portfolio's.  ``L`` is flat exactly when the market
 weights are martingales; its tail slope drives the Balanced / Unbalanced /
-Indeterminate call.
+Indeterminate call.  :func:`loss_of_balance` measures it for continuous
+and jump markets alike: under a jump law the rate is the generalized one,
+``-rel(kappa | rho) + 0.5 <kappa-rho, c (kappa-rho)>`` plus the
+compensator integral of ``1 ∧ log^2((1+<kappa,x>)/(1+<rho,x>))``, with
+``rho`` from :func:`~balmarkets.jump_markets.growth_optimal_jump`, and
+both markets share one certificate, one rate check and one accumulation.
 """
 
 from __future__ import annotations
@@ -26,16 +31,19 @@ from .errors import (
     HorizonTooShort,
     ShapeMismatch,
     SingularCovariance,
+    SolverFailure,
 )
-from .growth_opt import growth_optimal_constrained, growth_rate
+from .growth_opt import _GAP_TOL, growth_optimal_constrained, growth_rate
 from .jump_markets import (
     DEATH_THRESHOLD,
+    JumpMoments,
     JumpSpec,
     LifetimeRecord,
-    _clamped_rates,
     _growth_optimal_rows,
     _moments,
     drift_from_balance_jump,
+    growth_optimal_jump,
+    rel_rate_of_return,
 )
 from .market_model import (
     ConstraintKind,
@@ -43,7 +51,13 @@ from .market_model import (
     ProcessSpec,
     covariance_rows,
 )
-from .sde_engine import PathSet, _format_g17, _path_blocks, _write_hashed
+from .sde_engine import (
+    _BLOCK_STEPS,
+    PathSet,
+    _format_g17,
+    _path_blocks,
+    _write_hashed,
+)
 
 __all__ = [
     "BalanceReport",
@@ -142,7 +156,7 @@ class BalanceReport:
     def write_json(self, path) -> str:
         """Write the summary as JSON; returns the file's sha256."""
         text = json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
-        return _write_hashed(path, text + "\n")
+        return _write_hashed(path, [text + "\n"])
 
 
 def _coeffs_at(t: float, a_spec, c_spec, r_spec, d: int):
@@ -154,25 +168,33 @@ def _coeffs_at(t: float, a_spec, c_spec, r_spec, d: int):
     )
 
 
-def _growth_gap_grid(
+def _rate_spec(ps: PathSet, r_spec: ProcessSpec | None) -> ProcessSpec:
+    """``r_spec``, else the path set's own rate, else zero."""
+    if r_spec is not None:
+        return r_spec
+    return ps.r_spec if ps.r_spec is not None else ProcessSpec.constant(0.0)
+
+
+def _loss_rate_grid(
     ps: PathSet,
     a_spec: ProcessSpec | None,
     r_spec: ProcessSpec,
     constraint: ConstraintSet,
+    jump_spec: JumpSpec | None,
+    lifetimes: LifetimeRecord | None,
 ) -> np.ndarray:
-    """(n_paths, n_stored) array of ``g* - g^kappa`` at the stored states;
-    constant coefficients take one block of paths at a time.
-
-    ``a_spec=None`` means the balanced drift ``a = c kappa + r 1``.
-    """
+    """(n_paths, n_stored) array of the rates of :func:`loss_of_balance`
+    at the stored states; the left-endpoint rule never reads the last
+    time, whose column stays zero.  Constant coefficients take one block
+    of paths at a time."""
     if ps.c_spec is None:
         raise ValueError("PathSet does not record its covariance spec")
     c_spec = ps.c_spec
-    times = ps.times()
+    times = ps.times()[:-1]
     kappa = ps.kappa
     d = ps.d
     a_state = a_spec is None or a_spec.depends_on_state()
-    deterministic = not (
+    deterministic = jump_spec is None and not (
         a_state or c_spec.depends_on_state() or r_spec.depends_on_state()
     )
     all_const = deterministic and all(
@@ -183,7 +205,7 @@ def _growth_gap_grid(
         a, c, r = _coeffs_at(0.0, a_spec, c_spec, r_spec, d)
         g_star = growth_optimal_constrained(a, c, r, constraint).g_star
         for p0, p1 in _path_blocks(*gap.shape):
-            gap[p0:p1] = g_star - growth_rate(kappa[p0:p1], a, c, r)
+            gap[p0:p1, :-1] = g_star - growth_rate(kappa[p0:p1, :-1], a, c, r)
         return gap
     if deterministic:
         for k, t in enumerate(times):
@@ -191,55 +213,90 @@ def _growth_gap_grid(
             g_star = growth_optimal_constrained(a, c, r, constraint).g_star
             gap[:, k] = g_star - growth_rate(kappa[:, k], a, c, r)
         return gap
-    # State-dependent coefficients, one time slab at a time.  On the closed
-    # simplex the market's growth rate is concave, so a row the shared
-    # certificate accepts is growth optimal and its gap is zero; only the
-    # other rows reach the solver.  Other constraints solve every row.
+    # One time slab at a time.  On the closed simplex the growth rate is
+    # concave, so a row the shared certificate accepts is growth optimal
+    # and its rate is zero; only the other rows reach the solver.  Other
+    # constraints solve every row.  A path's jump solve starts from its
+    # previous optimum.
     certify = constraint.kind is ConstraintKind.CLOSED_SIMPLEX
+    cutoff = np.full(ps.n_paths, np.inf)
+    if lifetimes is not None and lifetimes.budget_exhausted_time is not None:
+        cutoff = np.asarray(lifetimes.budget_exhausted_time, dtype=float)
+    warm: dict[int, np.ndarray] = {}
     for k, t in enumerate(times):
         t = float(t)
         rows = kappa[:, k]
-        ok, row = _growth_optimal_rows(rows, t, None, c_spec, a_spec, r_spec)
+        moments = (None if jump_spec is None else
+                   JumpMoments.of_rows(jump_spec, t, rows, t < cutoff))
+        ok, row = _growth_optimal_rows(rows, t, moments, c_spec, a_spec, r_spec)
         for p in np.flatnonzero(~(ok & certify)):
-            a, c, r, _ = row(p)
-            g_star = growth_optimal_constrained(a, c, r, constraint).g_star
-            gap[p, k] = g_star - growth_rate(rows[p], a, c, r)
+            a, c, r, nu = row(p)
+            kap = rows[p]
+            if jump_spec is None:
+                g_star = growth_optimal_constrained(a, c, r, constraint).g_star
+                gap[p, k] = g_star - growth_rate(kap, a, c, r)
+                continue
+            rho, _ = growth_optimal_jump(
+                a, c, r, nu, t, support=kap > DEATH_THRESHOLD,
+                warm_start=warm.get(p, kap), kappa_state=kap)
+            warm[p] = rho
+            rel = rel_rate_of_return(kap, rho, a, c, nu, r, t, kappa_state=kap)
+            rate = -rel + 0.5 * float((kap - rho) @ c @ (kap - rho))
+            if nu is not None:
+                rate += nu.log_ratio_integrand(kap, rho)
+            gap[p, k] = rate
     return gap
 
 
 def loss_of_balance(
     ps: PathSet,
     a_spec: ProcessSpec | None,
-    r_spec: ProcessSpec,
+    r_spec: ProcessSpec | None = None,
     *,
+    jump_spec: JumpSpec | None = None,
+    lifetimes: LifetimeRecord | None = None,
     constraint: ConstraintSet | None = None,
     eps_slope: float = DEFAULT_EPS_SLOPE,
     L_cap: float = DEFAULT_L_CAP,
 ) -> BalanceReport:
-    """Accumulate the growth-rate gap to the best simplex portfolio.
+    """Accumulate the loss rate of the market portfolio, with or without
+    jumps, by a left-endpoint rule on the stored grid.
 
-    Uses a left-endpoint rule on the stored grid: the increment over
-    ``[t_k, t_{k+1}]`` is ``(g*_k - g^kappa_k) * (t_{k+1} - t_k)``.  The gap
-    is nonnegative by construction (the market weight vector is feasible);
-    anything below ``-1e-12`` signals a solver failure and raises
+    Without a jump law the rate is ``g* - g^kappa``, the gap to the best
+    portfolio in ``constraint`` (default: the closed simplex).  With
+    ``jump_spec`` it is ``-rel(kappa | rho) + 0.5 <kappa-rho, c
+    (kappa-rho)> + integral of 1 ∧ log^2((1+<kappa,x>)/(1+<rho,x>)) dnu``
+    for the growth-optimal ``rho`` over the living companies of the closed
+    simplex; any other constraint raises ``ValueError``, and the run's
+    ``lifetimes`` switch the law off per path once its jump budget ran
+    out, as in the engine.  Either rate is nonnegative (the market weight
+    vector is feasible); one below ``-1e-12`` raises
     :class:`SolverFailure` naming the worst rate over all paths.
-    ``a_spec=None`` means the balanced drift ``a = c kappa + r 1``, under
-    which every path accrues exactly zero.  The gap becomes ``L`` in place,
-    a block of paths at a time, so ``L`` and one block are all it holds.
+    ``a_spec=None`` means the balanced drift, under which every path
+    accrues exactly zero; ``r_spec`` defaults to the path set's rate, else
+    zero.  The rates become ``L`` in place, a block of paths at a time.
     """
     if constraint is None:
         constraint = ConstraintSet.closed_simplex()
+    if jump_spec is not None and constraint.kind is not ConstraintKind.CLOSED_SIMPLEX:
+        raise ValueError("the jump loss of balance is over the closed simplex only")
     times = ps.times()
     dts = np.diff(times)
-    L = _growth_gap_grid(ps, a_spec, r_spec, constraint)
-    low = np.zeros(len(times))  # each stored time's lowest rate over all paths
+    L = _loss_rate_grid(ps, a_spec, _rate_spec(ps, r_spec), constraint,
+                        jump_spec, lifetimes)
+    low = np.zeros(len(dts))  # each stored time's lowest rate over all paths
     for p0, p1 in _path_blocks(*L.shape):
-        gap = L[p0:p1]
-        np.minimum(low, gap.min(axis=0), out=low)
-        np.maximum(gap, 0.0, out=gap)
-        np.cumsum(gap[:, :-1] * dts, axis=1, out=gap[:, 1:])
-        gap[:, 0] = 0.0
-    _clamped_rates(low, times)
+        rates = L[p0:p1]
+        np.minimum(low, rates[:, :-1].min(axis=0), out=low)
+        np.maximum(rates, 0.0, out=rates)
+        np.cumsum(rates[:, :-1] * dts, axis=1, out=rates[:, 1:])
+        rates[:, 0] = 0.0
+    worst = int(np.argmin(low))
+    if low[worst] < -_GAP_TOL:
+        raise SolverFailure(
+            f"growth gap fell to {low[worst]:.3e} at t={times[worst]:.6g}; "
+            "the optimizer failed to dominate the market portfolio"
+        )
     return BalanceReport.from_loss(times, L, eps_slope, L_cap)
 
 
@@ -300,9 +357,7 @@ def wealth_path(
     if ps.c_spec is None:
         raise ValueError("PathSet does not record its covariance spec")
     a_spec = a_spec if a_spec is not None else ps.a_spec
-    r_spec = r_spec if r_spec is not None else ps.r_spec
-    if r_spec is None:
-        r_spec = ProcessSpec.constant(0.0)
+    r_spec = _rate_spec(ps, r_spec)
     cov = covariance_rows(ps.c_spec, ps.d)
     n, d = ps.n_paths, ps.d
     n_steps = ps.grid.n_steps
@@ -402,8 +457,7 @@ def distance_matrix(
         horizon = float(times[-1])
     c_spec = ps.c_spec
     d = ps.d
-    if r_spec is None:
-        r_spec = ps.r_spec if ps.r_spec is not None else ProcessSpec.constant(0.0)
+    r_spec = _rate_spec(ps, r_spec)
     iu, ju = np.triu_indices(d, 1)
     e_i, e_j = np.eye(d)[iu], np.eye(d)[ju]
 
@@ -555,16 +609,23 @@ def limiting_to_csv(
     L_terminal: np.ndarray | None = None,
 ) -> str:
     """Write ``path,class,terminal_kappa_1..d,L_terminal`` rows; returns
-    the file's sha256."""
+    the file's sha256.  Rows are formatted and written ``_BLOCK_STEPS`` at
+    a time."""
     n, d = ld.terminal_kappa.shape
     if L_terminal is None:
         L_terminal = np.full(n, np.nan)
     cols = ",".join(f"terminal_kappa_{i + 1}" for i in range(d))
-    values = _format_g17(np.column_stack([ld.terminal_kappa, L_terminal]))
-    lines = [f"path,class,{cols},L_terminal\n"]
-    lines += [f"{p},{label},{row}\n" for p, (label, row) in
-              enumerate(zip(ld.labels, values.split("\n")))]
-    return _write_hashed(path, "".join(lines))
+
+    def chunks():
+        # one expression per block, so that nothing of a block outlives it
+        yield f"path,class,{cols},L_terminal\n"
+        for lo in range(0, n, _BLOCK_STEPS):
+            hi = min(lo + _BLOCK_STEPS, n)
+            yield "".join([f"{p},{label},{row}\n" for p, label, row in zip(
+                range(lo, hi), ld.labels[lo:hi], _format_g17(np.column_stack(
+                    [ld.terminal_kappa[lo:hi], L_terminal[lo:hi]])).split("\n"))])
+
+    return _write_hashed(path, chunks())
 
 
 # ---------------------------------------------------------------------------

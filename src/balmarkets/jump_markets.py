@@ -34,14 +34,15 @@ values, its diagnostics nor its time.
 
 Every compensator integral of the diagnostics comes from ``JumpMoments``,
 built once per time from the atoms and the intensity of each row.  The
-loss of balance of jump and continuous markets share one certificate,
-``_growth_optimal_rows``: it evaluates a time slab's coefficients and
-accepts each row whose relative Frank-Wolfe gap at kappa is within
-``_GAP_RTOL``, for any drift.  It solves nothing; the jump loss solves the
-rows it rejects with ``growth_optimal_jump``, which takes damped Newton
-steps whose subproblem is the growth-rate QP of ``growth_opt``, solved
-exactly by its active-set method.  The segregation distance of both
-markets is ``balance_diag.distance_matrix``, which needs no growth-optimal
+diagnostics of both markets live in ``balance_diag``; this module gives
+them their jump parts.  ``balance_diag.loss_of_balance`` certifies each
+row of a time slab with ``_growth_optimal_rows``, which evaluates the
+slab's coefficients and accepts each row whose relative Frank-Wolfe gap at
+kappa is within ``_GAP_RTOL``, for any drift.  It solves nothing; under a
+jump law the loss solves the rows it rejects with ``growth_optimal_jump``,
+which takes damped Newton steps whose subproblem is the growth-rate QP of
+``growth_opt``, solved exactly by its active-set method.  The segregation
+distance, ``balance_diag.distance_matrix``, needs no growth-optimal
 portfolio: its jump terms are :meth:`JumpMoments.log_ratio_drift` and
 :meth:`JumpMoments.log_ratio_integrand` at unit vectors.
 """
@@ -61,11 +62,7 @@ from .errors import (
     NoSolution,
     SolverFailure,
 )
-from .growth_opt import (
-    _GAP_TOL,
-    growth_optimal_constrained,
-    simplex_gap,
-)
+from .growth_opt import growth_optimal_constrained, simplex_gap
 from .market_model import ConstraintSet, PathGrid, ProcessSpec, covariance_rows
 from .sde_engine import (
     STREAM_BROWNIAN,
@@ -96,7 +93,6 @@ __all__ = [
     "drift_from_balance_jump",
     "rel_rate_of_return",
     "growth_optimal_jump",
-    "loss_of_balance_jump",
     "example_death_of_company",
     "jump_pathset_to_csv",
 ]
@@ -868,81 +864,6 @@ def _growth_optimal_rows(
         return b_p, c_p, r_p, nu
 
     return ok, row
-
-
-def _clamped_rates(rates: np.ndarray, times) -> np.ndarray:
-    """Loss rates clamped at zero in place; ``times`` broadcasts against
-    ``rates``.
-
-    The market portfolio is feasible, so a rate below ``-_GAP_TOL`` means
-    the optimizer lost to it: raises :class:`SolverFailure` with the worst
-    rate and its time.
-    """
-    worst = np.unravel_index(np.argmin(rates), rates.shape)
-    if rates[worst] < -_GAP_TOL:
-        t = np.broadcast_to(times, rates.shape)[worst]
-        raise SolverFailure(
-            f"growth gap fell to {rates[worst]:.3e} at t={t:.6g}; the "
-            "optimizer failed to dominate the market portfolio"
-        )
-    return np.maximum(rates, 0.0, out=rates)
-
-
-def loss_of_balance_jump(
-    ps: PathSet,
-    jump_spec: JumpSpec,
-    *,
-    b_spec: ProcessSpec | None = None,
-    r_spec: ProcessSpec | None = None,
-    lifetimes: LifetimeRecord | None = None,
-) -> np.ndarray:
-    """Generalized loss-of-balance along jump-market paths.
-
-    Per stored step the growth-optimal ``rho`` over the living companies
-    maximizes the jump-adjusted growth rate; the increment is
-
-        (-rel(kappa | rho) + 0.5 <kappa-rho, c (kappa-rho)>) dt
-        + integral of 1 ∧ log^2((1+<kappa,x>)/(1+<rho,x>)) dnu dt.
-
-    Whatever the drift, every row of a time slab is first certified by the
-    Frank-Wolfe gap at kappa: a certified row is its own ``rho`` and adds
-    exactly zero, and only the other rows are solved.  Without ``b_spec``
-    the drift is the balanced one (so a path from ``simulate_jump_balanced``
-    accrues exactly zero).  Passing the run's ``lifetimes`` switches the
-    jump measure off per path once its jump budget ran out, matching the
-    engine.  Returns an (n_paths, n_stored) array.
-    """
-    if ps.c_spec is None:
-        raise ValueError("PathSet does not record its covariance spec")
-    times = ps.times()
-    n, ns, _ = ps.kappa.shape
-    r_spec = r_spec if r_spec is not None else ProcessSpec.constant(0.0)
-    cutoff = np.full(n, np.inf)
-    if lifetimes is not None and lifetimes.budget_exhausted_time is not None:
-        cutoff = np.asarray(lifetimes.budget_exhausted_time, dtype=float)
-    L = np.zeros((n, ns))
-    warm: dict[int, np.ndarray] = {}
-    for k in range(ns - 1):
-        t = float(times[k])
-        dt_k = float(times[k + 1] - times[k])
-        slab = ps.kappa[:, k]
-        moments = JumpMoments.of_rows(jump_spec, t, slab, t < cutoff)
-        ok, row = _growth_optimal_rows(slab, t, moments, ps.c_spec, b_spec, r_spec)
-        rates = np.zeros(n)
-        for p in np.flatnonzero(~ok):
-            b, c, r, nu = row(p)
-            kap = slab[p]
-            rho, _ = growth_optimal_jump(
-                b, c, r, nu, t, support=kap > DEATH_THRESHOLD,
-                warm_start=warm.get(p, kap), kappa_state=kap)
-            warm[p] = rho
-            rel_k = rel_rate_of_return(kap, rho, b, c, nu, r, t, kappa_state=kap)
-            inc = -rel_k + 0.5 * float((kap - rho) @ c @ (kap - rho))
-            if nu is not None:
-                inc += nu.log_ratio_integrand(kap, rho)
-            rates[p] = inc
-        L[:, k + 1] = L[:, k] + _clamped_rates(rates, t) * dt_k
-    return L
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,6 @@ from .balance_diag import (
     DEFAULT_EPS_SLOPE,
     DEFAULT_INDETERMINATE_CAP,
     DEFAULT_L_CAP,
-    BalanceReport,
     bank_rate_statistic,
     distance_matrix,
     equivalence_classes,
@@ -51,7 +50,6 @@ from .jump_markets import (
     JumpSpec,
     example_death_of_company,
     jump_pathset_to_csv,
-    loss_of_balance_jump,
     simulate_jump_balanced,
 )
 from .market_model import MarketParams, PathGrid, ProcessSpec, check_covariance
@@ -508,7 +506,7 @@ def _sanitize(obj):
 
 def _write_json(path: str, payload: dict) -> str:
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    return _write_hashed(path, text + "\n")
+    return _write_hashed(path, [text + "\n"])
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir: str,
@@ -595,18 +593,13 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str,
         digests["paths.csv"] = pathset_to_csv(ps, csv_path)
     summary["paths"] = pathset_summary(ps)
 
-    L_full = None
+    L_term = None
     if cfg.diagnostics["balance"]:
-        eps_slope = thresholds["eps_slope"]
-        L_cap = thresholds["L_cap"]
-        if jump_spec is not None:
-            L_full = loss_of_balance_jump(ps, jump_spec, lifetimes=rec)
-            report = BalanceReport.from_loss(times, L_full, eps_slope, L_cap)
-        else:
-            report = loss_of_balance(
-                ps, a_spec, r_spec, eps_slope=eps_slope, L_cap=L_cap,
-            )
-            L_full = report.L_path
+        report = loss_of_balance(
+            ps, a_spec, r_spec, jump_spec=jump_spec, lifetimes=rec,
+            eps_slope=thresholds["eps_slope"], L_cap=thresholds["L_cap"],
+        )
+        L_term = report.L_terminal
         digests["balance.json"] = report.write_json(
             os.path.join(out_dir, "balance.json"))
         summary["balance"] = report.to_json_dict()
@@ -640,7 +633,6 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str,
             ps, thresholds["atom_eps"],
             indeterminate_cap=thresholds["indeterminate_cap"],
         )
-        L_term = None if L_full is None else L_full[:, -1]
         digests["limiting.csv"] = limiting_to_csv(
             ld, os.path.join(out_dir, "limiting.csv"), L_terminal=L_term)
         summary["limiting"] = {

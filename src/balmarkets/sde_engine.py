@@ -897,12 +897,16 @@ def _g17_pass(block: np.ndarray, scratch: _G17Scratch) -> str:
     return m8.tobytes().translate(None, b"\0").decode()
 
 
-def _write_hashed(path, text: str) -> str:
-    """Write ``text`` to ``path``; returns the sha256 of the bytes written."""
-    data = text.encode()
+def _write_hashed(path, chunks) -> str:
+    """Write the text ``chunks`` to ``path`` in order, hashing each as it
+    goes out; returns the sha256 of the bytes written."""
+    digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        fh.write(data)
-    return hashlib.sha256(data).hexdigest()
+        # map drops each chunk's text once it is encoded
+        for data in map(str.encode, chunks):
+            fh.write(data)
+            digest.update(data)
+    return digest.hexdigest()
 
 
 def _write_paths_csv(ps: PathSet, path, columns, header: str,
@@ -915,8 +919,8 @@ def _write_paths_csv(ps: PathSet, path, columns, header: str,
     so is each distinct data row: a row whose bits equal those of the row
     one stored step back (a frozen path) or one path back (a shared cohort)
     reuses that row's text, so the bytes are those of formatting every row.
-    Rows go out ``_BLOCK_STEPS`` at a time and are hashed as they are
-    written; a block looks back at most ``ns`` rows, the previous path.
+    Rows go out ``_BLOCK_STEPS`` at a time through :func:`_write_hashed`;
+    a block looks back at most ``ns`` rows, the previous path.
     The work arrays are allocated once and reused by every block.
     """
     n, ns = ps.kappa.shape[:2]
@@ -939,12 +943,10 @@ def _write_paths_csv(ps: PathSet, path, columns, header: str,
     vals = np.empty(block * width)
     cells = np.empty((block, 4), dtype=object)
     scratch = _G17Scratch(max(width, _G17_VALUES))
-    kept = 0  # window rows of the previous block; its last ones carry over
-    digest = hashlib.sha256()
-    with open(path, "wb") as fh:
-        head = (header + "\n").encode()
-        fh.write(head)
-        digest.update(head)
+
+    def chunks():
+        yield header + "\n"
+        kept = 0  # window rows of the previous block; its last ones carry over
         for lo in range(0, n * ns, _BLOCK_STEPS):
             hi = min(lo + _BLOCK_STEPS, n * ns)
             wlo = max(0, lo - ns)
@@ -995,10 +997,9 @@ def _write_paths_csv(ps: PathSet, path, columns, header: str,
                             dtype=object)
             p -= p[0]
             lead.take(p, out=c[:, 0], mode="clip")
-            chunk = "".join(c.ravel().tolist()).encode()
-            fh.write(chunk)
-            digest.update(chunk)
-    return digest.hexdigest()
+            yield "".join(c.ravel().tolist())
+
+    return _write_hashed(path, chunks())
 
 
 def _equal_back(bits: np.ndarray, lag: int, out: np.ndarray,

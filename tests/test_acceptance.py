@@ -12,7 +12,6 @@ import time
 import numpy as np
 
 from balmarkets.balance_diag import (
-    limiting_distribution,
     lln_diagnostic,
     loss_of_balance,
     wealth_path,
@@ -20,7 +19,6 @@ from balmarkets.balance_diag import (
 from balmarkets.growth_opt import (
     growth_optimal_constrained,
     growth_optimal_hyperplane,
-    growth_rate,
 )
 from balmarkets.jump_markets import example_death_of_company
 from balmarkets.market_model import (
@@ -30,7 +28,6 @@ from balmarkets.market_model import (
     ProcessSpec,
 )
 from balmarkets.scenario_cli import (
-    BUILTINS,
     parse_config,
     replay_summary,
     run_scenario,

@@ -250,7 +250,8 @@ def test_certified_loss_matches_row_by_row_solves(monkeypatch, state_c, box):
     monkeypatch.setattr(balance_diag, "growth_optimal_constrained", spy)
     rep = loss_of_balance(ps, a_spec, r_spec, constraint=constraint)
     np.testing.assert_allclose(rep.L_path, want, rtol=0.0, atol=1e-12)
-    rows = ps.kappa.reshape(-1, 3)
+    # the left-endpoint rule never reads the last stored time
+    rows = ps.kappa[:, :-1].reshape(-1, 3)
     if box:
         # the face rows gain from short sales, so nothing may be certified
         assert want[:2, -1].min() > 1e-3
@@ -444,6 +445,35 @@ def test_limiting_csv_layout(tmp_path):
     lines = f.read_text().splitlines()
     assert lines[0] == "path,class,terminal_kappa_1,terminal_kappa_2,L_terminal"
     assert lines[1] == "0,atom_1,1,0,2.5"
+
+
+def test_limiting_csv_memory_is_one_block(peak_above, tmp_path):
+    """On 10,000 paths, over two blocks, the writer holds one block of
+    rows at a time; the bytes are those of formatting every row."""
+    n = 10_000
+    rng = np.random.default_rng(41)
+    kappa = rng.dirichlet(np.ones(3), n)
+    L = rng.random(n)
+    labels = rng.choice(["atom_1", "interior", "oscillating"], n).tolist()
+
+    def write(m, name):
+        ld = balance_diag.LimitingDistribution(labels[:m], kappa[:m])
+        return peak_above(lambda: limiting_to_csv(ld, tmp_path / name, L[:m]),
+                          lambda digest: ())[1]
+
+    write(3, "warm.csv")  # imports and first-call allocations
+    one = write(sde_engine._BLOCK_STEPS, "block.csv")
+    whole = write(n, "whole.csv")
+    block_text = (tmp_path / "block.csv").stat().st_size
+    # beyond one block's peak, only the previous block's bytes, which the
+    # writer still holds while it formats the next one
+    assert whole <= one + block_text + 2**16, (whole - one) / block_text
+    rows = [f"{p},{labels[p]}," + ",".join("%.17g" % v for v in (*kappa[p], L[p]))
+            for p in range(n)]
+    text = (tmp_path / "whole.csv").read_text()
+    assert text == "\n".join(
+        ["path,class,terminal_kappa_1,terminal_kappa_2,terminal_kappa_3,"
+         "L_terminal", *rows, ""])
 
 
 # ---------------------------------------------------------------------------

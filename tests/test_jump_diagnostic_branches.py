@@ -1,9 +1,9 @@
 """Jump loss and jump distance on every coefficient branch, row by row.
 
-``loss_of_balance_jump`` is checked against an in-test loop that visits one
-path and one stored step at a time: it calls a row growth optimal when
-kappa passes the first-order test, solves it with ``growth_optimal_jump``
-otherwise, and adds the row's loss increment.  ``distance_matrix`` is
+``loss_of_balance`` under a jump law is checked against an in-test loop
+that visits one path and one stored step at a time: it calls a row growth
+optimal when kappa passes the first-order test, solves it with
+``growth_optimal_jump`` otherwise, and adds the row's loss increment.  ``distance_matrix`` is
 checked against a loop over one pair and one stored step at a time that
 works from the raw atoms, probabilities and intensity.  Each market has a
 state covariance, a state rate, a state intensity or time-dependent atoms,
@@ -18,15 +18,15 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from balmarkets import jump_markets
-from balmarkets.balance_diag import distance_matrix
+from balmarkets import balance_diag
+from balmarkets.balance_diag import distance_matrix, loss_of_balance
 from balmarkets.jump_markets import (
     ALIVE,
     DEATH_THRESHOLD,
     JumpMoments,
     JumpSpec,
     drift_from_balance_jump,
-    loss_of_balance_jump,
+    growth_optimal_jump,
     rel_rate_of_return,
     simulate_jump_balanced,
 )
@@ -225,14 +225,13 @@ def _assert_agree(got, want, lib_rows, ref_rows):
 def test_jump_loss_matches_row_by_row_reference(monkeypatch, branch, drift):
     ps, rec, spec, r_spec = _market(branch)
     b_spec = _b_spec(spec, ps.c_spec, r_spec, drift)
-    solver = jump_markets.growth_optimal_jump
     lib_rows, ref_rows = Counter(), Counter()
     want = _reference_loss(ps, rec, spec, b_spec, r_spec,
-                           _recording(solver, ref_rows))
-    monkeypatch.setattr(jump_markets, "growth_optimal_jump",
-                        _recording(solver, lib_rows))
-    got = loss_of_balance_jump(ps, spec, b_spec=b_spec, r_spec=r_spec,
-                               lifetimes=rec)
+                           _recording(growth_optimal_jump, ref_rows))
+    monkeypatch.setattr(balance_diag, "growth_optimal_jump",
+                        _recording(growth_optimal_jump, lib_rows))
+    got = loss_of_balance(ps, b_spec, r_spec, jump_spec=spec,
+                          lifetimes=rec).L_path
     n_rows = N_PATHS * (ps.kappa.shape[1] - 1)
     if drift == "balanced":
         assert not ref_rows

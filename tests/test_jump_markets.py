@@ -27,7 +27,6 @@ from balmarkets.jump_markets import (
     drift_from_balance_jump,
     example_death_of_company,
     growth_optimal_jump,
-    loss_of_balance_jump,
     rel_rate_of_return,
     simulate_jump_balanced,
 )
@@ -261,15 +260,15 @@ def test_diagnostics_read_the_jump_law_once_per_stored_time():
                                      PathGrid(dt=1e-3, n_steps=100), 4, 5,
                                      store_every=20)
     steps = ps.kappa.shape[1] - 1
-    skew = {"b_spec": ProcessSpec.constant(np.array([0.8, -0.2, 0.0])),
+    skew = {"a_spec": ProcessSpec.constant(np.array([0.8, -0.2, 0.0])),
             "r_spec": ProcessSpec.constant(0.0)}
-    for kw in ({}, skew):
+    for kw in ({"a_spec": None}, skew):
         calls.clear()
-        L = loss_of_balance_jump(ps, spec, lifetimes=rec, **kw)
+        L = loss_of_balance(ps, **kw, jump_spec=spec, lifetimes=rec).L_path
         assert calls == {"atoms": steps, "intensity": 4 * steps}
-        assert (L[:, -1] > 0.0).all() == bool(kw)
+        assert (L[:, -1] > 0.0).all() == (kw is skew)
         calls.clear()
-        D = distance_matrix(ps, kw.get("b_spec"), r_spec=kw.get("r_spec"),
+        D = distance_matrix(ps, kw["a_spec"], r_spec=kw.get("r_spec"),
                             jump_spec=spec, lifetimes=rec)
         assert D.values[np.triu_indices(3, 1)].min() > 0.0
         assert calls == {"atoms": steps, "intensity": steps}
@@ -484,7 +483,7 @@ def test_rel_rate_is_zero_against_self():
 
 def test_balanced_jump_market_accrues_no_loss():
     ps, rec = _run(n_paths=60, seed=113, store_every=50)
-    L = loss_of_balance_jump(ps, _spec(), lifetimes=rec)
+    L = loss_of_balance(ps, None, jump_spec=_spec(), lifetimes=rec).L_path
     assert L.shape == (60, 11)
     assert np.abs(L).max() <= 1e-8
 
@@ -492,8 +491,8 @@ def test_balanced_jump_market_accrues_no_loss():
 def test_loss_positive_under_wrong_drift():
     ps, rec = _run(n_paths=10, seed=127, store_every=50)
     skew = ProcessSpec.constant(np.array([0.8, -0.2, 0.0]))
-    L = loss_of_balance_jump(ps, _spec(), b_spec=skew,
-                            r_spec=ProcessSpec.constant(0.0), lifetimes=rec)
+    L = loss_of_balance(ps, skew, ProcessSpec.constant(0.0), jump_spec=_spec(),
+                        lifetimes=rec).L_path
     assert L[:, -1].min() > 0.0
     assert np.all(np.diff(L, axis=1) >= -1e-12)
 
@@ -503,22 +502,22 @@ def test_negative_loss_increment_raises_solver_failure(monkeypatch, batched):
     """An optimizer answer worse than kappa is an error, not a zero."""
     ps, rec = _run(n_paths=4, seed=127, store_every=50)
     worst = np.array([0.0, 1.0, 0.0])
-    monkeypatch.setattr(jump_markets, "growth_optimal_jump",
+    monkeypatch.setattr(balance_diag, "growth_optimal_jump",
                         lambda *args, **kw: (worst, 0.0))
     if batched:
-        kernel = jump_markets._growth_optimal_rows
+        kernel = balance_diag._growth_optimal_rows
 
         def certify_none(*args):
             ok, row = kernel(*args)
             return np.zeros_like(ok), row
 
-        monkeypatch.setattr(jump_markets, "_growth_optimal_rows", certify_none)
-        kw = {}
+        monkeypatch.setattr(balance_diag, "_growth_optimal_rows", certify_none)
+        kw = {"a_spec": None}
     else:
-        kw = {"b_spec": ProcessSpec.constant(np.array([0.8, -0.2, 0.0])),
+        kw = {"a_spec": ProcessSpec.constant(np.array([0.8, -0.2, 0.0])),
               "r_spec": ProcessSpec.constant(0.0)}
     with pytest.raises(SolverFailure, match="growth gap fell"):
-        loss_of_balance_jump(ps, _spec(), lifetimes=rec, **kw)
+        loss_of_balance(ps, **kw, jump_spec=_spec(), lifetimes=rec)
 
 
 def test_zero_intensity_jump_loss_is_the_continuous_loss():
@@ -531,14 +530,22 @@ def test_zero_intensity_jump_loss_is_the_continuous_loss():
     rate = ProcessSpec.constant(0.02)
     balanced = ProcessSpec.state_function(lambda t, k: C3 @ k + 0.02)
     for drift in (None, balanced):
-        assert not loss_of_balance_jump(ps, spec, b_spec=drift, r_spec=rate).any()
+        assert not loss_of_balance(ps, drift, rate, jump_spec=spec).L_path.any()
         assert not loss_of_balance(ps, drift, rate).L_path.any()
     tilted = ProcessSpec.state_function(
         lambda t, k: C3 @ k + 0.02 + k[0] * np.array([0.3, -0.2, 0.05]))
-    L_jump = loss_of_balance_jump(ps, spec, b_spec=tilted, r_spec=rate)
+    L_jump = loss_of_balance(ps, tilted, rate, jump_spec=spec).L_path
     L = loss_of_balance(ps, tilted, rate).L_path
     assert L[:, -1].min() > 0.0
     np.testing.assert_allclose(L_jump, L, rtol=0.0, atol=1e-12)
+
+
+def test_jump_loss_rejects_a_box_constraint():
+    ps, rec = _run(n_paths=2, seed=113, store_every=50)
+    box = ConstraintSet.box_hyperplane([-0.5] * 3, [1.5] * 3)
+    with pytest.raises(ValueError, match="closed simplex"):
+        loss_of_balance(ps, None, jump_spec=_spec(), lifetimes=rec,
+                        constraint=box)
 
 
 def _simplex_max(q, c):

@@ -145,6 +145,36 @@ def test_every_public_name_has_a_root():
     assert not rootless, f"public names with no root: {rootless}"
 
 
+def test_every_import_is_used():
+    """Each name that a file of the package or of the tests imports is
+    loaded in that file, or, in a module with ``__all__``, exported."""
+    here = os.path.dirname(__file__)
+    pkg = os.path.dirname(balmarkets.__file__)
+    unused = []
+    for folder in (pkg, here):
+        for name in sorted(os.listdir(folder)):
+            if not name.endswith(".py"):
+                continue
+            with open(os.path.join(folder, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            imported, loaded = set(), set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    imported.update((a.asname or a.name).split(".")[0]
+                                    for a in node.names)
+                elif (isinstance(node, ast.ImportFrom)
+                      and node.module != "__future__"):
+                    imported.update(a.asname or a.name for a in node.names)
+                elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    loaded.add(node.id)
+                elif (isinstance(node, ast.Assign)
+                      and any(getattr(t, "id", None) == "__all__"
+                              for t in node.targets)):
+                    loaded.update(ast.literal_eval(node.value))
+            unused += [f"{name}: {n}" for n in sorted(imported - loaded)]
+    assert not unused, f"imported but never used: {unused}"
+
+
 # ---------------------------------------------------------------------------
 # config validation
 

@@ -18,7 +18,6 @@ from .sde_engine import (
     pathset_summary,
     pathset_to_csv,
     simulate_capitalizations,
-    simulate_relative_caps_balanced,
 )
 from .growth_opt import (
     GrowthSolution,
@@ -44,6 +43,7 @@ from .jump_markets import (
     example_death_of_company,
     growth_optimal_jump,
     simulate_jump_balanced,
+    simulate_relative_caps_balanced,
 )
 from .scenario_cli import BUILTINS, parse_config, replay_summary, run_scenario
 

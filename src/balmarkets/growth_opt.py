@@ -87,27 +87,6 @@ def implied_interest_rate(a, c) -> float:
     return float((a @ cinv_ones - 1.0) / (ones @ cinv_ones))
 
 
-def _bordered_solve(c, rhs_top, rhs_sum):
-    """Solve [[c, 1], [1^T, 0]] [p; mult] = [rhs_top; rhs_sum].
-
-    Falls back to a minimum-norm least-squares solution when the bordered
-    matrix is singular; returns ``None`` if the system is inconsistent.
-    """
-    n = c.shape[0]
-    M = np.zeros((n + 1, n + 1))
-    M[:n, :n] = c
-    M[:n, n] = 1.0
-    M[n, :n] = 1.0
-    rhs = np.append(rhs_top, rhs_sum)
-    z = _checked_solve(M, rhs)
-    if z is None:
-        z, *_ = np.linalg.lstsq(M, rhs, rcond=_RCOND)
-        scale = 1.0 + float(np.abs(rhs).max(initial=0.0))
-        if np.linalg.norm(M @ z - rhs) > _CONSISTENCY_TOL * scale:
-            return None
-    return z[:n], float(z[n])
-
-
 def _checked_solve(M, rhs):
     """Direct solve that rejects garbage answers from near-singular systems.
 
@@ -139,25 +118,30 @@ def growth_optimal_hyperplane(a, c) -> tuple[np.ndarray, float]:
     """
     a = np.asarray(a, dtype=float)
     c = np.asarray(c, dtype=float)
-    sol = _bordered_solve(c, a, 1.0)
-    if sol is None:
+    d = len(a)
+    kind, rho, rate = _face_solve(c, a, np.ones(d, dtype=bool), np.zeros(d))
+    if kind == "ray":
         raise NoSolution(
             "no finite hyperplane optimizer: c rho = a - rate*1 is inconsistent"
         )
-    return sol
+    return rho, rate
 
 
 def _face_solve(c, q, free, p_fixed):
     """Minimizer or improving ray on the face with non-free coords pinned.
 
-    Returns ``("point", p)`` when the restricted bordered system has a
-    solution (then ``p`` minimizes the face objective because ``c`` is PSD),
-    or ``("ray", v)`` when it is inconsistent.  The ray is the least-squares
-    residual of the bordered system, which for an exactly symmetric system
-    has zero curvature and strictly improves the objective.  Rounding, or a
-    ``c`` symmetric only to an ulp, can tilt it off the budget hyperplane,
-    so it is projected back and scaled to unit max-norm: summing to zero,
-    it has an entry of at most -1/(n-1), which a lower bound blocks.
+    Solves the bordered system ``[[c_ff, 1], [1^T, 0]] [p_f; mult] =
+    [q_f - c_fx p_x; 1 - sum(p_x)]`` on the free coordinates ``f``, falling
+    back to a minimum-norm least-squares solution when it is singular.
+    Returns ``("point", p, mult)`` when the system has a solution (then
+    ``p`` minimizes the face objective because ``c`` is PSD), or
+    ``("ray", v, None)`` when it is inconsistent.  The ray is the
+    least-squares residual of the bordered system, which for an exactly
+    symmetric system has zero curvature and strictly improves the
+    objective.  Rounding, or a ``c`` symmetric only to an ulp, can tilt it
+    off the budget hyperplane, so it is projected back and scaled to unit
+    max-norm: summing to zero, it has an entry of at most -1/(n-1), which a
+    lower bound blocks.
     """
     d = len(q)
     p = p_fixed.copy()
@@ -180,9 +164,9 @@ def _face_solve(c, q, free, p_fixed):
         if np.linalg.norm(resid) > _CONSISTENCY_TOL * scale and ray.any():
             v = np.zeros(d)
             v[free] = ray / np.abs(ray).max()
-            return "ray", v
+            return "ray", v, None
     p[free] = z[:n]
-    return "point", p
+    return "point", p, float(z[n])
 
 
 def growth_optimal_constrained(a, c, r, constraint: ConstraintSet) -> GrowthSolution:
@@ -231,7 +215,7 @@ def growth_optimal_constrained(a, c, r, constraint: ConstraintSet) -> GrowthSolu
         free = ~(at_lo | at_hi)
         if free.any():
             p_fixed = np.where(at_lo, lo, np.where(at_hi, hi, 0.0))
-            kind, payload = _face_solve(c, q, free, p_fixed)
+            kind, payload, _ = _face_solve(c, q, free, p_fixed)
 
             if kind == "ray":
                 # Zero-curvature improving ray (singular face): ride it to

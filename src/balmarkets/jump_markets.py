@@ -12,12 +12,13 @@ A coordinate of ``x`` equal to -1 annihilates that company; the compensator
 drift can also push a weight through zero in finite time.  Either way death
 is absorbing.
 
-The continuous part of each step is the continuous engine's own kernel,
-``sde_engine._balanced_step``, fed by the same coefficient evaluator.  Jump
-times are sampled by thinning against a declared intensity bound, from a
-dedicated per-path random stream, so simulations with zero intensity
-consume exactly the same Brownian draws as the continuous engine and
-reproduce its paths bit for bit.  The candidates due inside a step are
+The continuous part of each step is the balanced kernel,
+``sde_engine._balanced_step``, fed by ``covariance_rows``; with an empty
+law this engine is the continuous one, ``simulate_relative_caps_balanced``.
+Jump times are sampled by thinning against a declared intensity bound,
+from a dedicated per-path random stream, so every law consumes the same
+Brownian draws, and one with zero intensity reproduces the continuous
+paths bit for bit.  The candidates due inside a step are
 handled together, a round at a time; each path still draws on its own
 stream in its own order, and products a batch could round differently
 stay per row.
@@ -89,6 +90,7 @@ __all__ = [
     "ALIVE",
     "CONTINUOUS_VANISH",
     "JUMP_TO_ZERO",
+    "simulate_relative_caps_balanced",
     "simulate_jump_balanced",
     "drift_from_balance_jump",
     "rel_rate_of_return",
@@ -158,7 +160,7 @@ class JumpSpec:
 
     # -- sampling ------------------------------------------------------------
 
-    def sample_jump(self, t: float, kappa: np.ndarray, rng) -> np.ndarray:
+    def sample_jump(self, t: float, rng) -> np.ndarray:
         x = self.atoms_at(t)
         k = int(self._cum_probs.searchsorted(rng.uniform(), side="right"))
         return x[min(k, len(self.probs) - 1)]
@@ -359,7 +361,8 @@ def simulate_jump_balanced(
     Returns ``(PathSet, LifetimeRecord)``.  Dead companies are frozen at
     weight zero.  The Brownian and jump draws come from separate per-path
     streams, so a spec with zero intensity reproduces
-    ``simulate_relative_caps_balanced`` exactly.  With zero covariance the
+    :func:`simulate_relative_caps_balanced` exactly; a law with
+    ``lam_max == 0`` builds no jump streams.  With zero covariance the
     paths that share a state are advanced as one cohort, all in one chunk
     (see the module docstring); every path still thins its own candidates
     on its own jump stream, so the values are those of stepping every path.
@@ -419,7 +422,7 @@ def simulate_jump_balanced(
         if draws:
             gens = path_generators(seed, STREAM_BROWNIAN, lo, hi)
             buf = np.empty(m * span * d)
-        jgens = path_generators(seed, STREAM_JUMP, lo, hi)
+        jgens = path_generators(seed, STREAM_JUMP, lo, hi) if lam_max > 0.0 else []
         zt, md, jc = zeta[lo:hi], mode[lo:hi], jump_count[lo:hi]
         fj, bo = first_jump[lo:hi], budget_out[lo:hi]
         zt[:, kappa0 == 0.0] = grid.t0
@@ -524,8 +527,7 @@ def simulate_jump_balanced(
                             # compensator once its jump budget is spent
                             factor[cspent] = 1.0
                 if diffusion:
-                    # the continuous engine's step; dead coordinates ride
-                    # along at -inf
+                    # the balanced step; dead coordinates ride along at -inf
                     c, sigma = cov(t, kl)
                     kl = ck = _balanced_step(clt, kl, dw[:, j], c, sigma, dt, diag)
                 if factor is not None:
@@ -563,7 +565,7 @@ def simulate_jump_balanced(
                     for r, (i, tau, kap) in enumerate(zip(due, taus, kaps)):
                         lam_tau = jump_spec.intensity_at(tau, kap)
                         if jgens[i].uniform() <= lam_tau / lam_max:
-                            x = jump_spec.sample_jump(tau, kap, jgens[i])
+                            x = jump_spec.sample_jump(tau, jgens[i])
                             base = 1.0 + kap @ x
                             if base <= 0.0:
                                 raise JumpDomainError(
@@ -644,6 +646,38 @@ def simulate_jump_balanced(
         budget_exhausted_time=budget_out,
     )
     return ps, rec
+
+
+def simulate_relative_caps_balanced(
+    c_spec: ProcessSpec,
+    kappa0,
+    grid: PathGrid,
+    n_paths: int,
+    seed: int,
+    *,
+    store_every: int = 1,
+    store_increments: bool = False,
+    n_threads: int = 1,
+) -> PathSet:
+    """Simulate the driftless weight dynamics on the simplex.
+
+    Walks ``log kappa_i`` with drift ``-0.5 <e_i - kappa, c (e_i - kappa)>``
+    and noise ``<e_i - kappa, sigma dW>``, renormalizing each step so every
+    state lies exactly on the simplex.  Each weight coordinate is a
+    martingale up to O(dt) discretization bias.  This is
+    :func:`simulate_jump_balanced` with an empty jump law, from a start in
+    the open simplex.
+    """
+    kappa0 = np.asarray(kappa0, dtype=float)
+    if np.any(kappa0 <= 0.0) or abs(float(kappa0.sum()) - 1.0) > 1e-9:
+        raise InconsistentInitialState(
+            f"kappa0 must lie in the open simplex, got {kappa0}"
+        )
+    empty = JumpSpec.finite_atoms(0.0, 0.0, np.zeros((1, len(kappa0))), [1.0])
+    ps, _ = simulate_jump_balanced(
+        c_spec, empty, kappa0, grid, n_paths, seed, store_every=store_every,
+        store_increments=store_increments, n_threads=n_threads)
+    return ps
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,7 @@ from .jump_markets import (
     example_death_of_company,
     jump_pathset_to_csv,
     simulate_jump_balanced,
+    simulate_relative_caps_balanced,
 )
 from .market_model import MarketParams, PathGrid, ProcessSpec, check_covariance
 from .sde_engine import (
@@ -59,7 +60,6 @@ from .sde_engine import (
     pathset_summary,
     pathset_to_csv,
     simulate_capitalizations,
-    simulate_relative_caps_balanced,
 )
 
 BUILTINS: dict[str, dict] = {
@@ -179,7 +179,9 @@ _FIELDS = (
     _Field("market.s0", "vector", "Initial capitalizations (capitalization engine).",
            minimum=0, exclusive=True, below="initial capitalizations must be positive"),
     _Field("market.kappa0", "vector", "Initial weights, summing to one "
-           "(balanced-weights and jump engines).", minimum=0, below=_SIMPLEX),
+           "(balanced-weights and jump engines); positive for the "
+           "balanced-weights engine, nonnegative for the jump engine.",
+           minimum=0, below=_SIMPLEX),
     _Field("market.d", "integer", "Number of companies; must match 'c'."),
     _Field("jump", "section", "Finite-atom jump law, compensated; model 'jump' only.",
            expect="required object for a jump model"),
@@ -396,6 +398,10 @@ def parse_config(doc: dict) -> ScenarioConfig:
             _need(market, f"market.{key}", d)
         if "kappa0" in market and abs(float(np.sum(market["kappa0"])) - 1.0) > 1e-9:
             _fail("market.kappa0", _SIMPLEX)
+        if model != "jump" and engine == "balanced_weights" and (
+                min(market["kappa0"]) <= 0.0):
+            _fail("market.kappa0", "must be positive for the balanced-weights "
+                  "engine; a zero weight needs model 'jump'")
         if model == "jump":
             if engine != "balanced_weights":
                 _fail("market.a", "jump scenarios evolve weights directly; "

@@ -1,19 +1,20 @@
-"""Path simulation engines for capitalizations and relative-cap weights.
+"""The capitalization engine, and what it shares with the weight engine.
 
-Two generators live here.  ``simulate_capitalizations`` integrates company
-capitalizations ``S`` under drift/covariance coefficients and derives the
-weight vector ``kappa = S / sum(S)``.  ``simulate_relative_caps_balanced``
-integrates the driftless weight dynamics
+``simulate_capitalizations`` integrates company capitalizations ``S``
+under drift/covariance coefficients and derives the weight vector
+``kappa = S / sum(S)``.  The driftless weight dynamics
 
     d kappa_i = kappa_i <e_i - kappa, sigma dW>
 
-directly on the simplex (each weight is a martingale).
+(each weight a martingale) are the weight engine of ``jump_markets`` with
+an empty jump law (``simulate_relative_caps_balanced``).  Its step kernel,
+``_balanced_step``, lives here beside the draws, chunks and path writer
+that both engines use.
 
 Both engines walk log-coordinates with an Euler step, so states stay
 positive by construction, and both draw their noise from per-path
-counter-based streams keyed by ``(seed, stream, path_index)``.  One step
-kernel, ``_balanced_step``, advances the balanced weights here and in the
-jump engine, and every coefficient is evaluated through
+counter-based streams keyed by ``(seed, stream, path_index)``.  Every
+coefficient is evaluated through
 ``ProcessSpec.rows``/``covariance_rows``: a constant or time-table
 coefficient is one matrix shared by all rows (one gemm per step), a
 state function gives one matrix per row (one product per row).  With
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InconsistentInitialState, NumericalOverflow
+from .errors import NumericalOverflow
 from .market_model import (
     MarketParams,
     PathGrid,
@@ -47,13 +48,13 @@ from .market_model import (
 __all__ = [
     "PathSet",
     "simulate_capitalizations",
-    "simulate_relative_caps_balanced",
     "pathset_to_csv",
     "pathset_summary",
 ]
 
-# Sub-stream labels; the jump engine reuses BROWNIAN so that a jump market
-# with intensity zero reproduces the continuous engine path-for-path.
+# Sub-stream labels; a path's Brownian draws do not depend on its jump
+# draws, so a jump law with intensity zero leaves the paths of the
+# balanced dynamics unchanged.
 STREAM_BROWNIAN = 0
 STREAM_JUMP = 1
 
@@ -457,82 +458,6 @@ def _weights(logs: np.ndarray, out: np.ndarray) -> np.ndarray:
     w /= _company_sum(w)
     out[...] = np.moveaxis(w, 0, -1)
     return out
-
-
-def simulate_relative_caps_balanced(
-    c_spec: ProcessSpec,
-    kappa0,
-    grid: PathGrid,
-    n_paths: int,
-    seed: int,
-    *,
-    store_every: int = 1,
-    store_increments: bool = False,
-    n_threads: int = 1,
-) -> PathSet:
-    """Simulate the driftless weight dynamics on the simplex.
-
-    Walks ``log kappa_i`` with drift ``-0.5 <e_i - kappa, c (e_i - kappa)>``
-    and noise ``<e_i - kappa, sigma dW>``, renormalizing each step so every
-    state lies exactly on the simplex.  Each weight coordinate is a
-    martingale up to O(dt) discretization bias.  The workers share
-    ``_BLOCK_VALUES`` draws, in blocks of steps (:func:`_block_steps`).
-    """
-    kappa0 = np.asarray(kappa0, dtype=float)
-    d = len(kappa0)
-    if np.any(kappa0 <= 0.0) or abs(float(kappa0.sum()) - 1.0) > 1e-9:
-        raise InconsistentInitialState(
-            f"kappa0 must lie in the open simplex, got {kappa0}"
-        )
-    kappa0 = kappa0 / kappa0.sum()
-    if store_increments and store_every != 1:
-        raise ValueError("increments can only be stored at full resolution")
-
-    stored = _stored_steps(grid.n_steps, store_every)
-    stored_pos = {int(s): i for i, s in enumerate(stored)}
-    kappa_out = np.empty((n_paths, len(stored), d))
-    inc_out = (
-        np.empty((n_paths, grid.n_steps, d)) if store_increments else None
-    )
-
-    cov = covariance_rows(c_spec, d)
-    sqrt_dt = np.sqrt(grid.dt)
-    dt = grid.dt
-    workers = _n_workers(n_paths, n_threads)
-
-    def worker(lo: int, hi: int) -> EngineDiagnostics:
-        m = hi - lo
-        diag = EngineDiagnostics()
-        gens = path_generators(seed, STREAM_BROWNIAN, lo, hi)
-        lt = np.tile(np.log(kappa0)[:, None], (1, m))  # company-major
-        kappa = np.tile(kappa0, (m, 1))
-        kappa_out[lo:hi, 0] = kappa0
-        span = _block_steps(m, d, grid.n_steps, workers)
-        buf = np.empty(m * span * d)
-        for step in range(0, grid.n_steps, span):
-            blk = min(span, grid.n_steps - step)
-            dw = _draw_block(gens, buf, blk, d, sqrt_dt)
-            if inc_out is not None:
-                inc_out[lo:hi, step : step + blk] = dw
-            for j in range(blk):
-                c, sigma = cov(grid.t0 + (step + j) * dt, kappa)
-                kappa = _balanced_step(lt, kappa, dw[:, j], c, sigma, dt, diag)
-                idx = stored_pos.get(step + j + 1)
-                if idx is not None:
-                    kappa_out[lo:hi, idx] = kappa
-        return diag
-
-    diag = _run_chunked(worker, n_paths, n_threads)
-    return PathSet(
-        grid=grid,
-        n_paths=n_paths,
-        seed=seed,
-        kappa=kappa_out,
-        stored_steps=stored,
-        brownian_increments=inc_out,
-        c_spec=c_spec,
-        diagnostics=diag,
-    )
 
 
 def simulate_capitalizations(

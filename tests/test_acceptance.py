@@ -20,7 +20,10 @@ from balmarkets.growth_opt import (
     growth_optimal_constrained,
     growth_optimal_hyperplane,
 )
-from balmarkets.jump_markets import example_death_of_company
+from balmarkets.jump_markets import (
+    example_death_of_company,
+    simulate_relative_caps_balanced,
+)
 from balmarkets.market_model import (
     ConstraintSet,
     MarketParams,
@@ -32,10 +35,7 @@ from balmarkets.scenario_cli import (
     replay_summary,
     run_scenario,
 )
-from balmarkets.sde_engine import (
-    simulate_capitalizations,
-    simulate_relative_caps_balanced,
-)
+from balmarkets.sde_engine import simulate_capitalizations
 
 
 def _verdict(num, ok, detail):

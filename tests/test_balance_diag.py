@@ -21,6 +21,7 @@ from balmarkets.balance_diag import (
 )
 from balmarkets.errors import HorizonTooShort, ShapeMismatch, SolverFailure
 from balmarkets.growth_opt import growth_optimal_constrained, growth_rate
+from balmarkets.jump_markets import simulate_relative_caps_balanced
 from balmarkets.market_model import (
     ConstraintSet,
     MarketParams,
@@ -31,7 +32,6 @@ from balmarkets.sde_engine import (
     EngineDiagnostics,
     PathSet,
     simulate_capitalizations,
-    simulate_relative_caps_balanced,
 )
 
 C3 = np.array([

@@ -109,7 +109,7 @@ def _per_row_reference(spec, kappa0, grid, n_paths, seed, store_every):
             while next_tau[i] <= t_end:
                 tau = next_tau[i]
                 if jgens[i].uniform() <= spec.intensity_at(tau, kappa[i]) / lam_max:
-                    x = spec.sample_jump(tau, kappa[i], jgens[i])
+                    x = spec.sample_jump(tau, jgens[i])
                     base = 1.0 + kappa[i] @ x
                     if base <= 0.0:
                         raise ValueError("jump size annihilates the whole market")

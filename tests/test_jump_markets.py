@@ -13,6 +13,7 @@ from balmarkets.balance_diag import distance_matrix, loss_of_balance
 from balmarkets.errors import (
     BalmarketsError,
     DimensionMismatch,
+    InconsistentInitialState,
     JumpDomainError,
     SolverFailure,
 )
@@ -29,6 +30,7 @@ from balmarkets.jump_markets import (
     growth_optimal_jump,
     rel_rate_of_return,
     simulate_jump_balanced,
+    simulate_relative_caps_balanced,
 )
 from balmarkets.growth_opt import (
     growth_optimal_constrained,
@@ -36,7 +38,6 @@ from balmarkets.growth_opt import (
     simplex_gap,
 )
 from balmarkets.market_model import ConstraintSet, PathGrid, ProcessSpec
-from balmarkets.sde_engine import simulate_relative_caps_balanced
 
 C3 = np.array([
     [0.09, 0.02, 0.01],
@@ -338,6 +339,22 @@ def test_zero_intensity_reproduces_continuous_engine_bitwise():
     np.testing.assert_array_equal(with_jumps.kappa, plain.kappa)
     assert rec.jump_count.sum() == 0
     assert np.all(rec.death_mode == ALIVE)
+
+
+def test_balanced_engine_starts_in_the_open_simplex():
+    grid = PathGrid(dt=1e-3, n_steps=1000)
+    k0 = np.array([0.6, 0.4, 0.0])
+    with pytest.raises(InconsistentInitialState, match="open simplex"):
+        simulate_relative_caps_balanced(ProcessSpec.constant(C3), k0, grid, 8, 3)
+    # the jump engine it runs on takes a dead company from the start
+    empty = JumpSpec.finite_atoms(0.0, 0.0, np.zeros((1, 3)), [1.0])
+    ps, rec = simulate_jump_balanced(ProcessSpec.constant(C3), empty, k0, grid, 8, 3)
+    assert np.all(ps.kappa[:, :, 2] == 0.0)
+    assert np.all(rec.death_mode[:, 2] == CONTINUOUS_VANISH)
+    # without diffusion the weights hold kappa0 bit for bit
+    ps = simulate_relative_caps_balanced(
+        ProcessSpec.constant(np.zeros((3, 3))), K3, grid, 8, 3)
+    np.testing.assert_array_equal(ps.kappa, np.broadcast_to(K3, ps.kappa.shape))
 
 
 def test_seed_reproducibility_and_thread_invariance():

@@ -25,7 +25,10 @@ from balmarkets.errors import (
     NegativeEigenvalue,
     VersionMismatch,
 )
-from balmarkets.jump_markets import example_death_of_company
+from balmarkets.jump_markets import (
+    example_death_of_company,
+    simulate_relative_caps_balanced,
+)
 from balmarkets.market_model import MarketParams, PathGrid, ProcessSpec
 from balmarkets.scenario_cli import (
     _DEFAULT_DIAGNOSTICS,
@@ -40,10 +43,7 @@ from balmarkets.scenario_cli import (
     run_scenario,
     scenario_schema,
 )
-from balmarkets.sde_engine import (
-    simulate_capitalizations,
-    simulate_relative_caps_balanced,
-)
+from balmarkets.sde_engine import simulate_capitalizations
 
 TINY_CAP = {
     "name": "tiny-cap",
@@ -626,6 +626,20 @@ def test_validate_rejects_a_covariance_that_run_rejects(tmp_path, c):
     with pytest.raises((AsymmetricCovariance, IndefiniteMatrix)):
         simulate_relative_caps_balanced(
             ProcessSpec.constant(np.array(c)), np.array([0.6, 0.4]), grid, 2, 0)
+
+
+def test_validate_rejects_a_zero_weight_that_run_rejects(tmp_path):
+    # the balanced-weights engine starts in the open simplex
+    doc = copy.deepcopy(TINY_WEIGHTS)
+    doc["market"]["kappa0"] = [1.0, 0.0]
+    with pytest.raises(ConfigParseError, match="^market.kappa0: must be positive"):
+        parse_config(copy.deepcopy(doc))
+    assert main(["validate", "--config", _write_cfg(tmp_path, doc)]) == 2
+    # a jump scenario may start with a dead company
+    doc = copy.deepcopy(TINY_JUMP)
+    doc["market"]["kappa0"] = [1.0, 0.0]
+    assert _cfg(doc).market["kappa0"] == [1.0, 0.0]
+    assert main(["validate", "--config", _write_cfg(tmp_path, doc)]) == 0
 
 
 _ROUND_TRIP_DOCS = [BUILTINS[name] for name in BUILTINS] + [

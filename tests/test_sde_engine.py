@@ -15,6 +15,7 @@ from balmarkets.jump_markets import (
     LifetimeRecord,
     jump_pathset_to_csv,
     simulate_jump_balanced,
+    simulate_relative_caps_balanced,
 )
 from balmarkets.market_model import MarketParams, PathGrid, ProcessSpec, psd_factor
 from balmarkets.sde_engine import (
@@ -25,7 +26,6 @@ from balmarkets.sde_engine import (
     path_generator,
     pathset_to_csv,
     simulate_capitalizations,
-    simulate_relative_caps_balanced,
 )
 from balmarkets.scenario_cli import BUILTINS, parse_config, run_scenario
 

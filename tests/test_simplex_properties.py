@@ -11,12 +11,13 @@ matches ``kappa0`` within five standard errors.  Runs are 100 steps to
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from balmarkets.jump_markets import JumpSpec, simulate_jump_balanced
-from balmarkets.market_model import MarketParams, PathGrid, ProcessSpec
-from balmarkets.sde_engine import (
-    simulate_capitalizations,
+from balmarkets.jump_markets import (
+    JumpSpec,
+    simulate_jump_balanced,
     simulate_relative_caps_balanced,
 )
+from balmarkets.market_model import MarketParams, PathGrid, ProcessSpec
+from balmarkets.sde_engine import simulate_capitalizations
 
 GRID = PathGrid(dt=1e-2, n_steps=100)
 KINDS = ["full", "deficient", "zero", "near_singular"]

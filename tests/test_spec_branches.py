@@ -10,14 +10,18 @@ import numpy as np
 import pytest
 
 from balmarkets.balance_diag import wealth_path
-from balmarkets.jump_markets import ALIVE, JumpSpec, simulate_jump_balanced
+from balmarkets.jump_markets import (
+    ALIVE,
+    JumpSpec,
+    simulate_jump_balanced,
+    simulate_relative_caps_balanced,
+)
 from balmarkets.market_model import MarketParams, PathGrid, ProcessSpec, psd_factor
 from balmarkets.sde_engine import (
     STREAM_BROWNIAN,
     STREAM_JUMP,
     path_generator,
     simulate_capitalizations,
-    simulate_relative_caps_balanced,
 )
 
 C3 = np.array([
@@ -113,7 +117,7 @@ def _balanced_per_step(jumps=False):
             for i in range(N_PATHS):
                 while tau[i] <= t_end:
                     assert jgens[i].uniform() <= 1.0
-                    x = spec.sample_jump(tau[i], kappa[i], jgens[i])
+                    x = spec.sample_jump(tau[i], jgens[i])
                     knew_i = kappa[i] * (1.0 + x) / (1.0 + kappa[i] @ x)
                     knew_i = knew_i / knew_i.sum()
                     kappa[i] = knew_i

@@ -20,7 +20,6 @@ from .sde_engine import (
     simulate_capitalizations,
 )
 from .growth_opt import (
-    GrowthSolution,
     growth_optimal_constrained,
     growth_optimal_hyperplane,
     growth_rate,
@@ -63,7 +62,6 @@ __all__ = [
     "pathset_to_csv",
     "simulate_capitalizations",
     "simulate_relative_caps_balanced",
-    "GrowthSolution",
     "growth_optimal_constrained",
     "growth_optimal_hyperplane",
     "growth_rate",

@@ -22,7 +22,6 @@ both markets share one certificate, one rate check and one accumulation.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -153,11 +152,6 @@ class BalanceReport:
             "slope_tail_mean": float(self.slope_tail.mean()),
         }
 
-    def write_json(self, path) -> str:
-        """Write the summary as JSON; returns the file's sha256."""
-        text = json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
-        return _write_hashed(path, [text + "\n"])
-
 
 def _coeffs_at(t: float, a_spec, c_spec, r_spec, d: int):
     """``(a, c, r)`` of specs that do not read the state, at time ``t``."""
@@ -185,32 +179,23 @@ def _loss_rate_grid(
 ) -> np.ndarray:
     """(n_paths, n_stored) array of the rates of :func:`loss_of_balance`
     at the stored states; the left-endpoint rule never reads the last
-    time, whose column stays zero.  Constant coefficients take one block
-    of paths at a time."""
+    time, whose column stays zero.  Coefficients that every row shares
+    fill one stored column at a time."""
     if ps.c_spec is None:
         raise ValueError("PathSet does not record its covariance spec")
     c_spec = ps.c_spec
     times = ps.times()[:-1]
     kappa = ps.kappa
     d = ps.d
-    a_state = a_spec is None or a_spec.depends_on_state()
-    deterministic = jump_spec is None and not (
-        a_state or c_spec.depends_on_state() or r_spec.depends_on_state()
-    )
-    all_const = deterministic and all(
-        spec.is_constant() for spec in (a_spec, c_spec, r_spec)
-    )
     gap = np.zeros(kappa.shape[:2])
-    if all_const:
-        a, c, r = _coeffs_at(0.0, a_spec, c_spec, r_spec, d)
-        g_star = growth_optimal_constrained(a, c, r, constraint).g_star
-        for p0, p1 in _path_blocks(*gap.shape):
-            gap[p0:p1, :-1] = g_star - growth_rate(kappa[p0:p1, :-1], a, c, r)
-        return gap
-    if deterministic:
+    if jump_spec is None and a_spec is not None and not any(
+            spec.depends_on_state() for spec in (a_spec, c_spec, r_spec)):
+        # one solve per stored time, and one in all for constant specs
+        constant = all(spec.is_constant() for spec in (a_spec, c_spec, r_spec))
         for k, t in enumerate(times):
-            a, c, r = _coeffs_at(float(t), a_spec, c_spec, r_spec, d)
-            g_star = growth_optimal_constrained(a, c, r, constraint).g_star
+            if k == 0 or not constant:
+                a, c, r = _coeffs_at(float(t), a_spec, c_spec, r_spec, d)
+                _, g_star = growth_optimal_constrained(a, c, r, constraint)
             gap[:, k] = g_star - growth_rate(kappa[:, k], a, c, r)
         return gap
     # One time slab at a time.  On the closed simplex the growth rate is
@@ -233,7 +218,7 @@ def _loss_rate_grid(
             a, c, r, nu = row(p)
             kap = rows[p]
             if jump_spec is None:
-                g_star = growth_optimal_constrained(a, c, r, constraint).g_star
+                _, g_star = growth_optimal_constrained(a, c, r, constraint)
                 gap[p, k] = g_star - growth_rate(kap, a, c, r)
                 continue
             rho, _ = growth_optimal_jump(

@@ -79,6 +79,10 @@ class JumpDomainError(BalmarketsError, ValueError):
     """A portfolio with jump activity has ``1 + <p, x> <= 0`` for some atom."""
 
 
+class JumpLawError(BalmarketsError, ValueError):
+    """A jump law's sizes, probabilities, bound or intensity are out of range."""
+
+
 # ---------------------------------------------------------------------------
 # diagnostics
 

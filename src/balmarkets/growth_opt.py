@@ -10,23 +10,19 @@ scalar multiplier through the linear system ``c rho = a - rate * 1``; that
 multiplier is the interest rate the market itself implies.  Maximization over
 the closed simplex or a box adds coordinate bounds and is solved exactly by a
 primal active-set method whose equality subproblem is the same bordered
-system restricted to the free coordinates.
-
-No iterative tolerance is hidden here: solutions come out of linear solves,
-so KKT residuals sit at rounding level for well-scaled inputs.
+system restricted to the free coordinates.  :func:`growth_optimal_constrained`
+returns ``(rho, g*)``, the optimizer and its growth rate, as
+:func:`~balmarkets.jump_markets.growth_optimal_jump` does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import InfeasibleConstraint, NoSolution, SingularCovariance
+from .errors import NoSolution, SingularCovariance
 from .market_model import ConstraintKind, ConstraintSet
 
 __all__ = [
-    "GrowthSolution",
     "growth_rate",
     "implied_interest_rate",
     "growth_optimal_hyperplane",
@@ -44,16 +40,6 @@ _GAP_TOL = 1e-12
 # Relative singular-value cutoff for least-squares face solves; directions
 # this flat are treated as exact degeneracies rather than inverted.
 _RCOND = 1e-12
-
-
-@dataclass(frozen=True)
-class GrowthSolution:
-    """Optimizer, its growth rate, budget multiplier, and KKT residual."""
-
-    rho: np.ndarray
-    g_star: float
-    multiplier: float
-    kkt_residual: float
 
 
 def growth_rate(pi, a, c, r) -> np.ndarray | float:
@@ -169,45 +155,32 @@ def _face_solve(c, q, free, p_fixed):
     return "point", p, float(z[n])
 
 
-def growth_optimal_constrained(a, c, r, constraint: ConstraintSet) -> GrowthSolution:
+def growth_optimal_constrained(a, c, r, constraint: ConstraintSet):
     """Exact growth maximizer over the simplex or a box-with-budget set.
 
-    Primal active-set iteration: solve the equality subproblem on the current
-    face, line-search toward it (adding the blocking bound on contact), and
-    release the bound with the most negative multiplier at a face optimum.
-    Faces with no stationary point (possible for singular ``c``) are escaped
-    along the projected gradient.
+    Returns ``(rho, g_star)``.  Primal active-set iteration: solve the
+    equality subproblem on the current face, line-search toward it (adding
+    the blocking bound on contact), and release the bound with the most
+    negative multiplier at a face optimum.  Faces with no stationary point
+    (possible for singular ``c``) are escaped along the projected gradient.
     """
     a = np.asarray(a, dtype=float)
     c = np.asarray(c, dtype=float)
     d = len(a)
     if constraint.kind is ConstraintKind.BUDGET_HYPERPLANE:
-        rho, mult = growth_optimal_hyperplane(a - r, c)
+        rho, _ = growth_optimal_hyperplane(a - r, c)
         # a - r*1 shifts the excess-return vector; g uses the external r.
-        g = growth_rate(rho, a, c, r)
-        return GrowthSolution(rho, float(g), mult + r, _kkt_residual(rho, c, a - r, None, None))
+        return rho, float(growth_rate(rho, a, c, r))
 
     if constraint.kind is ConstraintKind.CLOSED_SIMPLEX:
         lo = np.zeros(d)
         hi = np.full(d, np.inf)
     else:
-        lo, hi = constraint.lo.copy(), constraint.hi.copy()
-        if float(lo.sum()) > 1.0 + _BOUND_TOL or float(hi.sum()) < 1.0 - _BOUND_TOL:
-            raise InfeasibleConstraint("box does not intersect the budget hyperplane")
+        lo, hi = constraint.lo, constraint.hi
 
     q = a - r  # maximize <p,q> - 0.5 p'cp over the bounded face set
-    x = np.clip(np.full(d, 1.0 / d), lo, hi)
-    deficit = 1.0 - float(x.sum())
-    if abs(deficit) > _BOUND_TOL:
-        # Only reachable for boxes excluding the uniform vector, which the
-        # ConstraintSet validator rules out; kept as a safety net.
-        room = np.where(deficit > 0, hi - x, lo - x)
-        movable = np.abs(room) > _BOUND_TOL
-        if not np.any(movable):
-            raise InfeasibleConstraint("cannot find a feasible starting point")
-        x[movable] += deficit / movable.sum()
-        x = np.clip(x, lo, hi)
-
+    # every checked box contains the simplex, so the uniform start is feasible
+    x = np.full(d, 1.0 / d)
     at_lo = np.abs(x - lo) <= _BOUND_TOL
     at_hi = np.abs(x - hi) <= _BOUND_TOL
 
@@ -215,28 +188,20 @@ def growth_optimal_constrained(a, c, r, constraint: ConstraintSet) -> GrowthSolu
         free = ~(at_lo | at_hi)
         if free.any():
             p_fixed = np.where(at_lo, lo, np.where(at_hi, hi, 0.0))
-            kind, payload, _ = _face_solve(c, q, free, p_fixed)
-
-            if kind == "ray":
-                # Zero-curvature improving ray (singular face): ride it to
-                # the blocking bound, which every budget face has.
-                alpha_max, hit, side = _max_feasible_step(x, payload, lo, hi)
-                x = x + alpha_max * payload
-                at_lo[hit] = side == "lo"
-                at_hi[hit] = side == "hi"
-                x[hit] = lo[hit] if at_lo[hit] else hi[hit]
-                continue
-
-            step = payload - x
+            kind, target, _ = _face_solve(c, q, free, p_fixed)
+            # Step toward the face optimum, or along a zero-curvature
+            # improving ray (singular face) that has no end; either one
+            # stops at its blocking bound, which every budget face has.
+            step = target if kind == "ray" else target - x
             if np.linalg.norm(step, ord=np.inf) > 1e-13:
                 alpha_max, hit, side = _max_feasible_step(x, step, lo, hi)
-                if alpha_max < 1.0:
+                if alpha_max < (np.inf if kind == "ray" else 1.0):
                     x = x + alpha_max * step
                     at_lo[hit] = side == "lo"
                     at_hi[hit] = side == "hi"
                     x[hit] = lo[hit] if at_lo[hit] else hi[hit]
                     continue
-                x = payload
+                x = target
 
         # Face optimum reached: check bound multipliers.  Stationarity on
         # free coordinates reads (c x - q)_i = lam; bound multipliers are
@@ -267,12 +232,7 @@ def growth_optimal_constrained(a, c, r, constraint: ConstraintSet) -> GrowthSolu
     else:
         raise NoSolution("active-set iteration did not converge")
 
-    rho = x
-    g = growth_rate(rho, a, c, r)
-    resid = _kkt_residual(rho, c, q, lo, hi)
-    # Report the multiplier in implied-rate form: c rho = q - (mult - r) * 1
-    # on free coordinates, mirroring the hyperplane solver's convention.
-    return GrowthSolution(rho, float(g), float(r - lam), resid)
+    return x, float(growth_rate(x, a, c, r))
 
 
 def _max_feasible_step(x, step, lo, hi):
@@ -288,29 +248,6 @@ def _max_feasible_step(x, step, lo, hi):
     k = int(np.argmin(bounds))
     side = "lo" if to_lo[k] <= to_hi[k] else "hi"
     return float(max(bounds[k], 0.0)), k, side
-
-
-def _kkt_residual(p, c, q, lo, hi):
-    """Max KKT violation of p for max <p,q> - 0.5 p'cp on the bound set."""
-    grad_dual = c @ p - q
-    viol = [abs(float(p.sum()) - 1.0)]
-    if lo is None:
-        # pure hyperplane: stationarity must hold on all coordinates
-        viol.append(float(np.abs(grad_dual - grad_dual.mean()).max()))
-    else:
-        interior = (p > lo + 1e-9) & (p < hi - 1e-9)
-        viol.append(float(np.abs(np.clip(lo - p, 0.0, None)).max(initial=0.0)))
-        viol.append(float(np.abs(np.clip(p - hi, 0.0, None)).max(initial=0.0)))
-        if interior.any():
-            lam = float(grad_dual[interior].mean())
-            viol.append(float(np.abs(grad_dual[interior] - lam).max()))
-            at_lo = p <= lo + 1e-9
-            at_hi = p >= hi - 1e-9
-            if at_lo.any():
-                viol.append(float(np.clip(lam - grad_dual[at_lo], 0.0, None).max()))
-            if at_hi.any():
-                viol.append(float(np.clip(grad_dual[at_hi] - lam, 0.0, None).max()))
-    return max(viol)
 
 
 def simplex_gap(grad, x, support=None) -> np.ndarray:

@@ -60,6 +60,7 @@ from .errors import (
     DimensionMismatch,
     InconsistentInitialState,
     JumpDomainError,
+    JumpLawError,
     NoSolution,
     SolverFailure,
 )
@@ -110,6 +111,8 @@ _GAP_RTOL = 1e-10
 # Random problems with d <= 5 take at most 8 Newton steps.
 _NEWTON_MAX_ITER = 50
 _DOMAIN_FLOOR = 1e-12
+# Largest |sum(probs) - 1| of a jump law's atom probabilities.
+PROB_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -137,11 +140,11 @@ class JumpSpec:
         if not isinstance(intensity, ProcessSpec):
             intensity = ProcessSpec.constant(float(intensity))
         probs = np.asarray(probs, dtype=float)
-        if probs.ndim != 1 or np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-12:
-            raise ValueError("atom probabilities must be a distribution")
+        if probs.ndim != 1 or np.any(probs < 0) or abs(probs.sum() - 1.0) > PROB_TOL:
+            raise JumpLawError("atom probabilities must be a distribution")
         x0 = _checked_atoms(atoms(0.0) if callable(atoms) else atoms, len(probs))
         if lam_max < 0:
-            raise ValueError("lam_max must be nonnegative")
+            raise JumpLawError("lam_max must be nonnegative")
         return JumpSpec(intensity, float(lam_max), x0.shape[1],
                         atoms if callable(atoms) else x0, probs, max_jumps=max_jumps)
 
@@ -153,7 +156,7 @@ class JumpSpec:
     def intensity_at(self, t: float, kappa=None) -> float:
         lam = float(self.intensity(t, kappa))
         if lam < -1e-15 or lam > self.lam_max * (1.0 + 1e-12) + 1e-15:
-            raise ValueError(
+            raise JumpLawError(
                 f"intensity {lam} at t={t} leaves [0, lam_max={self.lam_max}]"
             )
         return min(max(lam, 0.0), self.lam_max)
@@ -179,9 +182,9 @@ def _checked_atoms(x, n_atoms: int, d: int | None = None) -> np.ndarray:
     low = x <= -1.0 + 1e-15
     if low.any():
         if (x < -1.0).any():
-            raise ValueError("jump sizes must be >= -1 in every coordinate")
+            raise JumpLawError("jump sizes must be >= -1 in every coordinate")
         if low.all(axis=1).any():
-            raise ValueError("a jump of -1 in every coordinate annihilates the market")
+            raise JumpLawError("a jump of -1 in every coordinate annihilates the market")
     return x
 
 
@@ -409,8 +412,15 @@ def simulate_jump_balanced(
     # hoist the per-step time dependence out of the hot loop: the intensity
     # and the atoms are functions of time alone unless state-dependent
     step_times = grid.t0 + dt * np.arange(grid.n_steps)
-    lam_steps = None if state_intensity else np.array(
-        [jump_spec.intensity_at(tk) for tk in step_times])
+    # a constant intensity is read, and range-checked, once
+    lam_fixed = (jump_spec.intensity_at(grid.t0)
+                 if jump_spec.intensity.is_constant() else None)
+    if state_intensity:
+        lam_steps = None
+    elif lam_fixed is not None:
+        lam_steps = np.full(grid.n_steps, lam_fixed)
+    else:
+        lam_steps = np.array([jump_spec.intensity_at(tk) for tk in step_times])
     atoms_steps = [
         jump_spec.atoms_at(tk) if lam_steps is None or lam_steps[k] > 0.0 else None
         for k, tk in enumerate(step_times)]
@@ -563,7 +573,8 @@ def simulate_jump_balanced(
                     kaps = ck[rc[due]]
                     acc, knew = [], []
                     for r, (i, tau, kap) in enumerate(zip(due, taus, kaps)):
-                        lam_tau = jump_spec.intensity_at(tau, kap)
+                        lam_tau = (lam_fixed if lam_fixed is not None
+                                   else jump_spec.intensity_at(tau, kap))
                         if jgens[i].uniform() <= lam_tau / lam_max:
                             x = jump_spec.sample_jump(tau, jgens[i])
                             base = 1.0 + kap @ x
@@ -768,9 +779,8 @@ def growth_optimal_jump(
     cs = c[np.ix_(sup, sup)]
     rho = np.zeros(d)
     if m is None:
-        sol = growth_optimal_constrained(b[sup], cs, r, simplex)
-        rho[sup] = sol.rho
-        return rho, sol.g_star
+        rho[sup], g_star = growth_optimal_constrained(b[sup], cs, r, simplex)
+        return rho, g_star
 
     # the law seen by the living companies; the truncation stays that of
     # the whole jump
@@ -799,7 +809,7 @@ def growth_optimal_jump(
             break
         xw = ms.curvature_root(den)
         h = cs + xw.T @ xw
-        step = growth_optimal_constrained(grad + h @ ps, h, 0.0, simplex).rho - ps
+        step = growth_optimal_constrained(grad + h @ ps, h, 0.0, simplex)[0] - ps
         dx = ms.inner(step)
         # the step sums to zero only up to rounding; measured from the
         # gradient's top the slope does not pick up that rounding times

@@ -183,14 +183,30 @@ class ConstraintSet:
     """Admissible portfolio set; always contains the closed simplex.
 
     The box variant intersects coordinate bounds with the full-investment
-    hyperplane.  Bounds must satisfy ``lo <= 0`` and ``hi >= 1`` per
-    coordinate so that buy-and-hold positions in single companies stay
-    admissible.
+    hyperplane.  Bounds must be finite and satisfy ``lo <= 0`` and
+    ``hi >= 1`` per coordinate so that buy-and-hold positions in single
+    companies stay admissible; a box built any other way raises.
     """
 
     kind: ConstraintKind
     lo: np.ndarray | None = None
     hi: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.kind is not ConstraintKind.BOX_HYPERPLANE:
+            return
+        lo = _freeze(np.atleast_1d(self.lo))
+        hi = _freeze(np.atleast_1d(self.hi))
+        if lo.shape != hi.shape:
+            raise DimensionMismatch("box bounds must have matching shapes")
+        if not np.all(np.isfinite(lo)) or not np.all(np.isfinite(hi)):
+            raise InfeasibleConstraint("box bounds must be finite")
+        if np.any(lo > 0.0) or np.any(hi < 1.0):
+            raise InfeasibleConstraint(
+                "box must contain the closed simplex (lo <= 0 and hi >= 1)"
+            )
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     @staticmethod
     def closed_simplex() -> "ConstraintSet":
@@ -202,16 +218,6 @@ class ConstraintSet:
 
     @staticmethod
     def box_hyperplane(lo, hi) -> "ConstraintSet":
-        lo = _freeze(np.atleast_1d(lo))
-        hi = _freeze(np.atleast_1d(hi))
-        if lo.shape != hi.shape:
-            raise DimensionMismatch("box bounds must have matching shapes")
-        if not np.all(np.isfinite(lo)) or not np.all(np.isfinite(hi)):
-            raise InfeasibleConstraint("box bounds must be finite")
-        if np.any(lo > 0.0) or np.any(hi < 1.0):
-            raise InfeasibleConstraint(
-                "box must contain the closed simplex (lo <= 0 and hi >= 1)"
-            )
         return ConstraintSet(ConstraintKind.BOX_HYPERPLANE, lo=lo, hi=hi)
 
 

@@ -47,7 +47,9 @@ from .errors import BalmarketsError, ConfigParseError, VersionMismatch
 from .growth_opt import implied_interest_rate
 from .jump_markets import (
     _EXAMPLE_MAX_DT,
+    PROB_TOL,
     JumpSpec,
+    _checked_atoms,
     example_death_of_company,
     jump_pathset_to_csv,
     simulate_jump_balanced,
@@ -415,11 +417,12 @@ def parse_config(doc: dict) -> ScenarioConfig:
                 lam_peak = max(inten["values"])
             if jump.setdefault("lam_max", lam_peak) < lam_peak:
                 _fail("jump.lam_max", "below the intensity's peak")
-            if len(jump["atoms"][0]) != d:
-                _fail("jump.atoms", f"each jump size needs {d} coordinates, "
-                                    f"got {len(jump['atoms'][0])}")
+            try:  # the law's own checks, as the jump engine runs them
+                _checked_atoms(jump["atoms"], len(jump["atoms"]), d)
+            except BalmarketsError as err:  # wrong d, or an annihilating atom
+                _fail("jump.atoms", str(err))
             probs = _need(jump, "jump.probs", len(jump["atoms"]))
-            if abs(float(np.sum(probs)) - 1.0) > 1e-9:
+            if abs(float(np.sum(probs)) - 1.0) > PROB_TOL:
                 _fail("jump.probs", _SIMPLEX)
 
     resolved = {key: val for key, val in vals.items()
@@ -606,9 +609,9 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str,
             eps_slope=thresholds["eps_slope"], L_cap=thresholds["L_cap"],
         )
         L_term = report.L_terminal
-        digests["balance.json"] = report.write_json(
-            os.path.join(out_dir, "balance.json"))
         summary["balance"] = report.to_json_dict()
+        digests["balance.json"] = _write_json(
+            os.path.join(out_dir, "balance.json"), summary["balance"])
     else:
         summary["balance"] = {"enabled": False}
 

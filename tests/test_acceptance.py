@@ -107,11 +107,11 @@ def test_02_solver_matches_exhaustive_grid():
         w = np.array([a[0], a[1], -0.5 * c[0, 0], -0.5 * c[1, 1], -c[0, 1]])
         g_grid = w @ feats2
         best = int(np.argmax(g_grid))
-        sol = growth_optimal_constrained(a, c, 0.0,
-                                         ConstraintSet.closed_simplex())
-        worst_obj = max(worst_obj, abs(sol.g_star - g_grid[best]))
+        rho, g_star = growth_optimal_constrained(
+            a, c, 0.0, ConstraintSet.closed_simplex())
+        worst_obj = max(worst_obj, abs(g_star - g_grid[best]))
         rho_grid = np.array([p[best], 1.0 - p[best]])
-        worst_arg = max(worst_arg, float(np.abs(sol.rho - rho_grid).max()))
+        worst_arg = max(worst_arg, float(np.abs(rho - rho_grid).max()))
     for _ in range(100):
         m = rng.standard_normal((3, 3))
         c = m @ m.T + 0.1 * np.eye(3)
@@ -121,11 +121,11 @@ def test_02_solver_matches_exhaustive_grid():
                       -c[0, 1], -c[0, 2], -c[1, 2]])
         g_grid = w @ feats3
         best = int(np.argmax(g_grid))
-        sol = growth_optimal_constrained(a, c, 0.0,
-                                         ConstraintSet.closed_simplex())
-        worst_obj = max(worst_obj, abs(sol.g_star - g_grid[best]))
+        rho, g_star = growth_optimal_constrained(
+            a, c, 0.0, ConstraintSet.closed_simplex())
+        worst_obj = max(worst_obj, abs(g_star - g_grid[best]))
         worst_arg = max(worst_arg,
-                        float(np.abs(sol.rho - lattice3[best]).max()))
+                        float(np.abs(rho - lattice3[best]).max()))
     elapsed = time.perf_counter() - t0
     ok = worst_obj <= 1e-5 and worst_arg <= 2e-3 and elapsed < 10.0
     _verdict(2, ok,

@@ -226,7 +226,7 @@ def _loss_by_row_solves(ps, a_spec, r_spec, constraint):
             a = np.asarray(a_spec(t, state), dtype=float)
             c = np.asarray(ps.c_spec(t, state), dtype=float)
             r = float(r_spec(t, state))
-            g_star = growth_optimal_constrained(a, c, r, constraint).g_star
+            _, g_star = growth_optimal_constrained(a, c, r, constraint)
             gap = g_star - growth_rate(state, a, c, r)
             L[p, k + 1] = L[p, k] + max(gap, 0.0) * (times[k + 1] - times[k])
     return L
@@ -263,14 +263,51 @@ def test_certified_loss_matches_row_by_row_solves(monkeypatch, state_c, box):
         assert 0 < len(solved) == tilted < len(rows)
 
 
+@pytest.mark.parametrize("box", [False, True], ids=["simplex", "box"])
+def test_shared_coefficients_solve_once_per_stored_time(monkeypatch, box):
+    """Coefficients that every row shares: a time table solves once at each
+    stored time the left-endpoint rule reads, constants once in all, and
+    both give the loss of row-by-row solves."""
+    rng = np.random.default_rng(37)
+    kappa = rng.dirichlet(np.ones(3), size=(4, 6))
+    ps = dataclasses.replace(
+        _synthetic_ps(kappa, dt=0.1, t0=0.05),
+        c_spec=ProcessSpec.time_table([0.0, 0.5], [C3, 2.0 * C3]))
+    a_spec = ProcessSpec.time_table(
+        [0.1, 0.3], [[0.3, 0.0, -0.2], [-0.4, 0.5, 0.1]])
+    r_spec = ProcessSpec.time_table([0.0, 0.4], [0.0, 0.05])
+    constraint = (ConstraintSet.box_hyperplane([-0.5] * 3, [1.5] * 3)
+                  if box else ConstraintSet.closed_simplex())
+    solved = []
+
+    def spy(a, c, r, cons):
+        solved.append(a)
+        return growth_optimal_constrained(a, c, r, cons)
+
+    for specs, n_solves in [((a_spec, r_spec), 5),
+                            ((ProcessSpec.constant(a_spec(0.0)),
+                              ProcessSpec.constant(0.02)), 1)]:
+        if n_solves == 1:
+            ps = dataclasses.replace(ps, c_spec=ProcessSpec.constant(C3))
+        want = _loss_by_row_solves(ps, *specs, constraint)
+        solved.clear()
+        monkeypatch.setattr(balance_diag, "growth_optimal_constrained", spy)
+        rep = loss_of_balance(ps, *specs, constraint=constraint)
+        monkeypatch.undo()
+        np.testing.assert_allclose(rep.L_path, want, rtol=0.0, atol=1e-12)
+        assert len(solved) == n_solves
+        # every stored time but the last adds loss
+        assert np.diff(want, axis=1)[:, :-1].min() > 1e-4
+
+
 def test_negative_growth_gap_raises_solver_failure(monkeypatch):
     params = MarketParams.from_constants(
         [0.3, 0.0], np.diag([0.04, 0.09]), 0.0, [1.0, 1.0])
     ps = simulate_capitalizations(params, PathGrid(dt=0.01, n_steps=20), 3, 5)
 
     def short_solver(a, c, r, cons):
-        sol = growth_optimal_constrained(a, c, r, cons)
-        return dataclasses.replace(sol, g_star=sol.g_star - 1.0)
+        rho, g_star = growth_optimal_constrained(a, c, r, cons)
+        return rho, g_star - 1.0
 
     monkeypatch.setattr(balance_diag, "growth_optimal_constrained",
                         short_solver)
@@ -288,8 +325,8 @@ def test_solver_failure_names_the_worst_gap_over_every_path_block():
     # leveraged states beat every simplex portfolio, so their gap is negative
     ps.kappa[1, 10] = [1.1, -0.1]
     ps.kappa[-1, 150] = [2.0, -1.0]
-    g_star = growth_optimal_constrained(
-        a, c, 0.0, ConstraintSet.closed_simplex()).g_star
+    _, g_star = growth_optimal_constrained(
+        a, c, 0.0, ConstraintSet.closed_simplex())
     worst = g_star - growth_rate([2.0, -1.0], a, c, 0.0)
     assert worst < g_star - growth_rate([1.1, -0.1], a, c, 0.0) < -1e-12
     t = ps.times()[150]

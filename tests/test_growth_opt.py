@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from balmarkets import growth_opt
 from balmarkets.errors import InfeasibleConstraint
 from balmarkets.growth_opt import (
     growth_optimal_constrained,
@@ -12,7 +13,7 @@ from balmarkets.growth_opt import (
     implied_interest_rate,
     simplex_gap,
 )
-from balmarkets.market_model import ConstraintSet
+from balmarkets.market_model import ConstraintKind, ConstraintSet
 
 
 def _random_problem(rng, d):
@@ -53,10 +54,12 @@ def test_constrained_matches_hyperplane_when_unconstrained():
         d = int(rng.integers(2, 5))
         a, c = _random_problem(rng, d)
         rho_h, g_h = growth_optimal_hyperplane(a, c)
-        sol = growth_optimal_constrained(
+        rho, _ = growth_optimal_constrained(
             a, c, implied_interest_rate(a, c), ConstraintSet.budget_hyperplane())
-        np.testing.assert_allclose(sol.rho, rho_h, atol=1e-7)
-        assert sol.kkt_residual < 1e-7
+        np.testing.assert_allclose(rho, rho_h, atol=1e-7)
+        # stationarity on the budget hyperplane: a - c rho is level
+        assert abs(rho.sum() - 1.0) < 1e-10
+        assert np.ptp(a - c @ rho) < 1e-7
 
 
 def test_simplex_constraint_activates_when_optimum_shorts():
@@ -66,9 +69,9 @@ def test_simplex_constraint_activates_when_optimum_shorts():
     c = np.diag([0.04, 0.09])
     rho_free, _ = growth_optimal_hyperplane(a, c)
     assert rho_free[0] < 0.0
-    sol = growth_optimal_constrained(a, c, 0.0, ConstraintSet.closed_simplex())
-    assert sol.rho[0] == pytest.approx(0.0, abs=1e-9)
-    assert sol.rho[1] == pytest.approx(1.0, abs=1e-9)
+    rho, _ = growth_optimal_constrained(a, c, 0.0, ConstraintSet.closed_simplex())
+    assert rho[0] == pytest.approx(0.0, abs=1e-9)
+    assert rho[1] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_constrained_never_beats_unconstrained():
@@ -78,20 +81,20 @@ def test_constrained_never_beats_unconstrained():
         a, c = _random_problem(rng, d)
         rho_free, r = growth_optimal_hyperplane(a, c)
         g_free = growth_rate(rho_free, a, c, r)
-        sol = growth_optimal_constrained(a, c, r, ConstraintSet.closed_simplex())
-        assert growth_rate(sol.rho, a, c, r) <= g_free + 1e-9
-        assert np.all(sol.rho >= -1e-12)
-        assert abs(sol.rho.sum() - 1.0) < 1e-9
+        rho, _ = growth_optimal_constrained(a, c, r, ConstraintSet.closed_simplex())
+        assert growth_rate(rho, a, c, r) <= g_free + 1e-9
+        assert np.all(rho >= -1e-12)
+        assert abs(rho.sum() - 1.0) < 1e-9
 
 
 def test_box_constraint_is_respected():
     a = np.array([2.0, 0.0, -2.0])
     c = np.eye(3)
     box = ConstraintSet.box_hyperplane([-0.25, -0.25, -0.25], [1.25, 1.25, 1.25])
-    sol = growth_optimal_constrained(a, c, 0.0, box)
-    assert np.all(sol.rho >= -0.25 - 1e-9)
-    assert np.all(sol.rho <= 1.25 + 1e-9)
-    assert abs(sol.rho.sum() - 1.0) < 1e-9
+    rho, _ = growth_optimal_constrained(a, c, 0.0, box)
+    assert np.all(rho >= -0.25 - 1e-9)
+    assert np.all(rho <= 1.25 + 1e-9)
+    assert abs(rho.sum() - 1.0) < 1e-9
 
 
 def test_infeasible_box_raises():
@@ -178,8 +181,8 @@ def test_simplex_gap_bounds_growth_shortfall(seed):
     q = rng.standard_normal(d) + rng.uniform(-3.0, 3.0)
     r = float(rng.uniform(-0.5, 0.5))
     a = q + r
-    g_star = growth_optimal_constrained(
-        a, c, r, ConstraintSet.closed_simplex()).g_star
+    rho, g_star = growth_optimal_constrained(
+        a, c, r, ConstraintSet.closed_simplex())
     x = _simplex_rows(rng, 8, d)
     grad = q - x @ c
     gap = simplex_gap(grad, x)
@@ -188,8 +191,7 @@ def test_simplex_gap_bounds_growth_shortfall(seed):
     assert np.all(gap >= shortfall - 1e-12)
     assert np.all(gap >= -1e-12)
     # the bound is tight at the optimizer: its gap is rounding level
-    sol = growth_optimal_constrained(a, c, r, ConstraintSet.closed_simplex())
-    assert simplex_gap(q - c @ sol.rho, sol.rho) <= 1e-9 * (1.0 + np.abs(q).max())
+    assert simplex_gap(q - c @ rho, rho) <= 1e-9 * (1.0 + np.abs(q).max())
 
 
 def test_simplex_gap_support_restricts_the_maximum():
@@ -224,12 +226,12 @@ def _linear_max(grad, lo, hi):
        st.sampled_from(["full", "deficient", "zero", "near_singular"]),
        st.booleans())
 def test_constrained_optimum_is_certified_for_every_rank(seed, kind, box):
-    """The active-set optimum is feasible and has a rounding-level KKT residual.
+    """The active-set optimum is feasible and optimal to rounding level.
 
-    Checked on its own terms (``kkt_residual``) and independently: the
-    Frank-Wolfe gap ``max_v <grad, v - rho>`` over the feasible polytope,
-    an upper bound on ``g* - g(rho)`` for concave ``g``, is rounding level.
-    A bounded constraint set never raises.
+    Checked independently of the solver: the Frank-Wolfe gap
+    ``max_v <grad, v - rho>`` over the feasible polytope, an upper bound on
+    ``g* - g(rho)`` for concave ``g``, is rounding level.  A bounded
+    constraint set never raises.
     """
     rng = np.random.default_rng(seed)
     d = int(rng.integers(2, 7))
@@ -243,15 +245,14 @@ def test_constrained_optimum_is_certified_for_every_rank(seed, kind, box):
     else:
         lo, hi = np.zeros(d), np.ones(d)
         constraint = ConstraintSet.closed_simplex()
-    sol = growth_optimal_constrained(q + r, c, r, constraint)
+    rho, g_star = growth_optimal_constrained(q + r, c, r, constraint)
     scale = 1.0 + np.abs(q).max() + np.abs(c).max() * (1.0 + np.abs(hi).max())
     tol = 1e-11 * scale
-    assert sol.kkt_residual <= tol
-    assert abs(sol.rho.sum() - 1.0) <= 1e-12 * d
-    assert np.all(sol.rho >= lo - 1e-12) and np.all(sol.rho <= hi + 1e-12)
-    grad = q - c @ sol.rho
-    assert _linear_max(grad, lo, hi) - grad @ sol.rho <= tol
-    assert sol.g_star == pytest.approx(growth_rate(sol.rho, q + r, c, r))
+    assert abs(rho.sum() - 1.0) <= 1e-12 * d
+    assert np.all(rho >= lo - 1e-12) and np.all(rho <= hi + 1e-12)
+    grad = q - c @ rho
+    assert _linear_max(grad, lo, hi) - grad @ rho <= tol
+    assert g_star == pytest.approx(growth_rate(rho, q + r, c, r))
 
 
 def test_ulp_asymmetric_singular_covariance_still_finds_the_optimum():
@@ -275,12 +276,28 @@ def test_ulp_asymmetric_singular_covariance_still_finds_the_optimum():
          0.5035932314644852, 0.9206273843754972],
     ])
     assert 0.0 < np.abs(c - c.T).max() < 1e-16
-    sol = growth_optimal_constrained(a, c, 0.0, ConstraintSet.closed_simplex())
-    assert sol.kkt_residual <= 1e-12
-    assert np.all(sol.rho >= 0.0) and abs(sol.rho.sum() - 1.0) <= 1e-12
-    grad = a - c @ sol.rho
-    assert simplex_gap(grad, sol.rho) <= 1e-12
-    assert sol.g_star >= growth_rate(np.full(5, 0.2), a, c, 0.0)
+    rho, g_star = growth_optimal_constrained(
+        a, c, 0.0, ConstraintSet.closed_simplex())
+    assert np.all(rho >= 0.0) and abs(rho.sum() - 1.0) <= 1e-12
+    grad = a - c @ rho
+    assert simplex_gap(grad, rho) <= 1e-12
+    assert g_star >= growth_rate(np.full(5, 0.2), a, c, 0.0)
+
+
+@pytest.mark.parametrize("q", [0.3, -0.3])
+def test_one_company_box_pins_its_weight_without_a_face_solve(monkeypatch, q):
+    """A one-company box whose upper bound is 1 starts with its only weight
+    at that bound: the solver reads the bound multiplier from the gradient
+    alone, above or below zero, and keeps the bound."""
+    def refuse(*args):
+        raise AssertionError("a face with no free coordinate was solved")
+
+    monkeypatch.setattr(growth_opt, "_face_solve", refuse)
+    box = ConstraintSet.box_hyperplane([-0.5], [1.0])
+    a, c, r = np.array([q + 0.01]), np.array([[0.04]]), 0.01
+    rho, g_star = growth_optimal_constrained(a, c, r, box)
+    assert rho.tolist() == [1.0]
+    assert g_star == growth_rate(rho, a, c, r)
 
 
 @pytest.mark.parametrize("lo, hi", [
@@ -291,3 +308,7 @@ def test_ulp_asymmetric_singular_covariance_still_finds_the_optimum():
 def test_only_boxes_without_the_simplex_raise(lo, hi):
     with pytest.raises(InfeasibleConstraint):
         ConstraintSet.box_hyperplane(lo, hi)
+    # a box built directly is checked too: the solver trusts every box
+    with pytest.raises(InfeasibleConstraint):
+        ConstraintSet(ConstraintKind.BOX_HYPERPLANE, lo=np.array(lo),
+                      hi=np.array(hi))

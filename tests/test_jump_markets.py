@@ -15,6 +15,7 @@ from balmarkets.errors import (
     DimensionMismatch,
     InconsistentInitialState,
     JumpDomainError,
+    JumpLawError,
     SolverFailure,
 )
 from balmarkets.jump_markets import (
@@ -275,6 +276,33 @@ def test_diagnostics_read_the_jump_law_once_per_stored_time():
         assert calls == {"atoms": steps, "intensity": steps}
 
 
+def test_engine_reads_a_constant_intensity_once(monkeypatch):
+    """A constant intensity is read and range-checked once per run; a time
+    table once per step and per thinning candidate.  The paths are the same."""
+    reads = Counter()
+    read = JumpSpec.intensity_at
+
+    def counting(self, t, kappa=None):
+        reads[self.intensity.kind] += 1
+        return read(self, t, kappa)
+
+    grid = PathGrid(dt=1e-3, n_steps=50)
+    flat = JumpSpec.finite_atoms(1.5, 1.5, ATOMS, PROBS)
+    table = JumpSpec.finite_atoms(
+        ProcessSpec.time_table([0.0, 1.0], [1.5, 1.5]), 1.5, ATOMS, PROBS)
+    monkeypatch.setattr(JumpSpec, "intensity_at", counting)
+    runs = [simulate_jump_balanced(ProcessSpec.constant(C3), spec, K3, grid,
+                                   3, 11)[0] for spec in (flat, table)]
+    candidates = runs[1].diagnostics.n_jump_candidates
+    assert candidates > 0
+    assert reads == {flat.intensity.kind: 1,
+                     table.intensity.kind: 50 + candidates}
+    assert np.array_equal(runs[0].kappa, runs[1].kappa)
+    over = JumpSpec.finite_atoms(2.0, 1.5, ATOMS, PROBS)
+    with pytest.raises(JumpLawError, match="leaves"):
+        simulate_jump_balanced(ProcessSpec.constant(C3), over, K3, grid, 3, 11)
+
+
 def test_batched_gradient_matches_the_reference_row_by_row():
     """A stack with per-row intensities, zero on inactive rows and a state
     intensity elsewhere, and rows up to 1e-9 from the domain's edge."""
@@ -449,9 +477,10 @@ def test_no_jump_measure_recovers_quadratic_solver():
     rng = np.random.default_rng(109)
     b = rng.standard_normal(3)
     rho_j, g_j = growth_optimal_jump(b, C3, 0.02, None)
-    sol = growth_optimal_constrained(b, C3, 0.02, ConstraintSet.closed_simplex())
-    np.testing.assert_allclose(rho_j, sol.rho, atol=1e-8)
-    assert g_j == pytest.approx(sol.g_star, abs=1e-8)
+    rho, g_star = growth_optimal_constrained(
+        b, C3, 0.02, ConstraintSet.closed_simplex())
+    np.testing.assert_allclose(rho_j, rho, atol=1e-8)
+    assert g_j == pytest.approx(g_star, abs=1e-8)
 
 
 def test_jump_solution_dominates_lattice():

@@ -20,12 +20,14 @@ import balmarkets
 from balmarkets import __version__
 from balmarkets.errors import (
     AsymmetricCovariance,
+    BalmarketsError,
     ConfigParseError,
     IndefiniteMatrix,
     NegativeEigenvalue,
     VersionMismatch,
 )
 from balmarkets.jump_markets import (
+    JumpSpec,
     example_death_of_company,
     simulate_relative_caps_balanced,
 )
@@ -116,33 +118,74 @@ def test_every_public_name_resolves():
     assert not missing
 
 
-def test_every_public_name_has_a_root():
-    """Each name in a module's ``__all__`` is loaded (as a name or an
-    attribute) somewhere in the package or in the acceptance checks, or
-    README names it: a name only its own unit test calls is dead code."""
+def _roots():
+    """Trees of the package's modules, and the names that have a root: each
+    name loaded (as a name or an attribute) in the package or in the
+    acceptance checks, and each word of README."""
     here = os.path.dirname(__file__)
     pkg = os.path.dirname(balmarkets.__file__)
     sources = [os.path.join(pkg, f) for f in sorted(os.listdir(pkg))
                if f.endswith(".py")]
-    loaded, exported = set(), set()
+    trees, loaded = [], set()
     for path in sources + [os.path.join(here, "test_acceptance.py")]:
         with open(path, encoding="utf-8") as fh:
             tree = ast.parse(fh.read())
+        if path in sources:
+            trees.append(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 loaded.add(node.id)
             elif (isinstance(node, ast.Attribute)
                   and isinstance(node.ctx, ast.Load)):
                 loaded.add(node.attr)
-            elif (path in sources and isinstance(node, ast.Assign)
-                  and any(getattr(t, "id", None) == "__all__"
-                          for t in node.targets)):
-                exported.update(ast.literal_eval(node.value))
     with open(os.path.join(here, "..", "README.md"), encoding="utf-8") as fh:
         promised = set(re.findall(r"\w+", fh.read()))
-    rootless = sorted(exported - loaded - promised)
+    return trees, loaded | promised
+
+
+def test_every_public_name_has_a_root():
+    """Each name in a module's ``__all__`` is loaded (as a name or an
+    attribute) somewhere in the package or in the acceptance checks, or
+    README names it: a name only its own unit test calls is dead code."""
+    trees, rooted = _roots()
+    exported = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Assign)
+                    and any(getattr(t, "id", None) == "__all__"
+                            for t in node.targets)):
+                exported.update(ast.literal_eval(node.value))
+    rootless = sorted(exported - rooted)
     assert len(exported) >= 40
     assert not rootless, f"public names with no root: {rootless}"
+
+
+# Members kept without a root: README promises the full-investment and the
+# box constraint sets, and these build them.
+_ROOTLESS_ON_PURPOSE = ["ConstraintSet.box_hyperplane",
+                        "ConstraintSet.budget_hyperplane"]
+
+
+def test_every_public_member_has_a_root():
+    """The same rule for the public dataclass fields, methods and
+    properties of the package's module-level classes."""
+    trees, rooted = _roots()
+    members = set()
+    for tree in trees:
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for item in cls.body:
+                name = getattr(item, "name", None) or getattr(
+                    getattr(item, "target", None), "id", None)
+                if (isinstance(item, (ast.FunctionDef, ast.AnnAssign))
+                        and not name.startswith("_")):
+                    members.add((cls.name, name))
+    rootless = sorted(f"{cls}.{name}" for cls, name in members
+                      if name not in rooted)
+    assert len(members) >= 40
+    assert rootless == _ROOTLESS_ON_PURPOSE, (
+        f"public members with no root: {rootless}")
 
 
 def test_every_import_is_used():
@@ -241,6 +284,29 @@ def test_jump_probs_must_sum_to_one():
         parse_config(doc)
 
 
+@pytest.mark.parametrize("key, value, phrase", [
+    ("atoms", [[-1.0, -1.0]], "annihilates the market"),
+    ("probs", [0.5, 0.5000000001], "sum to one"),
+], ids=["annihilating_atom", "probs_off_by_1e-10"])
+def test_validate_rejects_a_jump_law_that_run_rejects(tmp_path, key, value,
+                                                      phrase):
+    doc = copy.deepcopy(TINY_JUMP)
+    doc["jump"][key] = value
+    if key == "probs":
+        doc["jump"]["atoms"] = [[0.2, -0.1], [-0.1, 0.2]]
+    with pytest.raises(ConfigParseError, match=f"^jump.{key}: .*{phrase}"):
+        parse_config(copy.deepcopy(doc))
+    cfg = _write_cfg(tmp_path, doc)
+    assert main(["validate", "--config", cfg]) == 2
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    # the library's own check raises a typed error that is still a ValueError
+    jump = doc["jump"]
+    with pytest.raises(BalmarketsError) as err:
+        JumpSpec.finite_atoms(jump["intensity"], jump["lam_max"],
+                              jump["atoms"], jump["probs"])
+    assert isinstance(err.value, ValueError)
+
+
 def test_lam_max_must_dominate_intensity():
     doc = copy.deepcopy(TINY_JUMP)
     doc["jump"]["intensity"] = 3.0
@@ -296,6 +362,25 @@ def test_run_capitalization_scenario(tmp_path):
     assert summary["limiting"]["histogram"]
     saved = json.loads((tmp_path / "summary.json").read_text())
     assert saved["digests"] == summary["digests"]
+
+
+def test_lln_on_a_capitalization_market_reads_the_implied_rate(tmp_path):
+    """With constant coefficients the bank-rate statistic is
+    ``<1, c^-1 1> (r~ - r)^2 T`` for the market's implied rate ``r~``."""
+    doc = copy.deepcopy(TINY_CAP)
+    a, c, r = np.array([0.1, 0.05]), np.diag([0.04, 0.09]), 0.01
+    doc["market"].update(a=a.tolist(), c=c.tolist(), r=r)
+    doc["diagnostics"] = {"lln": True}
+    lln = run_scenario(_cfg(doc), str(tmp_path))["lln"]
+    w = np.linalg.solve(c, np.ones(2))
+    implied = (a @ w - 1.0) / w.sum()
+    assert implied - r > 0.04
+    assert lln["normalizer"] == pytest.approx(w.sum() * doc["grid"]["T"],
+                                              rel=1e-12)
+    assert lln["statistic"] == pytest.approx(
+        w.sum() * (implied - r) ** 2 * doc["grid"]["T"], rel=1e-12)
+    assert lln["ratio"] == pytest.approx(lln["statistic"] / lln["normalizer"])
+    assert lln["path_index"] == 0 and lln["collapsed"] is False
 
 
 def test_run_weights_scenario(tmp_path):

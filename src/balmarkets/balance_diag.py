@@ -29,7 +29,6 @@ import numpy as np
 from .errors import (
     HorizonTooShort,
     ShapeMismatch,
-    SingularCovariance,
     SolverFailure,
 )
 from .growth_opt import _GAP_TOL, growth_optimal_constrained, growth_rate
@@ -48,6 +47,7 @@ from .market_model import (
     ConstraintKind,
     ConstraintSet,
     ProcessSpec,
+    check_invertible,
     covariance_rows,
 )
 from .sde_engine import (
@@ -662,10 +662,7 @@ def bank_rate_statistic(
         state = ps.kappa[path_index, k]
         if weight is None or not c_fixed:
             c = ps.c_spec.rows(t, state, (d, d), "covariance rate c")
-            if np.linalg.cond(c) > 1e12:
-                raise SingularCovariance(
-                    f"covariance is numerically singular at t={t:.6g}"
-                )
+            check_invertible(c, f" at t={t:.6g}")
             weight = float(ones @ np.linalg.solve(c, ones))
         rt = float(r_tilde_spec.rows(t, state, (), "alternative rate"))
         rr = float(r_spec.rows(t, state, (), "interest rate r"))

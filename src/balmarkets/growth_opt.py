@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NoSolution, SingularCovariance
-from .market_model import ConstraintKind, ConstraintSet
+from .errors import NoSolution
+from .market_model import ConstraintKind, ConstraintSet, check_invertible
 
 __all__ = [
     "growth_rate",
@@ -30,7 +30,6 @@ __all__ = [
     "simplex_gap",
 ]
 
-COND_CAP = 1e12
 _CONSISTENCY_TOL = 1e-9
 _BOUND_TOL = 1e-12
 _MULT_TOL = 1e-10
@@ -59,15 +58,11 @@ def growth_rate(pi, a, c, r) -> np.ndarray | float:
 def implied_interest_rate(a, c) -> float:
     """Rate making ``c^{-1}(a - rate*1)`` a full-investment vector.
 
-    Requires an invertible covariance with condition number below 1e12.
+    Requires an invertible covariance (:func:`check_invertible`).
     """
     c = np.asarray(c, dtype=float)
     a = np.asarray(a, dtype=float)
-    if np.linalg.cond(c) > COND_CAP:
-        raise SingularCovariance(
-            "covariance condition number exceeds 1e12; "
-            "use growth_optimal_hyperplane, which tolerates singular c"
-        )
+    check_invertible(c, "; use growth_optimal_hyperplane, which tolerates singular c")
     ones = np.ones(len(a))
     cinv_ones = np.linalg.solve(c, ones)
     return float((a @ cinv_ones - 1.0) / (ones @ cinv_ones))

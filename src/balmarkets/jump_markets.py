@@ -50,8 +50,11 @@ portfolio: its jump terms are :meth:`JumpMoments.log_ratio_drift` and
 
 from __future__ import annotations
 
+import heapq
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from operator import itemgetter
 from typing import Callable
 
 import numpy as np
@@ -164,13 +167,14 @@ class JumpSpec:
     # -- sampling ------------------------------------------------------------
 
     def sample_jump(self, t: float, rng) -> np.ndarray:
+        # random() is uniform()'s double, at a quarter of the cost
         x = self.atoms_at(t)
-        k = int(self._cum_probs.searchsorted(rng.uniform(), side="right"))
+        k = bisect_right(self._cum_probs, rng.random())
         return x[min(k, len(self.probs) - 1)]
 
     @cached_property
-    def _cum_probs(self) -> np.ndarray:
-        return np.cumsum(self.probs)
+    def _cum_probs(self) -> list[float]:
+        return np.cumsum(self.probs).tolist()
 
 
 def _checked_atoms(x, n_atoms: int, d: int | None = None) -> np.ndarray:
@@ -179,8 +183,8 @@ def _checked_atoms(x, n_atoms: int, d: int | None = None) -> np.ndarray:
     if x.ndim != 2 or x.shape[0] != n_atoms or d not in (None, x.shape[1]):
         raise DimensionMismatch(
             f"jump sizes of shape {x.shape}, expected ({n_atoms}, {d or 'd'})")
-    low = x <= -1.0 + 1e-15
-    if low.any():
+    if np.fmin.reduce(x, axis=None, initial=np.inf) <= -1.0 + 1e-15:
+        low = x <= -1.0 + 1e-15
         if (x < -1.0).any():
             raise JumpLawError("jump sizes must be >= -1 in every coordinate")
         if low.all(axis=1).any():
@@ -347,6 +351,58 @@ class LifetimeRecord:
 # simulation
 
 
+def _compensator_factor(kl: np.ndarray, x_t: np.ndarray, neg: bool, probs,
+                        lam, dt: float) -> np.ndarray:
+    """``1 - (I1 - <kappa, I1>) dt`` per row of ``kl``, ``I1 = lam sum_k probs_k
+    x_k / (1 + <kappa, x_k>)``, ``lam`` one intensity or one per row.  Only a
+    ``neg``ative jump size can leave the jump domain: raises on a row with
+    jump activity there; the others never use their moment."""
+    den = kl @ x_t.T
+    den += 1.0
+    if neg:
+        bad = np.logical_or.reduce(den <= 0.0, axis=1)
+        if np.count_nonzero(bad):
+            if not isinstance(lam, np.ndarray) or np.count_nonzero(bad & (lam > 0.0)):
+                raise JumpDomainError("jump size annihilates the whole market")
+            den[bad] = 1.0
+    i1 = np.divide(probs, den, out=den) @ x_t
+    i1 *= lam[:, None] if isinstance(lam, np.ndarray) else lam
+    i1 -= np.einsum("ij,ij->i", kl, i1)[:, None]
+    i1 *= dt
+    return np.subtract(1.0, i1, out=i1)
+
+
+def _compensate(ck: np.ndarray, kl: np.ndarray, factor: np.ndarray,
+                ids: np.ndarray, weights, diag: EngineDiagnostics):
+    """Store back, times ``factor``, the rows ``kl = ck[ids]`` it moves (a spent
+    budget stays frozen bit for bit), weights below ``DEATH_THRESHOLD`` dead
+    at zero, renormalized.  Returns their positions in ``ids``, the dying
+    coordinates (or ``None``) and the company-major log-weights, or ``None``."""
+    knew = np.multiply(kl, factor, out=factor)
+    neq = knew != kl
+    rows = slice(None)
+    if np.count_nonzero(neq) < neq.size:
+        moved = np.logical_or.reduce(neq, axis=1)
+        n = np.count_nonzero(moved)
+        if not n:
+            return None
+        if n < len(moved):
+            rows = np.flatnonzero(moved)
+    ksub = knew[rows]
+    kt, dying = ksub.T, None
+    # a minimum above the threshold (so not nan): every weight lives
+    if np.minimum.reduce(ksub, axis=None) >= DEATH_THRESHOLD:
+        lt = np.log(kt, order="C")
+    else:
+        dying = ksub < DEATH_THRESHOLD
+        dying &= kl[rows] > 0.0
+        ksub[dying] = 0.0
+        lt = _log_weights(kt)
+    w = None if weights is None else weights[rows]
+    ck[ids[rows]] = _renormalize_log(lt, diag, w, ids[rows]).T
+    return rows, dying, lt
+
+
 def simulate_jump_balanced(
     c_spec: ProcessSpec,
     jump_spec: JumpSpec,
@@ -387,14 +443,18 @@ def simulate_jump_balanced(
     stored = _stored_steps(grid.n_steps, store_every)
     stored_pos = {int(s): i for i, s in enumerate(stored)}
     kappa_out = np.empty((n_paths, len(stored), d))
+    kappa_out[:, 0] = kappa0
     inc_out = np.empty((n_paths, grid.n_steps, d)) if store_increments else None
     zeta = np.full((n_paths, d), np.inf)
     mode = np.full((n_paths, d), ALIVE, dtype="<U16")
+    zeta[:, kappa0 == 0.0] = grid.t0
+    mode[:, kappa0 == 0.0] = CONTINUOUS_VANISH
     jump_count = np.zeros(n_paths, dtype=np.int64)
     first_jump = np.full(n_paths, np.nan)
     budget_out = np.full(n_paths, np.inf)
     if jump_spec.max_jumps == 0:
         budget_out[:] = grid.t0
+    records = (zeta, mode, jump_count, first_jump, budget_out)
 
     cov = covariance_rows(c_spec, d)
     # a covariance that is zero for good leaves no diffusion and no
@@ -402,73 +462,66 @@ def simulate_jump_balanced(
     # and the jumps, and the Brownian draws are skipped
     diffusion = not (c_spec.is_constant() and not cov(grid.t0, None)[0].any())
     draws = diffusion or inc_out is not None
-    budget = jump_spec.max_jumps
+    budget, lam_max = jump_spec.max_jumps, jump_spec.lam_max
     sqrt_dt = np.sqrt(grid.dt)
     dt = grid.dt
-    lam_max = jump_spec.lam_max
-    state_intensity = jump_spec.intensity.depends_on_state()
     workers = _n_workers(n_paths, n_threads) if diffusion else 1
 
     # hoist the per-step time dependence out of the hot loop: the intensity
-    # and the atoms are functions of time alone unless state-dependent
-    step_times = grid.t0 + dt * np.arange(grid.n_steps)
-    # a constant intensity is read, and range-checked, once
+    # (None where it depends on the state), and the atoms with whether one
+    # is negative where it is positive; a constant intensity is read, and
+    # range-checked, once
+    step_times = (grid.t0 + dt * np.arange(grid.n_steps)).tolist()
     lam_fixed = (jump_spec.intensity_at(grid.t0)
                  if jump_spec.intensity.is_constant() else None)
-    if state_intensity:
-        lam_steps = None
-    elif lam_fixed is not None:
-        lam_steps = np.full(grid.n_steps, lam_fixed)
-    else:
-        lam_steps = np.array([jump_spec.intensity_at(tk) for tk in step_times])
-    atoms_steps = [
-        jump_spec.atoms_at(tk) if lam_steps is None or lam_steps[k] > 0.0 else None
-        for k, tk in enumerate(step_times)]
+    lam_steps = ([lam_fixed] * grid.n_steps
+                 if lam_fixed is not None or jump_spec.intensity.depends_on_state()
+                 else [jump_spec.intensity_at(tk) for tk in step_times])
+    atoms_steps = [None] * grid.n_steps
+    for s, (tk, lam_t) in enumerate(zip(step_times, lam_steps)):
+        if lam_t is None or lam_t > 0.0:
+            x_t = jump_spec.atoms_at(tk)
+            atoms_steps[s] = x_t, np.fmin.reduce(x_t, axis=None, initial=0.0) < 0.0
 
     def worker(lo: int, hi: int) -> EngineDiagnostics:
         m = hi - lo
         diag = EngineDiagnostics(prerenorm_row_sums=np.zeros(m))
-        span = _block_steps(m, d, grid.n_steps, workers) if draws else grid.n_steps
-        if draws:
-            gens = path_generators(seed, STREAM_BROWNIAN, lo, hi)
-            buf = np.empty(m * span * d)
+        zt, md, jc, fj, bo = (a[lo:hi] for a in records)
         jgens = path_generators(seed, STREAM_JUMP, lo, hi) if lam_max > 0.0 else []
-        zt, md, jc = zeta[lo:hi], mode[lo:hi], jump_count[lo:hi]
-        fj, bo = first_jump[lo:hi], budget_out[lo:hi]
-        zt[:, kappa0 == 0.0] = grid.t0
-        md[:, kappa0 == 0.0] = CONTINUOUS_VANISH
-        kappa_out[lo:hi, 0] = kappa0
-        # pending thinning candidates; inf when the budget is exhausted
-        next_tau = np.full(m, np.inf)
-        if lam_max > 0.0 and (budget is None or budget > 0):
-            next_tau[:] = [grid.t0 + g.exponential(1.0 / lam_max) for g in jgens]
-        tau_min = next_tau.min(initial=np.inf)
+        # pending thinning candidates (time, row), one per row with budget
+        heap = ([(grid.t0 + g.exponential(1.0 / lam_max), i) for i, g in enumerate(jgens)]
+                if budget is None or budget > 0 else [])
+        heapq.heapify(heap)
         # cohorts: rows with bitwise-equal state and budget status take
         # bitwise-equal steps, so each cohort's state is stored and stepped
         # once.  Without diffusion every row starts in cohort 0 and leaves
         # it for a cohort of its own at its first accepted jump; with
         # diffusion every row is its own cohort.  A split only ever takes
         # one row out of a larger cohort, so there are at most m cohorts.
-        nc = m if diffusion else min(m, 1)
-        ck = np.empty((m, d))
-        ck[:nc] = kappa0
+        nc = m if diffusion else 1
+        ck = np.tile(kappa0, (m, 1))
         csize = np.zeros(m, dtype=np.int64)
         csize[:nc] = 1 if diffusion else m
-        cspent = np.zeros(m, dtype=bool)
-        cspent[:nc] = budget == 0
+        cspent = np.full(m, budget == 0)
         rc = np.arange(m) if diffusion else np.zeros(m, dtype=np.int64)
-        # without diffusion a spent cohort never moves again: its state joins
-        # ``kf[:nf]`` once.  BLAS rounds a one-row product differently, so a
-        # lone row is stepped or checked twice over (``kf[nf]`` is ``kf[0]``)
+        # without diffusion a spent cohort never moves again: its state
+        # joins ``kf[:nf]`` once.  BLAS rounds a one-row product
+        # differently, so a lone row is stepped or checked twice over
+        # (``kf[nf]`` is ``kf[0]``; a lone live cohort pads ``ids`` with
+        # itself at weight 0)
         kf = np.empty((m + 1, d))
         nf = int(budget == 0 and not diffusion)
         kf[: 2 * nf] = kappa0
+        # 2: the live cohorts changed; 1: only their member counts did
+        regroup = 0 if diffusion else 2
+        span = _block_steps(m, d, grid.n_steps, workers) if draws else grid.n_steps
+        if draws:
+            gens = path_generators(seed, STREAM_BROWNIAN, lo, hi)
+            buf = np.empty(m * span * d)
         if diffusion:
             # every row is live; log-weights company-major (_balanced_step)
-            ids, w, kfb = rc, None, kf[:0]
-            diag.max_live_cohorts = m
+            ids, w, diag.max_live_cohorts = rc, None, m
             clt = np.tile(_log_weights(kappa0)[:, None], (1, m))
-        regroup = not diffusion
         for step in range(0, grid.n_steps, span):
             blk = min(span, grid.n_steps - step)
             if draws:
@@ -477,61 +530,42 @@ def simulate_jump_balanced(
                     inc_out[lo:hi, step : step + blk] = dw
             for j in range(blk):
                 if regroup:
-                    # the live cohorts in id order; ``w`` weights each row
-                    # by its member paths in the defect statistics
-                    regroup = False
-                    ids = np.flatnonzero(~cspent[:nc])
-                    w = csize[ids]
-                    diag.max_live_cohorts = max(diag.max_live_cohorts, ids.size)
-                    if ids.size == 1 and m > 1:
-                        ids, w = ids.repeat(2), np.array([w[0], 0])
-                    kfb = kf[: nf + (nf == 1 and m > 1)]
+                    if regroup == 2:
+                        # the live cohorts in id order; ``w`` weights each
+                        # row by its member paths in the defect statistics
+                        ids = np.flatnonzero(~cspent[:nc])
+                        diag.max_live_cohorts = max(diag.max_live_cohorts, ids.size)
+                        pad = ids.size == 1 and m > 1
+                        ids = ids.repeat(2) if pad else ids
+                    w = csize[ids] * [1, 0] if pad else csize[ids]
+                    regroup = 0
                 s = step + j
                 t = grid.t0 + s * dt
                 t_end = grid.t0 + (s + 1) * dt
-                lam_t = None if state_intensity else lam_steps[s]
-                kl = ck if diffusion else ck[ids]
-                factor = None
-                if lam_t is None or lam_t > 0.0:
-                    x_t = atoms_steps[s]
-                    lam_rows = lam_t
-                    if lam_t is None:
+                kl, factor = ck if diffusion else ck.take(ids, axis=0), None
+                if atoms_steps[s] is not None:
+                    (x_t, neg), lam = atoms_steps[s], lam_steps[s]
+                    kfb = kf[: nf + (nf == 1 and m > 1)]
+                    if lam is None:
                         try:
-                            lam_live = np.array(
-                                [jump_spec.intensity_at(t, k) for k in kl])
-                            lam_frozen = np.array(
-                                [jump_spec.intensity_at(t, k) for k in kfb])
+                            lam = np.array([jump_spec.intensity_at(t, k) for k in kl])
+                            lam_frozen = [jump_spec.intensity_at(t, k) for k in kfb]
                         except Exception:
                             # a pure intensity raises again at the first bad
                             # row, so the error is the per-row loop's
                             for i in range(m):
                                 jump_spec.intensity_at(t, ck[rc[i]])
                             raise
-                        lam_rows = lam_live[:, None]
-                    # weights are nonnegative, so 1 + <kappa, x> >= 1 unless
-                    # some jump size is negative; a spent cohort still has
-                    # to pass the checks that its unmoved rows always passed
-                    neg = (x_t < 0.0).any()
+                    # a spent cohort still has to pass the checks that its
+                    # unmoved rows always passed
                     if nf and neg:
-                        bad = (1.0 + kfb @ x_t.T <= 0.0).any(axis=1)
-                        if lam_t is None:
-                            bad &= lam_frozen > 0.0
-                        if bad.any():
-                            raise JumpDomainError(
-                                "jump size annihilates the whole market")
+                        bad = np.logical_or.reduce(1.0 + kfb @ x_t.T <= 0.0, axis=1)
+                        if isinstance(lam, np.ndarray):
+                            bad &= np.array(lam_frozen) > 0.0
+                        if np.count_nonzero(bad):
+                            raise JumpDomainError("jump size annihilates the whole market")
                     if ids.size:
-                        # compensator factor from the left state
-                        denom = 1.0 + kl @ x_t.T
-                        bad = (denom <= 0.0).any(axis=1) if neg else None
-                        if bad is not None and bad.any():
-                            if lam_t is not None or (bad & (lam_live > 0.0)).any():
-                                raise JumpDomainError(
-                                    "jump size annihilates the whole market")
-                            # rows with zero intensity never use the moment
-                            denom[bad] = 1.0
-                        i1 = lam_rows * ((jump_spec.probs / denom) @ x_t)
-                        comp = i1 - np.einsum("ij,ij->i", kl, i1)[:, None]
-                        factor = 1.0 - comp * dt
+                        factor = _compensator_factor(kl, x_t, neg, jump_spec.probs, lam, dt)
                         if budget is not None and diffusion:
                             # a truncated point process carries no
                             # compensator once its jump budget is spent
@@ -540,96 +574,81 @@ def simulate_jump_balanced(
                     # the balanced step; dead coordinates ride along at -inf
                     c, sigma = cov(t, kl)
                     kl = ck = _balanced_step(clt, kl, dw[:, j], c, sigma, dt, diag)
-                if factor is not None:
-                    knew = kl * factor
-                    # touch only the rows the factor actually moves, so a
-                    # path with a spent jump budget stays frozen bit for bit
-                    moved = (knew != kl).any(axis=1)
-                    rows = slice(None) if moved.all() else np.flatnonzero(moved)
-                    if moved.any():
-                        ksub = knew[rows]
-                        dying = ksub < DEATH_THRESHOLD
-                        if dying.any():
-                            dying &= kl[rows] > 0.0
-                            for rr, cc in zip(*np.nonzero(dying)):
-                                members = rc == ids[rows][rr]
-                                zt[members, cc] = t_end
-                                md[members, cc] = CONTINUOUS_VANISH
-                            ksub[dying] = 0.0
-                        lsub = _log_weights(ksub).T.copy()
-                        ksub = _renormalize_log(
-                            lsub, diag, None if w is None else w[rows], ids[rows])
-                        ck[ids[rows]] = ksub.T
-                        if diffusion:
-                            clt[:, rows] = lsub
+                moved = factor is not None and _compensate(ck, kl, factor, ids, w, diag)
+                if moved:
+                    rows, dying, lt = moved
+                    for rr, cc in zip(*np.nonzero(dying)) if dying is not None else ():
+                        members = rc == ids[rows][rr]
+                        zt[members, cc] = t_end
+                        md[members, cc] = CONTINUOUS_VANISH
+                    if diffusion:
+                        clt[:, rows] = lt
                 # jump events inside (t, t_end], a round at a time: each
-                # due path draws on its own stream in its own order
+                # due row draws on its own stream in its own order
                 # (acceptance, size, next candidate), and products stay
                 # per row
-                while tau_min <= t_end:
-                    due = np.flatnonzero(next_tau <= t_end)
-                    diag.n_jump_candidates += due.size
-                    taus = next_tau[due]
-                    kaps = ck[rc[due]]
-                    acc, knew = [], []
-                    for r, (i, tau, kap) in enumerate(zip(due, taus, kaps)):
-                        lam_tau = (lam_fixed if lam_fixed is not None
-                                   else jump_spec.intensity_at(tau, kap))
-                        if jgens[i].uniform() <= lam_tau / lam_max:
+                while heap and heap[0][0] <= t_end:
+                    due = []
+                    while heap and heap[0][0] <= t_end:
+                        due.append(heapq.heappop(heap))
+                    due.sort(key=itemgetter(1))
+                    diag.n_jump_candidates += len(due)
+                    acc, knew, spent = [], [], set()
+                    for tau, i in due:
+                        kap = ck[rc[i]]
+                        lam = (lam_fixed if lam_fixed is not None
+                               else jump_spec.intensity_at(tau, kap))
+                        if jgens[i].random() <= lam / lam_max:
                             x = jump_spec.sample_jump(tau, jgens[i])
                             base = 1.0 + kap @ x
                             if base <= 0.0:
                                 raise JumpDomainError(
                                     "jump size annihilates the whole market")
-                            acc.append(r)
+                            acc.append((tau, i, kap))
                             knew.append(kap * (1.0 + x) / base)
                     if acc:
-                        ai, tau_a, kap_a = ((due, taus, kaps) if len(acc) == len(due)
-                                            else (due[acc], taus[acc], kaps[acc]))
                         knew = np.array(knew)
-                        dead = knew < DEATH_THRESHOLD
-                        if dead.any():
-                            dead &= kap_a > 0.0
-                            rr, cc = np.nonzero(dead)
-                            zt[ai[rr], cc] = tau_a[rr]
-                            md[ai[rr], cc] = JUMP_TO_ZERO
+                        if np.fmin.reduce(knew, axis=None) < DEATH_THRESHOLD:
+                            dead = knew < DEATH_THRESHOLD
+                            dead &= np.array([kap for _, _, kap in acc]) > 0.0
+                            for r, cc in zip(*np.nonzero(dead)):
+                                zt[acc[r][1], cc] = acc[r][0]
+                                md[acc[r][1], cc] = JUMP_TO_ZERO
                             knew[dead] = 0.0
-                        knew /= knew.sum(axis=1, keepdims=True)
-                        for i in ai:
-                            if csize[rc[i]] > 1:
+                        knew /= np.add.reduce(knew, axis=1, keepdims=True)
+                        diag.n_jumps_accepted += len(acc)
+                        for (tau, i, _), row in zip(acc, knew):
+                            n = jc[i] = jc[i] + 1
+                            if n == 1:
+                                fj[i] = tau
+                            c = rc[i]
+                            split = csize[c] > 1
+                            if split:
                                 # the path leaves its cohort for a new one
-                                csize[rc[i]] -= 1
-                                rc[i] = nc
+                                csize[c] -= 1
+                                rc[i] = c = nc
                                 csize[nc] = 1
                                 nc += 1
-                                regroup = True
-                        cids = rc[ai]
-                        ck[cids] = knew
-                        if diffusion:
-                            clt[:, cids] = _log_weights(knew).T
-                        diag.n_jumps_accepted += len(ai)
-                        jc[ai] = count = jc[ai] + 1
-                        fj[ai] = np.fmin(fj[ai], tau_a)  # nan before the first
-                        if budget is not None:
-                            spent = count >= budget
-                            if spent.any():
-                                cspent[cids[spent]] = True
-                                next_tau[ai[spent]] = np.inf
-                                bo[ai[spent]] = tau_a[spent]
-                                if not diffusion:
-                                    frozen = knew[spent]
-                                    kf[nf : nf + len(frozen)] = frozen
-                                    nf += len(frozen)
+                            ck[c] = row
+                            if budget is not None and n >= budget:
+                                spent.add(i)
+                                bo[i] = tau
+                                cspent[c] = True
+                            if not diffusion and (split or i in spent):
+                                # unchanged live set: a new cohort spent at once
+                                regroup = max(regroup, 1 if split and i in spent else 2)
+                                if i in spent:
+                                    kf[nf] = row
+                                    nf += 1
                                     kf[nf] = kf[0]
-                                    regroup = True
-                    nxt = due[next_tau[due] <= t_end]
-                    if nxt.size:
-                        next_tau[nxt] += [jgens[i].exponential(1.0 / lam_max)
-                                          for i in nxt]
-                    tau_min = next_tau.min()
+                        if diffusion:
+                            clt[:, [i for _, i, _ in acc]] = _log_weights(knew).T
+                    for tau, i in due:
+                        if i not in spent:
+                            heapq.heappush(heap, (tau + jgens[i].exponential(1.0 / lam_max), i))
                 idx = stored_pos.get(s + 1)
                 if idx is not None:
-                    kappa_out[lo:hi, idx] = ck if diffusion else ck[rc]
+                    kappa_out[lo:hi, idx] = ck if diffusion else ck.take(rc, axis=0)
         return diag
 
     if diffusion:

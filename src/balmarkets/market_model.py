@@ -17,7 +17,9 @@ instances can be shared freely across worker threads.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -30,6 +32,7 @@ from .errors import (
     NegativeEigenvalue,
     NonPositiveInitialCap,
     ShapeMismatch,
+    SingularCovariance,
 )
 
 __all__ = [
@@ -41,6 +44,7 @@ __all__ = [
     "PathGrid",
     "validate_params",
     "check_covariance",
+    "check_invertible",
     "psd_factor",
     "covariance_rows",
     "PSD_TOL",
@@ -49,6 +53,8 @@ __all__ = [
 # Relative tolerance for "is this matrix PSD": eigenvalues down to
 # -PSD_TOL * (1 + max|c|) are treated as rounding noise and clipped.
 PSD_TOL = 1e-10
+# Largest condition number of a covariance that is inverted.
+COND_CAP = 1e12
 
 
 class SpecKind(enum.Enum):
@@ -109,15 +115,19 @@ class ProcessSpec:
         if self.kind is SpecKind.CONSTANT:
             return self.value
         if self.kind is SpecKind.TIME_FUNCTION:
-            times, values = self.times, self.values
+            times, values = self._knots, self.values
             if t <= times[0]:
                 return values[0]
             if t >= times[-1]:
                 return values[-1]
-            j = int(times.searchsorted(t, side="right"))
+            j = bisect_right(times, t)
             w = (t - times[j - 1]) / (times[j] - times[j - 1])
             return (1.0 - w) * values[j - 1] + w * values[j]
         return self.fn(t, kappa)
+
+    @cached_property
+    def _knots(self) -> list[float]:  # bisected at a fraction of the array's cost
+        return self.times.tolist()
 
     def rows(self, t: float, kappa_rows, shape: tuple[int, ...] = (),
              name: str = "coefficient") -> np.ndarray:
@@ -303,6 +313,14 @@ def check_covariance(c: np.ndarray) -> None:
         raise NegativeEigenvalue(
             f"covariance has eigenvalue {eigs.min():.3e} below -{PSD_TOL * scale:.3e}"
         )
+
+
+def check_invertible(c: np.ndarray, context: str = "") -> None:
+    """Raise :class:`SingularCovariance` unless ``c``'s condition number is
+    at most ``COND_CAP``; ``context`` ends the message."""
+    if np.linalg.cond(c) > COND_CAP:
+        raise SingularCovariance(f"covariance is numerically singular (condition"
+                                 f" number above {COND_CAP:g}){context}")
 
 
 def psd_factor(c: np.ndarray) -> np.ndarray:

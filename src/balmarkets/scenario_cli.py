@@ -55,7 +55,7 @@ from .jump_markets import (
     simulate_jump_balanced,
     simulate_relative_caps_balanced,
 )
-from .market_model import MarketParams, PathGrid, ProcessSpec, check_covariance
+from .market_model import MarketParams, PathGrid, ProcessSpec, check_covariance, check_invertible
 from .sde_engine import (
     PathSet,
     _write_hashed,
@@ -387,7 +387,9 @@ def parse_config(doc: dict) -> ScenarioConfig:
             _fail("market.c", "a market needs at least two companies")
         try:
             check_covariance(c)
-        except BalmarketsError as err:  # asymmetric or indefinite
+            if vals["diagnostics"]["lln"]:  # the bank-rate ratio inverts c
+                check_invertible(c, "; diagnostics.lln needs an invertible c")
+        except BalmarketsError as err:  # asymmetric, indefinite or singular
             _fail("market.c", str(err))
         engine = "capitalizations" if "a" in market else "balanced_weights"
         if "a" in market and "kappa0" in market:

@@ -29,8 +29,11 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import math
 import os
+import queue
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -335,10 +338,8 @@ def _company_sum(xt: np.ndarray) -> np.ndarray:
         h = n // 2 - n // 2 % 8
         return _company_sum(xt[:h]) + _company_sum(xt[h:])
     if n < 8:
-        s = xt[0] + 0.0
-        for row in xt[1:]:
-            s += row
-        return s
+        # from a +0.0 start in row order, whichever axis numpy runs inside
+        return np.add.reduce(xt, axis=0, initial=0.0)
     r = xt[:8].copy()
     for i in range(8, n - n % 8, 8):
         r += xt[i : i + 8]
@@ -362,20 +363,20 @@ def _renormalize_log(lt: np.ndarray, diag: EngineDiagnostics,
     columns of ``lt`` add to ``diag.prerenorm_row_sums[rows]`` (repeats
     allowed), or to all of it, which the first call sizes.
     """
-    clip_mask = lt < _LOG_FLOOR
-    if clip_mask.any():
-        clip_mask &= lt > -np.inf
-        diag.n_clamped += int(clip_mask.sum())
+    # fmin skips nan: a cheap test before the clip mask is built
+    if np.fmin.reduce(lt, axis=None) < _LOG_FLOOR:
+        clip_mask = (lt < _LOG_FLOOR) & (lt > -np.inf)
+        diag.n_clamped += int(np.count_nonzero(clip_mask))
         np.copyto(lt, _LOG_FLOOR, where=clip_mask)
-    mx = lt.max(axis=0)
+    mx = np.maximum.reduce(lt, axis=0)
     s = _company_sum(np.exp(lt - mx))
     pre = np.abs(np.exp(mx) * s - 1.0)
     diag.max_prerenorm_defect = max(diag.max_prerenorm_defect, float(pre.max()))
     if weights is None:
         diag.n_prerenorm_samples += pre.size
     else:
-        diag.n_prerenorm_samples += int(weights.sum())
-        pre = pre * weights
+        diag.n_prerenorm_samples += int(np.add.reduce(weights))
+        pre *= weights
     if rows is not None:
         np.add.at(diag.prerenorm_row_sums, rows, pre)
     elif diag.prerenorm_row_sums.size:
@@ -384,7 +385,7 @@ def _renormalize_log(lt: np.ndarray, diag: EngineDiagnostics,
         diag.prerenorm_row_sums = pre
     lt -= mx + np.log(s)
     kt = np.exp(lt)
-    defect = float(np.abs(_company_sum(kt) - 1.0).max())
+    defect = float(np.maximum.reduce(np.abs(_company_sum(kt) - 1.0)))
     diag.max_simplex_defect = max(diag.max_simplex_defect, defect)
     return kt
 
@@ -823,14 +824,42 @@ def _g17_pass(block: np.ndarray, scratch: _G17Scratch) -> str:
 
 
 def _write_hashed(path, chunks) -> str:
-    """Write the text ``chunks`` to ``path`` in order, hashing each as it
-    goes out; returns the sha256 of the bytes written."""
-    digest = hashlib.sha256()
+    """Write the text ``chunks`` to ``path`` in order; returns the sha256 of
+    the bytes written.  The first two chunks (all of a JSON document or of
+    a one-block CSV) are written here, as a thread would cost more than it
+    saves; the rest pass, at most two waiting, to one helper thread that
+    writes and hashes them in order, both releasing the GIL, while the next
+    is made.  An error on either side raises here, after the helper stops."""
+    # map drops each chunk's text once it is encoded
+    digest, chunks = hashlib.sha256(), map(str.encode, chunks)
     with open(path, "wb") as fh:
-        # map drops each chunk's text once it is encoded
-        for data in map(str.encode, chunks):
+        for data in itertools.islice(chunks, 2):
             fh.write(data)
             digest.update(data)
+        if (data := next(chunks, None)) is None:
+            return digest.hexdigest()
+        pending, failed = queue.Queue(maxsize=2), []
+
+        def drain():
+            while (block := pending.get()) is not None:
+                try:
+                    if not failed:
+                        fh.write(block)
+                        digest.update(block)
+                except BaseException as err:  # raised on the calling thread
+                    failed.append(err)
+
+        helper = threading.Thread(target=drain)
+        helper.start()
+        try:
+            while data is not None and not failed:
+                pending.put(data)
+                data = next(chunks, None)
+        finally:
+            pending.put(None)
+            helper.join()
+        if failed:
+            raise failed[0]
     return digest.hexdigest()
 
 

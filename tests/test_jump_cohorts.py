@@ -219,7 +219,7 @@ def test_cohort_stepping_matches_per_row_loop(d, rate_scale, state_intensity,
             ref_diag.mean_prerenorm_defect, rel=1e-9)
 
 
-@pytest.mark.parametrize("max_jumps", [None, 2])
+@pytest.mark.parametrize("max_jumps", [None, 1, 2])
 @pytest.mark.parametrize("n_paths", [1, 2, 40])
 def test_cohort_deaths_reach_every_member(n_paths, max_jumps):
     # the death example's law: paths that have not jumped by 2 log 2 lose

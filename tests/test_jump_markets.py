@@ -303,6 +303,37 @@ def test_engine_reads_a_constant_intensity_once(monkeypatch):
         simulate_jump_balanced(ProcessSpec.constant(C3), over, K3, grid, 3, 11)
 
 
+def test_death_example_reads_its_law_once_per_step_and_jump(monkeypatch):
+    """Without diffusion the atoms are read once when the law is built, once
+    per step with positive intensity and once per accepted jump; the
+    intensity at most once per step and per candidate, plus one."""
+    reads = Counter()
+
+    def atoms(t):
+        reads["atoms"] += 1
+        return jump_markets._example_size(t)
+
+    t_death = jump_markets._T_DEATH
+    table = ProcessSpec.time_table(
+        [0.0, t_death - 1e-9, t_death, t_death + 1.0], [1.0, 1.0, 0.0, 0.0])
+    grid = PathGrid(dt=2e-3, n_steps=750)
+    active = sum(table(grid.t0 + s * grid.dt) > 0.0 for s in range(grid.n_steps))
+    call = ProcessSpec.__call__
+
+    def counting(self, t, kappa=None):
+        reads["intensity"] += self is table
+        return call(self, t, kappa)
+
+    monkeypatch.setattr(ProcessSpec, "__call__", counting)
+    spec = JumpSpec.finite_atoms(table, 1.0, atoms, [1.0], max_jumps=1)
+    diag = simulate_jump_balanced(
+        ProcessSpec.constant(np.zeros((2, 2))), spec, np.array([0.5, 0.5]),
+        grid, 40, 23, store_every=5)[0].diagnostics
+    assert 0 < diag.n_jumps_accepted < 40 and 0 < active < grid.n_steps
+    assert reads["atoms"] == 1 + active + diag.n_jumps_accepted
+    assert reads["intensity"] <= grid.n_steps + diag.n_jump_candidates + 1
+
+
 def test_batched_gradient_matches_the_reference_row_by_row():
     """A stack with per-row intensities, zero on inactive rows and a state
     intensity elsewhere, and rows up to 1e-9 from the domain's edge."""

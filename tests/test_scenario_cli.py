@@ -713,6 +713,25 @@ def test_validate_rejects_a_covariance_that_run_rejects(tmp_path, c):
             ProcessSpec.constant(np.array(c)), np.array([0.6, 0.4]), grid, 2, 0)
 
 
+def test_validate_rejects_a_singular_covariance_that_run_rejects(tmp_path):
+    # the bank-rate ratio inverts c: with lln on, both commands stop at
+    # market.c before anything is written
+    doc = {"builtin": "perfect_balance_demo", "n_paths": 3,
+           "grid": {"T": 0.01, "dt": 0.001},
+           "market": {"c": [[0.1, 0.1, 0.0], [0.1, 0.1, 0.0], [0.0, 0.0, 0.1]],
+                      "kappa0": [0.3, 0.3, 0.4], "r": 0.0}}
+    with pytest.raises(ConfigParseError, match="^market.c: .*singular"):
+        parse_config(copy.deepcopy(doc))
+    cfg = _write_cfg(tmp_path, doc)
+    assert main(["validate", "--config", cfg]) == 2
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+    # without the ratio the same market runs
+    doc["diagnostics"] = {"lln": False}
+    assert _cfg(doc).market["c"][0] == [0.1, 0.1, 0.0]
+
+
 def test_validate_rejects_a_zero_weight_that_run_rejects(tmp_path):
     # the balanced-weights engine starts in the open simplex
     doc = copy.deepcopy(TINY_WEIGHTS)

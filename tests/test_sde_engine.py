@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import threading
 from unittest import mock
 
 import numpy as np
@@ -801,3 +802,42 @@ def test_builtin_paths_csv_matches_the_per_row_writer(tmp_path, name):
     ref = (tmp_path / "ref.csv").read_bytes()
     assert (tmp_path / "run" / "paths.csv").read_bytes() == ref
     assert summary["digests"]["paths.csv"] == hashlib.sha256(ref).hexdigest()
+
+
+def test_write_hashed_raises_from_either_side_and_stops_its_helper(tmp_path):
+    # chunks are made on the calling thread; from the third on they are
+    # written and hashed on a helper thread
+    threads = threading.active_count()
+    out = tmp_path / "x.csv"
+
+    def chunks(fail_at, n=20):
+        for k in range(n):
+            if k == fail_at:
+                raise RuntimeError("formatting failed")
+            yield f"row {k}\n"
+
+    for n in (0, 1, 2, 20):
+        text = "".join(chunks(None, n))
+        assert sde_engine._write_hashed(out, chunks(None, n)) == hashlib.sha256(
+            text.encode()).hexdigest()
+        assert out.read_text() == text
+    with mock.patch.object(sde_engine.threading, "Thread", side_effect=AssertionError):
+        sde_engine._write_hashed(out, chunks(None, 2))  # no thread for two chunks
+    with pytest.raises(RuntimeError, match="formatting failed"):
+        sde_engine._write_hashed(out, chunks(7))
+    assert threading.active_count() == threads
+
+    class FailingHash:  # from the fifth chunk on, so on the helper thread
+        def __init__(self):
+            self.n = 0
+
+        def update(self, data):
+            self.n += 1
+            if self.n >= 5:
+                assert threading.current_thread() is not threading.main_thread()
+                raise OSError("hashing failed")
+
+    with mock.patch.object(sde_engine.hashlib, "sha256", FailingHash):
+        with pytest.raises(OSError, match="hashing failed"):
+            sde_engine._write_hashed(out, chunks(None))
+    assert threading.active_count() == threads

@@ -23,6 +23,10 @@ class ShapeMismatch(BalmarketsError):
     """A coefficient spec produced a value of the wrong shape."""
 
 
+class GridError(BalmarketsError, ValueError):
+    """A time grid's step or step count is not positive, finite and whole."""
+
+
 class NonPositiveInitialCap(BalmarketsError):
     """Initial capitalizations must be strictly positive."""
 
@@ -76,7 +80,8 @@ class SolverFailure(BalmarketsError):
 
 
 class JumpDomainError(BalmarketsError, ValueError):
-    """A portfolio with jump activity has ``1 + <p, x> <= 0`` for some atom."""
+    """A portfolio with jump activity has ``1 + <p, x> <= 0`` for some atom;
+    an atom of -1 in every coordinate does so for every portfolio."""
 
 
 class JumpLawError(BalmarketsError, ValueError):

@@ -144,7 +144,7 @@ class JumpSpec:
             intensity = ProcessSpec.constant(float(intensity))
         probs = np.asarray(probs, dtype=float)
         if probs.ndim != 1 or np.any(probs < 0) or abs(probs.sum() - 1.0) > PROB_TOL:
-            raise JumpLawError("atom probabilities must be a distribution")
+            raise JumpLawError("atom probabilities must be nonnegative and sum to one")
         x0 = _checked_atoms(atoms(0.0) if callable(atoms) else atoms, len(probs))
         if lam_max < 0:
             raise JumpLawError("lam_max must be nonnegative")
@@ -188,8 +188,21 @@ def _checked_atoms(x, n_atoms: int, d: int | None = None) -> np.ndarray:
         if (x < -1.0).any():
             raise JumpLawError("jump sizes must be >= -1 in every coordinate")
         if low.all(axis=1).any():
-            raise JumpLawError("a jump of -1 in every coordinate annihilates the market")
+            raise JumpDomainError("a jump of -1 in every coordinate annihilates the market")
     return x
+
+
+def _checked_kappa0(kappa0, open_simplex: bool) -> np.ndarray:
+    """``kappa0`` as a float array, checked to lie in the open simplex (every
+    weight positive) or the closed one (nonnegative), summing to one to 1e-9."""
+    kappa0 = np.asarray(kappa0, dtype=float)
+    low = kappa0 <= 0.0 if open_simplex else kappa0 < 0.0
+    if np.any(low) or not abs(float(kappa0.sum()) - 1.0) <= 1e-9:
+        raise InconsistentInitialState(
+            f"must be {'positive' if open_simplex else 'nonnegative'} and sum to "
+            f"one: kappa0 must lie in the {'open' if open_simplex else 'closed'} "
+            f"simplex, got {kappa0}")
+    return kappa0
 
 
 @dataclass(frozen=True)
@@ -405,7 +418,7 @@ def _compensate(ck: np.ndarray, kl: np.ndarray, factor: np.ndarray,
 
 def simulate_jump_balanced(
     c_spec: ProcessSpec,
-    jump_spec: JumpSpec,
+    jump_spec: JumpSpec | None,
     kappa0,
     grid: PathGrid,
     n_paths: int,
@@ -421,20 +434,19 @@ def simulate_jump_balanced(
     weight zero.  The Brownian and jump draws come from separate per-path
     streams, so a spec with zero intensity reproduces
     :func:`simulate_relative_caps_balanced` exactly; a law with
-    ``lam_max == 0`` builds no jump streams.  With zero covariance the
-    paths that share a state are advanced as one cohort, all in one chunk
-    (see the module docstring); every path still thins its own candidates
-    on its own jump stream, so the values are those of stepping every path.
+    ``lam_max == 0``, such as ``jump_spec=None`` (no jumps), builds no jump
+    streams.  With zero covariance the paths that share a state are
+    advanced as one cohort, all in one chunk (see the module docstring);
+    every path still thins its own candidates on its own jump stream, so
+    the values are those of stepping every path.
     """
-    kappa0 = np.asarray(kappa0, dtype=float)
+    kappa0 = _checked_kappa0(kappa0, open_simplex=False)
     d = len(kappa0)
+    if jump_spec is None:
+        jump_spec = JumpSpec.finite_atoms(0.0, 0.0, np.zeros((1, d)), [1.0])
     if jump_spec.d != d:
         raise DimensionMismatch(
             f"jump law is {jump_spec.d}-dimensional, market is {d}"
-        )
-    if np.any(kappa0 < 0.0) or abs(float(kappa0.sum()) - 1.0) > 1e-9:
-        raise InconsistentInitialState(
-            f"kappa0 must lie in the closed simplex, got {kappa0}"
         )
     kappa0 = kappa0 / kappa0.sum()
     if store_increments and store_every != 1:
@@ -698,15 +710,10 @@ def simulate_relative_caps_balanced(
     :func:`simulate_jump_balanced` with an empty jump law, from a start in
     the open simplex.
     """
-    kappa0 = np.asarray(kappa0, dtype=float)
-    if np.any(kappa0 <= 0.0) or abs(float(kappa0.sum()) - 1.0) > 1e-9:
-        raise InconsistentInitialState(
-            f"kappa0 must lie in the open simplex, got {kappa0}"
-        )
-    empty = JumpSpec.finite_atoms(0.0, 0.0, np.zeros((1, len(kappa0))), [1.0])
     ps, _ = simulate_jump_balanced(
-        c_spec, empty, kappa0, grid, n_paths, seed, store_every=store_every,
-        store_increments=store_increments, n_threads=n_threads)
+        c_spec, None, _checked_kappa0(kappa0, open_simplex=True), grid, n_paths,
+        seed, store_every=store_every, store_increments=store_increments,
+        n_threads=n_threads)
     return ps
 
 

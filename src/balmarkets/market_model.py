@@ -27,6 +27,7 @@ import numpy as np
 from .errors import (
     AsymmetricCovariance,
     DimensionMismatch,
+    GridError,
     IndefiniteMatrix,
     InfeasibleConstraint,
     NegativeEigenvalue,
@@ -265,10 +266,10 @@ class PathGrid:
     t0: float = 0.0
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.n_steps < 1:
-            raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
+        if not 0.0 < self.dt < np.inf:
+            raise GridError(f"dt must be positive and finite, got {self.dt}")
+        if not isinstance(self.n_steps, (int, np.integer)) or self.n_steps < 1:
+            raise GridError(f"n_steps must be an integer >= 1, got {self.n_steps!r}")
 
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(self.n_steps + 1)

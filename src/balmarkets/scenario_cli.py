@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import collections
+import contextlib
 import dataclasses
 import json
 import math
@@ -43,19 +44,30 @@ from .balance_diag import (
     lln_diagnostic,
     loss_of_balance,
 )
-from .errors import BalmarketsError, ConfigParseError, VersionMismatch
+from .errors import (
+    BalmarketsError,
+    ConfigParseError,
+    JumpDomainError,
+    JumpLawError,
+    VersionMismatch,
+)
 from .growth_opt import implied_interest_rate
 from .jump_markets import (
     _EXAMPLE_MAX_DT,
-    PROB_TOL,
     JumpSpec,
-    _checked_atoms,
+    _checked_kappa0,
     example_death_of_company,
     jump_pathset_to_csv,
     simulate_jump_balanced,
-    simulate_relative_caps_balanced,
 )
-from .market_model import MarketParams, PathGrid, ProcessSpec, check_covariance, check_invertible
+from .market_model import (
+    MarketParams,
+    PathGrid,
+    ProcessSpec,
+    check_covariance,
+    check_invertible,
+    validate_params,
+)
 from .sde_engine import (
     PathSet,
     _write_hashed,
@@ -241,18 +253,21 @@ _SCALARS = {  # kind -> accepted Python types, message for anything else
 
 @dataclasses.dataclass
 class ScenarioConfig:
-    """A fully validated scenario, plus its canonical JSON form."""
+    """A fully validated scenario and its canonical JSON form, with what it
+    runs built once: the grid and the market, ``params`` for capitalizations
+    or ``kappa0`` (and ``jump_spec``) for weights; ``c_spec`` and ``r_spec``
+    for both, and for neither in the death example."""
 
     name: str
-    model: str
     engine: str
     d: int
     market: dict | None
-    jump: dict | None
-    example: str | None
-    grid_T: float
-    grid_dt: float
-    n_steps: int
+    grid: PathGrid
+    params: MarketParams | None
+    c_spec: ProcessSpec | None
+    r_spec: ProcessSpec | None
+    kappa0: np.ndarray | None
+    jump_spec: JumpSpec | None
     n_paths: int
     seed: int
     store_every: int
@@ -261,9 +276,27 @@ class ScenarioConfig:
     output_dir: str | None
     resolved: dict
 
+    @property
+    def n_steps(self) -> int:
+        return self.grid.n_steps
+
+    @property
+    def grid_dt(self) -> float:
+        return self.grid.dt
+
 
 def _fail(path: str, msg: str):
     raise ConfigParseError(f"{path}: {msg}")
+
+
+@contextlib.contextmanager
+def _at(path: str, errors=BalmarketsError):
+    """Report a library error of type ``errors`` raised in the block as a
+    config error at key ``path``."""
+    try:
+        yield
+    except errors as err:
+        raise ConfigParseError(f"{path}: {err}") from None
 
 
 def _entries(path: str, val):
@@ -367,8 +400,11 @@ def parse_config(doc: dict) -> ScenarioConfig:
     model = _need(vals, "model")
     horizon, dt = vals["grid"]["T"], vals["grid"]["dt"]
     n_steps = int(round(horizon / dt)) if math.isfinite(horizon / dt) else 0
-    if n_steps < 1 or abs(n_steps * dt - horizon) > 1e-8 * max(1.0, horizon):
+    if abs(n_steps * dt - horizon) > 1e-8 * max(1.0, horizon):
         _fail("grid.dt", f"horizon {horizon} is not a whole number of steps of {dt}")
+    with _at("grid"):
+        grid = PathGrid(dt=dt, n_steps=n_steps)
+    params = c_spec = r_spec = kappa0 = jump_spec = None
     if "example" in vals:
         if model != "jump":
             _fail("model", "the death_of_company example is a jump model")
@@ -385,12 +421,6 @@ def parse_config(doc: dict) -> ScenarioConfig:
             _fail("market.d", f"does not match the {d}x{d} covariance")
         if d < 2:
             _fail("market.c", "a market needs at least two companies")
-        try:
-            check_covariance(c)
-            if vals["diagnostics"]["lln"]:  # the bank-rate ratio inverts c
-                check_invertible(c, "; diagnostics.lln needs an invertible c")
-        except BalmarketsError as err:  # asymmetric, indefinite or singular
-            _fail("market.c", str(err))
         engine = "capitalizations" if "a" in market else "balanced_weights"
         if "a" in market and "kappa0" in market:
             _fail("market.kappa0", "belongs to the balanced-weights model; "
@@ -400,12 +430,19 @@ def parse_config(doc: dict) -> ScenarioConfig:
                   "balanced-weights scenarios start from market.kappa0")
         for key in ("a", "s0") if "a" in market else ("kappa0",):
             _need(market, f"market.{key}", d)
-        if "kappa0" in market and abs(float(np.sum(market["kappa0"])) - 1.0) > 1e-9:
-            _fail("market.kappa0", _SIMPLEX)
-        if model != "jump" and engine == "balanced_weights" and (
-                min(market["kappa0"]) <= 0.0):
-            _fail("market.kappa0", "must be positive for the balanced-weights "
-                  "engine; a zero weight needs model 'jump'")
+        with _at("market.c"):  # a, r and s0 are checked fields by now
+            if "a" in market:
+                params = validate_params(MarketParams.from_constants(
+                    market["a"], c, market["r"], market["s0"]))
+                c_spec, r_spec = params.c_spec, params.r_spec
+            else:
+                check_covariance(c)
+                c_spec, r_spec = ProcessSpec.constant(c), ProcessSpec.constant(market["r"])
+            if vals["diagnostics"]["lln"]:  # the bank-rate ratio inverts c
+                check_invertible(c, "; diagnostics.lln needs an invertible c")
+        if "kappa0" in market:  # a jump model may start with a dead company
+            with _at("market.kappa0"):
+                kappa0 = _checked_kappa0(market["kappa0"], open_simplex=model != "jump")
         if model == "jump":
             if engine != "balanced_weights":
                 _fail("market.a", "jump scenarios evolve weights directly; "
@@ -413,28 +450,28 @@ def parse_config(doc: dict) -> ScenarioConfig:
             engine, jump = "jump", _need(vals, "jump")
             lam_peak = inten = jump["intensity"]
             if isinstance(inten, dict):
-                _need(inten, "jump.intensity.values", len(inten["times"]))
-                if np.any(np.diff(inten["times"]) <= 0.0):
-                    _fail("jump.intensity.times", "must be increasing")
-                lam_peak = max(inten["values"])
+                with _at("jump.intensity"):
+                    inten = ProcessSpec.time_table(inten["times"], inten["values"])
+                lam_peak = float(inten.values.max())
             if jump.setdefault("lam_max", lam_peak) < lam_peak:
                 _fail("jump.lam_max", "below the intensity's peak")
-            try:  # the law's own checks, as the jump engine runs them
-                _checked_atoms(jump["atoms"], len(jump["atoms"]), d)
-            except BalmarketsError as err:  # wrong d, or an annihilating atom
-                _fail("jump.atoms", str(err))
             probs = _need(jump, "jump.probs", len(jump["atoms"]))
-            if abs(float(np.sum(probs)) - 1.0) > PROB_TOL:
-                _fail("jump.probs", _SIMPLEX)
+            with _at("jump.probs", JumpLawError), _at("jump.atoms", JumpDomainError):
+                jump_spec = JumpSpec.finite_atoms(
+                    inten, jump["lam_max"], jump["atoms"], probs,
+                    max_jumps=jump.get("max_jumps"))
+            if jump_spec.d != d:
+                _fail("jump.atoms", f"expected {d} sizes per atom, got {jump_spec.d}")
 
     resolved = {key: val for key, val in vals.items()
                 if key not in ("builtin", "description", "output_dir")}
     return ScenarioConfig(
-        engine=engine, d=d, grid_T=horizon, grid_dt=dt, n_steps=n_steps,
+        engine=engine, d=d, grid=grid, params=params, c_spec=c_spec,
+        r_spec=r_spec, kappa0=kappa0, jump_spec=jump_spec,
         output_dir=vals.get("output_dir"), resolved=resolved,
         **{key: resolved.get(key) for key in (
-            "name", "model", "market", "jump", "example", "n_paths", "seed",
-            "store_every", "diagnostics", "thresholds")})
+            "name", "market", "n_paths", "seed", "store_every", "diagnostics",
+            "thresholds")})
 
 
 def _schema(f: _Field) -> dict:
@@ -478,21 +515,6 @@ def scenario_schema() -> dict:
 # running
 
 
-def _jump_spec_from_config(jcfg: dict) -> JumpSpec:
-    inten = jcfg["intensity"]
-    if isinstance(inten, dict):
-        spec = ProcessSpec.time_table(inten["times"], inten["values"])
-    else:
-        spec = ProcessSpec.constant(float(inten))
-    return JumpSpec.finite_atoms(
-        spec,
-        lam_max=float(jcfg["lam_max"]),
-        atoms=np.asarray(jcfg["atoms"], dtype=float),
-        probs=np.asarray(jcfg["probs"], dtype=float),
-        max_jumps=jcfg.get("max_jumps"),
-    )
-
-
 def _whole_market_path(ps: PathSet) -> int | None:
     alive = (ps.kappa[:, -1] > 0.0).all(axis=1)
     hits = np.flatnonzero(alive)
@@ -531,8 +553,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str,
     """
     os.makedirs(out_dir, exist_ok=True)
     started = time.perf_counter()
-    grid = PathGrid(dt=cfg.grid_dt, n_steps=cfg.n_steps)
-    thresholds = cfg.thresholds
+    grid, thresholds = cfg.grid, cfg.thresholds
     digests: dict[str, str] = {}
     summary: dict = {
         "version": __version__,
@@ -543,58 +564,31 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str,
         "config": cfg.resolved,
     }
 
-    rec = None
-    jump_spec = None
-    a_spec = None
-    r_spec = None
+    rec = jump_spec = a_spec = r_spec = None
     if cfg.engine == "jump_example":
         rep = example_death_of_company(
             grid, cfg.n_paths, cfg.seed,
             store_every=cfg.store_every, n_threads=n_threads,
         )
-        ps = rep["path_set"]
-        rec = rep["lifetimes"]
-        jump_spec = rep["jump_spec"]
-        summary["example_report"] = {
-            key: rep[key]
-            for key in (
-                "sup_error", "death_time", "death_time_err",
-                "expected_death_time", "dying_fraction",
-                "expected_dying_fraction", "dying_fraction_se",
-                "death_time_spread",
-            )
-        }
-    elif cfg.engine == "jump":
-        jump_spec = _jump_spec_from_config(cfg.jump)
-        ps, rec = simulate_jump_balanced(
-            ProcessSpec.constant(np.asarray(cfg.market["c"], dtype=float)),
-            jump_spec,
-            np.asarray(cfg.market["kappa0"], dtype=float),
-            grid, cfg.n_paths, cfg.seed,
-            store_every=cfg.store_every, n_threads=n_threads,
-        )
+        ps, rec, jump_spec = rep["path_set"], rep["lifetimes"], rep["jump_spec"]
+        summary["example_report"] = {key: rep[key] for key in (
+            "sup_error", "death_time", "death_time_err", "expected_death_time",
+            "dying_fraction", "expected_dying_fraction", "dying_fraction_se",
+            "death_time_spread")}
     elif cfg.engine == "capitalizations":
-        params = MarketParams.from_constants(
-            cfg.market["a"], cfg.market["c"], cfg.market["r"],
-            cfg.market["s0"],
-        )
         ps = simulate_capitalizations(
-            params, grid, cfg.n_paths, cfg.seed,
+            cfg.params, grid, cfg.n_paths, cfg.seed,
             store_every=cfg.store_every, n_threads=n_threads,
         )
-        a_spec = ps.a_spec
-        r_spec = ps.r_spec
-    else:
-        c0 = np.asarray(cfg.market["c"], dtype=float)
-        rate = float(cfg.market["r"])
-        ps = simulate_relative_caps_balanced(
-            ProcessSpec.constant(c0),
-            np.asarray(cfg.market["kappa0"], dtype=float),
-            grid, cfg.n_paths, cfg.seed,
+        a_spec, r_spec = ps.a_spec, ps.r_spec
+    else:  # the weight engine; a continuous market has no jump law
+        jump_spec = cfg.jump_spec
+        ps, rec = simulate_jump_balanced(
+            cfg.c_spec, jump_spec, cfg.kappa0, grid, cfg.n_paths, cfg.seed,
             store_every=cfg.store_every, n_threads=n_threads,
         )
-        # a_spec stays None: the balanced drift a = c kappa + r 1
-        r_spec = ProcessSpec.constant(rate)
+        if jump_spec is None:  # a_spec stays None: the balanced drift a = c kappa + r 1
+            rec, r_spec = None, cfg.r_spec
 
     times = ps.times()
     csv_path = os.path.join(out_dir, "paths.csv")
@@ -653,36 +647,28 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str,
     else:
         summary["limiting"] = {"enabled": False}
 
-    if cfg.diagnostics["lln"] and cfg.market is None:
+    if cfg.diagnostics["lln"] and cfg.c_spec is None:
         summary["lln"] = {
             "enabled": False,
             "reason": "the example scenario fixes its own coefficients; "
                       "no alternative bank rate to compare",
         }
     elif cfg.diagnostics["lln"]:
-        c0 = np.asarray(cfg.market["c"], dtype=float)
-        rate = float(cfg.market["r"])
-        if r_spec is None:
-            r_spec = ProcessSpec.constant(rate)
-        if cfg.engine == "capitalizations":
-            a0 = np.asarray(cfg.market["a"], dtype=float)
-            r_tilde = ProcessSpec.constant(implied_interest_rate(a0, c0))
+        c0, rate = cfg.c_spec.value, cfg.r_spec.value
+        if cfg.params is not None:
+            r_tilde = ProcessSpec.constant(
+                implied_interest_rate(cfg.params.a_spec.value, c0))
         else:
             r_tilde = ProcessSpec.state_function(
                 lambda t, k: implied_interest_rate(c0 @ k + rate, c0))
-        stat = bank_rate_statistic(ps, r_tilde, r_spec, path_index=0)
+        stat = bank_rate_statistic(ps, r_tilde, cfg.r_spec, path_index=0)
         ones = np.ones(c0.shape[0])
         normalizer = float(ones @ np.linalg.solve(c0, ones)) * float(
             times[-1] - times[0])
         ratio, collapsed = lln_diagnostic(
             np.array([0.0, stat]), np.array([0.0, normalizer]))
-        summary["lln"] = {
-            "statistic": stat,
-            "normalizer": normalizer,
-            "ratio": ratio,
-            "collapsed": collapsed,
-            "path_index": 0,
-        }
+        summary["lln"] = {"statistic": stat, "normalizer": normalizer,
+                          "ratio": ratio, "collapsed": collapsed, "path_index": 0}
     else:
         summary["lln"] = {"enabled": False}
 
@@ -697,12 +683,15 @@ def replay_summary(summary_path: str, out_dir: str,
                    n_threads: int = 1) -> tuple[dict, bool]:
     """Re-run the scenario stored in a summary and compare file digests.
 
-    Raises :class:`VersionMismatch` when the summary was written by a
+    Raises :class:`ConfigParseError` when the file is not a readable
+    summary, and :class:`VersionMismatch` when the summary was written by a
     different package version; determinism is only promised within one.
     Returns the new summary and whether every digest matched.
     """
-    with open(summary_path) as fh:
-        prior = json.load(fh)
+    prior = _load_config_doc(summary_path)
+    if not isinstance(prior, dict) or "config" not in prior:
+        raise ConfigParseError(f"{summary_path}: not a run summary (expected "
+                               "an object holding 'config')")
     stored = prior.get("version")
     if stored != __version__:
         raise VersionMismatch(
@@ -711,11 +700,7 @@ def replay_summary(summary_path: str, out_dir: str,
         )
     cfg = parse_config(prior["config"])
     summary = run_scenario(cfg, out_dir, n_threads=n_threads)
-    old = prior.get("digests", {})
-    new = summary["digests"]
-    matched = set(old) == set(new) and all(
-        old[name] == new[name] for name in old)
-    return summary, matched
+    return summary, prior.get("digests") == summary["digests"]
 
 
 # ---------------------------------------------------------------------------
@@ -803,7 +788,7 @@ def _cmd_list(args) -> int:
 def _cmd_validate(args) -> int:
     cfg = parse_config(_load_config_doc(args.config))
     print(f"OK: {cfg.name} ({cfg.engine}, {cfg.d} companies, "
-          f"T={cfg.grid_T:g}, dt={cfg.grid_dt:g}, "
+          f"T={cfg.resolved['grid']['T']:g}, dt={cfg.grid_dt:g}, "
           f"n_paths={cfg.n_paths}, seed={cfg.seed})")
     return 0
 

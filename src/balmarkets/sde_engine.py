@@ -994,7 +994,7 @@ def pathset_summary(ps: PathSet, checkpoint_times=None) -> dict:
     times = ps.times()
     horizon = times[-1]
     if checkpoint_times is None:
-        checkpoint_times = [horizon / 4, horizon / 2, 3 * horizon / 4, horizon]
+        checkpoint_times = [horizon / 4, horizon / 2, 0.75 * horizon, horizon]
     out = []
     for tc in checkpoint_times:
         idx = int(np.argmin(np.abs(times - tc)))

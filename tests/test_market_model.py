@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from balmarkets.errors import (
     AsymmetricCovariance,
     DimensionMismatch,
+    GridError,
     IndefiniteMatrix,
     NonPositiveInitialCap,
     ShapeMismatch,
@@ -245,6 +246,13 @@ def test_grid_rejects_bad_steps():
         PathGrid(dt=-0.1, n_steps=10)
     with pytest.raises(ValueError):
         PathGrid(dt=0.1, n_steps=0)
+    # a non-finite step or a fractional step count would give a grid of
+    # nans, infinities or the wrong number of points
+    for dt, n_steps in ((float("nan"), 10), (float("inf"), 10), (0.1, 2.5)):
+        with pytest.raises(GridError) as err:
+            PathGrid(dt=dt, n_steps=n_steps)
+        assert isinstance(err.value, ValueError)
+    assert len(PathGrid(dt=0.1, n_steps=np.int64(3)).times()) == 4
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import numpy as np
@@ -234,7 +235,7 @@ def test_builtin_reference_with_overrides():
                 "n_paths": 10, "grid": {"T": 2.0, "dt": 0.01}})
     assert cfg.seed == 999
     assert cfg.n_paths == 10
-    assert cfg.grid_T == 2.0
+    assert cfg.grid == PathGrid(dt=0.01, n_steps=200)
     # replaced wholesale, not merged: the market block is the builtin's
     assert cfg.market["a"] == [0.0, 0.0]
 
@@ -415,6 +416,15 @@ def test_one_path_run_warns_nothing(tmp_path, doc):
         assert point["kappa_se"] == [0.0, 0.0]
 
 
+def test_a_horizon_near_the_largest_double_runs(tmp_path):
+    # the quarter checkpoints of T = 1e308 are computed without overflow
+    doc = dict(TINY_WEIGHTS, grid={"T": 1e308, "dt": 1e307})
+    assert main(["validate", "--config", _write_cfg(tmp_path, doc)]) == 0
+    summary = run_scenario(_cfg(doc), str(tmp_path / "out"))
+    steps = [point["step"] for point in summary["paths"]["checkpoints"]]
+    assert steps == [0, 5, 5, 10]
+
+
 def test_run_is_seed_deterministic(tmp_path):
     s1 = run_scenario(_cfg(TINY_WEIGHTS), str(tmp_path / "a"))
     s2 = run_scenario(_cfg(TINY_WEIGHTS), str(tmp_path / "b"))
@@ -519,6 +529,18 @@ def test_cli_version_mismatch_exit_code(tmp_path):
     p.write_text(json.dumps(doc))
     assert main(["replay", "--config", str(p),
                  "--out", str(tmp_path / "redo")]) == 1
+
+
+@pytest.mark.parametrize("content", [
+    None, "{ not json", "[1, 2]", json.dumps({"version": __version__})],
+    ids=["missing", "invalid_json", "list", "no_config"])
+def test_cli_replay_of_a_bad_summary_is_a_config_error(tmp_path, content):
+    path = tmp_path / "summary.json"
+    if content is not None:
+        path.write_text(content)
+    out = tmp_path / "redo"
+    assert main(["replay", "--config", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_digests_are_the_sha256_of_the_files_written(tmp_path):
@@ -783,21 +805,46 @@ def _bad_values(field):
     return st.one_of(_ANY_VALUE, special)
 
 
-@pytest.mark.parametrize("field", _FIELDS, ids=lambda f: f.path)
-@settings(max_examples=40, derandomize=True, deadline=None)
-@given(data=st.data())
-def test_parse_config_raises_only_config_errors(field, data):
+def _fuzzed_doc(field, data):
+    """A test document with ``field`` set to one of its bad values."""
     docs = ([TINY_JUMP, TINY_TABLE_JUMP] if field.path.startswith("jump")
             else _ROUND_TRIP_DOCS + [TINY_TABLE_JUMP])
     doc = copy.deepcopy(data.draw(st.sampled_from(docs)))
     _put(doc, field.path, data.draw(_bad_values(field)))
+    return doc
+
+
+@pytest.mark.parametrize("field", _FIELDS, ids=lambda f: f.path)
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_parse_config_raises_only_config_errors(field, data):
     try:
-        cfg = parse_config(doc)
+        cfg = parse_config(_fuzzed_doc(field, data))
     except ConfigParseError:
         return
     # what is accepted is finite and replays to itself
     resolved = json.loads(json.dumps(cfg.resolved, allow_nan=False))
     assert parse_config(resolved).resolved == cfg.resolved
+
+
+@pytest.mark.parametrize("field", _FIELDS, ids=lambda f: f.path)
+@settings(max_examples=8, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_what_validate_accepts_run_runs(field, data):
+    try:
+        cfg = parse_config(_fuzzed_doc(field, data))
+    except ConfigParseError:
+        return
+    # a few paths and steps: what runs is under test, not how long it takes
+    steps = min(cfg.n_steps, 20)
+    small = parse_config(dict(copy.deepcopy(cfg.resolved), n_paths=min(cfg.n_paths, 4),
+                              grid={"T": cfg.grid.dt * steps, "dt": cfg.grid.dt}))
+    assert small.n_steps == steps
+    with tempfile.TemporaryDirectory() as out:
+        try:
+            run_scenario(small, out)
+        except BalmarketsError as err:  # a runtime failure, never a config one
+            assert not isinstance(err, ConfigParseError)
 
 
 def test_one_table_drives_parser_and_schema(monkeypatch):

@@ -24,14 +24,15 @@ stream in its own order, and products a batch could round differently
 stay per row.
 
 Without diffusion (``c = 0``) a path moves only through the compensator
-factor, which depends on its state and on whether its jump budget is
-spent, and through its own accepted jumps.  The engine then keeps one
+factor and through its own accepted jumps.  The engine then keeps one
 state per cohort of paths that share it bit for bit and advances each
 distinct state once per step; a path leaves its cohort at an accepted
-jump, and a spent cohort's state is set aside once.  Such a market makes
-no Brownian draws unless increments are stored, and it runs as one
-chunk on the calling thread, so the thread count changes neither its
-values, its diagnostics nor its time.
+jump.  Such a market makes no Brownian draws unless increments are
+stored, and it runs as one chunk on the calling thread, so the thread
+count changes neither its values, its diagnostics nor its time.  With or
+without diffusion, a path that has spent its jump budget is outside its
+law, here and in the diagnostics: its intensity is zero, so nothing of
+the law is read at its state or checked against it.
 
 Every compensator integral of the diagnostics comes from ``JumpMoments``,
 built once per time from the atoms and the intensity of each row.  The
@@ -192,6 +193,17 @@ def _checked_atoms(x, n_atoms: int, d: int | None = None) -> np.ndarray:
     return x
 
 
+def _row_intensities(spec: JumpSpec, t: float, rows: np.ndarray,
+                     active: np.ndarray) -> np.ndarray:
+    """Each row's intensity at ``t``, read at the ``active`` rows only, else zero."""
+    lam = np.zeros(len(rows))
+    if spec.intensity.depends_on_state():
+        lam[active] = [spec.intensity_at(t, k) for k in rows[active]]
+    else:
+        lam[active] = spec.intensity_at(t)
+    return lam
+
+
 def _checked_kappa0(kappa0, open_simplex: bool) -> np.ndarray:
     """``kappa0`` as a float array, checked to lie in the open simplex (every
     weight positive) or the closed one (nonnegative), summing to one to 1e-9."""
@@ -233,14 +245,8 @@ class JumpMoments:
     @classmethod
     def of_rows(cls, spec: JumpSpec, t: float, rows: np.ndarray,
                 active: np.ndarray) -> "JumpMoments":
-        """The moments of a stack of states, jump-free off the ``active``
-        rows; a state intensity is read once at each active row."""
-        lam = np.zeros(len(rows))
-        if spec.intensity.depends_on_state():
-            lam[active] = [spec.intensity_at(t, k) for k in rows[active]]
-        else:
-            lam[active] = spec.intensity_at(t)
-        return cls.at(spec, t, lam)
+        """The moments of a stack of states, jump-free off the ``active`` rows."""
+        return cls.at(spec, t, _row_intensities(spec, t, rows, active))
 
     def row(self, p: int) -> "JumpMoments | None":
         """Row ``p`` of a stack; ``None`` where it has no jump activity."""
@@ -438,7 +444,9 @@ def simulate_jump_balanced(
     streams.  With zero covariance the paths that share a state are
     advanced as one cohort, all in one chunk (see the module docstring);
     every path still thins its own candidates on its own jump stream, so
-    the values are those of stepping every path.
+    the values are those of stepping every path.  A path that has spent its
+    jump budget is outside its law: its intensity is zero, and no
+    intensity is read and no jump domain checked at its state.
     """
     kappa0 = _checked_kappa0(kappa0, open_simplex=False)
     d = len(kappa0)
@@ -516,14 +524,6 @@ def simulate_jump_balanced(
         csize[:nc] = 1 if diffusion else m
         cspent = np.full(m, budget == 0)
         rc = np.arange(m) if diffusion else np.zeros(m, dtype=np.int64)
-        # without diffusion a spent cohort never moves again: its state
-        # joins ``kf[:nf]`` once.  BLAS rounds a one-row product
-        # differently, so a lone row is stepped or checked twice over
-        # (``kf[nf]`` is ``kf[0]``; a lone live cohort pads ``ids`` with
-        # itself at weight 0)
-        kf = np.empty((m + 1, d))
-        nf = int(budget == 0 and not diffusion)
-        kf[: 2 * nf] = kappa0
         # 2: the live cohorts changed; 1: only their member counts did
         regroup = 0 if diffusion else 2
         span = _block_steps(m, d, grid.n_steps, workers) if draws else grid.n_steps
@@ -544,7 +544,9 @@ def simulate_jump_balanced(
                 if regroup:
                     if regroup == 2:
                         # the live cohorts in id order; ``w`` weights each
-                        # row by its member paths in the defect statistics
+                        # row by its member paths in the defect statistics.
+                        # BLAS rounds a one-row product differently, so a
+                        # lone live cohort pads ``ids`` with itself at weight 0
                         ids = np.flatnonzero(~cspent[:nc])
                         diag.max_live_cohorts = max(diag.max_live_cohorts, ids.size)
                         pad = ids.size == 1 and m > 1
@@ -557,31 +559,21 @@ def simulate_jump_balanced(
                 kl, factor = ck if diffusion else ck.take(ids, axis=0), None
                 if atoms_steps[s] is not None:
                     (x_t, neg), lam = atoms_steps[s], lam_steps[s]
-                    kfb = kf[: nf + (nf == 1 and m > 1)]
+                    # a spent row has zero intensity, which leaves its
+                    # factor exactly 1 and its state unchecked
                     if lam is None:
                         try:
-                            lam = np.array([jump_spec.intensity_at(t, k) for k in kl])
-                            lam_frozen = [jump_spec.intensity_at(t, k) for k in kfb]
+                            lam = _row_intensities(jump_spec, t, kl, ~cspent[ids])
                         except Exception:
                             # a pure intensity raises again at the first bad
-                            # row, so the error is the per-row loop's
-                            for i in range(m):
+                            # live path, so the error is the per-path loop's
+                            for i in np.flatnonzero(~cspent[rc]):
                                 jump_spec.intensity_at(t, ck[rc[i]])
                             raise
-                    # a spent cohort still has to pass the checks that its
-                    # unmoved rows always passed
-                    if nf and neg:
-                        bad = np.logical_or.reduce(1.0 + kfb @ x_t.T <= 0.0, axis=1)
-                        if isinstance(lam, np.ndarray):
-                            bad &= np.array(lam_frozen) > 0.0
-                        if np.count_nonzero(bad):
-                            raise JumpDomainError("jump size annihilates the whole market")
+                    elif diffusion and budget is not None:
+                        lam = np.where(cspent, 0.0, lam)
                     if ids.size:
                         factor = _compensator_factor(kl, x_t, neg, jump_spec.probs, lam, dt)
-                        if budget is not None and diffusion:
-                            # a truncated point process carries no
-                            # compensator once its jump budget is spent
-                            factor[cspent] = 1.0
                 if diffusion:
                     # the balanced step; dead coordinates ride along at -inf
                     c, sigma = cov(t, kl)
@@ -649,10 +641,6 @@ def simulate_jump_balanced(
                             if not diffusion and (split or i in spent):
                                 # unchanged live set: a new cohort spent at once
                                 regroup = max(regroup, 1 if split and i in spent else 2)
-                                if i in spent:
-                                    kf[nf] = row
-                                    nf += 1
-                                    kf[nf] = kf[0]
                         if diffusion:
                             clt[:, [i for _, i, _ in acc]] = _log_weights(knew).T
                     for tau, i in due:

@@ -204,8 +204,9 @@ _FIELDS = (
     _Field("jump.intensity.times", "vector", "Strictly increasing time knots.",
            _REQUIRED, nonempty=True),
     _Field("jump.intensity.values", "vector", "Rate at each knot.", _REQUIRED, 0),
-    _Field("jump.lam_max", "number", "Upper bound on the intensity for the "
-           "thinning sampler; at least the intensity's peak, its default."),
+    _Field("jump.lam_max", "number", "Bound on the intensity for the thinning "
+           "sampler; must equal the intensity's peak, its default (a larger bound "
+           "only draws more candidates)."),
     _Field("jump.atoms", "matrix", "Relative jump sizes, one row per atom; -1 kills "
            "a company.", _REQUIRED, -1, below="relative jump sizes must be >= -1"),
     _Field("jump.probs", "vector", "Probability of each row of 'atoms', summing "
@@ -453,8 +454,8 @@ def parse_config(doc: dict) -> ScenarioConfig:
                 with _at("jump.intensity"):
                     inten = ProcessSpec.time_table(inten["times"], inten["values"])
                 lam_peak = float(inten.values.max())
-            if jump.setdefault("lam_max", lam_peak) < lam_peak:
-                _fail("jump.lam_max", "below the intensity's peak")
+            if jump.setdefault("lam_max", lam_peak) != lam_peak:
+                _fail("jump.lam_max", f"must equal the intensity's peak, {lam_peak}")
             probs = _need(jump, "jump.probs", len(jump["atoms"]))
             with _at("jump.probs", JumpLawError), _at("jump.atoms", JumpDomainError):
                 jump_spec = JumpSpec.finite_atoms(
@@ -688,8 +689,8 @@ def replay_summary(summary_path: str, out_dir: str,
     different package version; determinism is only promised within one.
     Returns the new summary and whether every digest matched.
     """
-    prior = _load_config_doc(summary_path)
-    if not isinstance(prior, dict) or "config" not in prior:
+    prior = _load_json(summary_path, "summary")
+    if "config" not in prior:
         raise ConfigParseError(f"{summary_path}: not a run summary (expected "
                                "an object holding 'config')")
     stored = prior.get("version")
@@ -725,18 +726,28 @@ def _resolve_threads(explicit: int | None) -> int:
     return 1
 
 
-def _load_config_doc(ref: str) -> dict:
-    if ref in BUILTINS and not os.path.exists(ref):
-        return {"builtin": ref}
+def _load_json(path: str, what: str) -> dict:
+    """The JSON object in ``path``, else :class:`ConfigParseError`."""
     try:
-        with open(ref) as fh:
-            return json.load(fh)
-    except FileNotFoundError:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except OSError as err:
+        raise ConfigParseError(f"{path}: cannot read the {what} ({err.strerror})") from None
+    except ValueError as err:  # not JSON, or not text
+        raise ConfigParseError(f"{path}: invalid JSON ({err})") from None
+    if not isinstance(doc, dict):
+        raise ConfigParseError(f"{path}: the {what} root must be a JSON object")
+    return doc
+
+
+def _load_config_doc(ref: str) -> dict:
+    if not os.path.exists(ref):
+        if ref in BUILTINS:
+            return {"builtin": ref}
         raise ConfigParseError(
             f"{ref!r} is neither a config file nor a builtin name "
-            f"(builtins: {', '.join(sorted(BUILTINS))})") from None
-    except json.JSONDecodeError as err:
-        raise ConfigParseError(f"{ref}: invalid JSON ({err})") from None
+            f"(builtins: {', '.join(sorted(BUILTINS))})")
+    return _load_json(ref, "config")
 
 
 def _print_run_summary(summary: dict, out_dir: str) -> None:

@@ -3,19 +3,24 @@
 Without diffusion the jump engine stores and steps each distinct state
 (cohort) once.  These tests pin that to a loop that keeps one state per
 path and steps every path, the way the engine worked before paths shared
-states, and check that paths frozen by a spent jump budget still fail the
-checks their states fail.
+states, and check that a path with a spent jump budget is outside its law:
+nothing of the law is read or checked at its state.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
+from balmarkets.balance_diag import loss_of_balance
+from balmarkets.errors import JumpLawError
 from balmarkets.jump_markets import (
     ALIVE,
     CONTINUOUS_VANISH,
     DEATH_THRESHOLD,
     JUMP_TO_ZERO,
     JumpSpec,
+    LifetimeRecord,
     _T_DEATH,
     _example_size,
     simulate_jump_balanced,
@@ -37,7 +42,9 @@ def _per_row_reference(spec, kappa0, grid, n_paths, seed, store_every):
     path's candidates on its own jump stream; returns the arrays of
     ``simulate_jump_balanced`` for one chunk of ``n_paths`` rows, and the
     diagnostics of its renormalizations.  It renormalizes with the frozen
-    row-major kernel, so it does not share the engine's arithmetic.
+    row-major kernel, so it does not share the engine's arithmetic.  A path
+    that has spent its budget has zero intensity: its intensity is not read
+    and its state leaves the jump domain unchecked.
     """
     kappa0 = kappa0 / kappa0.sum()
     d = len(kappa0)
@@ -75,22 +82,18 @@ def _per_row_reference(spec, kappa0, grid, n_paths, seed, store_every):
         if lam_t is None or lam_t > 0.0:
             x_t = spec.atoms_at(t)
             denom = 1.0 + kappa @ x_t.T
-            if lam_t is None:
-                lam_rows = np.array(
-                    [spec.intensity_at(t, kappa[i]) for i in range(n)])[:, None]
-                bad = (denom <= 0.0).any(axis=1)
-                if np.any(bad & (lam_rows[:, 0] > 0.0)):
-                    raise ValueError("jump size annihilates the whole market")
-                denom[bad] = 1.0
-            else:
-                lam_rows = lam_t
-                if np.any(denom <= 0.0):
-                    raise ValueError("jump size annihilates the whole market")
+            lam_rows = np.zeros((n, 1))
+            for i in range(n):
+                if budget is None or jump_count[i] < budget:
+                    lam_rows[i] = (spec.intensity_at(t, kappa[i])
+                                   if lam_t is None else lam_t)
+            bad = (denom <= 0.0).any(axis=1)
+            if np.any(bad & (lam_rows[:, 0] > 0.0)):
+                raise ValueError("jump size annihilates the whole market")
+            denom[bad] = 1.0
             i1 = lam_rows * ((spec.probs / denom) @ x_t)
             comp = i1 - np.einsum("ij,ij->i", kappa, i1)[:, None]
             factor = 1.0 - comp * grid.dt
-            if budget is not None:
-                factor[jump_count >= budget] = 1.0
             knew = kappa * factor
             rows = np.flatnonzero((knew != kappa).any(axis=1))
             if rows.size:
@@ -238,22 +241,61 @@ def test_cohort_deaths_reach_every_member(n_paths, max_jumps):
         assert 1 < vanished.sum() < n_paths
 
 
-@pytest.mark.parametrize("state_intensity", [False, True])
-def test_spent_path_still_fails_the_annihilation_check(state_intensity):
-    # early jumps kill company 2 and spend the one-jump budget, freezing
+def _spent_atoms(t):
+    # early jumps kill company 2 and spend the one-jump budget, leaving
     # those paths at (1, 0); from t = 0.1 on the atom (-1, 0) would wipe
-    # out that frozen market, while paths that never jumped keep a
-    # positive company 2 and stay inside the jump domain
-    def atoms(t):
-        return np.array([[0.0, -1.0]]) if t < 0.1 else np.array([[-1.0, 0.0]])
+    # out that market, while paths that never jumped keep both companies
+    # and stay inside the jump domain
+    return np.array([[0.0, -1.0]]) if t < 0.1 else np.array([[-1.0, 0.0]])
 
-    intensity = (ProcessSpec.state_function(lambda t, k: 5.0)
-                 if state_intensity else ProcessSpec.constant(5.0))
-    spec = JumpSpec.finite_atoms(intensity, 5.0, atoms, [1.0], max_jumps=1)
+
+@pytest.mark.parametrize("c", [0.0, 0.04], ids=["c0", "diffusion"])
+def test_a_spent_path_is_outside_its_law(c):
+    reads = {"live": 0, "spent": 0}
+
+    def intensity(t, k):
+        # every accepted jump kills a company and spends the budget, so a
+        # spent path is one with a dead company; there the rate leaves
+        # [0, lam_max], and reading it would raise
+        spent = k.min() == 0.0
+        reads["spent" if spent else "live"] += 1
+        return -1.0 if spent else 5.0
+
     grid = PathGrid(dt=1e-3, n_steps=300)
-    c0 = ProcessSpec.constant(np.zeros((2, 2)))
-    early = simulate_jump_balanced(
-        c0, spec, [0.5, 0.5], PathGrid(dt=1e-3, n_steps=99), 64, 31)[1]
-    assert early.died(1).any() and not early.died(1).all()
-    with pytest.raises(ValueError, match="annihilates"):
-        simulate_jump_balanced(c0, spec, [0.5, 0.5], grid, 64, 31)
+    c_spec = ProcessSpec.constant(c * np.eye(2))
+    specs = [JumpSpec.finite_atoms(lam, 5.0, _spent_atoms, [1.0], max_jumps=1)
+             for lam in (ProcessSpec.constant(5.0),
+                         ProcessSpec.state_function(intensity))]
+    runs = [simulate_jump_balanced(c_spec, spec, [0.5, 0.5], grid, 64, 31,
+                                   n_threads=n)
+            for spec in specs for n in (1, 2, 3)]
+    assert reads["live"] > 0 and reads["spent"] == 0
+    ps, rec = runs[0]
+    spent = np.isfinite(rec.budget_exhausted_time)
+    assert spent.any() and not spent.all()
+    assert np.isinf(rec.zeta[spent]).sum(axis=1).tolist() == [1] * spent.sum()
+    # the rate at live paths is the constant, so the two laws agree too
+    for other, other_rec in runs[1:]:
+        np.testing.assert_array_equal(other.kappa, ps.kappa)
+        for f in dataclasses.fields(LifetimeRecord):
+            np.testing.assert_array_equal(getattr(other_rec, f.name),
+                                          getattr(rec, f.name))
+        for f in dataclasses.fields(EngineDiagnostics):
+            np.testing.assert_array_equal(getattr(other.diagnostics, f.name),
+                                          getattr(ps.diagnostics, f.name))
+    if c == 0.0:
+        # without diffusion a spent path never moves again, bit for bit
+        times = ps.times()
+        for p in np.flatnonzero(spent):
+            after = ps.kappa[p, times >= rec.budget_exhausted_time[p]]
+            assert (after == after[0]).all()
+    # the diagnostics switch the law off at the same paths and times
+    report = loss_of_balance(ps, None, jump_spec=specs[1], lifetimes=rec)
+    assert (report.L_terminal == 0.0).all()
+    assert reads["spent"] == 0
+    # read at a live path, a rate out of range still raises
+    late = JumpSpec.finite_atoms(
+        ProcessSpec.state_function(lambda t, k: 5.0 if t < 0.2 else 6.0), 5.0,
+        _spent_atoms, [1.0], max_jumps=1)
+    with pytest.raises(JumpLawError, match="intensity 6.0 at t=0.2"):
+        simulate_jump_balanced(c_spec, late, [0.5, 0.5], grid, 64, 31)

@@ -313,6 +313,10 @@ def test_lam_max_must_dominate_intensity():
     doc["jump"]["intensity"] = 3.0
     with pytest.raises(ConfigParseError, match="lam_max"):
         parse_config(doc)
+    # a larger bound would thin the same law, ever more slowly
+    doc["jump"]["lam_max"] = 1e300
+    with pytest.raises(ConfigParseError, match="^jump.lam_max: must equal"):
+        parse_config(doc)
 
 
 def test_example_excludes_market_section():
@@ -534,13 +538,30 @@ def test_cli_version_mismatch_exit_code(tmp_path):
 @pytest.mark.parametrize("content", [
     None, "{ not json", "[1, 2]", json.dumps({"version": __version__})],
     ids=["missing", "invalid_json", "list", "no_config"])
-def test_cli_replay_of_a_bad_summary_is_a_config_error(tmp_path, content):
+def test_cli_replay_of_a_bad_summary_is_a_config_error(tmp_path, capsys, content):
     path = tmp_path / "summary.json"
     if content is not None:
         path.write_text(content)
     out = tmp_path / "redo"
     assert main(["replay", "--config", str(path), "--out", str(out)]) == 2
     assert not out.exists()
+    err = capsys.readouterr().err
+    assert str(path) in err and "builtin" not in err
+
+
+@pytest.mark.parametrize("content", [b"[1, 2]", None, b"\xff"],
+                         ids=["list", "directory", "binary"])
+@pytest.mark.parametrize("verb", ["run", "validate"])
+def test_cli_unreadable_config_is_a_config_error(tmp_path, capsys, verb, content):
+    path = tmp_path / "cfg.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    extra = ["--seed", "1", "--out", str(tmp_path / "o")] if verb == "run" else []
+    assert main([verb, "--config", str(path), *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}: ") and "Traceback" not in err
 
 
 def test_digests_are_the_sha256_of_the_files_written(tmp_path):

@@ -358,10 +358,6 @@ class LifetimeRecord:
     first_jump_time: np.ndarray = field(default=None)
     budget_exhausted_time: np.ndarray = field(default=None)
 
-    @property
-    def n_paths(self) -> int:
-        return self.zeta.shape[0]
-
     def died(self, company: int) -> np.ndarray:
         return np.isfinite(self.zeta[:, company])
 

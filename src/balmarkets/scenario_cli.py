@@ -168,6 +168,8 @@ _Field = collections.namedtuple(
     "_Field", "path kind doc default minimum exclusive enum nonempty expect below",
     defaults=(_OPTIONAL, None, False, (), False, None, None))
 _SIMPLEX = "must be nonnegative and sum to one"
+# expected thinning candidates, n_paths * lam_max * T, of a runnable jump scenario
+_MAX_JUMP_CANDIDATES = 1e9
 _ROOT = _Field("", "section", "One simulation scenario. Keys override a 'builtin' "
                "wholesale, except 'diagnostics' and 'thresholds', which merge per "
                "entry. Numbers must be finite; a null optional key is absent.")
@@ -200,7 +202,9 @@ _FIELDS = (
     _Field("jump", "section", "Finite-atom jump law, compensated; model 'jump' only.",
            expect="required object for a jump model"),
     _Field("jump.intensity", "number|section", "Arrival rate: a constant, or a "
-           "piecewise-linear table of time points and values.", _REQUIRED, 0),
+           "piecewise-linear table of time points and values.  The expected "
+           "thinning candidates, n_paths * lam_max * T, may not exceed "
+           f"{_MAX_JUMP_CANDIDATES:.0e}.", _REQUIRED, 0),
     _Field("jump.intensity.times", "vector", "Strictly increasing time knots.",
            _REQUIRED, nonempty=True),
     _Field("jump.intensity.values", "vector", "Rate at each knot.", _REQUIRED, 0),
@@ -262,7 +266,6 @@ class ScenarioConfig:
     name: str
     engine: str
     d: int
-    market: dict | None
     grid: PathGrid
     params: MarketParams | None
     c_spec: ProcessSpec | None
@@ -456,6 +459,10 @@ def parse_config(doc: dict) -> ScenarioConfig:
                 lam_peak = float(inten.values.max())
             if jump.setdefault("lam_max", lam_peak) != lam_peak:
                 _fail("jump.lam_max", f"must equal the intensity's peak, {lam_peak}")
+            candidates = vals["n_paths"] * lam_peak * horizon
+            if candidates > _MAX_JUMP_CANDIDATES:
+                _fail("jump.intensity", f"n_paths * lam_max * T = {candidates:.3g} "
+                      f"expected thinning candidates, more than {_MAX_JUMP_CANDIDATES:.0e}")
             probs = _need(jump, "jump.probs", len(jump["atoms"]))
             with _at("jump.probs", JumpLawError), _at("jump.atoms", JumpDomainError):
                 jump_spec = JumpSpec.finite_atoms(
@@ -471,7 +478,7 @@ def parse_config(doc: dict) -> ScenarioConfig:
         r_spec=r_spec, kappa0=kappa0, jump_spec=jump_spec,
         output_dir=vals.get("output_dir"), resolved=resolved,
         **{key: resolved.get(key) for key in (
-            "name", "market", "n_paths", "seed", "store_every", "diagnostics",
+            "name", "n_paths", "seed", "store_every", "diagnostics",
             "thresholds")})
 
 

@@ -17,12 +17,15 @@ counter-based streams keyed by ``(seed, stream, path_index)``.  Every
 coefficient is evaluated through
 ``ProcessSpec.rows``/``covariance_rows``: a constant or time-table
 coefficient is one matrix shared by all rows (one gemm per step), a
-state function gives one matrix per row (one product per row).  With
-constant coefficients ``log S`` is a running sum, so the capitalization
-engine evaluates whole blocks of steps at once, with the same arithmetic
-as one step at a time.  Paths are split into chunks, one or more per
-worker thread; every row is computed independently of the others, so the
-chunk layout, and with it the thread count, never changes values.
+state function gives one matrix per row (one product per row).  The
+capitalization engine runs one loop over blocks of draws and writes
+``log S`` into each block in place: step by step, or, when the drift
+``a`` and the covariance ``c`` are constant, as a running sum over tiles
+of paths, with the same arithmetic.  The short rate ``r`` never enters
+the capitalizations and does not choose between the two.  Paths are split
+into chunks, one or more per worker thread; every row is computed
+independently of the others, so the chunk layout, and with it the thread
+count, never changes values.
 """
 
 from __future__ import annotations
@@ -243,10 +246,6 @@ class PathSet:
     @property
     def d(self) -> int:
         return self.kappa.shape[-1]
-
-    @property
-    def n_stored(self) -> int:
-        return len(self.stored_steps)
 
     def times(self) -> np.ndarray:
         return self.grid.t0 + self.grid.dt * self.stored_steps
@@ -478,12 +477,16 @@ def simulate_capitalizations(
     log-capitalization leaves [-700, 700], which would denormalize ``exp``,
     naming the earliest such step of the chunk.
 
-    Coefficients that move with time or state take one step at a time over
-    blocks of steps, the workers sharing ``_BLOCK_VALUES`` draws.
-    Constant coefficients make ``log S`` a running sum, evaluated a tile of
-    paths by up to ``_TILE_STEPS`` steps at a time with one draw call per
-    path, a gemm in place and one cumulative sum, the workers sharing
-    ``_BLOCK_VALUES`` draws; the values are those of stepping one at a time.
+    One loop walks blocks of steps, the workers sharing ``_BLOCK_VALUES``
+    draws, and overwrites each block's draws with ``log S``; one tail
+    checks the block for overflow and stores its weights and
+    capitalizations.  When ``a`` and ``c`` are constant, ``log S`` is a
+    running sum, written a tile of paths by up to ``_TILE_STEPS`` steps at
+    a time with one draw call per path, a gemm in place and one cumulative
+    sum; the values are those of stepping one at a time.  Otherwise the
+    block's steps are taken one at a time, over every path of the chunk,
+    and stepping stops at the first step past the bound.  The short rate
+    ``r`` does not enter the capitalizations and does not choose the path.
     """
     validate_params(params)
     d = params.d
@@ -491,7 +494,6 @@ def simulate_capitalizations(
         raise ValueError("increments can only be stored at full resolution")
 
     stored = _stored_steps(grid.n_steps, store_every)
-    stored_pos = {int(s): i for i, s in enumerate(stored)}
     kappa_out = np.empty((n_paths, len(stored), d))
     caps_out = np.empty((n_paths, len(stored), d))
     inc_out = (
@@ -502,8 +504,9 @@ def simulate_capitalizations(
     sqrt_dt = np.sqrt(grid.dt)
     dt = grid.dt
     # constant coefficients make log S a running sum of i.i.d. increments
-    constant = all(spec.is_constant()
-                   for spec in (params.a_spec, params.c_spec, params.r_spec))
+    constant = params.a_spec.is_constant() and params.c_spec.is_constant()
+    # the tail stores the weights; a step needs them only for a state function
+    reads_state = params.a_spec.depends_on_state() or params.c_spec.depends_on_state()
     workers = _n_workers(n_paths, n_threads)
     if constant:
         c, sigma = cov(grid.t0, None)
@@ -528,25 +531,29 @@ def simulate_capitalizations(
         defect = _simplex_defect(kappa)
         if constant:
             span, tiles = _tile_plan(m, d, grid.n_steps, workers)
-            buf = np.empty(max(p1 - p0 for p0, p1 in tiles) * span * d)
             scratch = np.empty((max(3, _SLAB_VALUES // d), d))
             drifts = np.tile(drift, len(scratch))  # a slab's drift, flat
-            even = stored[: grid.n_steps // store_every + 1]  # k * store_every
-            for step in range(0, grid.n_steps, span):
-                blk = min(span, grid.n_steps - step)
-                # the block's stored steps on that spacing, a column slice
-                i0, i1 = np.searchsorted(even, (step + 1, step + blk + 1))
-                cols = slice(i0 * store_every - step - 1,
-                             i1 * store_every - step - 1, store_every)
-                worst = None
-                for p0, p1 in tiles:
-                    rows = slice(lo + p0, lo + p1)
-                    x = _draw_block(gens[p0:p1], buf, blk, d, sqrt_dt)
-                    if inc_out is not None:
-                        inc_out[rows, step : step + blk] = x
+        else:
+            span, tiles = _block_steps(m, d, grid.n_steps, workers), [(0, m)]
+        buf = np.empty(max(p1 - p0 for p0, p1 in tiles) * span * d)
+        even = stored[: grid.n_steps // store_every + 1]  # k * store_every
+        for step in range(0, grid.n_steps, span):
+            blk = min(span, grid.n_steps - step)
+            # the block's stored steps on that spacing, a column slice
+            i0, i1 = np.searchsorted(even, (step + 1, step + blk + 1))
+            cols = slice(i0 * store_every - step - 1,
+                         i1 * store_every - step - 1, store_every)
+            worst = None
+            for p0, p1 in tiles:
+                rows = slice(lo + p0, lo + p1)
+                x = _draw_block(gens[p0:p1], buf, blk, d, sqrt_dt)
+                if inc_out is not None:
+                    inc_out[rows, step : step + blk] = x
+                # each x[:, j] becomes log S after step + j + 1
+                if constant:
                     # sigma dW + drift in place, by gemm over slabs (row for
-                    # row the per-step product) and a flat add, then a sequential
-                    # sum along time: each x[:, j] is log S after step + j + 1
+                    # row the per-step product) and a flat add, then a
+                    # sequential sum along time
                     steps, flat = x.reshape(-1, d), x.reshape(-1)
                     for s0, s1 in _spans(len(steps), len(scratch)):
                         prod = scratch[: s1 - s0]
@@ -555,45 +562,36 @@ def simulate_capitalizations(
                                out=flat[s0 * d : s1 * d])
                     x[:, 0] += logs[p0:p1]
                     np.add.accumulate(x, axis=1, out=x)
-                    if x.max() > _LOG_CAP or -x.min() > _LOG_CAP:
-                        # report the earliest step over all tiles
-                        w = np.abs(x).max(axis=(0, 2))
-                        worst = w if worst is None else np.maximum(worst, w)
-                        continue
-                    logs[p0:p1] = x[:, -1]
-                    np.exp(x[:, cols], out=caps_out[rows, i0:i1])
-                    kw = _weights(x[:, cols], kappa_out[rows, i0:i1])
-                    defect = max(defect, _simplex_defect(kw))
-                if worst is not None:
-                    j = int(np.argmax(worst > _LOG_CAP))
-                    raise overflow(worst[j], step + j + 1)
-            if len(even) < len(stored):  # the final step, off that spacing
-                np.exp(logs, out=caps_out[lo:hi, -1])
-                kw = _weights(logs, kappa_out[lo:hi, -1])
+                else:
+                    cur = logs[p0:p1]
+                    for j in range(blk):
+                        t = grid.t0 + (step + j) * dt
+                        a = params.a_spec.rows(t, kappa, (d,), "drift rate a")
+                        c_t, sigma_t = cov(t, kappa)
+                        cur = cur + (
+                            (a - 0.5 * np.diagonal(c_t, axis1=-2, axis2=-1)) * dt
+                            + _noise_rows(sigma_t, x[:, j]))
+                        x[:, j] = cur
+                        if cur.max() > _LOG_CAP or -cur.min() > _LOG_CAP:
+                            break  # the tail below names this step
+                        if reads_state:
+                            kappa = _weights(cur, np.empty_like(cur))
+                if x.max() > _LOG_CAP or -x.min() > _LOG_CAP:
+                    # report the earliest step over all tiles
+                    w = np.abs(x).max(axis=(0, 2))
+                    worst = w if worst is None else np.maximum(worst, w)
+                    continue
+                logs[p0:p1] = x[:, -1]
+                np.exp(x[:, cols], out=caps_out[rows, i0:i1])
+                kw = _weights(x[:, cols], kappa_out[rows, i0:i1])
                 defect = max(defect, _simplex_defect(kw))
-        else:
-            span = _block_steps(m, d, grid.n_steps, workers)
-            buf = np.empty(m * span * d)
-            for step in range(0, grid.n_steps, span):
-                blk = min(span, grid.n_steps - step)
-                dw = _draw_block(gens, buf, blk, d, sqrt_dt)
-                if inc_out is not None:
-                    inc_out[lo:hi, step : step + blk] = dw
-                for j in range(blk):
-                    t = grid.t0 + (step + j) * dt
-                    a = params.a_spec.rows(t, kappa, (d,), "drift rate a")
-                    c_t, sigma_t = cov(t, kappa)
-                    logs += ((a - 0.5 * np.diagonal(c_t, axis1=-2, axis2=-1)) * dt
-                             + _noise_rows(sigma_t, dw[:, j]))
-                    worst = float(np.abs(logs).max())
-                    if worst > _LOG_CAP:
-                        raise overflow(worst, step + j + 1)
-                    kappa = _weights(logs, np.empty_like(logs))
-                    idx = stored_pos.get(step + j + 1)
-                    if idx is not None:
-                        caps_out[lo:hi, idx] = np.exp(logs)
-                        kappa_out[lo:hi, idx] = kappa
-                        defect = max(defect, _simplex_defect(kappa))
+            if worst is not None:
+                j = int(np.argmax(worst > _LOG_CAP))
+                raise overflow(worst[j], step + j + 1)
+        if len(even) < len(stored):  # the final step, off that spacing
+            np.exp(logs, out=caps_out[lo:hi, -1])
+            kw = _weights(logs, kappa_out[lo:hi, -1])
+            defect = max(defect, _simplex_defect(kw))
         diag.max_simplex_defect = defect
         return diag
 
@@ -985,18 +983,15 @@ def pathset_to_csv(ps: PathSet, path) -> str:
     return _write_paths_csv(ps, path, columns, "path,step,t," + ",".join(cols))
 
 
-def pathset_summary(ps: PathSet, checkpoint_times=None) -> dict:
-    """Ensemble summary (means, standard errors, covariances) at checkpoints.
-
-    Defaults to quarter points ``T/4, T/2, 3T/4, T`` of the simulated
-    horizon, snapped to stored steps.
+def pathset_summary(ps: PathSet) -> dict:
+    """Ensemble summary (means, standard errors, covariances) at the quarter
+    points ``T/4, T/2, 3T/4, T`` of the simulated horizon, snapped to stored
+    steps.
     """
     times = ps.times()
     horizon = times[-1]
-    if checkpoint_times is None:
-        checkpoint_times = [horizon / 4, horizon / 2, 0.75 * horizon, horizon]
     out = []
-    for tc in checkpoint_times:
+    for tc in (horizon / 4, horizon / 2, 0.75 * horizon, horizon):
         idx = int(np.argmin(np.abs(times - tc)))
         snap = ps.kappa[:, idx]
         if ps.n_paths > 1:

@@ -321,7 +321,7 @@ def test_solver_failure_names_the_worst_gap_over_every_path_block():
     a, c = np.array([0.3, 0.0]), np.diag([0.04, 0.09])
     params = MarketParams.from_constants(a, c, 0.0, [1.0, 1.0])
     ps = simulate_capitalizations(params, PathGrid(dt=0.01, n_steps=200), 100, 5)
-    assert len(sde_engine._path_blocks(100, ps.n_stored)) >= 3
+    assert len(sde_engine._path_blocks(100, len(ps.stored_steps))) >= 3
     # leveraged states beat every simplex portfolio, so their gap is negative
     ps.kappa[1, 10] = [1.1, -0.1]
     ps.kappa[-1, 150] = [2.0, -1.0]

@@ -237,7 +237,7 @@ def test_builtin_reference_with_overrides():
     assert cfg.n_paths == 10
     assert cfg.grid == PathGrid(dt=0.01, n_steps=200)
     # replaced wholesale, not merged: the market block is the builtin's
-    assert cfg.market["a"] == [0.0, 0.0]
+    assert cfg.resolved["market"]["a"] == [0.0, 0.0]
 
 
 @pytest.mark.parametrize("mutate,phrase", [
@@ -661,6 +661,37 @@ TINY_TABLE_JUMP = dict(
 
 NAN, INF = float("nan"), float("inf")
 
+# the benchmark's workload documents, as perfbench/run.py builds them
+_BENCH_DOCS = [
+    {"builtin": "sec6_case_critical", "grid": {"T": 100.0, "dt": 0.01}},
+    {"builtin": "perfect_balance_demo", "n_paths": 1000},
+    {"builtin": "example_7_2", "n_paths": 2048, "grid": {"T": 1.5, "dt": 1e-3},
+     "store_every": 10},
+]
+
+
+@pytest.mark.parametrize("horizon,n_paths,count",
+                         [(1e308, 3, "inf"), (1e8, 12, "1.2e+09")])
+def test_jump_candidates_are_bounded(tmp_path, horizon, n_paths, count):
+    # the thinning sampler draws about n_paths * lam_max * T candidates: a
+    # run past the bound would not end, so the parser refuses it
+    doc = dict(copy.deepcopy(TINY_JUMP), grid={"T": horizon, "dt": horizon / 10},
+               n_paths=n_paths)
+    with pytest.raises(ConfigParseError,
+                       match=rf"^jump\.intensity: .* = {re.escape(count)} expected"):
+        parse_config(copy.deepcopy(doc))
+    cfg = _write_cfg(tmp_path, doc)
+    assert main(["validate", "--config", cfg]) == 2
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_every_shipped_document_is_within_the_bounds():
+    for doc in [*BUILTINS.values(), *_BENCH_DOCS, TINY_CAP, TINY_WEIGHTS,
+                TINY_JUMP, TINY_TABLE_JUMP]:
+        _cfg(doc)
+
 
 def _put(doc, path, value):
     """Set the dotted ``path`` of ``doc``, making missing sections."""
@@ -772,7 +803,7 @@ def test_validate_rejects_a_singular_covariance_that_run_rejects(tmp_path):
     assert not out.exists()
     # without the ratio the same market runs
     doc["diagnostics"] = {"lln": False}
-    assert _cfg(doc).market["c"][0] == [0.1, 0.1, 0.0]
+    assert _cfg(doc).resolved["market"]["c"][0] == [0.1, 0.1, 0.0]
 
 
 def test_validate_rejects_a_zero_weight_that_run_rejects(tmp_path):
@@ -785,7 +816,7 @@ def test_validate_rejects_a_zero_weight_that_run_rejects(tmp_path):
     # a jump scenario may start with a dead company
     doc = copy.deepcopy(TINY_JUMP)
     doc["market"]["kappa0"] = [1.0, 0.0]
-    assert _cfg(doc).market["kappa0"] == [1.0, 0.0]
+    assert _cfg(doc).resolved["market"]["kappa0"] == [1.0, 0.0]
     assert main(["validate", "--config", _write_cfg(tmp_path, doc)]) == 0
 
 

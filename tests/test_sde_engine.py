@@ -397,15 +397,19 @@ def test_step_blocks_share_the_block_budget(n_paths, n_threads, d, n_steps):
 
 def _first_overflow(params, grid, paths, seed):
     """Earliest step at which some path in ``paths`` has |log S| > 700, and
-    the largest |log S| there, one step at a time."""
+    the largest |log S| there, one step at a time under a constant ``c``
+    and a drift read per path at each step's time and weights."""
     c = np.asarray(params.c_spec(0.0), dtype=float)
-    drift = (np.asarray(params.a_spec(0.0)) - 0.5 * np.diag(c)) * grid.dt
     sigma = psd_factor(c)
     dw = np.stack([path_generator(seed, STREAM_BROWNIAN, p).standard_normal(
         (grid.n_steps, params.d)) for p in paths]) * np.sqrt(grid.dt)
     logs = np.tile(np.log(params.s0), (len(paths), 1))
     for k in range(grid.n_steps):
-        logs += drift + dw[:, k] @ sigma.T
+        t = grid.t0 + k * grid.dt
+        w = np.exp(logs - logs.max(axis=1, keepdims=True))
+        kappa = w / w.sum(axis=1, keepdims=True)
+        a = np.array([params.a_spec(t, row) for row in kappa])
+        logs += (a - 0.5 * np.diag(c)) * grid.dt + dw[:, k] @ sigma.T
         worst = float(np.abs(logs).max())
         if worst > 700.0:
             return k + 1, worst
@@ -442,6 +446,38 @@ def _assert_overflow_errors(n_threads):
                        match=rf"reached {worst:.1f} at step {step};"):
         simulate_capitalizations(params, grid, 5, 3, store_every=100,
                                  n_threads=n_threads)
+
+
+@pytest.mark.parametrize("drift", ["table", "state"])
+def test_step_overflow_names_the_earliest_step(drift):
+    # drifts that move with time or state are stepped one at a time; log S_1
+    # passes 700 after 3800 to 5600 steps: within one draw block by default,
+    # within a block of about 7 steps, and at a block of its own
+    seen = []
+    if drift == "table":
+        a_spec = ProcessSpec.time_table([0.0, 6000.0], [[0.1, 0.0], [0.2, 0.0]])
+    else:
+        def a_state(t, kappa):
+            seen.append(t)
+            return np.array([0.1 + 0.1 * kappa[0], 0.0])
+        a_spec = ProcessSpec.state_function(a_state)
+    params = MarketParams(d=2, a_spec=a_spec,
+                          c_spec=ProcessSpec.constant(np.diag([0.04, 0.04])),
+                          r_spec=ProcessSpec.constant(0.0), s0=np.ones(2))
+    grid = PathGrid(dt=1.0, n_steps=6000)
+    for values, n_threads in itertools.product(
+            (sde_engine._BLOCK_VALUES, 5 * 7 * 2, 1), (1, 2, 3)):
+        lo, hi = sde_engine._chunks(5, n_threads)[0]
+        step, worst = _first_overflow(params, grid, range(lo, hi), 3)
+        seen.clear()
+        with mock.patch.object(sde_engine, "_BLOCK_VALUES", values), \
+                pytest.raises(NumericalOverflow,
+                              match=rf"reached {worst:.1f} at step {step};"):
+            simulate_capitalizations(params, grid, 5, 3, store_every=100,
+                                     n_threads=n_threads)
+        if drift == "state" and n_threads == 1:
+            # not read past the step that overflowed
+            assert max(seen) == grid.t0 + (step - 1) * grid.dt, values
 
 
 def _engine_run(engine, n_threads):

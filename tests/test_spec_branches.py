@@ -185,6 +185,34 @@ def test_caps_one_knot_table_equals_constant():
     assert np.array_equal(got.caps, ref.caps)
 
 
+def test_caps_short_rate_does_not_choose_the_path(monkeypatch):
+    # r never enters the capitalizations: with constant a and c, a time-table
+    # r keeps the running sum, which reads a once, not once per step
+    const = MarketParams.from_constants([0.05, -0.02, 0.1], C3, 0.01, 3.0 * K3)
+    table = MarketParams(d=3, a_spec=const.a_spec, c_spec=const.c_spec,
+                         r_spec=ProcessSpec.time_table([0.0, 0.3], [0.01, 0.05]),
+                         s0=const.s0)
+    reads = []
+    rows = ProcessSpec.rows
+
+    def counting(self, *args, **kwargs):
+        if self is const.a_spec:
+            reads.append(args[0])
+        return rows(self, *args, **kwargs)
+
+    monkeypatch.setattr(ProcessSpec, "rows", counting)
+    runs = []
+    for params in (const, table):
+        reads.clear()
+        runs.append(simulate_capitalizations(params, GRID, N_PATHS, SEED,
+                                             store_increments=True))
+        assert reads == [0.0, 0.0]  # validate_params' probe and the engine's read
+    ref, got = runs
+    assert np.array_equal(got.kappa, ref.kappa)
+    assert np.array_equal(got.caps, ref.caps)
+    assert np.array_equal(got.brownian_increments, ref.brownian_increments)
+
+
 def test_caps_state_coefficients_match_per_step_reference():
     params = MarketParams(
         d=3, a_spec=ProcessSpec.state_function(_a_state),

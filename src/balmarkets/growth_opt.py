@@ -32,7 +32,9 @@ __all__ = [
 
 _CONSISTENCY_TOL = 1e-9
 _BOUND_TOL = 1e-12
-_MULT_TOL = 1e-10
+# Relative Frank-Wolfe gap, or bound multiplier, at which a portfolio counts
+# as growth optimal: for the certificate, the Newton loop and the QP alike.
+_GAP_RTOL = 1e-10
 # A growth gap ``g* - g^kappa`` below zero by no more than this is rounding;
 # the losses clamp it to zero and raise SolverFailure beyond it.
 _GAP_TOL = 1e-12
@@ -156,7 +158,8 @@ def growth_optimal_constrained(a, c, r, constraint: ConstraintSet):
     Returns ``(rho, g_star)``.  Primal active-set iteration: solve the
     equality subproblem on the current face, line-search toward it (adding
     the blocking bound on contact), and release the bound with the most
-    negative multiplier at a face optimum.  Faces with no stationary point
+    negative multiplier at a face optimum, until none is below
+    ``-_GAP_RTOL (1 + max|c x - q|)``.  Faces with no stationary point
     (possible for singular ``c``) are escaped along the projected gradient.
     """
     a = np.asarray(a, dtype=float)
@@ -218,7 +221,8 @@ def growth_optimal_constrained(a, c, r, constraint: ConstraintSet):
         worst_hi = np.where(at_hi, mu_hi, np.inf)
         k_lo = int(np.argmin(worst_lo))
         k_hi = int(np.argmin(worst_hi))
-        if worst_lo[k_lo] >= -_MULT_TOL and worst_hi[k_hi] >= -_MULT_TOL:
+        tol = -_GAP_RTOL * (1.0 + float(np.abs(grad_dual).max()))
+        if worst_lo[k_lo] >= tol and worst_hi[k_hi] >= tol:
             break
         if worst_lo[k_lo] <= worst_hi[k_hi]:
             at_lo[k_lo] = False

@@ -31,8 +31,8 @@ jump.  Such a market makes no Brownian draws unless increments are
 stored, and it runs as one chunk on the calling thread, so the thread
 count changes neither its values, its diagnostics nor its time.  With or
 without diffusion, a path that has spent its jump budget is outside its
-law, here and in the diagnostics: its intensity is zero, so nothing of
-the law is read at its state or checked against it.
+law, here and in the diagnostics: it leaves the live rows that take the
+compensator, so nothing of the law is read at its state or checked.
 
 Every compensator integral of the diagnostics comes from ``JumpMoments``,
 built once per time from the atoms and the intensity of each row.  The
@@ -43,7 +43,8 @@ slab's coefficients and accepts each row whose relative Frank-Wolfe gap at
 kappa is within ``_GAP_RTOL``, for any drift.  It solves nothing; under a
 jump law the loss solves the rows it rejects with ``growth_optimal_jump``,
 which takes damped Newton steps whose subproblem is the growth-rate QP of
-``growth_opt``, solved exactly by its active-set method.  The segregation
+``growth_opt``, solved by its active-set method, which stops at the same
+relative tolerance.  The segregation
 distance, ``balance_diag.distance_matrix``, needs no growth-optimal
 portfolio: its jump terms are :meth:`JumpMoments.log_ratio_drift` and
 :meth:`JumpMoments.log_ratio_integrand` at unit vectors.
@@ -68,7 +69,7 @@ from .errors import (
     NoSolution,
     SolverFailure,
 )
-from .growth_opt import growth_optimal_constrained, simplex_gap
+from .growth_opt import _GAP_RTOL, growth_optimal_constrained, simplex_gap
 from .market_model import ConstraintSet, PathGrid, ProcessSpec, covariance_rows
 from .sde_engine import (
     STREAM_BROWNIAN,
@@ -109,9 +110,6 @@ ALIVE = "Alive"
 CONTINUOUS_VANISH = "ContinuousVanish"
 JUMP_TO_ZERO = "JumpToZero"
 
-# Relative Frank-Wolfe gap at which a portfolio counts as growth optimal,
-# for the certificate and the optimizer alike.
-_GAP_RTOL = 1e-10
 # Random problems with d <= 5 take at most 8 Newton steps.
 _NEWTON_MAX_ITER = 50
 _DOMAIN_FLOOR = 1e-12
@@ -193,17 +191,6 @@ def _checked_atoms(x, n_atoms: int, d: int | None = None) -> np.ndarray:
     return x
 
 
-def _row_intensities(spec: JumpSpec, t: float, rows: np.ndarray,
-                     active: np.ndarray) -> np.ndarray:
-    """Each row's intensity at ``t``, read at the ``active`` rows only, else zero."""
-    lam = np.zeros(len(rows))
-    if spec.intensity.depends_on_state():
-        lam[active] = [spec.intensity_at(t, k) for k in rows[active]]
-    else:
-        lam[active] = spec.intensity_at(t)
-    return lam
-
-
 def _checked_kappa0(kappa0, open_simplex: bool) -> np.ndarray:
     """``kappa0`` as a float array, checked to lie in the open simplex (every
     weight positive) or the closed one (nonnegative), summing to one to 1e-9."""
@@ -245,8 +232,14 @@ class JumpMoments:
     @classmethod
     def of_rows(cls, spec: JumpSpec, t: float, rows: np.ndarray,
                 active: np.ndarray) -> "JumpMoments":
-        """The moments of a stack of states, jump-free off the ``active`` rows."""
-        return cls.at(spec, t, _row_intensities(spec, t, rows, active))
+        """The moments of a stack of states, jump-free off the ``active``
+        rows, where no intensity is read."""
+        lam = np.zeros(len(rows))
+        if spec.intensity.depends_on_state():
+            lam[active] = [spec.intensity_at(t, k) for k in rows[active]]
+        else:
+            lam[active] = spec.intensity_at(t)
+        return cls.at(spec, t, lam)
 
     def row(self, p: int) -> "JumpMoments | None":
         """Row ``p`` of a stack; ``None`` where it has no jump activity."""
@@ -389,8 +382,8 @@ def _compensator_factor(kl: np.ndarray, x_t: np.ndarray, neg: bool, probs,
 
 def _compensate(ck: np.ndarray, kl: np.ndarray, factor: np.ndarray,
                 ids: np.ndarray, weights, diag: EngineDiagnostics):
-    """Store back, times ``factor``, the rows ``kl = ck[ids]`` it moves (a spent
-    budget stays frozen bit for bit), weights below ``DEATH_THRESHOLD`` dead
+    """Store back, times ``factor``, the rows ``kl = ck[ids]`` it moves (a row
+    without jump activity stays bit for bit), weights below ``DEATH_THRESHOLD`` dead
     at zero, renormalized.  Returns their positions in ``ids``, the dying
     coordinates (or ``None``) and the company-major log-weights, or ``None``."""
     knew = np.multiply(kl, factor, out=factor)
@@ -441,8 +434,8 @@ def simulate_jump_balanced(
     advanced as one cohort, all in one chunk (see the module docstring);
     every path still thins its own candidates on its own jump stream, so
     the values are those of stepping every path.  A path that has spent its
-    jump budget is outside its law: its intensity is zero, and no
-    intensity is read and no jump domain checked at its state.
+    jump budget is outside its law: it leaves the live rows that take the
+    compensator, so no intensity is read nor jump domain checked at its state.
     """
     kappa0 = _checked_kappa0(kappa0, open_simplex=False)
     d = len(kappa0)
@@ -521,14 +514,13 @@ def simulate_jump_balanced(
         cspent = np.full(m, budget == 0)
         rc = np.arange(m) if diffusion else np.zeros(m, dtype=np.int64)
         # 2: the live cohorts changed; 1: only their member counts did
-        regroup = 0 if diffusion else 2
+        regroup = 2
         span = _block_steps(m, d, grid.n_steps, workers) if draws else grid.n_steps
         if draws:
             gens = path_generators(seed, STREAM_BROWNIAN, lo, hi)
             buf = np.empty(m * span * d)
         if diffusion:
-            # every row is live; log-weights company-major (_balanced_step)
-            ids, w, diag.max_live_cohorts = rc, None, m
+            # log-weights company-major (_balanced_step)
             clt = np.tile(_log_weights(kappa0)[:, None], (1, m))
         for step in range(0, grid.n_steps, span):
             blk = min(span, grid.n_steps - step)
@@ -552,28 +544,26 @@ def simulate_jump_balanced(
                 s = step + j
                 t = grid.t0 + s * dt
                 t_end = grid.t0 + (s + 1) * dt
-                kl, factor = ck if diffusion else ck.take(ids, axis=0), None
-                if atoms_steps[s] is not None:
+                factor = None
+                if atoms_steps[s] is not None and ids.size:
+                    kl = ck.take(ids, axis=0)  # the live rows
                     (x_t, neg), lam = atoms_steps[s], lam_steps[s]
-                    # a spent row has zero intensity, which leaves its
-                    # factor exactly 1 and its state unchecked
                     if lam is None:
                         try:
-                            lam = _row_intensities(jump_spec, t, kl, ~cspent[ids])
+                            lam = np.array([jump_spec.intensity_at(t, k) for k in kl])
                         except Exception:
                             # a pure intensity raises again at the first bad
                             # live path, so the error is the per-path loop's
                             for i in np.flatnonzero(~cspent[rc]):
                                 jump_spec.intensity_at(t, ck[rc[i]])
                             raise
-                    elif diffusion and budget is not None:
-                        lam = np.where(cspent, 0.0, lam)
-                    if ids.size:
-                        factor = _compensator_factor(kl, x_t, neg, jump_spec.probs, lam, dt)
+                    factor = _compensator_factor(kl, x_t, neg, jump_spec.probs, lam, dt)
                 if diffusion:
                     # the balanced step; dead coordinates ride along at -inf
-                    c, sigma = cov(t, kl)
-                    kl = ck = _balanced_step(clt, kl, dw[:, j], c, sigma, dt, diag)
+                    c, sigma = cov(t, ck)
+                    ck = _balanced_step(clt, ck, dw[:, j], c, sigma, dt, diag)
+                    if factor is not None:
+                        kl = ck.take(ids, axis=0)
                 moved = factor is not None and _compensate(ck, kl, factor, ids, w, diag)
                 if moved:
                     rows, dying, lt = moved
@@ -582,7 +572,7 @@ def simulate_jump_balanced(
                         zt[members, cc] = t_end
                         md[members, cc] = CONTINUOUS_VANISH
                     if diffusion:
-                        clt[:, rows] = lt
+                        clt[:, ids[rows]] = lt
                 # jump events inside (t, t_end], a round at a time: each
                 # due row draws on its own stream in its own order
                 # (acceptance, size, next candidate), and products stay
@@ -634,7 +624,7 @@ def simulate_jump_balanced(
                                 spent.add(i)
                                 bo[i] = tau
                                 cspent[c] = True
-                            if not diffusion and (split or i in spent):
+                            if split or i in spent:
                                 # unchanged live set: a new cohort spent at once
                                 regroup = max(regroup, 1 if split and i in spent else 2)
                         if diffusion:
@@ -644,7 +634,7 @@ def simulate_jump_balanced(
                             heapq.heappush(heap, (tau + jgens[i].exponential(1.0 / lam_max), i))
                 idx = stored_pos.get(s + 1)
                 if idx is not None:
-                    kappa_out[lo:hi, idx] = ck if diffusion else ck.take(rc, axis=0)
+                    kappa_out[lo:hi, idx] = ck.take(rc, axis=0)
         return diag
 
     if diffusion:

@@ -168,8 +168,12 @@ _Field = collections.namedtuple(
     "_Field", "path kind doc default minimum exclusive enum nonempty expect below",
     defaults=(_OPTIONAL, None, False, (), False, None, None))
 _SIMPLEX = "must be nonnegative and sum to one"
-# expected thinning candidates, n_paths * lam_max * T, of a runnable jump scenario
+# expected thinning candidates, n_paths * peak intensity * T, of a runnable jump
+# scenario; path-steps, n_paths * T / dt, of a runnable scenario; and values,
+# n_paths * stored steps * d, of one of its output arrays
 _MAX_JUMP_CANDIDATES = 1e9
+_MAX_PATH_STEPS = 1e11
+_MAX_OUTPUT_VALUES = 2**30
 _ROOT = _Field("", "section", "One simulation scenario. Keys override a 'builtin' "
                "wholesale, except 'diagnostics' and 'thresholds', which merge per "
                "entry. Numbers must be finite; a null optional key is absent.")
@@ -198,19 +202,15 @@ _FIELDS = (
            "(balanced-weights and jump engines); positive for the "
            "balanced-weights engine, nonnegative for the jump engine.",
            minimum=0, below=_SIMPLEX),
-    _Field("market.d", "integer", "Number of companies; must match 'c'."),
     _Field("jump", "section", "Finite-atom jump law, compensated; model 'jump' only.",
            expect="required object for a jump model"),
     _Field("jump.intensity", "number|section", "Arrival rate: a constant, or a "
            "piecewise-linear table of time points and values.  The expected "
-           "thinning candidates, n_paths * lam_max * T, may not exceed "
+           "thinning candidates, n_paths * peak intensity * T, may not exceed "
            f"{_MAX_JUMP_CANDIDATES:.0e}.", _REQUIRED, 0),
     _Field("jump.intensity.times", "vector", "Strictly increasing time knots.",
            _REQUIRED, nonempty=True),
     _Field("jump.intensity.values", "vector", "Rate at each knot.", _REQUIRED, 0),
-    _Field("jump.lam_max", "number", "Bound on the intensity for the thinning "
-           "sampler; must equal the intensity's peak, its default (a larger bound "
-           "only draws more candidates)."),
     _Field("jump.atoms", "matrix", "Relative jump sizes, one row per atom; -1 kills "
            "a company.", _REQUIRED, -1, below="relative jump sizes must be >= -1"),
     _Field("jump.probs", "vector", "Probability of each row of 'atoms', summing "
@@ -218,7 +218,9 @@ _FIELDS = (
     _Field("jump.max_jumps", "integer", "Accepted jumps per path before the jump "
            "measure and its compensator switch off; no budget when absent.", minimum=0),
     _Field("grid", "section", "Time horizon and step; T must be a whole number "
-           "of steps.", _REQUIRED, expect="required object with keys T and dt"),
+           f"of steps, n_paths * T / dt at most {_MAX_PATH_STEPS:.0e} path-steps "
+           f"and n_paths * stored steps * d at most 2**30 values.", _REQUIRED,
+           expect="required object with keys T and dt"),
     _Field("grid.T", "number", "Time horizon.", _REQUIRED, 0, True),
     _Field("grid.dt", "number", "Time step.", _REQUIRED, 0, True),
     _Field("n_paths", "integer", "Number of simulated paths.", _REQUIRED, 1),
@@ -283,10 +285,6 @@ class ScenarioConfig:
     @property
     def n_steps(self) -> int:
         return self.grid.n_steps
-
-    @property
-    def grid_dt(self) -> float:
-        return self.grid.dt
 
 
 def _fail(path: str, msg: str):
@@ -408,6 +406,12 @@ def parse_config(doc: dict) -> ScenarioConfig:
         _fail("grid.dt", f"horizon {horizon} is not a whole number of steps of {dt}")
     with _at("grid"):
         grid = PathGrid(dt=dt, n_steps=n_steps)
+    # the work and the output of a run, bounded before it starts
+    n_paths = vals["n_paths"]
+    steps = n_paths * n_steps  # shown as inf past the float range
+    if steps > _MAX_PATH_STEPS:
+        _fail("grid", f"n_paths * T / dt = {steps if steps < 1e308 else math.inf:.3g}"
+              f" path-steps, more than {_MAX_PATH_STEPS:.0e}")
     params = c_spec = r_spec = kappa0 = jump_spec = None
     if "example" in vals:
         if model != "jump":
@@ -421,8 +425,6 @@ def parse_config(doc: dict) -> ScenarioConfig:
         if c.shape[0] != c.shape[1]:
             _fail("market.c", f"must be square, got shape {c.shape}")
         d = c.shape[0]
-        if market.pop("d", d) != d:
-            _fail("market.d", f"does not match the {d}x{d} covariance")
         if d < 2:
             _fail("market.c", "a market needs at least two companies")
         engine = "capitalizations" if "a" in market else "balanced_weights"
@@ -457,19 +459,22 @@ def parse_config(doc: dict) -> ScenarioConfig:
                 with _at("jump.intensity"):
                     inten = ProcessSpec.time_table(inten["times"], inten["values"])
                 lam_peak = float(inten.values.max())
-            if jump.setdefault("lam_max", lam_peak) != lam_peak:
-                _fail("jump.lam_max", f"must equal the intensity's peak, {lam_peak}")
-            candidates = vals["n_paths"] * lam_peak * horizon
+            candidates = n_paths * lam_peak * horizon
             if candidates > _MAX_JUMP_CANDIDATES:
-                _fail("jump.intensity", f"n_paths * lam_max * T = {candidates:.3g} "
-                      f"expected thinning candidates, more than {_MAX_JUMP_CANDIDATES:.0e}")
+                _fail("jump.intensity", f"n_paths * peak intensity * T = "
+                      f"{candidates:.3g} expected thinning candidates, more than "
+                      f"{_MAX_JUMP_CANDIDATES:.0e}")
             probs = _need(jump, "jump.probs", len(jump["atoms"]))
             with _at("jump.probs", JumpLawError), _at("jump.atoms", JumpDomainError):
                 jump_spec = JumpSpec.finite_atoms(
-                    inten, jump["lam_max"], jump["atoms"], probs,
+                    inten, lam_peak, jump["atoms"], probs,
                     max_jumps=jump.get("max_jumps"))
             if jump_spec.d != d:
                 _fail("jump.atoms", f"expected {d} sizes per atom, got {jump_spec.d}")
+    values = n_paths * (-(-n_steps // vals["store_every"]) + 1) * d
+    if values > _MAX_OUTPUT_VALUES:
+        _fail("grid", f"n_paths * stored steps * d = {values:.3g} values per "
+              "output array, more than 2**30")
 
     resolved = {key: val for key, val in vals.items()
                 if key not in ("builtin", "description", "output_dir")}
@@ -806,7 +811,7 @@ def _cmd_list(args) -> int:
 def _cmd_validate(args) -> int:
     cfg = parse_config(_load_config_doc(args.config))
     print(f"OK: {cfg.name} ({cfg.engine}, {cfg.d} companies, "
-          f"T={cfg.resolved['grid']['T']:g}, dt={cfg.grid_dt:g}, "
+          f"T={cfg.resolved['grid']['T']:g}, dt={cfg.grid.dt:g}, "
           f"n_paths={cfg.n_paths}, seed={cfg.seed})")
     return 0
 

@@ -176,9 +176,9 @@ class EngineDiagnostics:
     """Online health counters accumulated during a simulation.
 
     The jump engine adds thinning candidates examined, jumps accepted and
-    the largest number of distinct states (cohorts) it stepped at once.
-    Counts add up over path chunks, and so do the cohort peaks: with
-    diffusion every path is its own cohort, and the sum is the path count.
+    the largest number of live distinct states (cohorts with jump budget
+    left) it stepped at once.  Counts add up over path chunks, and so do the
+    cohort peaks: with diffusion every path is its own cohort.
     The pre-renormalization defect is summed per row (a path, or a cohort
     of the jump engine, which runs in one chunk) in ``prerenorm_row_sums``;
     a row's sum does not depend on the chunk layout, and ``math.fsum`` of

@@ -312,3 +312,23 @@ def test_only_boxes_without_the_simplex_raise(lo, hi):
     with pytest.raises(InfeasibleConstraint):
         ConstraintSet(ConstraintKind.BOX_HYPERPLANE, lo=np.array(lo),
                       hi=np.array(hi))
+
+
+@pytest.mark.parametrize("level", [0.0, 1000.0])
+def test_bound_multipliers_stop_at_the_relative_gap_tolerance(level):
+    """The QP keeps a bound whose multiplier is negative by less than
+    ``_GAP_RTOL (1 + max|c x - q|)``, the certificate's own tolerance.  At
+    ``e_2`` this problem's first multiplier is -1e-8: the bound is released
+    at gradient level one and kept at level 1000, where the vertex is
+    growth optimal to the certificate's tolerance."""
+    c = np.array([[3.0, 2.0, -1.0], [2.0, 2.0, 1.0], [-1.0, 1.0, 5.0]])
+    q = np.array([1e-8, 0.0, -2.0]) + level
+    rho, _ = growth_optimal_constrained(q, c, 0.0, ConstraintSet.closed_simplex())
+    grad = q - c @ rho
+    scale = 1.0 + np.abs(grad).max()
+    assert simplex_gap(grad, rho) <= growth_opt._GAP_RTOL * scale
+    assert rho[2] == 0.0 and rho[1] == pytest.approx(1.0, abs=1e-7)
+    if level:
+        assert rho[0] == 0.0
+    else:
+        assert rho[0] == pytest.approx(1e-8, rel=1e-3)

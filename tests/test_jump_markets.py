@@ -20,7 +20,6 @@ from balmarkets.errors import (
     SolverFailure,
 )
 from balmarkets.jump_markets import (
-    _GAP_RTOL,
     ALIVE,
     CONTINUOUS_VANISH,
     DEATH_THRESHOLD,
@@ -36,6 +35,7 @@ from balmarkets.jump_markets import (
     simulate_relative_caps_balanced,
 )
 from balmarkets.growth_opt import (
+    _GAP_RTOL,
     growth_optimal_constrained,
     growth_rate,
     simplex_gap,
@@ -425,6 +425,29 @@ def test_seed_reproducibility_and_thread_invariance(max_jumps):
                                       getattr(b.diagnostics, f.name))
     # a one-jump budget leaves some paths spent under diffusion
     assert (max_jumps is None) == np.isinf(rec_a.budget_exhausted_time).all()
+
+
+def test_spent_rows_leave_the_compensator_under_diffusion(monkeypatch):
+    """A path that has spent its budget is outside its law: the compensator
+    factor of each step receives the paths still live at its start, and
+    none of the others."""
+    sizes = []
+    factor = jump_markets._compensator_factor
+
+    def spy(kl, *args):
+        sizes.append(len(kl))
+        return factor(kl, *args)
+
+    monkeypatch.setattr(jump_markets, "_compensator_factor", spy)
+    grid = PathGrid(dt=1e-3, n_steps=400)
+    spec = JumpSpec.finite_atoms(5.0, 5.0, ATOMS, PROBS, max_jumps=1)
+    _, rec = simulate_jump_balanced(ProcessSpec.constant(C3), spec, K3, grid, 40, 5)
+    spent = rec.budget_exhausted_time
+    live = [int(np.count_nonzero(spent > grid.t0 + s * grid.dt))
+            for s in range(grid.n_steps)]
+    # most paths spend their budget, never all of them
+    assert live[0] == 40 and 2 <= live[-1] < 20
+    assert sizes == live
 
 
 def test_compensated_jumps_leave_weights_a_martingale():

@@ -91,7 +91,6 @@ TINY_JUMP = {
         "atoms": [[0.2, -0.1]],
         "probs": [1.0],
         "intensity": 1.0,
-        "lam_max": 1.0,
     },
     "grid": {"T": 0.3, "dt": 0.005},
     "n_paths": 12,
@@ -303,20 +302,47 @@ def test_validate_rejects_a_jump_law_that_run_rejects(tmp_path, key, value,
     # the library's own check raises a typed error that is still a ValueError
     jump = doc["jump"]
     with pytest.raises(BalmarketsError) as err:
-        JumpSpec.finite_atoms(jump["intensity"], jump["lam_max"],
+        JumpSpec.finite_atoms(jump["intensity"], jump["intensity"],
                               jump["atoms"], jump["probs"])
     assert isinstance(err.value, ValueError)
 
 
-def test_lam_max_must_dominate_intensity():
+@pytest.mark.parametrize("path, value", [("jump.lam_max", 1.0), ("market.d", 2)],
+                         ids=["jump.lam_max", "market.d"])
+def test_derived_keys_are_unknown(tmp_path, path, value):
+    # the intensity's peak and the size of c fix these keys, so a document
+    # may not set them, even to the fixed value, and a summary recording one
+    # does not replay
     doc = copy.deepcopy(TINY_JUMP)
-    doc["jump"]["intensity"] = 3.0
-    with pytest.raises(ConfigParseError, match="lam_max"):
-        parse_config(doc)
-    # a larger bound would thin the same law, ever more slowly
-    doc["jump"]["lam_max"] = 1e300
-    with pytest.raises(ConfigParseError, match="^jump.lam_max: must equal"):
-        parse_config(doc)
+    _put(doc, path, value)
+    assert path not in {f.path for f in _FIELDS}
+    with pytest.raises(ConfigParseError, match=rf"^{re.escape(path)}: unknown key"):
+        parse_config(copy.deepcopy(doc))
+    cfg = _write_cfg(tmp_path, doc)
+    summary = _write_cfg(tmp_path, {"version": __version__, "config": doc},
+                         "summary.json")
+    out = tmp_path / "out"
+    assert main(["validate", "--config", cfg]) == 2
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert main(["replay", "--config", summary, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("doc, where", [
+    ([1, 2], "config root must be a JSON object"),
+    (dict(TINY_WEIGHTS, jump=TINY_JUMP["jump"]),
+     "jump: only meaningful when model is 'jump'"),
+    ({"builtin": "example_7_2", "model": "continuous"},
+     "model: the death_of_company example is a jump model"),
+    (dict(TINY_CAP, model="jump", jump=TINY_JUMP["jump"]),
+     "market.a: jump scenarios evolve weights directly"),
+    (dict(TINY_CAP, market={"a": [0.0], "c": [[1.0]], "s0": [1.0]}),
+     "market.c: a market needs at least two companies"),
+], ids=["root-list", "jump-in-continuous", "example-in-continuous",
+        "a-in-jump", "c-1x1"])
+def test_cross_field_rules_name_their_key(doc, where):
+    with pytest.raises(ConfigParseError, match=f"^{re.escape(where)}"):
+        parse_config(copy.deepcopy(doc))
 
 
 def test_example_excludes_market_section():
@@ -335,7 +361,7 @@ def test_death_example_rejects_a_coarse_step():
     with pytest.raises(ConfigParseError, match=r"^grid\.dt: .*dt <= 0\.001"):
         parse_config({"builtin": "example_7_2", "grid": {"T": 1.5, "dt": 1e-2}})
     assert _cfg({"builtin": "example_7_2",
-                 "grid": {"T": 1.5, "dt": 1e-3}}).grid_dt == 1e-3
+                 "grid": {"T": 1.5, "dt": 1e-3}}).grid.dt == 1e-3
     with pytest.raises(ValueError, match="dt <= 0.001"):
         example_death_of_company(PathGrid(dt=1e-2, n_steps=150), 4, 1)
 
@@ -494,6 +520,32 @@ def test_cli_list_mentions_every_builtin(capsys):
         assert name in out
 
 
+def test_cli_prints_every_diagnostic_and_a_failed_replay(tmp_path, capsys):
+    demo = _write_cfg(tmp_path, {
+        "builtin": "perfect_balance_demo", "n_paths": 12,
+        "grid": {"T": 0.05, "dt": 1e-3}, "thresholds": {"indeterminate_cap": 1.0},
+        "diagnostics": {"limiting_distribution": True}}, "demo.json")
+    death = _write_cfg(tmp_path, {
+        "builtin": "example_7_2", "n_paths": 64, "grid": {"T": 1.5, "dt": 1e-3},
+        "store_every": 10}, "death.json")
+    for cfg, lines in ((demo, ("  limiting: ", "  lln: ratio ")),
+                       (death, ("  limiting: ", "  example: sup_error "))):
+        out = cfg[:-len(".json")]
+        assert main(["run", "--config", cfg, "--out", out]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        for line in lines:
+            assert any(p.startswith(line) for p in printed), (cfg, line)
+    # a stored digest that no longer matches what the run writes
+    path = tmp_path / "death" / "summary.json"
+    saved = json.loads(path.read_text())
+    saved["digests"]["paths.csv"] = "0" * 64
+    path.write_text(json.dumps(saved))
+    assert main(["replay", "--config", str(path),
+                 "--out", str(tmp_path / "redo")]) == 1
+    assert ("replay: digests differ from the stored summary"
+            in capsys.readouterr().err)
+
+
 def test_cli_seed_override_is_recorded(tmp_path):
     cfg_path = _write_cfg(tmp_path, TINY_WEIGHTS)
     out = str(tmp_path / "out")
@@ -511,6 +563,13 @@ def test_cli_thread_env_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("BM_THREADS", "not_a_number")
     assert main(["run", "--config", cfg_path,
                  "--out", str(tmp_path / "env_bad")]) == 2
+    monkeypatch.setenv("BM_THREADS", "0")
+    assert main(["run", "--config", cfg_path,
+                 "--out", str(tmp_path / "env_zero")]) == 2
+    assert main(["run", "--config", cfg_path, "--threads", "0",
+                 "--out", str(tmp_path / "flag_zero")]) == 2
+    assert not (tmp_path / "env_zero").exists()
+    assert not (tmp_path / "flag_zero").exists()
 
 
 def test_cli_bad_config_exit_codes(tmp_path):
@@ -602,18 +661,24 @@ def test_schema_matches_the_parser():
     assert set(props["thresholds"]["properties"]) == set(_DEFAULT_THRESHOLDS)
 
 
-def test_python_dash_m_runs_without_runtime_warning():
+def test_python_dash_m_runs_without_runtime_warning(tmp_path):
     src = os.path.dirname(os.path.dirname(balmarkets.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    done = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "balmarkets",
-         "list"],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    assert "perfect_balance_demo" in done.stdout
+    bad = _write_cfg(tmp_path, {"model": "continuous"}, "bad.json")
+    # the verbs README promises, and the exit code of a config error
+    for verb, code, said in ((["list"], 0, "perfect_balance_demo"),
+                             (["validate", "--config", "example_7_2"], 0,
+                              "OK: example_7_2"),
+                             (["validate", "--config", bad], 2, "")):
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "balmarkets",
+             *verb], env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == code, (verb, done.stderr)
+        assert said in done.stdout
+    assert done.stderr.startswith("config error: ")
 
 
 _RUN_AND_LIST_SCIPY = """
@@ -679,6 +744,28 @@ def test_jump_candidates_are_bounded(tmp_path, horizon, n_paths, count):
                n_paths=n_paths)
     with pytest.raises(ConfigParseError,
                        match=rf"^jump\.intensity: .* = {re.escape(count)} expected"):
+        parse_config(copy.deepcopy(doc))
+    cfg = _write_cfg(tmp_path, doc)
+    assert main(["validate", "--config", cfg]) == 2
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("doc, grid, count", [
+    (TINY_CAP, {"T": 1e12, "dt": 1e-3}, "n_paths * T / dt = 2e+16 path-steps"),
+    (TINY_WEIGHTS, {"T": 1e12, "dt": 1e-3},
+     "n_paths * T / dt = 1.5e+16 path-steps"),
+    (dict(TINY_WEIGHTS, n_paths=1000, store_every=1), {"T": 1e3, "dt": 1e-3},
+     "n_paths * stored steps * d = 2e+09 values"),
+    # past the float range, before the thinning candidates are counted
+    (dict(TINY_JUMP, n_paths=10**400), TINY_JUMP["grid"],
+     "n_paths * T / dt = inf path-steps"),
+], ids=["cap-steps", "weights-steps", "weights-values", "jump-paths-huge"])
+def test_grid_work_and_output_are_bounded(tmp_path, doc, grid, count):
+    # a run past either bound would exhaust memory before its first output
+    doc = dict(copy.deepcopy(doc), grid=grid)
+    with pytest.raises(ConfigParseError, match=f"^grid: {re.escape(count)}"):
         parse_config(copy.deepcopy(doc))
     cfg = _write_cfg(tmp_path, doc)
     assert main(["validate", "--config", cfg]) == 2

@@ -36,6 +36,7 @@ from balmarkets.market_model import MarketParams, PathGrid, ProcessSpec
 from balmarkets.scenario_cli import (
     _DEFAULT_DIAGNOSTICS,
     _DEFAULT_THRESHOLDS,
+    _Field,
     _FIELDS,
     _SECTIONS,
     _TOP_KEYS,
@@ -305,6 +306,21 @@ def test_validate_rejects_a_jump_law_that_run_rejects(tmp_path, key, value,
         JumpSpec.finite_atoms(jump["intensity"], jump["intensity"],
                               jump["atoms"], jump["probs"])
     assert isinstance(err.value, ValueError)
+
+
+def test_lam_max_must_dominate_intensity():
+    # the parser takes the thinning bound from the intensity's peak, so no
+    # document can set a bound below it
+    doc = copy.deepcopy(TINY_TABLE_JUMP)
+    doc["jump"]["intensity"]["values"] = [1.0, 3.0]
+    spec = parse_config(doc).jump_spec
+    assert spec.lam_max == 3.0
+    assert spec.intensity_at(0.3) == 3.0
+    # the library still refuses an intensity above its bound
+    jump = TINY_JUMP["jump"]
+    low = JumpSpec.finite_atoms(3.0, 1.0, jump["atoms"], jump["probs"])
+    with pytest.raises(BalmarketsError, match="leaves \\[0, lam_max=1.0\\]"):
+        low.intensity_at(0.0)
 
 
 @pytest.mark.parametrize("path, value", [("jump.lam_max", 1.0), ("market.d", 2)],
@@ -953,7 +969,13 @@ def _fuzzed_doc(field, data):
     return doc
 
 
-@pytest.mark.parametrize("field", _FIELDS, ids=lambda f: f.path)
+# keys that the intensity's peak and the size of c now fix: any value of one
+# must still be a config error, never a crash
+_RETIRED_FIELDS = (_Field("jump.lam_max", "number", ""),
+                   _Field("market.d", "integer", ""))
+
+
+@pytest.mark.parametrize("field", _FIELDS + _RETIRED_FIELDS, ids=lambda f: f.path)
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(data=st.data())
 def test_parse_config_raises_only_config_errors(field, data):

@@ -610,7 +610,7 @@ def limiting_to_csv(
                 range(lo, hi), ld.labels[lo:hi], _format_g17(np.column_stack(
                     [ld.terminal_kappa[lo:hi], L_terminal[lo:hi]])).split("\n"))])
 
-    return _write_hashed(path, chunks())
+    return _write_hashed(path, map(str.encode, chunks()))
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ factor and through its own accepted jumps.  The engine then keeps one
 state per cohort of paths that share it bit for bit and advances each
 distinct state once per step; a path leaves its cohort at an accepted
 jump.  Such a market makes no Brownian draws unless increments are
-stored, and it runs as one chunk on the calling thread, so the thread
+stored, and it runs as one chunk on the calling process, so the worker
 count changes neither its values, its diagnostics nor its time.  With or
 without diffusion, a path that has spent its jump budget is outside its
 law, here and in the diagnostics: it leaves the live rows that take the
@@ -78,9 +78,11 @@ from .sde_engine import (
     PathSet,
     _balanced_step,
     _block_steps,
+    _chunks,
     _draw_block,
     _format_g17,
     _n_workers,
+    _output,
     _path_blocks,
     _renormalize_log,
     _run_chunked,
@@ -449,32 +451,31 @@ def simulate_jump_balanced(
     if store_increments and store_every != 1:
         raise ValueError("increments can only be stored at full resolution")
 
-    stored = _stored_steps(grid.n_steps, store_every)
-    stored_pos = {int(s): i for i, s in enumerate(stored)}
-    kappa_out = np.empty((n_paths, len(stored), d))
-    kappa_out[:, 0] = kappa0
-    inc_out = np.empty((n_paths, grid.n_steps, d)) if store_increments else None
-    zeta = np.full((n_paths, d), np.inf)
-    mode = np.full((n_paths, d), ALIVE, dtype="<U16")
-    zeta[:, kappa0 == 0.0] = grid.t0
-    mode[:, kappa0 == 0.0] = CONTINUOUS_VANISH
-    jump_count = np.zeros(n_paths, dtype=np.int64)
-    first_jump = np.full(n_paths, np.nan)
-    budget_out = np.full(n_paths, np.inf)
-    if jump_spec.max_jumps == 0:
-        budget_out[:] = grid.t0
-    records = (zeta, mode, jump_count, first_jump, budget_out)
-
     cov = covariance_rows(c_spec, d)
     # a covariance that is zero for good leaves no diffusion and no
     # quadratic drift: the weights only move through the compensator factor
     # and the jumps, and the Brownian draws are skipped
     diffusion = not (c_spec.is_constant() and not cov(grid.t0, None)[0].any())
+    workers = _n_workers(n_paths, n_threads) if diffusion else 1
+
+    stored = _stored_steps(grid.n_steps, store_every)
+    stored_pos = {int(s): i for i, s in enumerate(stored)}
+    kappa_out = _output((n_paths, len(stored), d), float, workers)
+    kappa_out[:, 0] = kappa0
+    inc_out = (_output((n_paths, grid.n_steps, d), float, workers)
+               if store_increments else None)
+    zeta, mode, jump_count, first_jump, budget_out = records = [
+        _output((n_paths, *shape), dtype, workers) for shape, dtype in (
+            ((d,), float), ((d,), "<U16"), ((), np.int64), ((), float), ((), float))]
+    zeta[...], mode[...], first_jump[...] = np.inf, ALIVE, np.nan
+    zeta[:, kappa0 == 0.0] = grid.t0
+    mode[:, kappa0 == 0.0] = CONTINUOUS_VANISH
+    budget_out[...] = grid.t0 if jump_spec.max_jumps == 0 else np.inf
+
     draws = diffusion or inc_out is not None
     budget, lam_max = jump_spec.max_jumps, jump_spec.lam_max
     sqrt_dt = np.sqrt(grid.dt)
     dt = grid.dt
-    workers = _n_workers(n_paths, n_threads) if diffusion else 1
 
     # hoist the per-step time dependence out of the hot loop: the intensity
     # (None where it depends on the state), and the atoms with whether one
@@ -637,13 +638,11 @@ def simulate_jump_balanced(
                     kappa_out[lo:hi, idx] = ck.take(rc, axis=0)
         return diag
 
-    if diffusion:
-        diag = _run_chunked(worker, n_paths, n_threads)
-    else:
-        # cohorts share most across the whole ensemble, and their defect
-        # sums and peaks would depend on the chunk layout: one chunk on the
-        # calling thread
-        diag = worker(0, n_paths) if n_paths else EngineDiagnostics()
+    # without diffusion, cohorts share most across the whole ensemble, and
+    # their defect sums and peaks would depend on the chunk layout: one
+    # chunk on the calling process
+    spans = _chunks(n_paths, n_threads) if diffusion else [(0, n_paths)][:n_paths]
+    diag = _run_chunked(worker, spans, workers)
     ps = PathSet(
         grid=grid,
         n_paths=n_paths,
@@ -653,6 +652,7 @@ def simulate_jump_balanced(
         brownian_increments=inc_out,
         c_spec=c_spec,
         diagnostics=diag,
+        workers=workers,
     )
     rec = LifetimeRecord(
         zeta=zeta,

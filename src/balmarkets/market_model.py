@@ -11,7 +11,7 @@ the spec reads the state) and checks its shape, and
 engine and diagnostic evaluates coefficients through these two.
 
 All containers are frozen dataclasses; evaluation never mutates state, so
-instances can be shared freely across worker threads.
+instances can be shared freely across worker processes.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ diagnostic JSON, summary) into a directory; the ``balmarkets`` console
 command (or ``python -m balmarkets``) wraps this with ``run``, ``list``,
 ``validate``, and ``replay`` verbs.  Every writer returns the sha256 of
 the bytes it wrote, which the summary records.  Replaying a stored summary reproduces every CSV byte for byte as
-long as the package version matches, independent of the thread count.
+long as the package version matches, independent of the worker count.
 
 Builtin scenarios cover the stock examples: the two-company flight-to-one
 markets at three drift levels, the deterministic jump market with a known
@@ -552,7 +552,7 @@ def _sanitize(obj):
 
 def _write_json(path: str, payload: dict) -> str:
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    return _write_hashed(path, [text + "\n"])
+    return _write_hashed(path, [(text + "\n").encode()])
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir: str,
@@ -843,7 +843,7 @@ def main(argv=None) -> int:
                        "(default balmarkets_out/<name>)")
     run_p.add_argument("--seed", type=int, help="override the config seed")
     run_p.add_argument("--threads", type=int,
-                       help="worker threads (default $BM_THREADS or 1)")
+                       help="worker processes (default $BM_THREADS or 1)")
     run_p.set_defaults(func=_cmd_run)
 
     list_p = sub.add_parser("list", help="list builtin scenarios")
@@ -862,7 +862,7 @@ def main(argv=None) -> int:
     rep_p.add_argument("--out", help="output directory "
                        "(default <summary>.replay)")
     rep_p.add_argument("--threads", type=int,
-                       help="worker threads (default $BM_THREADS or 1)")
+                       help="worker processes (default $BM_THREADS or 1)")
     rep_p.set_defaults(func=_cmd_replay)
 
     args = parser.parse_args(argv)

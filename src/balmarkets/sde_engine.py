@@ -23,21 +23,24 @@ capitalization engine runs one loop over blocks of draws and writes
 ``a`` and the covariance ``c`` are constant, as a running sum over tiles
 of paths, with the same arithmetic.  The short rate ``r`` never enters
 the capitalizations and does not choose between the two.  Paths are split
-into chunks, one or more per worker thread; every row is computed
-independently of the others, so the chunk layout, and with it the thread
-count, never changes values.
+into chunks, one or more per worker process (the calling one included);
+every row is computed independently of the others, so the chunk layout,
+and with it the worker count, never changes values.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import itertools
 import math
+import mmap
 import os
+import pickle
 import queue
+import signal
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -183,7 +186,7 @@ class EngineDiagnostics:
     of the jump engine, which runs in one chunk) in ``prerenorm_row_sums``;
     a row's sum does not depend on the chunk layout, and ``math.fsum`` of
     them all is exact whatever their order, so no field depends on the
-    thread count.
+    worker count.
     """
 
     max_simplex_defect: float = 0.0
@@ -242,6 +245,7 @@ class PathSet:
     c_spec: ProcessSpec | None = None
     r_spec: ProcessSpec | None = None
     diagnostics: EngineDiagnostics = field(default_factory=EngineDiagnostics)
+    workers: int = 1  # processes of the engine, and of the path writer
 
     @property
     def d(self) -> int:
@@ -268,15 +272,25 @@ def _spans(n: int, most: int, at_least: int = 1) -> list[tuple[int, int]]:
 
 
 def _chunks(n_paths: int, n_threads: int):
-    """Path spans of the engine workers, one or more per thread."""
+    """Path spans of the engine workers, one or more per worker."""
     return _spans(n_paths, _CHUNK_PATHS, n_threads)
 
 
 def _n_workers(n_paths: int, n_threads: int) -> int:
-    """Worker threads of a run: no more than were asked for, than there are
-    chunks, or than the machine has cores."""
-    return max(1, min(n_threads, len(_chunks(n_paths, n_threads)),
-                      os.cpu_count() or 1))
+    """Worker processes of a run: no more than asked for, than chunks, or
+    than the cores this process may use; one where there is no ``fork``."""
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1) if hasattr(os, "fork") else 1
+    return max(1, min(n_threads, len(_chunks(n_paths, n_threads)), cores))
+
+
+def _output(shape: tuple, dtype, workers: int) -> np.ndarray:
+    """A zeroed engine output, in anonymous shared memory for forked workers."""
+    if workers == 1:
+        return np.zeros(shape, dtype)
+    n = math.prod(shape)
+    buf = mmap.mmap(-1, n * np.dtype(dtype).itemsize)
+    return np.frombuffer(buf, dtype, n).reshape(shape)
 
 
 def _block_steps(m: int, d: int, n_steps: int, workers: int) -> int:
@@ -305,22 +319,67 @@ def _path_blocks(n_paths: int, n_stored: int) -> list[tuple[int, int]]:
     return _spans(n_paths, max(3, _SLAB_VALUES // n_stored))
 
 
-def _run_chunked(worker, n_paths: int, n_threads: int) -> EngineDiagnostics:
-    """Run ``worker(lo, hi) -> EngineDiagnostics`` over path chunks.
+def _forked(n: int, workers: int, job):
+    """Yield ``job(0), ..., job(n - 1)``, item k made by worker ``k % workers``.
+    Worker 0 is the calling process; each other one is a child forked from
+    it at the first item, which pickles its items (or the exception that
+    ends them, raised here at its item) into a pipe that holds them until
+    read.  A child takes the default action on SIGTERM and SIGINT and ends
+    by ``os._exit``, so no ``finally`` of the caller runs in it; the caller
+    kills and reaps it when the generator ends, fails or is closed."""
+    pids, pipes, mask, stops = [], [], None, (signal.SIGTERM, signal.SIGINT)
+    try:
+        for w in range(1, workers):
+            rfd, wfd = os.pipe()
+            pipes.append(open(rfd, "rb"))
+            # a signal that would run a handler of the caller waits for it
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, stops)
+            if (pid := os.fork()) == 0:
+                try:
+                    for sig in stops:
+                        signal.signal(sig, signal.SIG_DFL)
+                    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                    with open(wfd, "wb") as out:
+                        try:
+                            for k in range(w, n, workers):
+                                pickle.dump((None, job(k)), out)
+                                out.flush()
+                        except Exception as err:
+                            out.write(pickle.dumps((err, None)))
+                finally:
+                    os._exit(0)
+            os.close(wfd)
+            pids.append(pid)
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        for k in range(n):
+            if k % workers == 0:
+                yield job(k)
+                continue
+            try:
+                err, item = pickle.load(pipes[k % workers - 1])
+            except (EOFError, pickle.UnpicklingError):  # the child died
+                raise ChildProcessError(f"worker {k % workers} died") from None
+            if err is not None:
+                raise err
+            yield item
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for fh in pipes:
+            fh.close()
+        if mask is not None:  # after a failed fork, signals are still blocked
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
-    Rows are computed independently and each worker writes only to its own
-    slice of the output arrays, so the chunk layout, and with it the thread
-    count, never changes values.
-    """
+
+def _run_chunked(worker, spans, workers: int) -> EngineDiagnostics:
+    """Run ``worker(lo, hi) -> EngineDiagnostics`` over the path ``spans`` on
+    ``workers`` processes (:func:`_forked`), each writing its own rows of the
+    outputs (:func:`_output`); merges the results in span order."""
     diag = EngineDiagnostics()
-    spans = _chunks(n_paths, n_threads)
-    workers = _n_workers(n_paths, n_threads)
-    if workers == 1:
-        for lo, hi in spans:
-            diag.merge(worker(lo, hi))
-        return diag
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(lambda span: worker(*span), spans):
+    parts = _forked(len(spans), workers, lambda k: worker(*spans[k]))
+    with contextlib.closing(parts):
+        for part in parts:
             diag.merge(part)
     return diag
 
@@ -430,7 +489,7 @@ def _draw_block(gens, buf: np.ndarray, blk: int, d: int,
                 sqrt_dt: float) -> np.ndarray:
     """Every path's next ``blk`` steps of ``N(0, dt I)`` draws, written into
     a prefix of the worker's reused flat buffer ``buf`` (fresh per-path
-    arrays would stay resident in the worker thread's heap).
+    arrays would stay resident in the worker's heap).
 
     Each path draws from its own stream in step order, so the values do not
     depend on how its steps are cut into blocks: an engine sizes ``buf``
@@ -494,11 +553,11 @@ def simulate_capitalizations(
         raise ValueError("increments can only be stored at full resolution")
 
     stored = _stored_steps(grid.n_steps, store_every)
-    kappa_out = np.empty((n_paths, len(stored), d))
-    caps_out = np.empty((n_paths, len(stored), d))
-    inc_out = (
-        np.empty((n_paths, grid.n_steps, d)) if store_increments else None
-    )
+    workers = _n_workers(n_paths, n_threads)
+    kappa_out = _output((n_paths, len(stored), d), float, workers)
+    caps_out = _output((n_paths, len(stored), d), float, workers)
+    inc_out = (_output((n_paths, grid.n_steps, d), float, workers)
+               if store_increments else None)
     cov = covariance_rows(params.c_spec, d)
     log_s0 = np.log(params.s0)
     sqrt_dt = np.sqrt(grid.dt)
@@ -507,7 +566,6 @@ def simulate_capitalizations(
     constant = params.a_spec.is_constant() and params.c_spec.is_constant()
     # the tail stores the weights; a step needs them only for a state function
     reads_state = params.a_spec.depends_on_state() or params.c_spec.depends_on_state()
-    workers = _n_workers(n_paths, n_threads)
     if constant:
         c, sigma = cov(grid.t0, None)
         a = params.a_spec.rows(grid.t0, None, (d,), "drift rate a")
@@ -595,7 +653,7 @@ def simulate_capitalizations(
         diag.max_simplex_defect = defect
         return diag
 
-    diag = _run_chunked(worker, n_paths, n_threads)
+    diag = _run_chunked(worker, _chunks(n_paths, n_threads), workers)
     return PathSet(
         grid=grid,
         n_paths=n_paths,
@@ -608,6 +666,7 @@ def simulate_capitalizations(
         c_spec=params.c_spec,
         r_spec=params.r_spec,
         diagnostics=diag,
+        workers=workers,
     )
 
 
@@ -822,14 +881,14 @@ def _g17_pass(block: np.ndarray, scratch: _G17Scratch) -> str:
 
 
 def _write_hashed(path, chunks) -> str:
-    """Write the text ``chunks`` to ``path`` in order; returns the sha256 of
+    """Write the byte ``chunks`` to ``path`` in order; returns the sha256 of
     the bytes written.  The first two chunks (all of a JSON document or of
     a one-block CSV) are written here, as a thread would cost more than it
     saves; the rest pass, at most two waiting, to one helper thread that
     writes and hashes them in order, both releasing the GIL, while the next
-    is made.  An error on either side raises here, after the helper stops."""
-    # map drops each chunk's text once it is encoded
-    digest, chunks = hashlib.sha256(), map(str.encode, chunks)
+    is made, so ``chunks`` may fork while it makes the first two.  An error
+    on either side raises here, after the helper stops."""
+    digest, chunks = hashlib.sha256(), iter(chunks)
     with open(path, "wb") as fh:
         for data in itertools.islice(chunks, 2):
             fh.write(data)
@@ -868,13 +927,13 @@ def _write_paths_csv(ps: PathSet, path, columns, header: str,
     ``columns`` are (n_paths, n_stored, k) arrays printed with ``%.17g``;
     ``suffix``, when given, holds one preformatted string per path that ends
     each of its rows.  Each stored step's ``step,t`` is formatted once, and
-    so is each distinct data row: a row whose bits equal those of the row
-    one stored step back (a frozen path) or one path back (a shared cohort)
-    reuses that row's text, so the bytes are those of formatting every row.
-    Rows go out ``_BLOCK_STEPS`` at a time through :func:`_write_hashed`;
-    a block looks back at most ``ns`` rows, the previous path.
-    The work arrays are allocated once and reused by every block.
-    """
+    so is each distinct data row of a block of ``_BLOCK_STEPS`` rows: a row
+    whose bits equal those of the row one stored step back (a frozen path)
+    or one path back (a shared cohort) in the block reuses that row's text,
+    so the bytes are those of formatting every row.  The blocks, encoded by
+    the ``ps.workers`` processes of :func:`_forked`, go through
+    :func:`_write_hashed` in order; each reuses the work arrays made before
+    the fork."""
     n, ns = ps.kappa.shape[:2]
     width = sum(col.shape[-1] for col in columns)
     flat = [col.reshape(n * ns, -1) for col in columns]
@@ -882,76 +941,57 @@ def _write_paths_csv(ps: PathSet, path, columns, header: str,
     prefix = np.array([f"{k},{t}," for k, t in
                        zip(ps.stored_steps.tolist(), times)], dtype=object)
     ends = np.full(n, "\n", dtype=object) if suffix is None else "," + suffix + "\n"
-    # work arrays of one window: the previous path's rows, then the block
     block = min(_BLOCK_STEPS, n * ns)
-    span = block + ns
-    window = np.empty((width, span))  # one row per column: comparisons
-    same = np.empty((width, span), dtype=bool)  # reduce over the short axis
-    idx = np.arange(span)
-    src, nxt = np.empty((2, span), dtype=np.intp)
-    own, path_of, step_of = np.empty((3, block), dtype=np.intp)
-    back = np.empty(span, dtype=bool)
-    text, resolved = np.empty((2, span), dtype=object)
+    window = np.empty((width, block))  # one row per column: comparisons
+    same = np.empty((width, block), dtype=bool)  # reduce over the short axis
+    idx = np.arange(block)
+    src, nxt, own = np.empty((3, block), dtype=np.intp)
+    back = np.empty(block, dtype=bool)
+    text = np.empty(block, dtype=object)
     vals = np.empty(block * width)
     cells = np.empty((block, 4), dtype=object)
     scratch = _G17Scratch(max(width, _G17_VALUES))
 
-    def chunks():
-        yield header + "\n"
-        kept = 0  # window rows of the previous block; its last ones carry over
-        for lo in range(0, n * ns, _BLOCK_STEPS):
-            hi = min(lo + _BLOCK_STEPS, n * ns)
-            wlo = max(0, lo - ns)
-            m, a = hi - wlo, lo - wlo  # window rows, rows before the block
-            data = window[:, :m]
-            col = 0
-            for f in flat:
-                data[col:col + f.shape[1]] = f[wlo:hi].T
-                col += f.shape[1]
-            bits = data.view(np.uint64)
-            # each block row's source: the row one step back if equal, else
-            # the row one path back if equal, else itself
-            s, bk = src[:m], back[:m]
-            s[...] = idx[:m]
-            _equal_back(bits, ns, bk, same)
-            bk[:a] = False
-            np.subtract(s, ns, out=s, where=bk)
-            _equal_back(bits, 1, bk, same)
-            bk[:a] = False
-            bk[-wlo % ns::ns] = False  # a path's first row
-            np.subtract(idx[:m], 1, out=s, where=bk)
-            while True:  # pointer jumping to the head of each chain
-                nx = nxt[:m]
-                s.take(s, out=nx)
-                if np.array_equal(nx, s):
-                    break
-                s[...] = nx
-            # format the rows that are their own source, then copy
-            np.equal(s[a:], idx[a:m], out=bk[a:])
-            o = own[:np.count_nonzero(bk[a:])]
-            np.compress(bk[a:], idx[a:m], out=o)
-            t = text[:m]
-            t[:a] = resolved[kept - a:kept]
-            v = vals[:o.size * width].reshape(o.size, width)
-            data.T.take(o, axis=0, out=v, mode="clip")
-            t[o] = _format_g17(v, scratch).split("\n")[:-1]
-            t.take(s, out=resolved[:m], mode="clip")
-            kept = m
-            # rows: path label, the step's "step,t,", data, row end
-            p, k = path_of[:hi - lo], step_of[:hi - lo]
-            np.add(idx[:hi - lo], lo, out=p)
-            np.divmod(p, ns, out=(p, k))
-            c = cells[:hi - lo]
-            ends.take(p, out=c[:, 3], mode="clip")
-            prefix.take(k, out=c[:, 1], mode="clip")
-            c[:, 2] = resolved[a:m]
-            lead = np.array(["%d," % q for q in range(p[0], p[-1] + 1)],
-                            dtype=object)
-            p -= p[0]
-            lead.take(p, out=c[:, 0], mode="clip")
-            yield "".join(c.ravel().tolist())
+    def rows(b: int) -> bytes:
+        lo = b * _BLOCK_STEPS
+        m = min(_BLOCK_STEPS, n * ns - lo)
+        data = np.concatenate([f[lo:lo + m].T for f in flat], out=window[:, :m])
+        bits = data.view(np.uint64)
+        # each row's source: the row one step back if equal, else the row
+        # one path back if equal, else itself
+        s, bk = src[:m], back[:m]
+        s[...] = idx[:m]
+        _equal_back(bits, ns, bk, same)
+        np.subtract(s, ns, out=s, where=bk)
+        _equal_back(bits, 1, bk, same)
+        bk[-lo % ns::ns] = False  # a path's first row
+        np.subtract(idx[:m], 1, out=s, where=bk)
+        while True:  # pointer jumping to the head of each chain
+            nx = nxt[:m]
+            s.take(s, out=nx)
+            if np.array_equal(nx, s):
+                break
+            s[...] = nx
+        # format the rows that are their own source, then copy
+        np.equal(s, idx[:m], out=bk)
+        o = own[:np.count_nonzero(bk)]
+        np.compress(bk, idx[:m], out=o)
+        v = vals[:o.size * width].reshape(o.size, width)
+        data.T.take(o, axis=0, out=v, mode="clip")
+        text[o] = _format_g17(v, scratch).split("\n")[:-1]
+        # rows: path label, the step's "step,t,", data, row end
+        p, k = np.divmod(idx[:m] + lo, ns)
+        c = cells[:m]
+        ends.take(p, out=c[:, 3], mode="clip")
+        prefix.take(k, out=c[:, 1], mode="clip")
+        text.take(s, out=c[:, 2], mode="clip")
+        lead = np.array(["%d," % q for q in range(p[0], p[-1] + 1)], dtype=object)
+        lead.take(p - p[0], out=c[:, 0], mode="clip")
+        return "".join(c.ravel().tolist()).encode()
 
-    return _write_hashed(path, chunks())
+    blocks = _forked(-(-n * ns // _BLOCK_STEPS), ps.workers, rows)
+    with contextlib.closing(blocks):
+        return _write_hashed(path, itertools.chain([(header + "\n").encode()], blocks))
 
 
 def _equal_back(bits: np.ndarray, lag: int, out: np.ndarray,

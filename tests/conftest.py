@@ -2,6 +2,7 @@
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 
@@ -9,8 +10,10 @@ def _peak_above(call, outputs):
     """Run ``call()`` under tracemalloc; returns its result and its traced
     peak in bytes above the arrays that ``outputs(result)`` lists.
 
-    tracemalloc also sees numpy's allocations in worker threads.  Memory
-    allocated before the call, such as an input path set, is not counted.
+    tracemalloc sees this process only: an output in shared memory (an
+    ``mmap``, which the engines use for forked workers) is not subtracted,
+    and a forked worker's own memory is not counted.  Memory allocated
+    before the call, such as an input path set, is not counted either.
     """
     tracemalloc.start()
     try:
@@ -18,7 +21,15 @@ def _peak_above(call, outputs):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return result, peak - sum(a.nbytes for a in outputs(result))
+    return result, peak - sum(_traced_nbytes(a) for a in outputs(result))
+
+
+def _traced_nbytes(a) -> int:
+    """``a.nbytes``, or 0 when ``a`` views memory numpy did not allocate."""
+    root = a
+    while isinstance(root.base, np.ndarray):
+        root = root.base
+    return a.nbytes if root.base is None else 0
 
 
 @pytest.fixture

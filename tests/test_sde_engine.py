@@ -148,24 +148,16 @@ def test_thread_count_does_not_change_paths(engine):
 
 @pytest.mark.parametrize("engine", ["balanced", "caps"])
 def test_worker_threads_are_capped_at_the_cores(monkeypatch, engine):
-    """5000 threads asked for on 10,000 paths make 5000 chunks, but the pool
-    opens no more workers than the machine has cores, and the constant
-    branch sizes its tiles for that many.  The pool here is an inline
-    fake, so no thread starts; the bytes are those of one thread."""
+    """5000 workers asked for on 10,000 paths make 5000 chunks, but a run
+    has no more worker processes than the cores it may run on (here the 2
+    of its affinity, of 64 that ``os.cpu_count`` reports), and the constant
+    branch sizes its tiles for that many.  The fork primitive here is an
+    inline fake, so no process starts; the bytes are those of one worker."""
     opened, shares = [], []
 
-    class InlinePool:
-        def __init__(self, max_workers):
-            opened.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
+    def inline_forked(n, workers, job):
+        opened.append(workers)
+        return (job(k) for k in range(n))
 
     tile_plan = sde_engine._tile_plan
 
@@ -187,8 +179,9 @@ def test_worker_threads_are_capped_at_the_cores(monkeypatch, engine):
         return ps.kappa, ps.diagnostics.mean_prerenorm_defect
 
     want = run(1)
-    monkeypatch.setattr(sde_engine, "ThreadPoolExecutor", InlinePool)
-    monkeypatch.setattr(sde_engine.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(sde_engine, "_forked", inline_forked)
+    monkeypatch.setattr(sde_engine.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(sde_engine.os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(sde_engine, "_tile_plan", recording_plan)
     assert len(sde_engine._chunks(10_000, 5000)) == 5000
     got = run(5000)
@@ -850,13 +843,13 @@ def test_write_hashed_raises_from_either_side_and_stops_its_helper(tmp_path):
         for k in range(n):
             if k == fail_at:
                 raise RuntimeError("formatting failed")
-            yield f"row {k}\n"
+            yield f"row {k}\n".encode()
 
     for n in (0, 1, 2, 20):
-        text = "".join(chunks(None, n))
+        data = b"".join(chunks(None, n))
         assert sde_engine._write_hashed(out, chunks(None, n)) == hashlib.sha256(
-            text.encode()).hexdigest()
-        assert out.read_text() == text
+            data).hexdigest()
+        assert out.read_bytes() == data
     with mock.patch.object(sde_engine.threading, "Thread", side_effect=AssertionError):
         sde_engine._write_hashed(out, chunks(None, 2))  # no thread for two chunks
     with pytest.raises(RuntimeError, match="formatting failed"):

@@ -431,9 +431,10 @@ def distance_matrix(
     variance rate of that log ratio.  ``a_spec=None`` means the balanced
     drift of :func:`~balmarkets.jump_markets.drift_from_balance_jump`,
     ``c kappa + r 1`` less the jump gradient, with ``r`` from ``r_spec``
-    (default: the path set's rate, else zero).  With a jump law every
-    company must stay alive on the path, and ``lifetimes`` switches the
-    law off once the path's jump budget ran out, as in the engine.
+    (default: the path set's rate, else zero).  ``lifetimes`` holds the
+    death times: every company must stay alive on the path up to the
+    horizon, and the law is switched off once the path's jump budget ran
+    out, as in the engine.
     """
     if ps.c_spec is None:
         raise ValueError("PathSet does not record its covariance spec")
@@ -465,16 +466,17 @@ def distance_matrix(
         cutoff = np.inf
         if lifetimes is not None and lifetimes.budget_exhausted_time is not None:
             cutoff = float(lifetimes.budget_exhausted_time[path_index])
+        zeta = np.full(d, np.inf) if lifetimes is None else lifetimes.zeta[path_index]
         total = np.zeros(len(iu))
         for k in range(len(times) - 1):
             t = float(times[k])
             if t >= horizon:
                 break
-            state = ps.kappa[path_index, k]
-            if jump_spec is not None and state.min() <= DEATH_THRESHOLD:
+            if t >= zeta.min():
                 raise ValueError(
-                    f"company {int(np.argmin(state))} is dead at t={t:.6g}; "
+                    f"company {int(np.argmin(zeta))} is dead at t={t:.6g}; "
                     "the distance needs every company alive")
+            state = ps.kappa[path_index, k]
             c = c_spec.rows(t, state, (d, d), "covariance rate c")
             nu = _moments(jump_spec, t, state) if t < cutoff else None
             if a_spec is None:

@@ -537,7 +537,6 @@ def simulate_jump_balanced(
                         # BLAS rounds a one-row product differently, so a
                         # lone live cohort pads ``ids`` with itself at weight 0
                         ids = np.flatnonzero(~cspent[:nc])
-                        diag.max_live_cohorts = max(diag.max_live_cohorts, ids.size)
                         pad = ids.size == 1 and m > 1
                         ids = ids.repeat(2) if pad else ids
                     w = csize[ids] * [1, 0] if pad else csize[ids]
@@ -639,9 +638,9 @@ def simulate_jump_balanced(
         return diag
 
     # without diffusion, cohorts share most across the whole ensemble, and
-    # their defect sums and peaks would depend on the chunk layout: one
-    # chunk on the calling process
-    spans = _chunks(n_paths, n_threads) if diffusion else [(0, n_paths)][:n_paths]
+    # their defect sums would depend on the chunk layout: one chunk on the
+    # calling process
+    spans = _chunks(n_paths, workers) if diffusion else [(0, n_paths)][:n_paths]
     diag = _run_chunked(worker, spans, workers)
     ps = PathSet(
         grid=grid,
@@ -930,7 +929,6 @@ def example_death_of_company(
     seed: int,
     *,
     store_every: int = 100,
-    n_threads: int = 1,
 ) -> dict:
     """Two companies, no noise, one compensated upward jump law.
 
@@ -946,9 +944,9 @@ def example_death_of_company(
     and ``death_time_err`` the worst |zeta - 2 log 2| over dying paths.
     The engine advances that shared flow once per step for all paths that
     have not jumped, and a path's single jump spends its budget and freezes
-    it, so the run costs about one step per grid point plus one per jump,
-    whatever ``n_threads``.  The comparison takes one block of paths at a
-    time, so it holds little memory beyond the path set.
+    it, so the run costs about one step per grid point plus one per jump.
+    The comparison takes one block of paths at a time, so it holds little
+    memory beyond the path set.
     """
     if grid.dt > _EXAMPLE_MAX_DT:
         raise ValueError(f"the analytic comparison needs dt <= {_EXAMPLE_MAX_DT:g}")
@@ -966,9 +964,7 @@ def example_death_of_company(
     k0 = np.array([0.5, 0.5])
 
     ps, rec = simulate_jump_balanced(
-        c_zero, spec, k0, grid, n_paths, seed,
-        store_every=store_every, n_threads=n_threads,
-    )
+        c_zero, spec, k0, grid, n_paths, seed, store_every=store_every)
     times = ps.times()
     analytic = np.where(
         times < _T_DEATH, 1.0 - np.exp(times / 2.0) / 2.0, 0.0

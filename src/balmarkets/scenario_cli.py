@@ -55,6 +55,7 @@ from .growth_opt import implied_interest_rate
 from .jump_markets import (
     _EXAMPLE_MAX_DT,
     JumpSpec,
+    LifetimeRecord,
     _checked_kappa0,
     example_death_of_company,
     jump_pathset_to_csv,
@@ -69,7 +70,6 @@ from .market_model import (
     validate_params,
 )
 from .sde_engine import (
-    PathSet,
     _write_hashed,
     pathset_summary,
     pathset_to_csv,
@@ -528,9 +528,9 @@ def scenario_schema() -> dict:
 # running
 
 
-def _whole_market_path(ps: PathSet) -> int | None:
-    alive = (ps.kappa[:, -1] > 0.0).all(axis=1)
-    hits = np.flatnonzero(alive)
+def _whole_market_path(rec: LifetimeRecord) -> int | None:
+    """The first path on which no company has a death time."""
+    hits = np.flatnonzero(np.isinf(rec.zeta).all(axis=1))
     return int(hits[0]) if hits.size else None
 
 
@@ -580,9 +580,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str,
     rec = jump_spec = a_spec = r_spec = None
     if cfg.engine == "jump_example":
         rep = example_death_of_company(
-            grid, cfg.n_paths, cfg.seed,
-            store_every=cfg.store_every, n_threads=n_threads,
-        )
+            grid, cfg.n_paths, cfg.seed, store_every=cfg.store_every)
         ps, rec, jump_spec = rep["path_set"], rep["lifetimes"], rep["jump_spec"]
         summary["example_report"] = {key: rep[key] for key in (
             "sup_error", "death_time", "death_time_err", "expected_death_time",
@@ -625,7 +623,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str,
         summary["balance"] = {"enabled": False}
 
     if cfg.diagnostics["segregation"]:
-        pidx = 0 if jump_spec is None else _whole_market_path(ps)
+        pidx = 0 if rec is None else _whole_market_path(rec)
         if pidx is None:
             payload = {"enabled": False,
                        "reason": "no path kept every company alive to "

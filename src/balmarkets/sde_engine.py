@@ -176,12 +176,11 @@ def path_generators(seed: int, stream: int, lo: int,
 
 @dataclass
 class EngineDiagnostics:
-    """Online health counters accumulated during a simulation.
+    """Online health counters: what a simulation's outputs cannot show.
 
-    The jump engine adds thinning candidates examined, jumps accepted and
-    the largest number of live distinct states (cohorts with jump budget
-    left) it stepped at once.  Counts add up over path chunks, and so do the
-    cohort peaks: with diffusion every path is its own cohort.
+    The jump engine adds thinning candidates examined and jumps accepted;
+    counts add up over path chunks.  How far the stored weights are off the
+    simplex is read from the outputs (:func:`pathset_summary`).
     The pre-renormalization defect is summed per row (a path, or a cohort
     of the jump engine, which runs in one chunk) in ``prerenorm_row_sums``;
     a row's sum does not depend on the chunk layout, and ``math.fsum`` of
@@ -189,14 +188,12 @@ class EngineDiagnostics:
     worker count.
     """
 
-    max_simplex_defect: float = 0.0
     max_prerenorm_defect: float = 0.0
     prerenorm_row_sums: np.ndarray = field(default_factory=lambda: np.zeros(0))
     n_prerenorm_samples: int = 0
     n_clamped: int = 0
     n_jump_candidates: int = 0
     n_jumps_accepted: int = 0
-    max_live_cohorts: int = 0
 
     @property
     def sum_prerenorm_defect(self) -> float:
@@ -209,7 +206,6 @@ class EngineDiagnostics:
         return self.sum_prerenorm_defect / self.n_prerenorm_samples
 
     def merge(self, other: "EngineDiagnostics") -> None:
-        self.max_simplex_defect = max(self.max_simplex_defect, other.max_simplex_defect)
         self.max_prerenorm_defect = max(
             self.max_prerenorm_defect, other.max_prerenorm_defect
         )
@@ -219,7 +215,6 @@ class EngineDiagnostics:
         self.n_clamped += other.n_clamped
         self.n_jump_candidates += other.n_jump_candidates
         self.n_jumps_accepted += other.n_jumps_accepted
-        self.max_live_cohorts += other.max_live_cohorts
 
 
 @dataclass
@@ -271,17 +266,19 @@ def _spans(n: int, most: int, at_least: int = 1) -> list[tuple[int, int]]:
     return [(i * n // k, (i + 1) * n // k) for i in range(k)]
 
 
-def _chunks(n_paths: int, n_threads: int):
+def _chunks(n_paths: int, workers: int):
     """Path spans of the engine workers, one or more per worker."""
-    return _spans(n_paths, _CHUNK_PATHS, n_threads)
+    return _spans(n_paths, _CHUNK_PATHS, workers)
 
 
 def _n_workers(n_paths: int, n_threads: int) -> int:
-    """Worker processes of a run: no more than asked for, than chunks, or
-    than the cores this process may use; one where there is no ``fork``."""
+    """Worker processes of a run: no more than asked for, than the cores
+    this process may use, or than the chunks of that many; one where there
+    is no ``fork``."""
     cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count() or 1) if hasattr(os, "fork") else 1
-    return max(1, min(n_threads, len(_chunks(n_paths, n_threads)), cores))
+    workers = max(1, min(n_threads, cores))
+    return min(workers, len(_chunks(n_paths, workers)))
 
 
 def _output(shape: tuple, dtype, workers: int) -> np.ndarray:
@@ -442,10 +439,7 @@ def _renormalize_log(lt: np.ndarray, diag: EngineDiagnostics,
     else:
         diag.prerenorm_row_sums = pre
     lt -= mx + np.log(s)
-    kt = np.exp(lt)
-    defect = float(np.maximum.reduce(np.abs(_company_sum(kt) - 1.0)))
-    diag.max_simplex_defect = max(diag.max_simplex_defect, defect)
-    return kt
+    return np.exp(lt)
 
 
 def _noise_rows(sigma: np.ndarray, dw: np.ndarray) -> np.ndarray:
@@ -579,14 +573,12 @@ def simulate_capitalizations(
 
     def worker(lo: int, hi: int) -> EngineDiagnostics:
         m = hi - lo
-        diag = EngineDiagnostics()
         gens = path_generators(seed, STREAM_BROWNIAN, lo, hi)
         logs = np.tile(log_s0, (m, 1))
         caps = np.exp(logs)
         kappa = caps / caps.sum(axis=1, keepdims=True)
         caps_out[lo:hi, 0] = caps
         kappa_out[lo:hi, 0] = kappa
-        defect = _simplex_defect(kappa)
         if constant:
             span, tiles = _tile_plan(m, d, grid.n_steps, workers)
             scratch = np.empty((max(3, _SLAB_VALUES // d), d))
@@ -641,19 +633,16 @@ def simulate_capitalizations(
                     continue
                 logs[p0:p1] = x[:, -1]
                 np.exp(x[:, cols], out=caps_out[rows, i0:i1])
-                kw = _weights(x[:, cols], kappa_out[rows, i0:i1])
-                defect = max(defect, _simplex_defect(kw))
+                _weights(x[:, cols], kappa_out[rows, i0:i1])
             if worst is not None:
                 j = int(np.argmax(worst > _LOG_CAP))
                 raise overflow(worst[j], step + j + 1)
         if len(even) < len(stored):  # the final step, off that spacing
             np.exp(logs, out=caps_out[lo:hi, -1])
-            kw = _weights(logs, kappa_out[lo:hi, -1])
-            defect = max(defect, _simplex_defect(kw))
-        diag.max_simplex_defect = defect
-        return diag
+            _weights(logs, kappa_out[lo:hi, -1])
+        return EngineDiagnostics()
 
-    diag = _run_chunked(worker, _chunks(n_paths, n_threads), workers)
+    diag = _run_chunked(worker, _chunks(n_paths, workers), workers)
     return PathSet(
         grid=grid,
         n_paths=n_paths,
@@ -1026,7 +1015,9 @@ def pathset_to_csv(ps: PathSet, path) -> str:
 def pathset_summary(ps: PathSet) -> dict:
     """Ensemble summary (means, standard errors, covariances) at the quarter
     points ``T/4, T/2, 3T/4, T`` of the simulated horizon, snapped to stored
-    steps.
+    steps, and the engine diagnostics.  ``max_simplex_defect`` is the worst
+    ``|sum(kappa) - 1|`` over every stored row, the start included, read
+    one block of paths at a time.
     """
     times = ps.times()
     horizon = times[-1]
@@ -1056,12 +1047,13 @@ def pathset_summary(ps: PathSet) -> dict:
         "n_steps": ps.grid.n_steps,
         "checkpoints": out,
         "diagnostics": {
-            "max_simplex_defect": ps.diagnostics.max_simplex_defect,
+            "max_simplex_defect": max(
+                _simplex_defect(ps.kappa[p0:p1])
+                for p0, p1 in _path_blocks(ps.n_paths, len(ps.stored_steps))),
             "max_prerenorm_defect": ps.diagnostics.max_prerenorm_defect,
             "mean_prerenorm_defect": ps.diagnostics.mean_prerenorm_defect,
             "n_clamped": ps.diagnostics.n_clamped,
             "n_jump_candidates": ps.diagnostics.n_jump_candidates,
             "n_jumps_accepted": ps.diagnostics.n_jumps_accepted,
-            "max_live_cohorts": ps.diagnostics.max_live_cohorts,
         },
     }

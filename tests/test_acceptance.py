@@ -35,7 +35,7 @@ from balmarkets.scenario_cli import (
     replay_summary,
     run_scenario,
 )
-from balmarkets.sde_engine import simulate_capitalizations
+from balmarkets.sde_engine import pathset_summary, simulate_capitalizations
 
 
 def _verdict(num, ok, detail):
@@ -60,7 +60,7 @@ def test_01_simplex_and_martingale_invariants():
             ProcessSpec.constant(c), k0,
             PathGrid(dt=1e-3, n_steps=1000), 10_000, seed, store_every=1000)
         defect = max(
-            ps.diagnostics.max_simplex_defect,
+            pathset_summary(ps)["diagnostics"]["max_simplex_defect"],
             float(np.abs(ps.kappa.sum(axis=2) - 1.0).max()),
             float(max(0.0, -ps.kappa.min())),
         )

@@ -2,11 +2,12 @@
 
 ``sde_engine._balanced_step`` keeps its log-weights company-major,
 ``(d, rows)``, so its reductions and broadcasts run along the path axis.
-The row-major kernel it replaced is pasted below unchanged and serves as
-the reference: weights, log-weights and the health statistics must match
-it bit for bit (its defect sums follow the engine's per-row rule).  The
-zero-diffusion cohort reference in ``test_jump_cohorts.py`` renormalizes
-with the same frozen copy.
+The row-major kernel it replaced is pasted below and serves as the
+reference: weights, log-weights and the health statistics must match it
+bit for bit (its defect sums follow the engine's per-row rule, and the
+simplex defect of its output, which the engine no longer counts, is
+gone).  The zero-diffusion cohort reference in ``test_jump_cohorts.py``
+renormalizes with the same frozen copy.
 """
 
 import numpy as np
@@ -45,10 +46,7 @@ def frozen_renormalize_log(logk, diag, weights=None, rows=None):
         diag.prerenorm_row_sums = np.zeros(len(pre))
     np.add.at(diag.prerenorm_row_sums, slice(None) if rows is None else rows, pre)
     logk -= mx + np.log(s)
-    kappa = np.exp(logk)
-    defect = float(np.abs(kappa.sum(axis=1) - 1.0).max())
-    diag.max_simplex_defect = max(diag.max_simplex_defect, defect)
-    return kappa
+    return np.exp(logk)
 
 
 def _frozen_noise_rows(sigma, dw):
@@ -77,9 +75,8 @@ def _bits(x):
 
 
 def _diag_fields(diag):
-    return (_bits(diag.max_simplex_defect), _bits(diag.max_prerenorm_defect),
-            _bits(diag.sum_prerenorm_defect), diag.n_prerenorm_samples,
-            diag.n_clamped)
+    return (_bits(diag.max_prerenorm_defect), _bits(diag.sum_prerenorm_defect),
+            diag.n_prerenorm_samples, diag.n_clamped)
 
 
 def _special_rows(rng, d):

@@ -501,6 +501,14 @@ def test_continuous_vanish_death_is_recorded():
     assert cv.all()
     # death detection resolves to one step: O(dt) at this resolution
     assert res["death_time_err"] <= 2e-3
+    # the distance reads the same death times: it refuses a path that lost
+    # company 2 and walks one that kept both
+    ps, spec = res["path_set"], res["jump_spec"]
+    with pytest.raises(ValueError, match="company 1 is dead at t="):
+        distance_matrix(ps, None, path_index=int(np.flatnonzero(died)[0]),
+                        jump_spec=spec, lifetimes=rec)
+    distance_matrix(ps, None, path_index=int(np.flatnonzero(~died)[0]),
+                    jump_spec=spec, lifetimes=rec)
 
 
 def test_death_fraction_matches_exact_rate():

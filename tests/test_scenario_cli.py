@@ -2,6 +2,7 @@
 
 import ast
 import copy
+import csv
 import hashlib
 import importlib
 import json
@@ -921,6 +922,27 @@ def test_validate_rejects_a_zero_weight_that_run_rejects(tmp_path):
     doc["market"]["kappa0"] = [1.0, 0.0]
     assert _cfg(doc).resolved["market"]["kappa0"] == [1.0, 0.0]
     assert main(["validate", "--config", _write_cfg(tmp_path, doc)]) == 0
+
+
+def test_a_weight_far_below_the_death_threshold_is_alive(tmp_path):
+    # strong diffusion takes company 2's weight far below DEATH_THRESHOLD,
+    # but no jump law acts (max_jumps 0), so no company has a death time;
+    # the distance takes the path, by the death times paths.csv prints
+    doc = {"name": "f", "model": "jump",
+           "market": {"c": [[4, 0], [0, 4]], "r": 0, "kappa0": [0.5, 0.5]},
+           "jump": {"intensity": 1, "atoms": [[0.1, -0.1]], "probs": [1],
+                    "max_jumps": 0},
+           "grid": {"T": 8, "dt": 0.1}, "n_paths": 1, "seed": 1,
+           "store_every": 5, "diagnostics": {"limiting_distribution": False}}
+    cfg, out = _write_cfg(tmp_path, doc), tmp_path / "out"
+    assert main(["validate", "--config", cfg]) == 0
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    with open(out / "paths.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert min(float(row["kappa_2"]) for row in rows) < 1e-12
+    assert {row[f"zeta_{i}"] for row in rows for i in (1, 2)} == {"inf"}
+    dist = json.loads((out / "distances.json").read_text())
+    assert dist["path_index"] == 0 and dist["values"][0][1] > 0.0
 
 
 _ROUND_TRIP_DOCS = [BUILTINS[name] for name in BUILTINS] + [

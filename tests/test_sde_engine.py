@@ -49,7 +49,7 @@ def test_weights_stay_on_the_simplex():
     assert np.all(ps.kappa >= 0.0)
     sums = ps.kappa.sum(axis=2)
     assert np.abs(sums - 1.0).max() < 1e-12
-    assert ps.diagnostics.max_simplex_defect < 1e-12
+    assert pathset_summary(ps)["diagnostics"]["max_simplex_defect"] < 1e-12
 
 
 def test_prerenormalization_defect_shrinks_linearly_in_dt():
@@ -148,15 +148,16 @@ def test_thread_count_does_not_change_paths(engine):
 
 @pytest.mark.parametrize("engine", ["balanced", "caps"])
 def test_worker_threads_are_capped_at_the_cores(monkeypatch, engine):
-    """5000 workers asked for on 10,000 paths make 5000 chunks, but a run
-    has no more worker processes than the cores it may run on (here the 2
-    of its affinity, of 64 that ``os.cpu_count`` reports), and the constant
-    branch sizes its tiles for that many.  The fork primitive here is an
-    inline fake, so no process starts; the bytes are those of one worker."""
+    """5000 workers asked for on 10,000 paths: a run has no more worker
+    processes than the cores it may run on (here the 2 of its affinity, of
+    64 that ``os.cpu_count`` reports), splits the paths into the chunks of
+    that many, as at 2 asked for, and the constant branch sizes its tiles
+    for that many.  The fork primitive here is an inline fake, so no process
+    starts; the bytes are those of one worker."""
     opened, shares = [], []
 
     def inline_forked(n, workers, job):
-        opened.append(workers)
+        opened.append((n, workers))
         return (job(k) for k in range(n))
 
     tile_plan = sde_engine._tile_plan
@@ -183,9 +184,10 @@ def test_worker_threads_are_capped_at_the_cores(monkeypatch, engine):
     monkeypatch.setattr(sde_engine.os, "cpu_count", lambda: 64)
     monkeypatch.setattr(sde_engine.os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(sde_engine, "_tile_plan", recording_plan)
-    assert len(sde_engine._chunks(10_000, 5000)) == 5000
     got = run(5000)
-    assert opened == [2]
+    assert opened == [(len(sde_engine._chunks(10_000, 2)), 2)]
+    run(2)
+    assert opened[1] == opened[0]
     assert set(shares) <= {2}
     assert bool(shares) == (engine == "caps")
     for g, w in zip(got, want):
@@ -288,8 +290,8 @@ def _tile_values(tile, d):
 
 def _tile_rows(n_paths, n_steps, d, n_threads):
     """Row counts (paths by steps) of the constant branch's tile products."""
-    chunks = sde_engine._chunks(n_paths, n_threads)
     workers = sde_engine._n_workers(n_paths, n_threads)
+    chunks = sde_engine._chunks(n_paths, workers)
     rows = set()
     for lo, hi in chunks:
         span, tiles = sde_engine._tile_plan(hi - lo, d, n_steps, workers)
@@ -506,10 +508,9 @@ def _engine_run(engine, n_threads):
         extra = (ps.caps,)
     diag = ps.diagnostics
     fields = {name: getattr(diag, name)
-              for name in ("max_simplex_defect", "max_prerenorm_defect",
-                           "sum_prerenorm_defect", "mean_prerenorm_defect",
-                           "n_prerenorm_samples", "n_clamped", "n_jump_candidates",
-                           "n_jumps_accepted", "max_live_cohorts")}
+              for name in ("max_prerenorm_defect", "sum_prerenorm_defect",
+                           "mean_prerenorm_defect", "n_prerenorm_samples",
+                           "n_clamped", "n_jump_candidates", "n_jumps_accepted")}
     arrays = (ps.kappa, ps.brownian_increments, diag.prerenorm_row_sums) + extra
     return fields, arrays
 

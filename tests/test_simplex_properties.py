@@ -17,7 +17,7 @@ from balmarkets.jump_markets import (
     simulate_relative_caps_balanced,
 )
 from balmarkets.market_model import MarketParams, PathGrid, ProcessSpec
-from balmarkets.sde_engine import simulate_capitalizations
+from balmarkets.sde_engine import pathset_summary, simulate_capitalizations
 
 GRID = PathGrid(dt=1e-2, n_steps=100)
 KINDS = ["full", "deficient", "zero", "near_singular"]
@@ -67,7 +67,7 @@ def test_balanced_weights_stay_on_the_simplex_and_keep_their_mean(seed, d, kind)
     ps = simulate_relative_caps_balanced(
         ProcessSpec.constant(c), kappa0, GRID, 2000, seed, store_every=25)
     _assert_on_simplex(ps.kappa)
-    assert ps.diagnostics.max_simplex_defect <= 1e-9
+    assert pathset_summary(ps)["diagnostics"]["max_simplex_defect"] <= 1e-9
     _assert_mean_is_kappa0(ps.kappa[:, -1], kappa0)
 
 
@@ -85,7 +85,7 @@ def test_jump_weights_stay_on_the_simplex_and_keep_their_mean(seed, d, kind):
     ps, _ = simulate_jump_balanced(ProcessSpec.constant(c), spec, kappa0, GRID,
                                    1000, seed, store_every=25)
     _assert_on_simplex(ps.kappa)
-    assert ps.diagnostics.max_simplex_defect <= 1e-9
+    assert pathset_summary(ps)["diagnostics"]["max_simplex_defect"] <= 1e-9
     _assert_mean_is_kappa0(ps.kappa[:, -1], kappa0)
 
 
@@ -98,4 +98,4 @@ def test_capitalization_weights_stay_on_the_simplex(seed, d, kind):
     params = MarketParams.from_constants(rng.uniform(-0.2, 0.2, d), c, 0.01, s0)
     ps = simulate_capitalizations(params, GRID, 300, seed, store_every=25)
     _assert_on_simplex(ps.kappa)
-    assert ps.diagnostics.max_simplex_defect <= 1e-9
+    assert pathset_summary(ps)["diagnostics"]["max_simplex_defect"] <= 1e-9

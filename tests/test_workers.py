@@ -20,7 +20,11 @@ from balmarkets.jump_markets import (
     simulate_relative_caps_balanced,
 )
 from balmarkets.market_model import MarketParams, PathGrid, ProcessSpec
-from balmarkets.sde_engine import pathset_to_csv, simulate_capitalizations
+from balmarkets.sde_engine import (
+    pathset_summary,
+    pathset_to_csv,
+    simulate_capitalizations,
+)
 
 C3 = np.array([[0.04, 0.01, 0.0], [0.01, 0.09, 0.02], [0.0, 0.02, 0.16]])
 
@@ -220,18 +224,34 @@ def test_max_simplex_defect_is_the_stored_rows_worst(n_threads, two_cores):
     params = MarketParams.from_constants(
         rng.normal(size=5) * 0.1, b @ b.T, 0.0, rng.uniform(1.0, 3.0, 5))
     ps = simulate_capitalizations(params, PathGrid(dt=0.01, n_steps=50), 300, 0,
-                                  store_every=5, n_threads=n_threads)
+                                  n_threads=n_threads)
     assert ps.workers == n_threads
     worst, above, below = _stored_defect(ps.kappa)
     assert below > above > 0.0  # the worst row sums to less than one
-    assert ps.diagnostics.max_simplex_defect == worst
-    # the weight engine checks every step: all of them are stored but the start
-    ps = simulate_relative_caps_balanced(
-        ProcessSpec.constant(C3), [0.5, 0.3, 0.2], PathGrid(dt=1e-3, n_steps=50),
-        2048, 3, n_threads=n_threads)
-    worst, _, _ = _stored_defect(ps.kappa[:, 1:])
+    assert pathset_summary(ps)["diagnostics"]["max_simplex_defect"] == worst
+    # a defect planted on any stored row, the start included, is read
+    for planted, (p, k) in ((1e-9, (299, -1)), (2e-9, (150, 0))):
+        ps.kappa[p, k, 0] -= planted
+        worst, _, _ = _stored_defect(ps.kappa)
+        assert worst > 0.5 * planted
+        assert pathset_summary(ps)["diagnostics"]["max_simplex_defect"] == worst
+
+
+@pytest.mark.parametrize("n_threads", [1, 2])
+def test_jump_counters_recount_from_the_outputs(n_threads, two_cores):
+    # the C3 document: with diffusion and a budget of three jumps, the
+    # stored rows include rows that an accepted jump renormalized
+    spec = JumpSpec.finite_atoms(5.0, 5.0, [[0.3, -0.2, 0.1], [-0.5, 0.4, -1.0]],
+                                 [0.6, 0.4], max_jumps=3)
+    ps, rec = simulate_jump_balanced(
+        ProcessSpec.constant(C3), spec, [0.5, 0.3, 0.2],
+        PathGrid(dt=1e-3, n_steps=400), 2048, 11, store_every=5,
+        n_threads=n_threads)
+    assert ps.workers == n_threads
+    worst, _, _ = _stored_defect(ps.kappa)
     assert worst > 0.0
-    assert ps.diagnostics.max_simplex_defect == worst
+    assert pathset_summary(ps)["diagnostics"]["max_simplex_defect"] == worst
+    assert ps.diagnostics.n_jumps_accepted == rec.jump_count.sum() > 0
 
 
 @pytest.mark.parametrize("n_threads", [1, 2])
